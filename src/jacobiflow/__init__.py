@@ -47,7 +47,6 @@ from .flow import (
     Trajectory,
     hamilton_rhs,
     jacobi_rhs,
-    geodesic_rhs,
     hamilton_flow,
     jacobi_flow,
     unit_momentum_hamiltonian,

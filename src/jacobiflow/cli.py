@@ -16,6 +16,7 @@ line endings, so a rerun of the same scenario is byte-identical.
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -178,6 +179,19 @@ def scenario_from_args(args):
             else:
                 scn[key] = value
     return scn
+
+
+def reject_nonfinite(value, where=""):
+    """Raise ValidationError on a NaN or infinite number anywhere in plain
+    scenario data (flags and scenario-file values alike)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            reject_nonfinite(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            reject_nonfinite(item, f"{where}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{where} must be finite, got {value!r}")
 
 
 def require(scn, field, where="params"):
@@ -637,6 +651,9 @@ def run_scenario(scn):
         raise ValidationError(f"unknown task '{task}' (one of: {', '.join(TASKS)})")
     runner = RUNNERS[task]
     sweep = expand_sweep(scn)
+    # after expansion, so sweep values that float() turns non-finite count too
+    for item in [scn] if sweep is None else sweep[1]:
+        reject_nonfinite(item)
     if sweep is None:
         return runner(scn)
     name, items = sweep

@@ -21,10 +21,14 @@ from .errors import (
     TurningPoint,
 )
 from .metric import (
+    _at,
+    _central_differences,
+    _evaluate,
+    _inverse_partials,
     coordinate_point,
     evaluate_metric,
-    inverse_metric_partials,
     invert_metric,
+    metric_partials,
 )
 
 # Step-underflow threshold for the adaptive integrator, as a fraction of the
@@ -89,18 +93,19 @@ class Trajectory:
 
 def _potential_gradient(sys, x, t=None):
     if sys.grad_U is not None:
-        if sys.time_dependent:
-            return np.asarray(sys.grad_U(x, 0.0 if t is None else float(t)), dtype=float)
-        return np.asarray(sys.grad_U(x), dtype=float)
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    grad = np.empty_like(x)
-    for k in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h[k]
-        xm[k] -= h[k]
-        grad[k] = (sys.potential(xp, t) - sys.potential(xm, t)) / (2.0 * h[k])
-    return grad
+        return _at(sys.grad_U, x, t, sys.time_dependent)
+    return _central_differences(lambda y: sys.potential(y, t), x)
+
+
+def _hamilton_rhs(sys, x, p, t=None):
+    """hamilton_rhs on an already validated chart point."""
+    p = np.asarray(p, dtype=float)
+    ginv = invert_metric(_evaluate(sys.g, x, t))
+    dx = ginv @ p / sys.m
+    dginv = _inverse_partials(sys.g, x, t, ginv=ginv)
+    kinetic_grad = 0.5 / sys.m * np.einsum("kij,i,j->k", dginv, p, p)
+    dp = -(kinetic_grad + _potential_gradient(sys, x, t))
+    return dx, dp
 
 
 def hamilton_rhs(sys, x, p, t=None):
@@ -109,14 +114,7 @@ def hamilton_rhs(sys, x, p, t=None):
     dx^i/dt = g^ij p_j / m
     dp_i/dt = -[ (1/2m) (d g^jk / d x^i) p_j p_k + dU/dx^i ]
     """
-    x = coordinate_point(x)
-    p = np.asarray(p, dtype=float)
-    ginv = invert_metric(evaluate_metric(sys.g, x, t))
-    dx = ginv @ p / sys.m
-    dginv = inverse_metric_partials(sys.g, x, t, ginv=ginv)
-    kinetic_grad = 0.5 / sys.m * np.einsum("kij,i,j->k", dginv, p, p)
-    dp = -(kinetic_grad + _potential_gradient(sys, x, t))
-    return dx, dp
+    return _hamilton_rhs(sys, coordinate_point(x), p, t)
 
 
 def jacobi_rhs(sys, x, p):
@@ -137,24 +135,9 @@ def jacobi_rhs(sys, x, p):
             f"energy gap E - U = {gap:.6g} at {x.tolist()} is inside the "
             f"turning-point tolerance"
         )
-    dx, dp = hamilton_rhs(sys, x, p)
+    dx, dp = _hamilton_rhs(sys, x, p)
     f = 2.0 * sys.m * gap
     return dx / f, dp / f
-
-
-def geodesic_rhs(field, x, p, mass=1.0):
-    """Geodesic flow of a bare metric in Hamiltonian form.
-
-    dx = g^-1 p / mass,  dp_i = -(1/(2 mass)) (d g^jk / d x^i) p_j p_k.
-    Used by the lift module on extended metrics.
-    """
-    x = coordinate_point(x)
-    p = np.asarray(p, dtype=float)
-    ginv = invert_metric(evaluate_metric(field, x))
-    dx = ginv @ p / mass
-    dginv = inverse_metric_partials(field, x, ginv=ginv)
-    dp = -0.5 / mass * np.einsum("kij,i,j->k", dginv, p, p)
-    return dx, dp
 
 
 def hamilton_flow(sys):
@@ -229,7 +212,9 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
     returned with the matching termination flag).  The default method is an
     adaptive embedded Runge-Kutta pair of order 5(4) at rtol=1e-9,
     atol=1e-12; method='verlet' selects a fixed-step symplectic update for
-    separable natural Hamiltonians (pass system= and step=).
+    separable natural Hamiltonians with a constant kinetic metric (pass
+    system= and step=; a metric with nonzero partials at the launch point
+    raises ValueError).
 
     monitor_fns maps names to fn(param, x, p) evaluated on accepted steps.
     pacing, when given, is an auxiliary rate integrated alongside the state at
@@ -351,8 +336,10 @@ def _integrate_verlet(system, initial, span, step, monitor_fns,
                       parameter_kind, record_every):
     """Fixed-step kick-drift-kick update for separable natural Hamiltonians.
 
-    Assumes the kinetic metric is constant over the chart (evaluated once at
-    the initial point); the potential force is re-evaluated once per step.
+    Needs a kinetic metric that is constant over the chart: it is evaluated
+    once at the initial point, and a metric with nonzero partials there (a
+    curvilinear chart such as polar coordinates) raises ValueError.  The
+    potential force is re-evaluated once per step.
     The natural Hamiltonian is tracked on every step and its extremes
     reported under monitor_ranges['energy'] (the symplectic boundedness
     check); user monitor_fns are evaluated only on recorded steps.
@@ -362,6 +349,9 @@ def _integrate_verlet(system, initial, span, step, monitor_fns,
     x = initial.x.astype(float).copy()
     p = initial.p.astype(float).copy()
     t0 = float(initial.param)
+    if np.any(metric_partials(system.g, x) != 0.0):
+        raise ValueError("the symplectic path needs a constant kinetic metric; "
+                         f"metric '{system.g.name}' varies at {x.tolist()}")
     kinv = invert_metric(evaluate_metric(system.g, x))
     identity_kinv = np.array_equal(kinv, np.eye(x.size))
     inv_m = 1.0 / system.m

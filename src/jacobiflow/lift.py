@@ -13,7 +13,11 @@ Two constructions are provided:
 
 The geodesic equations are driven by the closed-form inverse components, so
 the static lift stays integrable across V = 0 where the forward metric
-entry 1/(kappa V) blows up (the flow itself only ever needs kappa V).
+entry 1/(kappa V) blows up (the flow itself only ever needs kappa V).  Their
+partials are closed-form too: the base block follows d(g^-1) = -g^-1 (dg)
+g^-1 with dg from the base metric's partials, and the potential entry takes
+central differences of the scalar potential, so each evaluation inverts the
+base metric once.
 """
 
 from dataclasses import dataclass
@@ -21,14 +25,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainViolation
 from .flow import FlowState, Trajectory, integrate
 from .metric import (
     MetricField,
+    _central_differences,
+    _evaluate,
+    _inverse_partials,
+    _partials,
+    _stencil_point,
     coordinate_point,
     evaluate_metric,
     invert_metric,
-    metric_partials,
 )
 
 STATIC_KIND = "static_z_lift"
@@ -94,7 +101,7 @@ def lift_static(g, V, m, kappa=2.0):
     def ext_components(xe):
         x = xe[:n]
         G = np.zeros((n + 1, n + 1))
-        G[:n, :n] = evaluate_metric(g, x)
+        G[:n, :n] = _evaluate(g, x)
         G[n, n] = 1.0 / (kappa * V(x))
         return G
 
@@ -104,14 +111,23 @@ def lift_static(g, V, m, kappa=2.0):
     def inv_components(xe):
         x = xe[:n]
         Gi = np.zeros((n + 1, n + 1))
-        Gi[:n, :n] = invert_metric(evaluate_metric(g, x))
+        Gi[:n, :n] = invert_metric(_evaluate(g, x))
         Gi[n, n] = kappa * V(x)
         return Gi
+
+    def inv_partials(xe):
+        x = xe[:n]
+        D = np.zeros((n + 1, n + 1, n + 1))
+        D[:n, :n, :n] = _inverse_partials(g, x)
+        D[:n, n, n] = kappa * _central_differences(
+            lambda y: V(_stencil_point(g, y)), x)
+        return D
 
     extended = MetricField(dim=n + 1, components=ext_components,
                            guard=ext_guard, name="static_lift")
     inverse = MetricField(dim=n + 1, components=inv_components,
-                          guard=inv_guard, name="static_lift_inverse")
+                          partials=inv_partials, guard=inv_guard,
+                          name="static_lift_inverse")
     return LiftedSystem(base=g, U_or_V=V, kind=STATIC_KIND, extended_dim=n + 1,
                         m=float(m), c=1.0, extended=extended, inverse=inverse,
                         kappa=float(kappa), name="static_lift")
@@ -125,7 +141,8 @@ def lift_time_dependent(g, U, A=None, m=1.0, c=1.0):
     time-dependent.  An optional gauge one-form A(x, t) enters as the cross
     block G_ti = A_i/m; it is carried for completeness but no contract
     exercises it, and with A given the inverse falls back to numeric
-    inversion (the t-sigma block keeps the matrix regular).
+    inversion (the t-sigma block keeps the matrix regular) and its partials
+    to central differences.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -136,7 +153,7 @@ def lift_time_dependent(g, U, A=None, m=1.0, c=1.0):
     c = float(c)
 
     def base_at(x, t):
-        return evaluate_metric(g, x, t if g.time_dependent else None)
+        return _evaluate(g, x, t if g.time_dependent else None)
 
     def ext_guard(xe):
         return g.guard is None or g.guard(xe[:n])
@@ -161,14 +178,32 @@ def lift_time_dependent(g, U, A=None, m=1.0, c=1.0):
             Gi[n, n + 1] = Gi[n + 1, n] = 1.0 / c
             Gi[n + 1, n + 1] = -2.0 * U(x, t) / (m * c * c)
             return Gi
+
+        def inv_partials(xe):
+            x, t = xe[:n], xe[n]
+            D = np.zeros((n + 2, n + 2, n + 2))
+            ginv = invert_metric(base_at(x, t))
+            D[:n, :n, :n] = -_inverse_partials(
+                g, x, t if g.time_dependent else None, ginv=ginv)
+            if g.time_dependent:
+                dgdt = _central_differences(
+                    lambda s: base_at(x, s[0]), xe[n:n + 1])[0]
+                D[n, :n, :n] = ginv @ dgdt @ ginv
+            dU = _central_differences(
+                lambda y: U(_stencil_point(g, y[:n]), y[n]), xe[:n + 1])
+            D[:n + 1, n + 1, n + 1] = -2.0 * dU / (m * c * c)
+            return D
     else:
         def inv_components(xe):
             return invert_metric(ext_components(xe))
 
+        inv_partials = None
+
     extended = MetricField(dim=n + 2, components=ext_components,
                            guard=ext_guard, name="timedep_lift")
     inverse = MetricField(dim=n + 2, components=inv_components,
-                          guard=ext_guard, name="timedep_lift_inverse")
+                          partials=inv_partials, guard=ext_guard,
+                          name="timedep_lift_inverse")
     return LiftedSystem(base=g, U_or_V=U, kind=TIMEDEP_KIND, extended_dim=n + 2,
                         m=m, c=c, extended=extended, inverse=inverse,
                         A=A, name="timedep_lift")
@@ -183,9 +218,9 @@ def lifted_rhs(lifted):
     def rhs(param, x, p):
         x = coordinate_point(x)
         p = np.asarray(p, dtype=float)
-        Ginv = evaluate_metric(inv, x)
+        Ginv = _evaluate(inv, x)
         dx = Ginv @ p / m
-        dG = metric_partials(inv, x)
+        dG = _partials(inv, x)
         dp = -0.5 / m * np.einsum("kij,i,j->k", dG, p, p)
         return dx, dp
 
@@ -194,7 +229,7 @@ def lifted_rhs(lifted):
 
 def lifted_hamiltonian(lifted, x, p):
     """Flow Hamiltonian (1/2m) G^AB p_A p_B of the extended metric."""
-    Ginv = evaluate_metric(lifted.inverse, coordinate_point(x))
+    Ginv = evaluate_metric(lifted.inverse, x)
     p = np.asarray(p, dtype=float)
     return float(p @ Ginv @ p) / (2.0 * lifted.m)
 

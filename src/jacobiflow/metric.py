@@ -64,12 +64,16 @@ class ChristoffelSymbols:
     point: np.ndarray
 
 
-def evaluate_metric(field, x, t=None):
-    """Evaluate the metric components at a chart point.
+def _at(fn, x, t, time_dependent):
+    """fn(x) or, for a time-dependent field, fn(x, t) with t=None read as 0."""
+    if time_dependent:
+        return np.asarray(fn(x, 0.0 if t is None else float(t)), dtype=float)
+    return np.asarray(fn(x), dtype=float)
 
-    Returns the symmetrized matrix; raises DomainViolation outside the guard.
-    """
-    x = coordinate_point(x)
+
+def _evaluate(field, x, t=None):
+    """evaluate_metric on an already validated chart point: the dimension
+    check and the domain guard still apply."""
     if x.size != field.dim:
         raise ValueError(
             f"point has {x.size} coordinates, metric '{field.name}' expects {field.dim}"
@@ -78,39 +82,82 @@ def evaluate_metric(field, x, t=None):
         raise DomainViolation(
             f"point {x.tolist()} is outside the valid chart of metric '{field.name}'"
         )
-    if field.time_dependent:
-        g = np.asarray(field.components(x, 0.0 if t is None else float(t)), dtype=float)
-    else:
-        g = np.asarray(field.components(x), dtype=float)
+    g = _at(field.components, x, t, field.time_dependent)
     return 0.5 * (g + g.T)
 
 
-def invert_metric(g):
-    """Invert a symmetric matrix, guarding against ill conditioning.
+def evaluate_metric(field, x, t=None):
+    """Evaluate the metric components at a chart point.
 
-    The guard is a reciprocal-condition check: matrices with 1/cond below
-    1e-12 (including exactly singular ones) raise SingularMatrix.
+    Returns the symmetrized matrix; raises DomainViolation outside the guard.
+    """
+    return _evaluate(field, coordinate_point(x), t)
+
+
+def invert_metric(g):
+    """Invert a square matrix, guarding against ill conditioning.
+
+    The guard is the 2-norm reciprocal condition rcond = sigma_min/sigma_max
+    of g, from one singular-value decomposition: matrices with rcond below
+    1e-12 (RCOND_MIN; exactly singular and zero matrices included) or with
+    non-finite entries raise SingularMatrix.  The guard does not assume
+    symmetry; the returned inverse is symmetrized.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise SingularMatrix("matrix has non-finite entries")
-    norm = np.linalg.norm(g, 2)
-    if norm == 0.0:
+    sv = np.linalg.svd(g, compute_uv=False)
+    if sv[0] == 0.0:
         raise SingularMatrix("zero matrix is not invertible")
-    try:
-        inv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"matrix inversion failed: {exc}") from exc
-    rcond = 1.0 / (norm * np.linalg.norm(inv, 2))
+    rcond = sv[-1] / sv[0]
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise SingularMatrix(
             f"matrix is too ill-conditioned to invert (rcond={rcond:.3e})"
         )
+    try:
+        inv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"matrix inversion failed: {exc}") from exc
     return 0.5 * (inv + inv.T)
 
 
 def _fd_steps(x):
     return FD_SCALE * np.maximum(1.0, np.abs(x))
+
+
+def _central_differences(f, x):
+    """D[k] = (f(x + h_k e_k) - f(x - h_k e_k)) / (2 h_k), h = 1e-6 * max(1, |x|).
+
+    Shared by metric, potential and lift partials; f may be scalar- or
+    array-valued and is responsible for refusing stencil points off its chart.
+    """
+    h = _fd_steps(x)
+    rows = []
+    for k in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[k] += h[k]
+        xm[k] -= h[k]
+        rows.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h[k]))
+    return np.array(rows, dtype=float)
+
+
+def _stencil_point(field, y):
+    """y itself, once the field's guard accepts it as a stencil point."""
+    if not field.valid(y):
+        raise DomainViolation(
+            f"finite-difference stencil point {y.tolist()} exits the "
+            f"chart of metric '{field.name}'"
+        )
+    return y
+
+
+def _partials(field, x, t=None):
+    """metric_partials on an already validated chart point."""
+    if field.partials is not None:
+        return _at(field.partials, x, t, field.time_dependent)
+    return _central_differences(
+        lambda y: _evaluate(field, _stencil_point(field, y), t), x)
 
 
 def metric_partials(field, x, t=None):
@@ -120,31 +167,15 @@ def metric_partials(field, x, t=None):
     differences with per-coordinate steps h_k = 1e-6 * max(1, |x^k|).
     Every stencil point must satisfy the domain guard.
     """
-    x = coordinate_point(x)
-    if field.partials is not None:
-        if field.time_dependent:
-            d = np.asarray(field.partials(x, 0.0 if t is None else float(t)), dtype=float)
-        else:
-            d = np.asarray(field.partials(x), dtype=float)
-        return d
-    n = field.dim
-    h = _fd_steps(x)
-    d = np.empty((n, n, n))
-    for k in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h[k]
-        xm[k] -= h[k]
-        for probe in (xp, xm):
-            if not field.valid(probe):
-                raise DomainViolation(
-                    f"finite-difference stencil point {probe.tolist()} exits the "
-                    f"chart of metric '{field.name}'"
-                )
-        gp = evaluate_metric(field, xp, t)
-        gm = evaluate_metric(field, xm, t)
-        d[k] = (gp - gm) / (2.0 * h[k])
-    return d
+    return _partials(field, coordinate_point(x), t)
+
+
+def _inverse_partials(field, x, t=None, ginv=None):
+    """inverse_metric_partials on an already validated chart point."""
+    if ginv is None:
+        ginv = invert_metric(_evaluate(field, x, t))
+    dg = _partials(field, x, t)
+    return np.array([-(ginv @ dg[k] @ ginv) for k in range(field.dim)])
 
 
 def inverse_metric_partials(field, x, t=None, ginv=None):
@@ -153,10 +184,7 @@ def inverse_metric_partials(field, x, t=None, ginv=None):
     Computed from the identity d(g^-1) = -g^-1 (dg) g^-1 so analytic partials
     of the components are reused when present.
     """
-    if ginv is None:
-        ginv = invert_metric(evaluate_metric(field, x, t))
-    dg = metric_partials(field, x, t)
-    return np.array([-(ginv @ dg[k] @ ginv) for k in range(field.dim)])
+    return _inverse_partials(field, coordinate_point(x), t, ginv)
 
 
 def christoffel(field, x, t=None):
@@ -167,9 +195,8 @@ def christoffel(field, x, t=None):
     differences otherwise.
     """
     x = coordinate_point(x)
-    g = evaluate_metric(field, x, t)
-    ginv = invert_metric(g)
-    d = metric_partials(field, x, t)
+    ginv = invert_metric(_evaluate(field, x, t))
+    d = _partials(field, x, t)
     # d[k, i, j] = d_k g_ij; assemble the bracket with einsum.
     bracket = (
         np.einsum("klj->ljk", d)      # d_k g_lj

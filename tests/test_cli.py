@@ -198,6 +198,34 @@ def test_validation_failures_exit_two(tmp_path, capsys):
     assert code == 2 and "JSON" in err
 
 
+def test_nonfinite_parameters_exit_two(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "orbit", "--system", "kepler", "--E", "nan",
+        "--initial", "0.5,0,0,1.7", "--span", "1", "--out", str(tmp_path),
+    )
+    assert code == 2 and "params.E" in err and "finite" in err
+    assert not (tmp_path / "orbit_summary.json").exists()
+    code, _, err = run(
+        capsys, "orbit", "--system", "kepler", "--E", "-0.5",
+        "--initial", "0.5,0,0,inf", "--out", str(tmp_path),
+    )
+    assert code == 2 and "integration.initial.p[1]" in err
+    scenario = tmp_path / "nonfinite.json"
+    scenario.write_text(json.dumps({"params": {"k": float("inf")}}))
+    code, _, err = run(capsys, "curvature", "--E", "-0.5", "--scenario", str(scenario),
+                       "--out", str(tmp_path))
+    assert code == 2 and "params.k" in err
+    # one non-finite sweep value rejects the whole sweep before any leg runs
+    scenario.write_text(json.dumps({
+        "task": "curvature", "system": "kepler",
+        "params": {"k": 1.0, "E": [-0.5, float("nan")]},
+        "output": {"dir": str(tmp_path), "prefix": "sw"},
+    }))
+    code, _, err = run(capsys, "curvature", "--scenario", str(scenario))
+    assert code == 2 and "params.E" in err
+    assert not list(tmp_path.glob("sw_*"))
+
+
 def test_scenario_file_overrides_flags(tmp_path, capsys):
     scenario = tmp_path / "scan.json"
     scenario.write_text(json.dumps({

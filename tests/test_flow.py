@@ -397,6 +397,19 @@ def test_verlet_energy_band_no_secular_growth():
     assert width_long / width_short < 1.5
 
 
+def test_verlet_refuses_curvilinear_kinetic_metric():
+    # polar Kepler has d g_phiphi / dr = 2r != 0 at the launch point; the
+    # constant-metric update used to return r < 0 here with 'completed'
+    kep = kepler()
+    with pytest.raises(ValueError, match="constant kinetic metric"):
+        integrate(
+            hamilton_flow(kep), perihelion_state(), 1.0, method="verlet",
+            system=kep, step=1e-3,
+        )
+    rk = integrate(hamilton_flow(kep), perihelion_state(), 1.0)
+    assert 0.9 < rk.final.x[0] < 1.0
+
+
 def test_max_relative_drift_helper():
     assert max_relative_drift(np.array([2.0, 2.0, 2.0])) == 0.0
     assert max_relative_drift(np.array([2.0, 2.2])) == pytest.approx(0.1, abs=1e-15)

@@ -7,6 +7,7 @@ from jacobiflow import (
     DomainViolation,
     FlowState,
     MechanicalSystem,
+    MetricField,
     compare_paths,
     embed_static,
     embed_time_dependent,
@@ -21,6 +22,8 @@ from jacobiflow import (
     lifted_hamiltonian,
     lifted_rhs,
     mechanical_pz,
+    metric_partials,
+    polar_metric,
     project,
     sigma_momentum_identity,
 )
@@ -270,3 +273,75 @@ def test_lifted_rhs_sigma_equation_is_exactly_zero():
         p = np.array([rng.normal(), rng.normal(), rng.uniform(0.5, 2.0)])
         _, dp = rhs(0.0, x, p)
         assert dp[2] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# closed-form partials of the inverse fields
+
+
+def breathing_metric():
+    """A non-diagonal, time-dependent 2-d base with finite-difference partials."""
+
+    def components(x, t):
+        off = 0.1 * np.sin(x[1] + t)
+        return np.array([[1.0 + 0.2 * x[0] ** 2 * (1.0 + 0.3 * np.cos(t)), off],
+                         [off, 2.0 + 0.5 * np.sin(t) * x[1] ** 2]])
+
+    return MetricField(dim=2, components=components, time_dependent=True,
+                       name="breathing")
+
+
+def inverse_partials_against_fd(lift, point):
+    # the same inverse components without the partials hook take the
+    # finite-difference route of metric_partials
+    fd_field = MetricField(dim=lift.inverse.dim, components=lift.inverse.components,
+                           guard=lift.inverse.guard)
+    closed = metric_partials(lift.inverse, point)
+    numeric = metric_partials(fd_field, point)
+    assert closed.shape == (lift.inverse.dim,) * 3
+    assert np.max(np.abs(closed)) > 0.1
+    np.testing.assert_allclose(closed, numeric, rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.parametrize("base, x", [
+    (flat_metric(1), [0.7]),
+    (flat_metric(2), [0.7, -1.3]),
+    (polar_metric(), [1.4, 0.6]),
+])
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+def test_static_inverse_partials_match_fd(base, x, kappa):
+    V = lambda y: 0.5 * float(y @ y) + 0.3 * y[0] + 1.0
+    lift = lift_static(base, V, m=1.3, kappa=kappa)
+    inverse_partials_against_fd(lift, np.array(x + [0.4]))
+
+
+@pytest.mark.parametrize("base, x", [
+    (flat_metric(1), [0.7]),
+    (flat_metric(2), [0.7, -1.3]),
+    (polar_metric(), [1.4, 0.6]),
+    (breathing_metric(), [0.8, 0.5]),
+])
+def test_timedep_inverse_partials_match_fd(base, x):
+    U = lambda y, t: 0.5 * (1.0 + 0.3 * np.sin(2.0 * t)) * float(y @ y) + 0.2 * y[0] * t
+    lift = lift_time_dependent(base, U, m=1.3, c=1.7)
+    inverse_partials_against_fd(lift, np.array(x + [0.9, -0.2]))
+
+
+def test_lift_inverse_partials_refuse_stencil_off_chart():
+    # analytic half-line chart: x = 1e-7 is on it, the potential's stencil
+    # point x - 1e-6 is not
+    half_line = MetricField(dim=1, components=lambda x: np.eye(1),
+                            partials=lambda x: np.zeros((1, 1, 1)),
+                            guard=lambda x: x[0] > 0.0, name="half_line")
+    static = lift_static(half_line, lambda y: 1.0 + y[0], m=1.0)
+    timedep = lift_time_dependent(half_line, lambda y, t: 1.0 + y[0] * t)
+    for lift in (static, timedep):
+        n = lift.extended_dim
+        x = np.array([1e-7] + [0.5] * (n - 1))
+        with pytest.raises(DomainViolation, match="stencil"):
+            lifted_rhs(lift)(0.0, x, np.ones(n))
+
+
+def test_gauge_lift_keeps_finite_difference_partials():
+    lift = lift_time_dependent(flat_metric(1), DRIVEN_U, A=lambda x, t: np.array([0.1]))
+    assert lift.inverse.partials is None

@@ -7,17 +7,44 @@ import numpy as np
 from jacobiflow import (
     ChristoffelSymbols,
     DomainViolation,
+    MechanicalSystem,
     MetricField,
     SingularMatrix,
     christoffel,
     coordinate_point,
     evaluate_metric,
     flat_metric,
+    hamilton_rhs,
     invert_metric,
     metric_partials,
     polar_metric,
     spherical_metric,
 )
+
+
+def rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def with_singular_values(sv, left=0.4, right=None):
+    """2x2 matrix R(left) diag(sv) R(right)^T; right=None gives the SPD case."""
+    right = left if right is None else right
+    return rotation(left) @ np.diag(sv) @ rotation(right).T
+
+
+def lift_shaped(base):
+    """Indefinite 4x4 in the time-dependent lift's layout: -g block, then a
+    (t, sigma) block [[2U/m, c], [c, 0]] with U = 0, c = 1 (singular values 1)."""
+    G = np.zeros((4, 4))
+    G[:2, :2] = -base
+    G[2, 3] = G[3, 2] = 1.0
+    return G
+
+
+def rcond(g):
+    sv = np.linalg.svd(g, compute_uv=False)
+    return sv[-1] / sv[0]
 
 
 def schwarzschild_spatial(M):
@@ -96,6 +123,41 @@ class TestInvertMetric(unittest.TestCase):
         with self.assertRaises(SingularMatrix):
             invert_metric(np.diag([1.0, 1e-15]))
 
+    def test_guard_threshold_non_diagonal_spd(self):
+        ok = with_singular_values([1.0, 1e-11])
+        bad = with_singular_values([1.0, 1e-13])
+        self.assertNotEqual(ok[0, 1], 0.0)
+        self.assertAlmostEqual(rcond(ok) / 1e-11, 1.0, places=3)
+        self.assertAlmostEqual(rcond(bad) / 1e-13, 1.0, places=1)
+        inv = np.linalg.inv(ok)
+        np.testing.assert_array_equal(invert_metric(ok), 0.5 * (inv + inv.T))
+        with self.assertRaises(SingularMatrix):
+            invert_metric(bad)
+
+    def test_guard_threshold_indefinite_lift_shape(self):
+        ok = lift_shaped(with_singular_values([2.0, 2e-11], left=1.1))
+        bad = lift_shaped(with_singular_values([2.0, 2e-13], left=1.1))
+        self.assertAlmostEqual(rcond(ok) / 1e-11, 1.0, places=3)
+        self.assertAlmostEqual(rcond(bad) / 1e-13, 1.0, places=1)
+        self.assertLess(np.min(np.linalg.eigvalsh(ok)), 0.0)
+        inv = np.linalg.inv(ok)
+        np.testing.assert_array_equal(invert_metric(ok), 0.5 * (inv + inv.T))
+        with self.assertRaises(SingularMatrix):
+            invert_metric(bad)
+
+    def test_guard_holds_for_non_symmetric_input(self):
+        ok = with_singular_values([1.0, 1e-11], left=0.4, right=1.3)
+        bad = with_singular_values([1.0, 1e-13], left=0.4, right=1.3)
+        self.assertNotEqual(ok[0, 1], ok[1, 0])
+        inv = np.linalg.inv(ok)
+        np.testing.assert_array_equal(invert_metric(ok), 0.5 * (inv + inv.T))
+        with self.assertRaises(SingularMatrix):
+            invert_metric(bad)
+
+    def test_non_finite_entries_singular(self):
+        with self.assertRaises(SingularMatrix):
+            invert_metric(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -141,6 +203,39 @@ class TestPartials(unittest.TestCase):
         # valid point, but the finite-difference stencil pokes past the horizon
         with self.assertRaises(DomainViolation):
             metric_partials(field, coordinate_point([2.0 + 1e-9, np.pi / 2, 0.0]))
+
+
+class TestDomainGuardAtEveryPoint(unittest.TestCase):
+    """Points are validated once per public call; the guard still runs at
+    the point and at every finite-difference stencil point."""
+
+    def system(self):
+        return MechanicalSystem(g=schwarzschild_spatial(1.0), U=lambda x: -1.0 / x[0],
+                                m=1.0, grad_U=lambda x: np.array([x[0] ** -2, 0.0, 0.0]))
+
+    def test_hamilton_rhs_outside_guard(self):
+        with self.assertRaises(DomainViolation):
+            hamilton_rhs(self.system(), [1.5, np.pi / 2, 0.0], [0.0, 1.0, 0.0])
+
+    def test_hamilton_rhs_stencil_exit(self):
+        x = [2.0 + 1e-8, np.pi / 2, 0.0]
+        self.assertTrue(self.system().g.valid(np.array(x)))
+        with self.assertRaisesRegex(DomainViolation, "stencil"):
+            hamilton_rhs(self.system(), x, [0.0, 1.0, 0.0])
+
+    def test_analytic_chart_outside_guard(self):
+        sys = MechanicalSystem(g=polar_metric(), U=lambda x: 0.0, m=1.0)
+        with self.assertRaises(DomainViolation):
+            hamilton_rhs(sys, [-1.0, 0.0], [0.0, 1.0])
+
+    def test_public_calls_still_validate_points(self):
+        for call in (
+            lambda: evaluate_metric(polar_metric(), [np.nan, 0.0]),
+            lambda: evaluate_metric(polar_metric(), [1.0]),
+            lambda: hamilton_rhs(self.system(), [3.0, np.inf, 0.0], [0.0, 1.0, 0.0]),
+        ):
+            with self.assertRaises(ValueError):
+                call()
 
 
 class TestChristoffel(unittest.TestCase):
