@@ -40,7 +40,7 @@ print()
 def driven_U(x, t):
     return 0.5 * (1.0 + 0.1 * np.sin(t)) * float(x @ x)
 
-drive = lift_time_dependent(flat_metric(1), driven_U, None, m=1.0, c=1.0)
+drive = lift_time_dependent(flat_metric(1), driven_U, m=1.0, c=1.0)
 start = embed_time_dependent(drive, np.array([1.0]), np.array([0.0]), q=1.0)
 lifted_traj = integrate_lifted(drive, start, SPAN, record_grid=4000)
 

@@ -39,7 +39,9 @@ class CatalogEntry:
     reference_jacobi_nonrel(x, E) the printed fixed-energy matrix where one
     exists; reference_jacobi_weak(x, Q) the weak-potential variant (only the
     Euclidean entry has one).  sample_ranges bounds a box of valid chart
-    points for property tests and grid scans.
+    points for property tests and grid scans.  A, where set, is the family's
+    gauge one-form, kept as reference data: the generic transforms do not
+    read it.
     """
 
     name: str
@@ -62,7 +64,6 @@ def spacetime_from_entry(entry):
     return StationarySpacetime(
         g=entry.spatial,
         Vsq=entry.Vsq,
-        A=entry.A,
         m=entry.params["m"],
         c=entry.params.get("c", 1.0),
         name=entry.name,
@@ -77,16 +78,7 @@ def generic_relativistic(entry, E_rel):
 def generic_nonrelativistic(entry, E):
     """Generic fixed-energy transform on the entry's spatial metric and
     equivalent potential."""
-    if entry.U is None:
-        raise ValueError(f"entry '{entry.name}' has no equivalent potential")
-    sys = MechanicalSystem(
-        g=entry.spatial,
-        U=entry.U,
-        m=entry.params["m"],
-        E=E,
-        name=entry.name,
-    )
-    return jacobi_nonrelativistic(sys)
+    return jacobi_nonrelativistic(mechanical_system_from_entry(entry, E=E))
 
 
 def mechanical_system_from_entry(entry, E=None):

@@ -102,7 +102,6 @@ def build_parser():
                        help="relative integration tolerance (default 1e-9)")
         p.add_argument("--atol", type=float, default=1e-12,
                        help="absolute integration tolerance (default 1e-12)")
-        p.add_argument("--seed", type=int, help="reserved; recorded but unused")
         p.add_argument("--system", help="catalog name or one of: " + ", ".join(INLINE_SYSTEMS))
         for name in PARAM_FLAGS:
             p.add_argument("--" + name.replace("_", "-"), type=float, dest=name,
@@ -163,8 +162,6 @@ def scenario_from_args(args):
     for bound in ("grid_min", "grid_max", "r_min", "r_max"):
         if getattr(args, bound, None) is not None:
             scn.setdefault("grid", {})[bound] = getattr(args, bound)
-    if args.seed is not None:
-        scn["seed"] = args.seed
     if args.scenario:
         path = Path(args.scenario)
         if not path.exists():
@@ -206,6 +203,19 @@ def require(scn, field, where="params"):
 # system construction
 
 
+def build_catalog_entry(scn):
+    """The catalog entry named by the scenario, built from the params its
+    family takes; a missing or refused parameter is a validation error."""
+    name = scn["system"]
+    params = scn.get("params", {})
+    _, required, optional, _ = CATALOG[name]
+    try:
+        return catalog_entry(name, **{p: params[p] for p in required + optional
+                                      if p in params})
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def build_mechanical(scn, need_energy=True):
     """MechanicalSystem from the scenario's system name and params."""
     name = scn.get("system")
@@ -237,15 +247,8 @@ def build_mechanical(scn, need_energy=True):
             g=flat_metric(2), U=lambda x: 0.0, m=m, E=E,
             grad_U=lambda x: np.zeros(2), name="free")
     if name in CATALOG:
-        _, required, optional, _ = CATALOG[name]
-        entry_params = {p: params[p] for p in required + optional if p in params}
-        missing = [p for p in required if p not in entry_params]
-        if missing:
-            raise ValidationError(f"system '{name}' needs parameters: "
-                                  + ", ".join(missing))
-        entry = catalog_entry(name, **entry_params)
         try:
-            return mechanical_system_from_entry(entry, E=E)
+            return mechanical_system_from_entry(build_catalog_entry(scn), E=E)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
     raise ValidationError(f"unknown system '{name}' (inline: "
@@ -335,8 +338,6 @@ def write_summary(path, scn, extra):
         "rtol": scn["integration"]["rtol"],
         "atol": scn["integration"]["atol"],
     }
-    if scn.get("seed") is not None:
-        summary["seed"] = scn["seed"]
     summary.update(extra)
     Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                           newline="\n")
@@ -381,32 +382,23 @@ def run_transform(scn, suffix=""):
     if form == "classical":
         sys = build_mechanical(scn)
         conf = jacobi_nonrelativistic(sys)
-        factor = lambda x: conf.factor_at(x)
-        sys_for_chart = sys
     else:
         E_rel = require(scn, "E_rel")
-        name = scn.get("system")
-        if name in CATALOG:
-            sys_for_chart = build_mechanical(scn, need_energy=False)
-            _, required, optional, _ = CATALOG[name]
-            entry = catalog_entry(name, **{p: params[p] for p in required + optional
-                                           if p in params})
-            st = spacetime_from_entry(entry)
+        sys = build_mechanical(scn, need_energy=False)
+        if scn["system"] in CATALOG:
+            st = spacetime_from_entry(build_catalog_entry(scn))
         else:
-            sys_for_chart = build_mechanical(scn, need_energy=False)
-            st = weak_field_spacetime(sys_for_chart.g, sys_for_chart.U,
-                                      m=sys_for_chart.m, c=params.get("c", 1.0))
+            st = weak_field_spacetime(sys.g, sys.U, m=sys.m, c=params.get("c", 1.0))
         try:
             conf = jacobi_relativistic_stationary(st, E_rel)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        factor = lambda x: conf.factor_at(x)
     rows = []
     skipped = 0
     for r in np.linspace(lo, hi, samples):
-        x = radial_point(sys_for_chart, r)
+        x = radial_point(sys, r)
         try:
-            rows.append([r, factor(x)])
+            rows.append([r, conf.factor_at(x)])
         except (TurningPoint, DomainViolation):
             skipped += 1
     csv_path, summary_path = out_paths(scn, suffix)
@@ -555,9 +547,8 @@ def run_lift(scn, suffix=""):
         traj = integrate_lifted(lifted, start, span, rtol=integration["rtol"],
                                 atol=integration["atol"], record_grid=record)
         proj = project(traj, lifted)
-        direct_sys = MechanicalSystem(
-            g=flat_metric(dim), U=lambda x: 0.5 * lam * float(x @ x), m=m,
-            grad_U=lambda x: lam * x, name="oscillator-cartesian")
+        direct_sys = MechanicalSystem(g=flat_metric(dim), U=V, m=m,
+                                      grad_U=lambda x: lam * x, name="oscillator-cartesian")
     else:
         q = params.get("q", 1.0)
         amp = params.get("amp", 0.1)

@@ -41,6 +41,14 @@ def turning_eps(E):
     return 1e-10 * max(1.0, abs(E))
 
 
+# Relative energy gap below which a stalled stepper counts as having reached
+# the turning surface.  Looser than turning_eps on purpose: turning_eps makes
+# an rhs refuse to evaluate, while this classifies a run whose step size has
+# already collapsed, which happens while the gap is still far above 1e-10
+# because the rescaled rhs grows like 1/sqrt(E - U).
+STALL_GAP = 1e-6
+
+
 @dataclass
 class FlowState:
     """One phase-space sample: parameter value, position, momentum, monitors."""
@@ -93,7 +101,7 @@ class Trajectory:
 
 def _potential_gradient(sys, x, t=None):
     if sys.grad_U is not None:
-        return _at(sys.grad_U, x, t, sys.time_dependent)
+        return np.asarray(_at(sys.grad_U, x, t, sys.time_dependent), dtype=float)
     return _central_differences(lambda y: sys.potential(y, t), x)
 
 
@@ -117,6 +125,23 @@ def hamilton_rhs(sys, x, p, t=None):
     return _hamilton_rhs(sys, coordinate_point(x), p, t)
 
 
+def _require_autonomous(sys, what):
+    """Refuse a system whose potential or kinetic metric depends on time."""
+    if sys.time_dependent or sys.g.time_dependent:
+        raise ValueError(f"{what} is defined for autonomous systems only")
+
+
+def _open_gap(sys, x):
+    """E - U at x; TurningPoint inside the turning-point tolerance."""
+    gap = sys.E - sys.potential(x)
+    if gap <= turning_eps(sys.E):
+        raise TurningPoint(
+            f"energy gap E - U = {gap:.6g} at {x.tolist()} is inside the "
+            f"turning-point tolerance"
+        )
+    return gap
+
+
 def jacobi_rhs(sys, x, p):
     """Rescaled-flow equations: the time flow repaced by ds/dt = 2m(E - U).
 
@@ -124,17 +149,11 @@ def jacobi_rhs(sys, x, p):
     flows launched on the energy-E surface.  Raises TurningPoint where the
     pacing factor degenerates.
     """
-    if sys.time_dependent:
-        raise ValueError("the rescaled flow is defined for autonomous systems only")
+    _require_autonomous(sys, "the rescaled flow")
     if sys.E is None:
         raise ValueError("the system needs an energy label E for the rescaled flow")
     x = coordinate_point(x)
-    gap = sys.E - sys.potential(x)
-    if gap <= turning_eps(sys.E):
-        raise TurningPoint(
-            f"energy gap E - U = {gap:.6g} at {x.tolist()} is inside the "
-            f"turning-point tolerance"
-        )
+    gap = _open_gap(sys, x)
     dx, dp = _hamilton_rhs(sys, x, p)
     f = 2.0 * sys.m * gap
     return dx / f, dp / f
@@ -144,7 +163,7 @@ def hamilton_flow(sys):
     """rhs closure for integrate(): the time flow of a mechanical system."""
 
     def rhs(param, x, p):
-        return hamilton_rhs(sys, x, p, t=param if sys.time_dependent else None)
+        return hamilton_rhs(sys, x, p, t=param)
 
     rhs.system = sys
     return rhs
@@ -203,7 +222,7 @@ def _record(states, param, x, p, monitor_fns, extra=None):
 
 def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
               monitor_fns=None, parameter_kind="time_t", pacing=None,
-              pacing_name="pacing", max_step=np.inf, record_grid=None,
+              pacing_name="pacing", record_grid=None,
               system=None, step=None, record_every=1):
     """Integrate a flow and return its trajectory.
 
@@ -270,7 +289,7 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
             gap = classify_sys.E - classify_sys.potential(last.x)
         except Exception:
             return False
-        return gap <= 1e-6 * max(1.0, abs(classify_sys.E))
+        return gap <= STALL_GAP * max(1.0, abs(classify_sys.E))
 
     t0 = float(initial.param)
     if record_grid is not None:
@@ -282,7 +301,7 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
         grid = None
     next_grid = 0
 
-    stepper = RK45(fun, t0, y0, t0 + span, rtol=rtol, atol=atol, max_step=max_step)
+    stepper = RK45(fun, t0, y0, t0 + span, rtol=rtol, atol=atol)
 
     states = []
 
@@ -344,8 +363,7 @@ def _integrate_verlet(system, initial, span, step, monitor_fns,
     reported under monitor_ranges['energy'] (the symplectic boundedness
     check); user monitor_fns are evaluated only on recorded steps.
     """
-    if system.time_dependent:
-        raise ValueError("the symplectic path handles autonomous systems only")
+    _require_autonomous(system, "the symplectic path")
     x = initial.x.astype(float).copy()
     p = initial.p.astype(float).copy()
     t0 = float(initial.param)
@@ -409,19 +427,10 @@ def reparametrize(traj, direction, sys):
     """
     if direction not in ("t_to_s", "s_to_t"):
         raise ValueError(f"unknown direction '{direction}'")
+    _require_autonomous(sys, "reparametrization")
     if sys.E is None:
         raise ValueError("the system needs an energy label E to reparametrize")
-    eps = turning_eps(sys.E)
-    gaps = []
-    for s in traj.states:
-        gap = sys.E - sys.potential(s.x)
-        if gap <= eps:
-            raise TurningPoint(
-                f"energy gap E - U = {gap:.6g} at {s.x.tolist()} degenerates "
-                f"the pacing factor"
-            )
-        gaps.append(gap)
-    f = 2.0 * sys.m * np.asarray(gaps)
+    f = 2.0 * sys.m * np.array([_open_gap(sys, s.x) for s in traj.states])
 
     old = traj.params
     new = np.empty_like(old)

@@ -21,7 +21,7 @@ base metric once.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -62,18 +62,11 @@ class LiftedSystem:
     extended: MetricField
     inverse: MetricField
     kappa: float = 2.0
-    A: Optional[Callable] = None
     name: str = ""
 
     @property
     def dummy_index(self):
         return self.extended_dim - 1
-
-    @property
-    def time_index(self):
-        if self.kind != TIMEDEP_KIND:
-            raise ValueError("only the time-dependent lift carries a time axis")
-        return self.base.dim
 
 
 def lift_static(g, V, m, kappa=2.0):
@@ -92,11 +85,11 @@ def lift_static(g, V, m, kappa=2.0):
         raise ValueError("kappa must be positive")
     n = g.dim
 
+    def inv_guard(xe):
+        return g.guard is None or g.guard(xe[:n])
+
     def ext_guard(xe):
-        x = xe[:n]
-        if g.guard is not None and not g.guard(x):
-            return False
-        return V(x) > 0.0
+        return inv_guard(xe) and V(xe[:n]) > 0.0
 
     def ext_components(xe):
         x = xe[:n]
@@ -104,9 +97,6 @@ def lift_static(g, V, m, kappa=2.0):
         G[:n, :n] = _evaluate(g, x)
         G[n, n] = 1.0 / (kappa * V(x))
         return G
-
-    def inv_guard(xe):
-        return g.guard is None or g.guard(xe[:n])
 
     def inv_components(xe):
         x = xe[:n]
@@ -133,17 +123,17 @@ def lift_static(g, V, m, kappa=2.0):
                         kappa=float(kappa), name="static_lift")
 
 
-def lift_time_dependent(g, U, A=None, m=1.0, c=1.0):
+def lift_time_dependent(g, U, gauge=None, /, m=1.0, c=1.0):
     """Time-dependent lift over (x, t, sigma) honoring the printed signature
     c^2 V^2 dt^2 + 2c dt dsigma - g_ij dx^i dx^j with V^2 = 2U/(m c^2).
 
     U(x, t) is the (possibly non-autonomous) potential; g may itself be
-    time-dependent.  An optional gauge one-form A(x, t) enters as the cross
-    block G_ti = A_i/m; it is carried for completeness but no contract
-    exercises it, and with A given the inverse falls back to numeric
-    inversion (the t-sigma block keeps the matrix regular) and its partials
-    to central differences.
+    time-dependent.  The lift carries no gauge one-form: the third positional
+    slot is kept for existing calls that pass None there, and anything else
+    raises ValueError.
     """
+    if gauge is not None:
+        raise ValueError("the time-dependent lift carries no gauge one-form")
     if m <= 0:
         raise ValueError("m must be positive")
     if c <= 0:
@@ -153,7 +143,7 @@ def lift_time_dependent(g, U, A=None, m=1.0, c=1.0):
     c = float(c)
 
     def base_at(x, t):
-        return _evaluate(g, x, t if g.time_dependent else None)
+        return _evaluate(g, x, t)
 
     def ext_guard(xe):
         return g.guard is None or g.guard(xe[:n])
@@ -164,40 +154,29 @@ def lift_time_dependent(g, U, A=None, m=1.0, c=1.0):
         G[:n, :n] = -base_at(x, t)
         G[n, n] = 2.0 * U(x, t) / m
         G[n, n + 1] = G[n + 1, n] = c
-        if A is not None:
-            Ai = np.asarray(A(x, t), dtype=float) / m
-            G[:n, n] = Ai
-            G[n, :n] = Ai
         return G
 
-    if A is None:
-        def inv_components(xe):
-            x, t = xe[:n], xe[n]
-            Gi = np.zeros((n + 2, n + 2))
-            Gi[:n, :n] = -invert_metric(base_at(x, t))
-            Gi[n, n + 1] = Gi[n + 1, n] = 1.0 / c
-            Gi[n + 1, n + 1] = -2.0 * U(x, t) / (m * c * c)
-            return Gi
+    def inv_components(xe):
+        x, t = xe[:n], xe[n]
+        Gi = np.zeros((n + 2, n + 2))
+        Gi[:n, :n] = -invert_metric(base_at(x, t))
+        Gi[n, n + 1] = Gi[n + 1, n] = 1.0 / c
+        Gi[n + 1, n + 1] = -2.0 * U(x, t) / (m * c * c)
+        return Gi
 
-        def inv_partials(xe):
-            x, t = xe[:n], xe[n]
-            D = np.zeros((n + 2, n + 2, n + 2))
-            ginv = invert_metric(base_at(x, t))
-            D[:n, :n, :n] = -_inverse_partials(
-                g, x, t if g.time_dependent else None, ginv=ginv)
-            if g.time_dependent:
-                dgdt = _central_differences(
-                    lambda s: base_at(x, s[0]), xe[n:n + 1])[0]
-                D[n, :n, :n] = ginv @ dgdt @ ginv
-            dU = _central_differences(
-                lambda y: U(_stencil_point(g, y[:n]), y[n]), xe[:n + 1])
-            D[:n + 1, n + 1, n + 1] = -2.0 * dU / (m * c * c)
-            return D
-    else:
-        def inv_components(xe):
-            return invert_metric(ext_components(xe))
-
-        inv_partials = None
+    def inv_partials(xe):
+        x, t = xe[:n], xe[n]
+        D = np.zeros((n + 2, n + 2, n + 2))
+        ginv = invert_metric(base_at(x, t))
+        D[:n, :n, :n] = -_inverse_partials(g, x, t, ginv=ginv)
+        if g.time_dependent:
+            dgdt = _central_differences(
+                lambda s: base_at(x, s[0]), xe[n:n + 1])[0]
+            D[n, :n, :n] = ginv @ dgdt @ ginv
+        dU = _central_differences(
+            lambda y: U(_stencil_point(g, y[:n]), y[n]), xe[:n + 1])
+        D[:n + 1, n + 1, n + 1] = -2.0 * dU / (m * c * c)
+        return D
 
     extended = MetricField(dim=n + 2, components=ext_components,
                            guard=ext_guard, name="timedep_lift")
@@ -206,7 +185,7 @@ def lift_time_dependent(g, U, A=None, m=1.0, c=1.0):
                           name="timedep_lift_inverse")
     return LiftedSystem(base=g, U_or_V=U, kind=TIMEDEP_KIND, extended_dim=n + 2,
                         m=m, c=c, extended=extended, inverse=inverse,
-                        A=A, name="timedep_lift")
+                        name="timedep_lift")
 
 
 def lifted_rhs(lifted):
@@ -271,8 +250,7 @@ def embed_time_dependent(lifted, x0, p0, q, t0=0.0, sigma0=0.0,
     x0 = coordinate_point(x0)
     p0 = np.asarray(p0, dtype=float)
     m, c = lifted.m, lifted.c
-    g0 = evaluate_metric(lifted.base, x0,
-                         t0 if lifted.base.time_dependent else None)
+    g0 = evaluate_metric(lifted.base, x0, t0)
     H0 = float(p0 @ invert_metric(g0) @ p0) / (2.0 * m) + lifted.U_or_V(x0, t0)
     p_t = (q / m) * H0
     if shell == "massive":
@@ -282,7 +260,7 @@ def embed_time_dependent(lifted, x0, p0, q, t0=0.0, sigma0=0.0,
     return FlowState(param=0.0, x=xe, p=pe)
 
 
-def lifted_energy_relation(lifted, state, m=None, c=None):
+def lifted_energy_relation(lifted, state):
     """Residual of the printed energy relation on the time-dependent lift:
 
         2c p_t p_sigma - (c^2 g^ij p_i p_j + c^2 V^2 p_sigma^2 + m^2 c^4).
@@ -292,14 +270,12 @@ def lifted_energy_relation(lifted, state, m=None, c=None):
     """
     if lifted.kind != TIMEDEP_KIND:
         raise ValueError("the energy relation lives on the time-dependent lift")
-    m = lifted.m if m is None else m
-    c = lifted.c if c is None else c
+    m, c = lifted.m, lifted.c
     n = lifted.base.dim
     x, t = state.x[:n], state.x[n]
     pi = state.p[:n]
     p_t, p_sigma = state.p[n], state.p[n + 1]
-    ginv = invert_metric(evaluate_metric(lifted.base, x,
-                                         t if lifted.base.time_dependent else None))
+    ginv = invert_metric(evaluate_metric(lifted.base, x, t))
     Vsq = 2.0 * lifted.U_or_V(x, t) / (m * c * c)
     lhs = 2.0 * c * p_t * p_sigma
     rhs = (c * c * float(pi @ ginv @ pi) + c * c * Vsq * p_sigma ** 2
@@ -320,7 +296,7 @@ def sigma_momentum_identity(H_mech, p_t, q, m, c):
 
 
 def integrate_lifted(lifted, initial, span, *, rtol=1e-9, atol=1e-12,
-                     monitor_fns=None, max_step=np.inf, record_grid=None):
+                     monitor_fns=None, record_grid=None):
     """Integrate the lifted geodesic flow, always monitoring the flow
     Hamiltonian and the dummy momentum (plus the energy-relation residual on
     the time-dependent lift)."""
@@ -335,7 +311,7 @@ def integrate_lifted(lifted, initial, span, *, rtol=1e-9, atol=1e-12,
         fns.update(monitor_fns)
     return integrate(lifted_rhs(lifted), initial, span, rtol=rtol, atol=atol,
                      monitor_fns=fns, parameter_kind="time_t",
-                     max_step=max_step, record_grid=record_grid)
+                     record_grid=record_grid)
 
 
 def project(traj, lifted):

@@ -65,15 +65,18 @@ class ChristoffelSymbols:
 
 
 def _at(fn, x, t, time_dependent):
-    """fn(x) or, for a time-dependent field, fn(x, t) with t=None read as 0."""
+    """fn(x), or fn(x, t) for a time-dependent callable, with t=None read as 0.
+
+    The one place that knows both call signatures: callers hand over the time
+    they hold whether or not fn depends on it, and convert the result.
+    """
     if time_dependent:
-        return np.asarray(fn(x, 0.0 if t is None else float(t)), dtype=float)
-    return np.asarray(fn(x), dtype=float)
+        return fn(x, 0.0 if t is None else float(t))
+    return fn(x)
 
 
-def _evaluate(field, x, t=None):
-    """evaluate_metric on an already validated chart point: the dimension
-    check and the domain guard still apply."""
+def _check_point(field, x):
+    """The dimension check and the domain guard on a validated chart point."""
     if x.size != field.dim:
         raise ValueError(
             f"point has {x.size} coordinates, metric '{field.name}' expects {field.dim}"
@@ -82,7 +85,13 @@ def _evaluate(field, x, t=None):
         raise DomainViolation(
             f"point {x.tolist()} is outside the valid chart of metric '{field.name}'"
         )
-    g = _at(field.components, x, t, field.time_dependent)
+
+
+def _evaluate(field, x, t=None):
+    """evaluate_metric on an already validated chart point: the dimension
+    check and the domain guard still apply."""
+    _check_point(field, x)
+    g = np.asarray(_at(field.components, x, t, field.time_dependent), dtype=float)
     return 0.5 * (g + g.T)
 
 
@@ -155,7 +164,7 @@ def _stencil_point(field, y):
 def _partials(field, x, t=None):
     """metric_partials on an already validated chart point."""
     if field.partials is not None:
-        return _at(field.partials, x, t, field.time_dependent)
+        return np.asarray(_at(field.partials, x, t, field.time_dependent), dtype=float)
     return _central_differences(
         lambda y: _evaluate(field, _stencil_point(field, y), t), x)
 
@@ -165,9 +174,11 @@ def metric_partials(field, x, t=None):
 
     Uses the field's analytic partials when available, otherwise central
     differences with per-coordinate steps h_k = 1e-6 * max(1, |x^k|).
-    Every stencil point must satisfy the domain guard.
+    The point and every stencil point must satisfy the domain guard.
     """
-    return _partials(field, coordinate_point(x), t)
+    x = coordinate_point(x)
+    _check_point(field, x)
+    return _partials(field, x, t)
 
 
 def _inverse_partials(field, x, t=None, ginv=None):
@@ -182,9 +193,12 @@ def inverse_metric_partials(field, x, t=None, ginv=None):
     """Partial derivatives of the inverse metric: D[k, i, j] = d g^ij / d x^k.
 
     Computed from the identity d(g^-1) = -g^-1 (dg) g^-1 so analytic partials
-    of the components are reused when present.
+    of the components are reused when present.  The point must satisfy the
+    dimension check and the domain guard, also when ginv is given.
     """
-    return _inverse_partials(field, coordinate_point(x), t, ginv)
+    x = coordinate_point(x)
+    _check_point(field, x)
+    return _inverse_partials(field, x, t, ginv)
 
 
 def christoffel(field, x, t=None):

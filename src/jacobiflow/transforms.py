@@ -3,9 +3,8 @@
 Four constructions are provided: the fixed-energy rescaling of a mechanical
 system, the stationary-spacetime rescaling for timelike geodesics, the exact
 time-dependent rescaling fed by lifted momenta, and its non-relativistic
-approximation.  The projective route to the same factors is exposed
-separately so the two derivations can be cross-checked; both land on the
-same closed forms and are implemented with identical arithmetic.
+approximation.  The projective route lands on the same closed forms, so
+its two entry points delegate to the direct constructions.
 """
 
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolation
-from .metric import MetricField, evaluate_metric, invert_metric
+from .metric import MetricField, _at, evaluate_metric, invert_metric
 
 
 @dataclass
@@ -40,22 +39,19 @@ class MechanicalSystem:
             raise ValueError("mass must be positive")
 
     def potential(self, x, t=None):
-        if self.time_dependent:
-            return float(self.U(x, 0.0 if t is None else float(t)))
-        return float(self.U(x))
+        return float(_at(self.U, x, t, self.time_dependent))
 
 
 @dataclass
 class StationarySpacetime:
-    """Stationary line-element data: temporal factor, drift one-form, spatial metric.
+    """Stationary line-element data: temporal factor and spatial metric.
 
-    Vsq is the squared temporal factor V^2(x) (dimensionless), A the optional
-    one-form of dt-dx cross terms (None means static), g the spatial metric.
+    Vsq is the squared temporal factor V^2(x) (dimensionless), g the spatial
+    metric.
     """
 
     g: MetricField
     Vsq: Callable
-    A: Optional[Callable] = None
     m: float = 1.0
     c: float = 1.0
     name: str = ""
@@ -65,27 +61,20 @@ class StationarySpacetime:
 class ConformalMetric:
     """A metric of the form factor(x[, t]) * g_ij(x[, t]).
 
-    validity holds exactly where the factor is positive.  gauge_covariant
-    marks factors meant to contract gauge-covariant momenta (stationary
-    spacetimes with a drift one-form).
+    validity holds exactly where the factor is positive.
     """
 
     base: MetricField
     factor: Callable
     validity: Callable
     time_dependent: bool = False
-    gauge_covariant: bool = False
     description: str = ""
 
     def factor_at(self, x, t=None):
-        if self.time_dependent:
-            return float(self.factor(np.asarray(x, dtype=float), 0.0 if t is None else float(t)))
-        return float(self.factor(np.asarray(x, dtype=float)))
+        return float(_at(self.factor, np.asarray(x, dtype=float), t, self.time_dependent))
 
     def valid(self, x, t=None):
-        if self.time_dependent:
-            return bool(self.validity(np.asarray(x, dtype=float), 0.0 if t is None else float(t)))
-        return bool(self.validity(np.asarray(x, dtype=float)))
+        return bool(_at(self.validity, np.asarray(x, dtype=float), t, self.time_dependent))
 
     def metric(self, x, t=None):
         """Full rescaled matrix factor * g at a point."""
@@ -125,8 +114,8 @@ def jacobi_relativistic_stationary(st, Erel):
     """Conformal rescaling whose geodesics are the timelike orbits of a
     stationary spacetime at energy Erel.
 
-    factor = (Erel^2 - m^2 c^4 V^2) / (c^2 V^2), applied to gauge-covariant
-    momenta when the spacetime carries a drift one-form.
+    factor = (Erel^2 - m^2 c^4 V^2) / (c^2 V^2); the spacetime's spatial
+    metric is the base.
     """
     if Erel <= 0:
         raise ValueError("the relativistic energy must be positive")
@@ -148,19 +137,18 @@ def jacobi_relativistic_stationary(st, Erel):
         base=st.g,
         factor=factor,
         validity=validity,
-        gauge_covariant=st.A is not None,
         description="stationary timelike rescaling (Erel^2 - m^2 c^4 V^2)/(c^2 V^2)",
     )
 
 
-def weak_field_spacetime(g, U, m, c, A=None, name=""):
+def weak_field_spacetime(g, U, m, c, name=""):
     """Stationary spacetime whose temporal factor encodes a weak potential:
     V^2 = 1 + 2U/(m c^2)."""
 
     def Vsq(x):
         return 1.0 + 2.0 * U(x) / (m * c * c)
 
-    return StationarySpacetime(g=g, Vsq=Vsq, A=A, m=m, c=c, name=name)
+    return StationarySpacetime(g=g, Vsq=Vsq, m=m, c=c, name=name)
 
 
 def nonrelativistic_limit_factor(st, E_nr):
@@ -226,41 +214,17 @@ def projective_factor_static(sys):
     """Fixed-energy rescaling reached through the projective route.
 
     Rescaling the null-extended kinetic Hamiltonian by the conformal weight
-    E - U and restricting to unit dummy momentum lands on the same closed
-    form as jacobi_nonrelativistic; the arithmetic is kept identical so the
-    two construction paths agree bitwise.
+    E - U and restricting to unit dummy momentum lands on the closed form of
+    jacobi_nonrelativistic, which builds it.
     """
-    if sys.E is None:
-        raise ValueError("the system needs an energy label E to build the rescaling")
-    m, E, U = sys.m, sys.E, sys.U
-
-    def factor(x):
-        return 2.0 * m * (E - U(x))
-
-    return ConformalMetric(
-        base=sys.g,
-        factor=factor,
-        validity=lambda x: factor(x) > 0.0,
-        description="projective rescaling of the null-extended static Hamiltonian",
-    )
+    return jacobi_nonrelativistic(sys)
 
 
-def projective_factor_lifted(g, U, q, energy, m, c=1.0):
+def projective_factor_lifted(g, U, q, energy, m):
     """Time-dependent rescaling reached through the projective route.
 
     Rescaling the null lifted Hamiltonian with dummy momenta pinned to
-    (q, -E(t)) produces 2m[E(t) - q^2 U(x, t)], the same closed form as
-    jacobi_time_dependent_approx, with identical arithmetic.
+    (q, -E(t)) produces 2m[E(t) - q^2 U(x, t)], the closed form of
+    jacobi_time_dependent_approx, which builds it.
     """
-    e_fn = _as_time_function(energy)
-
-    def factor(x, t):
-        return 2.0 * m * (e_fn(t) - q * q * U(x, t))
-
-    return ConformalMetric(
-        base=g,
-        factor=factor,
-        validity=lambda x, t: factor(x, t) > 0.0,
-        time_dependent=True,
-        description="projective rescaling of the null lifted Hamiltonian",
-    )
+    return jacobi_time_dependent_approx(g, U, energy, q, m)

@@ -279,11 +279,14 @@ def test_sweep_rejects_two_list_parameters(tmp_path, capsys):
     assert "one parameter" in err
 
 
-def test_seed_is_recorded(tmp_path, capsys):
-    code, _, _ = run(
-        capsys, "orbit", "--system", "kepler", "--E", "-0.5", "--seed", "7",
-        "--out", str(tmp_path),
-    )
-    assert code == 0
-    summary = json.loads((tmp_path / "orbit_summary.json").read_text())
-    assert summary["seed"] == 7
+@pytest.mark.parametrize("argv, message", [
+    (["orbit", "--system", "schwarzschild", "--M", "-1", "--m", "1", "--E", "-0.1",
+      "--initial", "10,1.5707963267948966,0,0,0,3"], "M must be nonnegative"),
+    (["transform", "--form", "relativistic", "--system", "kerr", "--M", "1",
+      "--a", "0.5", "--m", "-1", "--E-rel", "0.9"], "m must be positive"),
+], ids=["orbit-schwarzschild", "transform-kerr"])
+def test_catalog_constructor_refusal_is_a_validation_error(tmp_path, capsys, argv, message):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert message in err
+    assert list(tmp_path.iterdir()) == []

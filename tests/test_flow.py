@@ -106,6 +106,46 @@ def test_jacobi_rhs_rejects_time_dependent_systems():
         jacobi_rhs(sys, np.zeros(1), np.ones(1))
 
 
+def growing_metric_system():
+    # kinetic metric g = 1 + t on a line, static potential
+    g = MetricField(dim=1, components=lambda x, t: np.array([[1.0 + t]]),
+                    partials=lambda x, t: np.zeros((1, 1, 1)),
+                    time_dependent=True, name="growing")
+    return MechanicalSystem(g=g, U=lambda x: 0.0, m=1.0, E=0.5,
+                            grad_U=lambda x: np.zeros(1))
+
+
+def test_hamilton_flow_passes_time_to_a_time_dependent_metric():
+    # dx/dt = g^-1 p / m = 1 / (1 + 3) at t = 3, also with a static potential
+    sys = growing_metric_system()
+    assert hamilton_flow(sys)(3.0, [0.0], [1.0])[0] == 0.25
+    assert hamilton_rhs(sys, [0.0], [1.0], t=3.0)[0] == 0.25
+
+
+TIME_DEPENDENT = {
+    "potential": lambda: MechanicalSystem(
+        g=flat_metric(1), U=lambda x, t: 0.0, m=1.0, E=0.5,
+        grad_U=lambda x, t: np.zeros(1), time_dependent=True),
+    "metric": growing_metric_system,
+}
+AUTONOMOUS_ONLY = {
+    "jacobi_rhs": lambda sys: jacobi_rhs(sys, np.zeros(1), np.ones(1)),
+    "verlet": lambda sys: integrate(
+        hamilton_flow(sys), FlowState(0.0, np.zeros(1), np.ones(1)), 1.0,
+        method="verlet", system=sys, step=0.1),
+    "reparametrize": lambda sys: reparametrize(Trajectory([
+        FlowState(0.0, np.zeros(1), np.ones(1)),
+        FlowState(1.0, np.ones(1), np.ones(1))]), "t_to_s", sys),
+}
+
+
+@pytest.mark.parametrize("call", sorted(AUTONOMOUS_ONLY))
+@pytest.mark.parametrize("depends", sorted(TIME_DEPENDENT))
+def test_autonomous_only_paths_refuse_time_dependence(depends, call):
+    with pytest.raises(ValueError, match="autonomous"):
+        AUTONOMOUS_ONLY[call](TIME_DEPENDENT[depends]())
+
+
 # ---------------------------------------------------------------------------
 # conservation along flows
 

@@ -342,6 +342,9 @@ def test_lift_inverse_partials_refuse_stencil_off_chart():
             lifted_rhs(lift)(0.0, x, np.ones(n))
 
 
-def test_gauge_lift_keeps_finite_difference_partials():
-    lift = lift_time_dependent(flat_metric(1), DRIVEN_U, A=lambda x, t: np.array([0.1]))
-    assert lift.inverse.partials is None
+def test_timedep_lift_takes_no_gauge_one_form():
+    gauge = lambda x, t: np.array([0.1])
+    with pytest.raises(ValueError, match="gauge"):
+        lift_time_dependent(flat_metric(1), DRIVEN_U, gauge)
+    with pytest.raises(TypeError):
+        lift_time_dependent(flat_metric(1), DRIVEN_U, A=gauge)

@@ -15,6 +15,7 @@ from jacobiflow import (
     evaluate_metric,
     flat_metric,
     hamilton_rhs,
+    inverse_metric_partials,
     invert_metric,
     metric_partials,
     polar_metric,
@@ -236,6 +237,16 @@ class TestDomainGuardAtEveryPoint(unittest.TestCase):
         ):
             with self.assertRaises(ValueError):
                 call()
+
+    def test_public_partials_check_dimension_and_guard(self):
+        # neither analytic partials nor a given inverse bypasses the checks
+        polar, ginv = polar_metric(), np.eye(2)
+        for partials in (lambda x: metric_partials(polar, x),
+                         lambda x: inverse_metric_partials(polar, x, ginv=ginv)):
+            with self.assertRaisesRegex(ValueError, "expects 2"):
+                partials([1.0])
+            with self.assertRaises(DomainViolation):
+                partials([-2.0, 0.0])
 
 
 class TestChristoffel(unittest.TestCase):
