@@ -17,7 +17,6 @@ from .errors import (
 )
 from .metric import (
     MetricField,
-    ChristoffelSymbols,
     coordinate_point,
     evaluate_metric,
     invert_metric,

@@ -5,20 +5,21 @@ compare (time flow vs rescaled flow), curvature (radial scan), lift (extended
 flow plus projection check), catalog (list entries).  A scenario file is a
 JSON object with keys task, system, params, integration, output; values given
 there override the corresponding flags.  Exactly one parameter may be
-list-valued, in which case the runs fan out across a thread pool and output
-files gain a zero-padded index suffix.
+list-valued; its values then run one by one in list order, through the same
+code as a single run, and output files gain a zero-padded index suffix.
 
-Exit codes: 0 success, 2 validation error, 3 clean numerical termination
-(turning point or chart violation, reported in the summary metadata), 4 step
-failure.  All numeric output is written with 17 significant digits and LF
-line endings, so a rerun of the same scenario is byte-identical.
+Exit codes: 0 success, 2 refused input (any ValueError, or a launch outside
+the chart or at a turning point; one 'error:' line on stderr), 3 clean
+numerical termination (turning point or chart violation, reported in the
+summary metadata), 4 step failure; a sweep exits with its largest leg code.
+All numeric output is written with 17 significant digits and LF line
+endings, so a rerun of the same scenario is byte-identical.
 """
 
 import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ EXIT_TERMINATED = 3
 EXIT_STEP_FAILURE = 4
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     pass
 
 
@@ -205,15 +206,12 @@ def require(scn, field, where="params"):
 
 def build_catalog_entry(scn):
     """The catalog entry named by the scenario, built from the params its
-    family takes; a missing or refused parameter is a validation error."""
+    family takes; a missing or refused parameter raises ValueError."""
     name = scn["system"]
     params = scn.get("params", {})
     _, required, optional, _ = CATALOG[name]
-    try:
-        return catalog_entry(name, **{p: params[p] for p in required + optional
-                                      if p in params})
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return catalog_entry(name, **{p: params[p] for p in required + optional
+                                  if p in params})
 
 
 def build_mechanical(scn, need_energy=True):
@@ -222,9 +220,7 @@ def build_mechanical(scn, need_energy=True):
     if not name:
         raise ValidationError("missing required field 'system'")
     params = scn.get("params", {})
-    E = params.get("E")
-    if need_energy and E is None:
-        raise ValidationError(f"missing required parameter 'E' for system '{name}'")
+    E = require(scn, "E") if need_energy else params.get("E")
     if name == "kepler":
         k = params.get("k", 1.0)
         m = params.get("m", 1.0)
@@ -247,10 +243,7 @@ def build_mechanical(scn, need_energy=True):
             g=flat_metric(2), U=lambda x: 0.0, m=m, E=E,
             grad_U=lambda x: np.zeros(2), name="free")
     if name in CATALOG:
-        try:
-            return mechanical_system_from_entry(build_catalog_entry(scn), E=E)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        return mechanical_system_from_entry(build_catalog_entry(scn), E=E)
     raise ValidationError(f"unknown system '{name}' (inline: "
                           + ", ".join(INLINE_SYSTEMS)
                           + "; catalog: " + ", ".join(sorted(CATALOG)) + ")")
@@ -284,13 +277,24 @@ def default_initial(scn, sys):
                           "pass integration.initial (or --initial)")
 
 
+# Largest |H(x0, p0) - E| / max(1, |E|) a rescaled-flow launch may have: off
+# the energy surface that flow is not the time flow repaced.  Closed-form
+# launches land within about 1e-15; the limit is the default rtol.
+SHELL_TOL = 1e-9
+
+
+def _require_on_shell(sys, start):
+    """Refuse a rescaled-flow launch off the energy-E surface."""
+    gap = energy_from_state(sys, start.x, start.p) - sys.E
+    if not abs(gap) <= SHELL_TOL * max(1.0, abs(sys.E)):
+        raise ValidationError(f"the launch is off the energy surface: "
+                              f"H(x0, p0) - E = {gap:.6g}")
+
+
 def default_span(scn, sys):
     integration = scn.get("integration", {})
     if integration.get("span") is not None:
-        span = float(integration["span"])
-        if span <= 0:
-            raise ValidationError("span must be positive")
-        return span
+        return float(integration["span"])
     params = scn.get("params", {})
     E = params.get("E")
     if sys.name == "kepler" and E is not None and E < 0:
@@ -363,9 +367,20 @@ def exit_code_for(termination):
 # tasks
 
 
-def radial_point(sys, r):
+def radial_grid(scn, lo_key, hi_key):
+    """The scenario's radii: samples >= 2 points from lo to hi, 0 < lo < hi."""
+    grid = scn.get("grid", {})
+    lo, hi = grid.get(lo_key, 0.5), grid.get(hi_key, 5.0)
+    samples = int(scn.get("samples", 100))
+    if not (hi > lo > 0) or samples < 2:
+        raise ValidationError(f"{scn['task']} needs 0 < {lo_key} < {hi_key} "
+                              "and samples >= 2")
+    return np.linspace(lo, hi, samples)
+
+
+def radial_point(dim, r):
     """Chart point at radius r (equator and zero azimuth on 3-d charts)."""
-    if sys.g.dim == 2:
+    if dim == 2:
         return np.array([r, 0.0])
     return np.array([r, np.pi / 2, 0.0])
 
@@ -373,30 +388,22 @@ def radial_point(sys, r):
 def run_transform(scn, suffix=""):
     form = scn.get("form", "classical")
     params = scn.get("params", {})
-    grid = scn.get("grid", {})
-    lo = grid.get("grid_min", 0.5)
-    hi = grid.get("grid_max", 5.0)
-    samples = int(scn.get("samples", 100))
-    if not (hi > lo > 0) or samples < 2:
-        raise ValidationError("transform needs 0 < grid_min < grid_max and samples >= 2")
+    radii = radial_grid(scn, "grid_min", "grid_max")
     if form == "classical":
         sys = build_mechanical(scn)
         conf = jacobi_nonrelativistic(sys)
     else:
         E_rel = require(scn, "E_rel")
-        sys = build_mechanical(scn, need_energy=False)
         if scn["system"] in CATALOG:
             st = spacetime_from_entry(build_catalog_entry(scn))
         else:
+            sys = build_mechanical(scn, need_energy=False)
             st = weak_field_spacetime(sys.g, sys.U, m=sys.m, c=params.get("c", 1.0))
-        try:
-            conf = jacobi_relativistic_stationary(st, E_rel)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        conf = jacobi_relativistic_stationary(st, E_rel)
     rows = []
     skipped = 0
-    for r in np.linspace(lo, hi, samples):
-        x = radial_point(sys, r)
+    for r in radii:
+        x = radial_point(conf.base.dim, r)
         try:
             rows.append([r, conf.factor_at(x)])
         except (TurningPoint, DomainViolation):
@@ -423,6 +430,7 @@ def run_orbit(scn, suffix=""):
     grid = int(record) if record else None
     monitors = {"energy": lambda t, x, p: energy_from_state(sys, x, p)}
     if flow_kind == "jacobi":
+        _require_on_shell(sys, start)
         monitors["unit_momentum"] = lambda s, x, p: unit_momentum_hamiltonian(sys, x, p)
         rhs = jacobi_flow(sys)
         kind = "jacobi_s"
@@ -466,6 +474,7 @@ def run_orbit(scn, suffix=""):
 def run_compare(scn, suffix=""):
     sys = build_mechanical(scn)
     start = default_initial(scn, sys)
+    _require_on_shell(sys, start)
     span = default_span(scn, sys)
     integration = scn["integration"]
     record = int(integration.get("record") or 8000)
@@ -495,20 +504,15 @@ def run_curvature(scn, suffix=""):
     params = scn.get("params", {})
     k = params.get("k", 1.0)
     E = require(scn, "E")
-    grid = scn.get("grid", {})
-    lo = grid.get("r_min", 0.5)
-    hi = grid.get("r_max", 5.0)
-    samples = int(scn.get("samples", 100))
-    if not (hi > lo > 0) or samples < 2:
-        raise ValidationError("curvature needs 0 < r_min < r_max and samples >= 2")
+    radii = radial_grid(scn, "r_min", "r_max")
     profile = kepler_profile(k, E)
     rows = []
     skipped = 0
-    for r in np.linspace(lo, hi, samples):
+    for r in radii:
         try:
             kn = gaussian_curvature_numeric(profile, r)
             kc = kepler_curvature(k, E, r)
-        except (TurningPoint, DomainViolation, JacobiFlowError):
+        except JacobiFlowError:
             skipped += 1
             continue
         rows.append([r, kn, kc, abs(kn - kc) / max(1.0, abs(kc))])
@@ -554,10 +558,7 @@ def run_lift(scn, suffix=""):
         amp = params.get("amp", 0.1)
         U = lambda x, t: 0.5 * (1.0 + amp * np.sin(t)) * lam * float(x @ x)
         lifted = lift_time_dependent(flat_metric(dim), U, m=m, c=params.get("c", 1.0))
-        try:
-            start = embed_time_dependent(lifted, x0, p0, q=q)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        start = embed_time_dependent(lifted, x0, p0, q=q)
         traj = integrate_lifted(lifted, start, span, rtol=integration["rtol"],
                                 atol=integration["atol"], record_grid=record)
         proj = project(traj, lifted)
@@ -615,7 +616,7 @@ RUNNERS = {
 
 
 # ----------------------------------------------------------------------
-# sweep fan-out and entry point
+# sweeps and entry point
 
 
 def expand_sweep(scn):
@@ -649,36 +650,32 @@ def run_scenario(scn):
         return runner(scn)
     name, items = sweep
     codes = []
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        futures = [pool.submit(runner, item, f"_{i:03d}")
-                   for i, item in enumerate(items)]
-        for i, future in enumerate(futures):
-            # a failing leg must not silence the report for the others
-            try:
-                code = future.result()
-            except ValidationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                code = EXIT_VALIDATION
-            except StepFailure as exc:
-                print(f"step failure: {exc}", file=sys.stderr)
-                code = EXIT_STEP_FAILURE
-            codes.append(code)
-            print(f"[{i:03d}] {name}={items[i]['params'][name]!r} -> exit {code}")
+    for i, item in enumerate(items):
+        # a failing leg must not silence the report for the others
+        codes.append(_exit_code(runner, item, f"_{i:03d}"))
+        print(f"[{i:03d}] {name}={item['params'][name]!r} -> exit {codes[-1]}")
     return max(codes)
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _exit_code(run, *args):
+    """run(*args), with what escapes it as an exit code and one stderr line.
+    A JacobiFlowError here is a launch outside the chart or at a turning
+    point: once a run has started, integrate() reports those as its
+    termination."""
     try:
-        scn = scenario_from_args(args)
-        return run_scenario(scn)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return run(*args)
     except StepFailure as exc:
         print(f"step failure: {exc}", file=sys.stderr)
         return EXIT_STEP_FAILURE
+    except (ValueError, JacobiFlowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    # run_scenario is looked up at call time, so a wrapper on it sees every run
+    return _exit_code(lambda: run_scenario(scenario_from_args(args)))
 
 
 if __name__ == "__main__":

@@ -35,6 +35,9 @@ from .metric import (
 # requested span.
 STEP_UNDERFLOW = 1e-14
 
+# scipy raises a smaller rtol to this floor with only a warning
+RTOL_MIN = 100 * np.finfo(float).eps
+
 
 def turning_eps(E):
     """Degeneracy tolerance for the conformal factor: 1e-10 * max(1, |E|)."""
@@ -240,12 +243,13 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
     full accuracy and recorded cumulatively under pacing_name (used to map
     between parametrizations without quadrature loss).
 
-    record_grid, when given (an int count or an increasing array of parameter
-    values inside the span), records states on that grid through the
-    stepper's dense interpolant instead of at accepted steps.  Path
-    comparisons need sample spacing well below the adaptive step size to keep
-    piecewise-linear resampling error out of the measurement; this keeps the
-    step sequence (and cost) of the adaptive run.
+    record_grid, when given (a count >= 1 or a strictly increasing array of
+    parameter values inside (t0, t0 + span]), records states on that grid
+    through the stepper's dense interpolant instead of at accepted steps.
+    Path comparisons need sample spacing well below the adaptive step size to
+    keep piecewise-linear resampling error out of the measurement; this keeps
+    the step sequence (and cost) of the adaptive run.  An rtol below RTOL_MIN
+    or a grid outside that contract raises ValueError before any step.
 
     Raises StepFailure (carrying the partial trajectory) if the adaptive step
     size underflows below 1e-14 * span.  One exception: a rescaled flow
@@ -265,6 +269,19 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
                                  parameter_kind, record_every)
     if method != "rk45":
         raise ValueError(f"unknown integration method '{method}'")
+    if not rtol >= RTOL_MIN:
+        raise ValueError(f"rtol must be at least {RTOL_MIN:.3g}, got {rtol!r}")
+    t0 = float(initial.param)
+    grid = record_grid
+    if np.isscalar(grid):
+        if not grid >= 1:
+            raise ValueError(f"record_grid count must be >= 1, got {grid!r}")
+        grid = np.linspace(t0, t0 + span, int(grid) + 1)[1:]
+    elif grid is not None:
+        grid = np.asarray(grid, dtype=float)
+        if not (grid.ndim == 1 and grid.size and grid[0] > t0
+                and grid[-1] <= t0 + span and np.all(np.diff(grid) > 0)):
+            raise ValueError("record_grid must be strictly increasing inside (t0, t0 + span]")
 
     n = initial.x.size
     augmented = pacing is not None
@@ -291,14 +308,6 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
             return False
         return gap <= STALL_GAP * max(1.0, abs(classify_sys.E))
 
-    t0 = float(initial.param)
-    if record_grid is not None:
-        if np.isscalar(record_grid):
-            grid = np.linspace(t0, t0 + span, int(record_grid) + 1)[1:]
-        else:
-            grid = np.asarray(record_grid, dtype=float)
-    else:
-        grid = None
     next_grid = 0
 
     stepper = RK45(fun, t0, y0, t0 + span, rtol=rtol, atol=atol)

@@ -64,10 +64,6 @@ class LiftedSystem:
     kappa: float = 2.0
     name: str = ""
 
-    @property
-    def dummy_index(self):
-        return self.extended_dim - 1
-
 
 def lift_static(g, V, m, kappa=2.0):
     """Static lift: extended metric diag(g_ij, 1/(kappa V)) over (x, z).
@@ -221,19 +217,18 @@ def mechanical_pz(lifted):
     return float(np.sqrt(2.0 * lifted.m / lifted.kappa))
 
 
-def embed_static(lifted, x0, p0, z0=0.0, t0=0.0):
-    """Initial lifted state over a mechanical phase point, with p_z pinned
-    to the mechanical normalization."""
+def embed_static(lifted, x0, p0, z0=0.0):
+    """Initial lifted state over a mechanical phase point at time 0, with p_z
+    pinned to the mechanical normalization."""
     x0 = coordinate_point(x0)
     p0 = np.asarray(p0, dtype=float)
     xe = np.concatenate([x0, [z0]])
     pe = np.concatenate([p0, [mechanical_pz(lifted)]])
-    return FlowState(param=float(t0), x=xe, p=pe)
+    return FlowState(param=0.0, x=xe, p=pe)
 
 
-def embed_time_dependent(lifted, x0, p0, q, t0=0.0, sigma0=0.0,
-                         shell="massive"):
-    """Initial lifted state over a mechanical phase point.
+def embed_time_dependent(lifted, x0, p0, q, shell="massive"):
+    """Initial lifted state over a mechanical phase point at t = sigma = 0.
 
     The dummy momentum is p_sigma = qc and the spatial momenta carry the
     -q/m rescaling that the printed signature induces.  p_t is placed on
@@ -250,12 +245,12 @@ def embed_time_dependent(lifted, x0, p0, q, t0=0.0, sigma0=0.0,
     x0 = coordinate_point(x0)
     p0 = np.asarray(p0, dtype=float)
     m, c = lifted.m, lifted.c
-    g0 = evaluate_metric(lifted.base, x0, t0)
-    H0 = float(p0 @ invert_metric(g0) @ p0) / (2.0 * m) + lifted.U_or_V(x0, t0)
+    g0 = evaluate_metric(lifted.base, x0, 0.0)
+    H0 = float(p0 @ invert_metric(g0) @ p0) / (2.0 * m) + lifted.U_or_V(x0, 0.0)
     p_t = (q / m) * H0
     if shell == "massive":
         p_t += m * m * c * c / (2.0 * q)
-    xe = np.concatenate([x0, [t0, sigma0]])
+    xe = np.concatenate([x0, [0.0, 0.0]])
     pe = np.concatenate([-(q / m) * p0, [p_t, q * c]])
     return FlowState(param=0.0, x=xe, p=pe)
 
@@ -302,7 +297,7 @@ def integrate_lifted(lifted, initial, span, *, rtol=1e-9, atol=1e-12,
     the time-dependent lift)."""
     fns = {
         "extended_energy": lambda s, x, p: lifted_hamiltonian(lifted, x, p),
-        "p_dummy": lambda s, x, p: p[lifted.dummy_index],
+        "p_dummy": lambda s, x, p: p[lifted.extended_dim - 1],
     }
     if lifted.kind == TIMEDEP_KIND:
         fns["shell_residual"] = lambda s, x, p: lifted_energy_relation(

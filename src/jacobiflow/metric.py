@@ -5,7 +5,7 @@ the types and operations defined here.  Metrics are dense small matrices
 (dim <= 5), evaluated by closures over chart coordinates.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,14 +54,6 @@ class MetricField:
 
     def valid(self, x):
         return self.guard is None or bool(self.guard(np.asarray(x, dtype=float)))
-
-
-@dataclass(frozen=True)
-class ChristoffelSymbols:
-    """Connection coefficients at a point: values[i, j, k] = Gamma^i_jk."""
-
-    values: np.ndarray
-    point: np.ndarray
 
 
 def _at(fn, x, t, time_dependent):
@@ -202,7 +194,7 @@ def inverse_metric_partials(field, x, t=None, ginv=None):
 
 
 def christoffel(field, x, t=None):
-    """Connection coefficients Gamma^i_jk of the metric at a point.
+    """Connection coefficients at a point: an array with [i, j, k] = Gamma^i_jk.
 
     Gamma^i_jk = (1/2) g^il (d_k g_lj + d_j g_lk - d_l g_jk), with derivatives
     from analytic partials when the field provides them and from central
@@ -217,8 +209,7 @@ def christoffel(field, x, t=None):
         + np.einsum("jlk->ljk", d)    # d_j g_lk
         - np.einsum("ljk->ljk", d)    # d_l g_jk
     )
-    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, bracket)
-    return ChristoffelSymbols(values=gamma, point=x)
+    return 0.5 * np.einsum("il,ljk->ijk", ginv, bracket)
 
 
 # ======================================================================

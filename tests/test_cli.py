@@ -290,3 +290,71 @@ def test_catalog_constructor_refusal_is_a_validation_error(tmp_path, capsys, arg
     assert code == 2
     assert message in err
     assert list(tmp_path.iterdir()) == []
+
+
+KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--system", "free", "--m", "-1", "--E", "0.5", "--initial", "0,0,1,0",
+     "--span", "1"],
+    ["lift", "--m", "-1"],
+    ["lift", "--kind", "static", "--kappa", "-1"],
+    ["lift", "--kind", "timedep", "--c", "-1"],
+    ["lift", "--kind", "timedep", "--q", "-1"],
+    ["lift", "--span", "-1"],
+    KEPLER + ["--initial", "1,0,0,0,1,0"],
+    KEPLER + ["--record", "-3"],
+    KEPLER + ["--initial", "a,b,c,d"],
+    KEPLER + ["--initial=-1,0,0,1"],
+    ["orbit", "--system", "kepler", "--E", "-1", "--flow", "jacobi",
+     "--initial", "1,0,0,0", "--span", "1"],
+], ids=["free-mass", "lift-mass", "lift-kappa", "lift-c", "lift-q", "lift-span",
+        "initial-3d", "record-negative", "initial-text", "initial-off-chart",
+        "jacobi-at-turning-point"])
+def test_refused_input_exits_two_without_output(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--flow", "jacobi", "--span", "1"],
+    ["compare", "--span", "1"],
+], ids=["orbit-jacobi", "compare"])
+def test_rescaled_flow_refuses_off_shell_launch(tmp_path, capsys, argv):
+    # H(x0, p0) = 0.5 * 0.5**2 / 0.5**2 - 1 / 0.5 = -1.5, while E = -0.5
+    code, _, err = run(capsys, *argv, "--system", "kepler", "--E", "-0.5",
+                       "--initial", "0.5,0,0,0.5", "--out", str(tmp_path))
+    assert code == 2 and "off the energy surface" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_legs_match_solo_runs_byte_for_byte(tmp_path, capsys):
+    scenario = tmp_path / "sweep.json"
+    scenario.write_text(json.dumps({"params": {"E": [-0.5, -0.7]}}))
+    code, _, _ = run(capsys, "compare", "--scenario", str(scenario), "--system", "kepler",
+                     "--record", "1000", "--prefix", "c", "--out", str(tmp_path / "sweep"))
+    assert code == 0
+    for i, E in enumerate(["-0.5", "-0.7"]):
+        code, _, _ = run(capsys, "compare", "--system", "kepler", "--E", E,
+                         "--record", "1000", "--prefix", f"c_{i:03d}",
+                         "--out", str(tmp_path / "solo"))
+        assert code == 0
+    names = sorted(path.name for path in (tmp_path / "sweep").iterdir())
+    assert names == ["c_000.csv", "c_000_summary.json", "c_001.csv", "c_001_summary.json"]
+    for name in names:
+        assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "solo" / name).read_bytes()
+
+
+def test_relativistic_transform_needs_no_equivalent_potential(tmp_path, capsys):
+    # taub_nut has a spacetime but no Newtonian potential U
+    code, _, _ = run(capsys, "transform", "--form", "relativistic", "--system", "taub_nut",
+                     "--M", "1", "--m", "1", "--E-rel", "0.5", "--samples", "50",
+                     "--out", str(tmp_path))
+    assert code == 0
+    summary = json.loads((tmp_path / "transform_summary.json").read_text())
+    assert summary["rows"] > 0
+    assert summary["rows"] + summary["skipped_out_of_domain"] == 50

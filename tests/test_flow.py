@@ -276,6 +276,38 @@ def test_integrate_rejects_bad_arguments():
         integrate(hamilton_flow(sys), st, 1.0, method="verlet")  # no system/step
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rtol": 1e-14}, "rtol"),  # below scipy's 100 eps floor
+    ({"rtol": 0.0}, "rtol"),
+    ({"rtol": -1.0}, "rtol"),
+    ({"record_grid": 0}, "count"),
+    ({"record_grid": -3}, "count"),
+    ({"record_grid": [0.5, 0.25]}, "increasing"),
+    ({"record_grid": [0.5, 1.5]}, "increasing"),  # past the span
+    ({"record_grid": [0.0, 0.5]}, "increasing"),  # the launch is recorded anyway
+    ({"record_grid": []}, "increasing"),
+], ids=["rtol-small", "rtol-zero", "rtol-negative", "count-zero", "count-negative",
+        "grid-unordered", "grid-past-span", "grid-at-launch", "grid-empty"])
+def test_integrate_refuses_off_contract_input_before_stepping(kwargs, message):
+    calls = []
+
+    def rhs(t, x, p):
+        calls.append(t)
+        return p, np.zeros_like(p)
+
+    st = FlowState(0.0, np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match=message):
+        integrate(rhs, st, 1.0, **kwargs)
+    assert calls == []
+
+
+def test_record_grid_array_is_recorded_as_given():
+    st = FlowState(0.0, np.zeros(2), np.ones(2))
+    grid = [0.25, 0.5, 1.0]
+    traj = integrate(hamilton_flow(free_particle()), st, 1.0, record_grid=grid)
+    np.testing.assert_array_equal(traj.params, [0.0] + grid)
+
+
 # ---------------------------------------------------------------------------
 # recording, monitors, pacing
 
