@@ -63,10 +63,6 @@ EXIT_TERMINATED = 3
 EXIT_STEP_FAILURE = 4
 
 
-class ValidationError(ValueError):
-    pass
-
-
 def fmt(value):
     """One float, 17 significant digits, '.' decimal separator."""
     return "%.17g" % float(value)
@@ -154,7 +150,7 @@ def scenario_from_args(args):
     if getattr(args, "initial", None):
         flat = [float(v) for v in args.initial.split(",")]
         if len(flat) % 2:
-            raise ValidationError("initial needs an even-length flat list of x then p")
+            raise ValueError("initial needs an even-length flat list of x then p")
         half = len(flat) // 2
         scn["integration"]["initial"] = {"x": flat[:half], "p": flat[half:]}
     for extra in ("flow", "form", "kind", "samples"):
@@ -166,11 +162,11 @@ def scenario_from_args(args):
     if args.scenario:
         path = Path(args.scenario)
         if not path.exists():
-            raise ValidationError(f"scenario file not found: {path}")
+            raise ValueError(f"scenario file not found: {path}")
         try:
             overrides = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"scenario file is not valid JSON: {exc}") from exc
+            raise ValueError(f"scenario file is not valid JSON: {exc}") from exc
         for key, value in overrides.items():
             if isinstance(value, dict) and isinstance(scn.get(key), dict):
                 scn[key].update(value)
@@ -180,7 +176,7 @@ def scenario_from_args(args):
 
 
 def reject_nonfinite(value, where=""):
-    """Raise ValidationError on a NaN or infinite number anywhere in plain
+    """Raise ValueError on a NaN or infinite number anywhere in plain
     scenario data (flags and scenario-file values alike)."""
     if isinstance(value, dict):
         for key, item in value.items():
@@ -189,14 +185,14 @@ def reject_nonfinite(value, where=""):
         for i, item in enumerate(value):
             reject_nonfinite(item, f"{where}[{i}]")
     elif isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{where} must be finite, got {value!r}")
+        raise ValueError(f"{where} must be finite, got {value!r}")
 
 
 def require(scn, field, where="params"):
     box = scn.get(where) or {}
     if field not in box or box[field] is None:
-        raise ValidationError(f"missing required parameter '{field}' for "
-                              f"task '{scn['task']}'")
+        raise ValueError(f"missing required parameter '{field}' for "
+                         f"task '{scn['task']}'")
     return box[field]
 
 
@@ -218,14 +214,14 @@ def build_mechanical(scn, need_energy=True):
     """MechanicalSystem from the scenario's system name and params."""
     name = scn.get("system")
     if not name:
-        raise ValidationError("missing required field 'system'")
+        raise ValueError("missing required field 'system'")
     params = scn.get("params", {})
     E = require(scn, "E") if need_energy else params.get("E")
     if name == "kepler":
         k = params.get("k", 1.0)
         m = params.get("m", 1.0)
         if k <= 0 or m <= 0:
-            raise ValidationError("kepler needs k > 0 and m > 0")
+            raise ValueError("kepler needs k > 0 and m > 0")
         return MechanicalSystem(
             g=polar_metric(), U=lambda x: -k / x[0], m=m, E=E,
             grad_U=lambda x: np.array([k / x[0] ** 2, 0.0]), name="kepler")
@@ -233,7 +229,7 @@ def build_mechanical(scn, need_energy=True):
         lam = params.get("lam", 1.0)
         m = params.get("m", 1.0)
         if lam <= 0 or m <= 0:
-            raise ValidationError("oscillator needs lam > 0 and m > 0")
+            raise ValueError("oscillator needs lam > 0 and m > 0")
         return MechanicalSystem(
             g=polar_metric(), U=lambda x: 0.5 * lam * x[0] ** 2, m=m, E=E,
             grad_U=lambda x: np.array([lam * x[0], 0.0]), name="oscillator")
@@ -244,9 +240,9 @@ def build_mechanical(scn, need_energy=True):
             grad_U=lambda x: np.zeros(2), name="free")
     if name in CATALOG:
         return mechanical_system_from_entry(build_catalog_entry(scn), E=E)
-    raise ValidationError(f"unknown system '{name}' (inline: "
-                          + ", ".join(INLINE_SYSTEMS)
-                          + "; catalog: " + ", ".join(sorted(CATALOG)) + ")")
+    raise ValueError(f"unknown system '{name}' (inline: "
+                     + ", ".join(INLINE_SYSTEMS)
+                     + "; catalog: " + ", ".join(sorted(CATALOG)) + ")")
 
 
 def default_initial(scn, sys):
@@ -257,7 +253,7 @@ def default_initial(scn, sys):
         x = np.asarray(init["x"], dtype=float)
         p = np.asarray(init["p"], dtype=float)
         if x.shape != p.shape:
-            raise ValidationError("initial x and p must have the same length")
+            raise ValueError("initial x and p must have the same length")
         return FlowState(0.0, x, p)
     params = scn.get("params", {})
     E = params.get("E")
@@ -273,8 +269,8 @@ def default_initial(scn, sys):
         r_c = np.sqrt(E / lam)
         p_phi = np.sqrt(sys.m * lam) * r_c * r_c
         return FlowState(0.0, np.array([r_c, 0.0]), np.array([0.0, p_phi]))
-    raise ValidationError("this system/energy has no default launch state; "
-                          "pass integration.initial (or --initial)")
+    raise ValueError("this system/energy has no default launch state; "
+                     "pass integration.initial (or --initial)")
 
 
 # Largest |H(x0, p0) - E| / max(1, |E|) a rescaled-flow launch may have: off
@@ -287,8 +283,8 @@ def _require_on_shell(sys, start):
     """Refuse a rescaled-flow launch off the energy-E surface."""
     gap = energy_from_state(sys, start.x, start.p) - sys.E
     if not abs(gap) <= SHELL_TOL * max(1.0, abs(sys.E)):
-        raise ValidationError(f"the launch is off the energy surface: "
-                              f"H(x0, p0) - E = {gap:.6g}")
+        raise ValueError(f"the launch is off the energy surface: "
+                         f"H(x0, p0) - E = {gap:.6g}")
 
 
 def default_span(scn, sys):
@@ -304,8 +300,8 @@ def default_span(scn, sys):
     if sys.name == "oscillator":
         lam = params.get("lam", 1.0)
         return 2.0 * np.pi * np.sqrt(sys.m / lam)
-    raise ValidationError("no default span for this system; pass "
-                          "integration.span (or --span)")
+    raise ValueError("no default span for this system; pass "
+                     "integration.span (or --span)")
 
 
 # ----------------------------------------------------------------------
@@ -347,12 +343,11 @@ def write_summary(path, scn, extra):
                           newline="\n")
 
 
-def out_paths(scn, suffix=""):
+def out_paths(scn):
     out_dir = Path(scn["output"].get("dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = scn["output"].get("prefix") or scn["task"]
-    return (out_dir / f"{prefix}{suffix}.csv",
-            out_dir / f"{prefix}{suffix}_summary.json")
+    return out_dir / f"{prefix}.csv", out_dir / f"{prefix}_summary.json"
 
 
 def exit_code_for(termination):
@@ -373,8 +368,8 @@ def radial_grid(scn, lo_key, hi_key):
     lo, hi = grid.get(lo_key, 0.5), grid.get(hi_key, 5.0)
     samples = int(scn.get("samples", 100))
     if not (hi > lo > 0) or samples < 2:
-        raise ValidationError(f"{scn['task']} needs 0 < {lo_key} < {hi_key} "
-                              "and samples >= 2")
+        raise ValueError(f"{scn['task']} needs 0 < {lo_key} < {hi_key} "
+                         "and samples >= 2")
     return np.linspace(lo, hi, samples)
 
 
@@ -385,7 +380,7 @@ def radial_point(dim, r):
     return np.array([r, np.pi / 2, 0.0])
 
 
-def run_transform(scn, suffix=""):
+def run_transform(scn):
     form = scn.get("form", "classical")
     params = scn.get("params", {})
     radii = radial_grid(scn, "grid_min", "grid_max")
@@ -408,7 +403,7 @@ def run_transform(scn, suffix=""):
             rows.append([r, conf.factor_at(x)])
         except (TurningPoint, DomainViolation):
             skipped += 1
-    csv_path, summary_path = out_paths(scn, suffix)
+    csv_path, summary_path = out_paths(scn)
     write_csv(csv_path, ["r", "factor"], rows)
     write_summary(summary_path, scn, {
         "form": form,
@@ -420,7 +415,7 @@ def run_transform(scn, suffix=""):
     return EXIT_OK
 
 
-def run_orbit(scn, suffix=""):
+def run_orbit(scn):
     sys = build_mechanical(scn)
     start = default_initial(scn, sys)
     span = default_span(scn, sys)
@@ -455,7 +450,7 @@ def run_orbit(scn, suffix=""):
         if sys.g.dim == 2:
             p_phi = traj.momenta[:, 1]
             drifts["angular_momentum"] = float(np.max(np.abs(p_phi - p_phi[0])))
-    csv_path, summary_path = out_paths(scn, suffix)
+    csv_path, summary_path = out_paths(scn)
     write_trajectory_csv(csv_path, traj)
     extra = {
         "flow": flow_kind,
@@ -471,7 +466,7 @@ def run_orbit(scn, suffix=""):
     return exit_code_for(traj.termination)
 
 
-def run_compare(scn, suffix=""):
+def run_compare(scn):
     sys = build_mechanical(scn)
     start = default_initial(scn, sys)
     _require_on_shell(sys, start)
@@ -487,7 +482,7 @@ def run_compare(scn, suffix=""):
                        atol=integration["atol"], parameter_kind="jacobi_s",
                        record_grid=record)
     deviation = compare_paths(traj_t, traj_s)
-    csv_path, summary_path = out_paths(scn, suffix)
+    csv_path, summary_path = out_paths(scn)
     write_csv(csv_path, ["deviation", "span_t", "span_s"], [[deviation, span, s_max]])
     write_summary(summary_path, scn, {
         "termination": "completed",
@@ -500,7 +495,7 @@ def run_compare(scn, suffix=""):
     return EXIT_OK
 
 
-def run_curvature(scn, suffix=""):
+def run_curvature(scn):
     params = scn.get("params", {})
     k = params.get("k", 1.0)
     E = require(scn, "E")
@@ -516,7 +511,7 @@ def run_curvature(scn, suffix=""):
             skipped += 1
             continue
         rows.append([r, kn, kc, abs(kn - kc) / max(1.0, abs(kc))])
-    csv_path, summary_path = out_paths(scn, suffix)
+    csv_path, summary_path = out_paths(scn)
     write_csv(csv_path, ["r", "K_numeric", "K_closed", "rel_err"], rows)
     worst = max((row[3] for row in rows), default=None)
     write_summary(summary_path, scn, {
@@ -530,7 +525,7 @@ def run_curvature(scn, suffix=""):
     return EXIT_OK
 
 
-def run_lift(scn, suffix=""):
+def run_lift(scn):
     kind = scn.get("kind", "static")
     params = scn.get("params", {})
     integration = scn["integration"]
@@ -539,7 +534,7 @@ def run_lift(scn, suffix=""):
     x0 = np.asarray(init["x"], dtype=float)
     p0 = np.asarray(init["p"], dtype=float)
     if x0.shape != p0.shape:
-        raise ValidationError("initial x and p must have the same length")
+        raise ValueError("initial x and p must have the same length")
     dim = x0.size
     span = integration.get("span") or 20.0
     record = int(integration.get("record") or 8000)
@@ -580,7 +575,7 @@ def run_lift(scn, suffix=""):
     }
     if kind == "timedep":
         drifts["shell_residual"] = float(np.max(np.abs(traj.monitor("shell_residual"))))
-    csv_path, summary_path = out_paths(scn, suffix)
+    csv_path, summary_path = out_paths(scn)
     write_trajectory_csv(csv_path, proj)
     write_summary(summary_path, scn, {
         "kind": kind,
@@ -593,11 +588,11 @@ def run_lift(scn, suffix=""):
     return exit_code_for(traj.termination)
 
 
-def run_catalog(scn, suffix=""):
+def run_catalog(scn):
     wanted = scn.get("system")
     names = [wanted] if wanted else sorted(CATALOG)
     if wanted and wanted not in CATALOG:
-        raise ValidationError(f"unknown catalog entry '{wanted}'")
+        raise ValueError(f"unknown catalog entry '{wanted}'")
     for name in names:
         _, required, optional, description = CATALOG[name]
         opts = f" [optional: {', '.join(optional)}]" if optional else ""
@@ -620,19 +615,22 @@ RUNNERS = {
 
 
 def expand_sweep(scn):
-    """Split one list-valued parameter into per-index scenarios."""
+    """Split one list-valued parameter into per-index scenarios, each
+    writing under its output prefix plus a zero-padded index."""
     params = scn.get("params", {})
     swept = [name for name, value in params.items() if isinstance(value, (list, tuple))]
     if not swept:
         return None
     if len(swept) > 1:
-        raise ValidationError("only one parameter may be list-valued, got: "
-                              + ", ".join(sorted(swept)))
+        raise ValueError("only one parameter may be list-valued, got: "
+                         + ", ".join(sorted(swept)))
     name = swept[0]
+    prefix = scn["output"].get("prefix") or scn["task"]
     items = []
-    for value in params[name]:
+    for i, value in enumerate(params[name]):
         item = json.loads(json.dumps(scn))  # deep copy of plain data
         item["params"][name] = float(value)
+        item["output"]["prefix"] = f"{prefix}_{i:03d}"
         items.append(item)
     return name, items
 
@@ -640,7 +638,7 @@ def expand_sweep(scn):
 def run_scenario(scn):
     task = scn.get("task")
     if task not in TASKS:
-        raise ValidationError(f"unknown task '{task}' (one of: {', '.join(TASKS)})")
+        raise ValueError(f"unknown task '{task}' (one of: {', '.join(TASKS)})")
     runner = RUNNERS[task]
     sweep = expand_sweep(scn)
     # after expansion, so sweep values that float() turns non-finite count too
@@ -652,7 +650,7 @@ def run_scenario(scn):
     codes = []
     for i, item in enumerate(items):
         # a failing leg must not silence the report for the others
-        codes.append(_exit_code(runner, item, f"_{i:03d}"))
+        codes.append(_exit_code(runner, item))
         print(f"[{i:03d}] {name}={item['params'][name]!r} -> exit {codes[-1]}")
     return max(codes)
 

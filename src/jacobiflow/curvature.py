@@ -11,7 +11,7 @@ marginal case, negative for escape orbits.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,19 +23,13 @@ CURVATURE_STEP = 1e-5
 
 @dataclass(frozen=True)
 class ConformalProfile:
-    """Radial profile of a conformally flat planar metric.
-
-    f(r) is the conformal scale, f^2 = E - U(r); k and E are kept when the
-    profile comes from an inverse-distance potential so the closed form can
-    be looked up.
-    """
+    """Radial profile of a conformally flat planar metric: f(r) is the
+    conformal scale, f^2 = E - U(r)."""
 
     f: Callable[[float], float]
-    k: Optional[float] = None
-    E: Optional[float] = None
 
 
-def profile_from_potential(U, E, k=None):
+def profile_from_potential(U, E):
     """Build the profile f = sqrt(E - U(r)); f raises TurningPoint where
     the gap closes."""
 
@@ -45,12 +39,12 @@ def profile_from_potential(U, E, k=None):
             raise TurningPoint(f"E - U = {gap:.6g} at r = {r:.6g}")
         return np.sqrt(gap)
 
-    return ConformalProfile(f=f, k=k, E=E)
+    return ConformalProfile(f=f)
 
 
 def kepler_profile(k, E):
     """Profile for U = -k/r at energy E."""
-    return profile_from_potential(lambda r: -k / r, E, k=k)
+    return profile_from_potential(lambda r: -k / r, E)
 
 
 def _curvature_at_step(profile, r, h):

@@ -225,8 +225,8 @@ def _record(states, param, x, p, monitor_fns, extra=None):
 
 def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
               monitor_fns=None, parameter_kind="time_t", pacing=None,
-              pacing_name="pacing", record_grid=None,
-              system=None, step=None, record_every=1):
+              pacing_name="pacing", record_grid=None, step=None,
+              record_every=1):
     """Integrate a flow and return its trajectory.
 
     rhs(param, x, p) -> (dx, dp) defines the flow and may raise TurningPoint
@@ -235,8 +235,9 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
     adaptive embedded Runge-Kutta pair of order 5(4) at rtol=1e-9,
     atol=1e-12; method='verlet' selects a fixed-step symplectic update for
     separable natural Hamiltonians with a constant kinetic metric (pass
-    system= and step=; a metric with nonzero partials at the launch point
-    raises ValueError).
+    step=).  Verlet integrates the system of a hamilton_flow closure; any
+    other rhs, or a metric with nonzero partials at the launch point, raises
+    ValueError.
 
     monitor_fns maps names to fn(param, x, p) evaluated on accepted steps.
     pacing, when given, is an auxiliary rate integrated alongside the state at
@@ -257,14 +258,17 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
     still positive (the right-hand side grows like 1/sqrt(E - U), so the gap
     itself never reaches the analytic cutoff); when the stalled state sits at
     a vanishing gap the run is reported as a clean 'turning_point'
-    termination rather than a failure.  The system for that check is taken
-    from system= or from a .system attribute on the rhs closure.
+    termination rather than a failure.  The system for that check is the
+    .system attribute of the rhs closure, when it has one.
     """
     if span <= 0:
         raise ValueError("the integration span must be positive")
+    system = getattr(rhs, "system", None)
     if method == "verlet":
-        if system is None or step is None:
-            raise ValueError("the symplectic path needs system= and step=")
+        if getattr(rhs, "__qualname__", "") != "hamilton_flow.<locals>.rhs":
+            raise ValueError("the symplectic path integrates a hamilton_flow rhs only")
+        if step is None:
+            raise ValueError("the symplectic path needs step=")
         return _integrate_verlet(system, initial, span, step, monitor_fns,
                                  parameter_kind, record_every)
     if method != "rk45":
@@ -296,17 +300,15 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
             return np.concatenate([dx, dp, [pacing(s, x, p)]])
         return np.concatenate([dx, dp])
 
-    classify_sys = system if system is not None else getattr(rhs, "system", None)
-
     def stalled_at_turn():
-        if classify_sys is None or classify_sys.E is None or not states:
+        if system is None or system.E is None or not states:
             return False
         last = states[-1]
         try:
-            gap = classify_sys.E - classify_sys.potential(last.x)
+            gap = system.E - system.potential(last.x)
         except Exception:
             return False
-        return gap <= STALL_GAP * max(1.0, abs(classify_sys.E))
+        return gap <= STALL_GAP * max(1.0, abs(system.E))
 
     next_grid = 0
 

@@ -56,13 +56,11 @@ class LiftedSystem:
     base: MetricField
     U_or_V: Callable
     kind: str
-    extended_dim: int
     m: float
     c: float
     extended: MetricField
     inverse: MetricField
     kappa: float = 2.0
-    name: str = ""
 
 
 def lift_static(g, V, m, kappa=2.0):
@@ -114,9 +112,8 @@ def lift_static(g, V, m, kappa=2.0):
     inverse = MetricField(dim=n + 1, components=inv_components,
                           partials=inv_partials, guard=inv_guard,
                           name="static_lift_inverse")
-    return LiftedSystem(base=g, U_or_V=V, kind=STATIC_KIND, extended_dim=n + 1,
-                        m=float(m), c=1.0, extended=extended, inverse=inverse,
-                        kappa=float(kappa), name="static_lift")
+    return LiftedSystem(base=g, U_or_V=V, kind=STATIC_KIND, m=float(m), c=1.0,
+                        extended=extended, inverse=inverse, kappa=float(kappa))
 
 
 def lift_time_dependent(g, U, gauge=None, /, m=1.0, c=1.0):
@@ -179,9 +176,8 @@ def lift_time_dependent(g, U, gauge=None, /, m=1.0, c=1.0):
     inverse = MetricField(dim=n + 2, components=inv_components,
                           partials=inv_partials, guard=ext_guard,
                           name="timedep_lift_inverse")
-    return LiftedSystem(base=g, U_or_V=U, kind=TIMEDEP_KIND, extended_dim=n + 2,
-                        m=m, c=c, extended=extended, inverse=inverse,
-                        name="timedep_lift")
+    return LiftedSystem(base=g, U_or_V=U, kind=TIMEDEP_KIND, m=m, c=c,
+                        extended=extended, inverse=inverse)
 
 
 def lifted_rhs(lifted):
@@ -230,14 +226,15 @@ def embed_static(lifted, x0, p0, z0=0.0):
 def embed_time_dependent(lifted, x0, p0, q, shell="massive"):
     """Initial lifted state over a mechanical phase point at t = sigma = 0.
 
-    The dummy momentum is p_sigma = qc and the spatial momenta carry the
-    -q/m rescaling that the printed signature induces.  p_t is placed on
-    the massive shell G^AB p_A p_B = m^2 c^2 (shell='massive', the surface
-    of the printed energy relation) or the null shell (shell='null', where
-    the flow Hamiltonian vanishes).
+    The dummy momentum is p_sigma = qc with q > 0 (physical time advances
+    at dt/dlambda = q/m), and the spatial momenta carry the -q/m rescaling
+    that the printed signature induces.  p_t is placed on the massive shell
+    G^AB p_A p_B = m^2 c^2 (shell='massive', the surface of the printed
+    energy relation) or the null shell (shell='null', where the flow
+    Hamiltonian vanishes).
     """
-    if q == 0:
-        raise ValueError("q must be nonzero")
+    if not q > 0:
+        raise ValueError(f"q must be positive, got {q!r}")
     if shell not in ("massive", "null"):
         raise ValueError("shell must be 'massive' or 'null'")
     if lifted.kind != TIMEDEP_KIND:
@@ -291,19 +288,17 @@ def sigma_momentum_identity(H_mech, p_t, q, m, c):
 
 
 def integrate_lifted(lifted, initial, span, *, rtol=1e-9, atol=1e-12,
-                     monitor_fns=None, record_grid=None):
+                     record_grid=None):
     """Integrate the lifted geodesic flow, always monitoring the flow
     Hamiltonian and the dummy momentum (plus the energy-relation residual on
     the time-dependent lift)."""
     fns = {
         "extended_energy": lambda s, x, p: lifted_hamiltonian(lifted, x, p),
-        "p_dummy": lambda s, x, p: p[lifted.extended_dim - 1],
+        "p_dummy": lambda s, x, p: p[-1],
     }
     if lifted.kind == TIMEDEP_KIND:
         fns["shell_residual"] = lambda s, x, p: lifted_energy_relation(
             lifted, FlowState(param=s, x=x, p=p))
-    if monitor_fns:
-        fns.update(monitor_fns)
     return integrate(lifted_rhs(lifted), initial, span, rtol=rtol, atol=atol,
                      monitor_fns=fns, parameter_kind="time_t",
                      record_grid=record_grid)

@@ -56,25 +56,31 @@ class StationarySpacetime:
     c: float = 1.0
     name: str = ""
 
+    def __post_init__(self):
+        if not self.c > 0:
+            raise ValueError("c must be positive")
+
 
 @dataclass
 class ConformalMetric:
     """A metric of the form factor(x[, t]) * g_ij(x[, t]).
 
-    validity holds exactly where the factor is positive.
+    It is valid exactly where the factor is positive; a factor that raises
+    DomainViolation reads as invalid there.
     """
 
     base: MetricField
     factor: Callable
-    validity: Callable
     time_dependent: bool = False
-    description: str = ""
 
     def factor_at(self, x, t=None):
         return float(_at(self.factor, np.asarray(x, dtype=float), t, self.time_dependent))
 
     def valid(self, x, t=None):
-        return bool(_at(self.validity, np.asarray(x, dtype=float), t, self.time_dependent))
+        try:
+            return self.factor_at(x, t) > 0.0
+        except DomainViolation:
+            return False
 
     def metric(self, x, t=None):
         """Full rescaled matrix factor * g at a point."""
@@ -102,12 +108,7 @@ def jacobi_nonrelativistic(sys):
     def factor(x):
         return 2.0 * m * (E - U(x))
 
-    return ConformalMetric(
-        base=sys.g,
-        factor=factor,
-        validity=lambda x: factor(x) > 0.0,
-        description="fixed-energy mechanical rescaling 2m(E - U)",
-    )
+    return ConformalMetric(base=sys.g, factor=factor)
 
 
 def jacobi_relativistic_stationary(st, Erel):
@@ -129,16 +130,7 @@ def jacobi_relativistic_stationary(st, Erel):
             )
         return (Erel * Erel - m * m * c**4 * v2) / (c * c * v2)
 
-    def validity(x):
-        v2 = float(Vsq(x))
-        return v2 > 0.0 and (Erel * Erel - m * m * c**4 * v2) > 0.0
-
-    return ConformalMetric(
-        base=st.g,
-        factor=factor,
-        validity=validity,
-        description="stationary timelike rescaling (Erel^2 - m^2 c^4 V^2)/(c^2 V^2)",
-    )
+    return ConformalMetric(base=st.g, factor=factor)
 
 
 def weak_field_spacetime(g, U, m, c, name=""):
@@ -181,13 +173,7 @@ def jacobi_time_dependent(g, U, q, p_t, m, c=1.0):
     def factor(x, t):
         return 2.0 * (q * pt_fn(t) - q * q * U(x, t)) - m * m * c * c
 
-    return ConformalMetric(
-        base=g,
-        factor=factor,
-        validity=lambda x, t: factor(x, t) > 0.0,
-        time_dependent=True,
-        description="exact time-dependent rescaling 2[q p_t - q^2 U] - m^2 c^2",
-    )
+    return ConformalMetric(base=g, factor=factor, time_dependent=True)
 
 
 def jacobi_time_dependent_approx(g, U, energy, q, m):
@@ -201,13 +187,7 @@ def jacobi_time_dependent_approx(g, U, energy, q, m):
     def factor(x, t):
         return 2.0 * m * (e_fn(t) - q * q * U(x, t))
 
-    return ConformalMetric(
-        base=g,
-        factor=factor,
-        validity=lambda x, t: factor(x, t) > 0.0,
-        time_dependent=True,
-        description="approximate time-dependent rescaling 2m[E(t) - q^2 U]",
-    )
+    return ConformalMetric(base=g, factor=factor, time_dependent=True)
 
 
 def projective_factor_static(sys):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from jacobiflow import FlowState, StepFailure, Trajectory
+from jacobiflow import FlowState, StepFailure, Trajectory, cli
 from jacobiflow.cli import main
 
 
@@ -358,3 +358,24 @@ def test_relativistic_transform_needs_no_equivalent_potential(tmp_path, capsys):
     summary = json.loads((tmp_path / "transform_summary.json").read_text())
     assert summary["rows"] > 0
     assert summary["rows"] + summary["skipped_out_of_domain"] == 50
+
+
+@pytest.mark.parametrize("q", ["-1", "0"])
+def test_timedep_lift_refuses_nonpositive_q_before_integrating(tmp_path, capsys, monkeypatch, q):
+    # physical time advances at dt/dlambda = q/m, so q < 0 would run it backwards
+    def integrate_lifted(*args, **kwargs):
+        raise AssertionError("the lift was integrated")
+
+    monkeypatch.setattr(cli, "integrate_lifted", integrate_lifted)
+    code, _, err = run(capsys, "lift", "--kind", "timedep", "--q", q, "--out", str(tmp_path))
+    assert code == 2 and err.startswith("error: q must be positive")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("system", [["schwarzschild", "--M", "1"], ["kepler"]],
+                         ids=["schwarzschild", "kepler"])
+def test_relativistic_transform_refuses_nonpositive_c(tmp_path, capsys, system):
+    code, _, err = run(capsys, "transform", "--form", "relativistic", "--system", *system,
+                       "--m", "1", "--c", "0", "--E-rel", "1", "--out", str(tmp_path))
+    assert code == 2 and err == "error: c must be positive\n"
+    assert list(tmp_path.iterdir()) == []

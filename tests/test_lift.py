@@ -336,7 +336,7 @@ def test_lift_inverse_partials_refuse_stencil_off_chart():
     static = lift_static(half_line, lambda y: 1.0 + y[0], m=1.0)
     timedep = lift_time_dependent(half_line, lambda y, t: 1.0 + y[0] * t)
     for lift in (static, timedep):
-        n = lift.extended_dim
+        n = lift.inverse.dim
         x = np.array([1e-7] + [0.5] * (n - 1))
         with pytest.raises(DomainViolation, match="stencil"):
             lifted_rhs(lift)(0.0, x, np.ones(n))

@@ -115,6 +115,26 @@ def test_relativistic_domain_violation_where_vsq_nonpositive():
         conf.factor_at(np.array([-0.5, 0.0]))
 
 
+def test_spacetime_refuses_nonpositive_c():
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="c must be positive"):
+            StationarySpacetime(g=flat_metric(2), Vsq=lambda x: 1.0, c=c)
+
+
+def test_time_dependent_validity_reads_the_time():
+    # U = t x^2 / 2 at x = 1, q = m = c = 1: the exact factor is
+    # 2(p_t - t/2) - 1 = 1 - t and the approximate one 2(1 - t/2) = 2 - t
+    U = lambda x, t: 0.5 * t * x[0] ** 2
+    x = np.array([1.0])
+    exact = jacobi_time_dependent(flat_metric(1), U, q=1.0, p_t=1.0, m=1.0)
+    approx = jacobi_time_dependent_approx(flat_metric(1), U, energy=1.0, q=1.0, m=1.0)
+    for conf, turn in ((exact, 1.0), (approx, 2.0)):
+        assert conf.valid(x, 0.5 * turn)
+        assert not conf.valid(x, turn)
+        assert not conf.valid(x, 1.5 * turn)
+        assert conf.factor_at(x, 1.5 * turn) < 0.0 < conf.factor_at(x, 0.5 * turn)
+
+
 def test_weak_field_lapse():
     sys_U = lambda x: -1.0 / x[0]
     st_ = weak_field_spacetime(polar_metric(), sys_U, m=2.0, c=10.0)
