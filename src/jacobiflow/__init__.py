@@ -22,10 +22,8 @@ from .metric import (
     invert_metric,
     metric_partials,
     inverse_metric_partials,
-    christoffel,
     flat_metric,
     polar_metric,
-    spherical_metric,
 )
 from .transforms import (
     MechanicalSystem,
@@ -51,7 +49,6 @@ from .flow import (
     unit_momentum_hamiltonian,
     clairaut_constant,
     integrate,
-    reparametrize,
     compare_paths,
     max_relative_drift,
     turning_eps,

@@ -39,16 +39,13 @@ class CatalogEntry:
     reference_jacobi_nonrel(x, E) the printed fixed-energy matrix where one
     exists; reference_jacobi_weak(x, Q) the weak-potential variant (only the
     Euclidean entry has one).  sample_ranges bounds a box of valid chart
-    points for property tests and grid scans.  A, where set, is the family's
-    gauge one-form, kept as reference data: the generic transforms do not
-    read it.
+    points for property tests and grid scans.
     """
 
     name: str
     params: Dict[str, float]
     spatial: MetricField
     Vsq: Callable
-    A: Optional[Callable] = None
     U: Optional[Callable] = None
     reference_jacobi: Optional[Callable] = None
     reference_jacobi_nonrel: Optional[Callable] = None
@@ -161,11 +158,11 @@ def schwarzschild(M, m, c=1.0):
 def taub_nut(M, m):
     """Euclidean-signature self-dual family on the chart r > M.
 
-    The dummy angle plays the role of time with the one-form A = cos(theta)
-    dphi; the redshift profile vanishes (rather than tending to 1) as M -> 0,
-    so the weak-potential form uses its own conserved constant Q.  Because the
-    signature is Euclidean, the printed geodesic-form matrix is the negative
-    of the generic transform's output (rel_ratio = -1).
+    The dummy angle plays the role of time.  The redshift profile vanishes
+    (rather than tending to 1) as M -> 0, so the weak-potential form uses its
+    own conserved constant Q.  Because the signature is Euclidean, the printed
+    geodesic-form matrix is the negative of the generic transform's output
+    (rel_ratio = -1).
     """
     if M <= 0:
         raise ValueError("M must be positive")
@@ -193,9 +190,6 @@ def taub_nut(M, m):
         r = x[0]
         return 4.0 * M * M * (r - M) / (r + M)
 
-    def A(x):
-        return np.array([0.0, 0.0, np.cos(x[1])])
-
     def reference_jacobi(x, Q_rel):
         r, th = x[0], x[1]
         pref = (r + M) ** 2 / (4.0 * M * M) * (
@@ -213,7 +207,6 @@ def taub_nut(M, m):
         params={"M": M, "m": m, "c": 1.0},
         spatial=spatial,
         Vsq=Vsq,
-        A=A,
         reference_jacobi=reference_jacobi,
         reference_jacobi_weak=reference_jacobi_weak,
         rel_ratio=-1.0,

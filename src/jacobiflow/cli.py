@@ -30,6 +30,7 @@ from .catalog import CATALOG, catalog_entry, mechanical_system_from_entry, space
 from .curvature import classify_orbit, gaussian_curvature_numeric, kepler_curvature, kepler_profile
 from .errors import DomainViolation, JacobiFlowError, StepFailure, TurningPoint
 from .flow import (
+    PATH_SAMPLES,
     FlowState,
     compare_paths,
     hamilton_flow,
@@ -440,16 +441,13 @@ def run_orbit(scn):
     except StepFailure as exc:
         traj = exc.trajectory
         partial = str(exc)
-    drifts = {}
-    if traj.states:
-        drifts["energy"] = float(np.max(np.abs(
-            traj.monitor("energy") - traj.monitor("energy")[0])))
-        if flow_kind == "jacobi":
-            drifts["unit_momentum"] = float(np.max(np.abs(
-                traj.monitor("unit_momentum") - 1.0)))
-        if sys.g.dim == 2:
-            p_phi = traj.momenta[:, 1]
-            drifts["angular_momentum"] = float(np.max(np.abs(p_phi - p_phi[0])))
+    energy = traj.monitor("energy")
+    drifts = {"energy": float(np.max(np.abs(energy - energy[0])))}
+    if flow_kind == "jacobi":
+        drifts["unit_momentum"] = float(np.max(np.abs(traj.monitor("unit_momentum") - 1.0)))
+    if sys.g.dim == 2:
+        p_phi = traj.momenta[:, 1]
+        drifts["angular_momentum"] = float(np.max(np.abs(p_phi - p_phi[0])))
     csv_path, summary_path = out_paths(scn)
     write_trajectory_csv(csv_path, traj)
     extra = {
@@ -473,6 +471,11 @@ def run_compare(scn):
     span = default_span(scn, sys)
     integration = scn["integration"]
     record = int(integration.get("record") or 8000)
+    if record < PATH_SAMPLES:
+        # compare_paths resamples to PATH_SAMPLES points: fewer states would
+        # compare chords, not paths
+        raise ValueError(f"record must be at least {PATH_SAMPLES} to compare paths, "
+                         f"got {record}")
     pace = lambda t, x, p: 2.0 * sys.m * (sys.E - sys.potential(x))
     traj_t = integrate(hamilton_flow(sys), start, span, rtol=integration["rtol"],
                        atol=integration["atol"], pacing=pace, pacing_name="s_of_t",
@@ -539,13 +542,12 @@ def run_lift(scn):
     span = integration.get("span") or 20.0
     record = int(integration.get("record") or 8000)
     lam = params.get("lam", 1.0)
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam!r}")
     if kind == "static":
         V = lambda x: 0.5 * lam * float(x @ x)
         lifted = lift_static(flat_metric(dim), V, m=m, kappa=params.get("kappa", 2.0))
         start = embed_static(lifted, x0, p0)
-        traj = integrate_lifted(lifted, start, span, rtol=integration["rtol"],
-                                atol=integration["atol"], record_grid=record)
-        proj = project(traj, lifted)
         direct_sys = MechanicalSystem(g=flat_metric(dim), U=V, m=m,
                                       grad_U=lambda x: lam * x, name="oscillator-cartesian")
     else:
@@ -554,24 +556,23 @@ def run_lift(scn):
         U = lambda x, t: 0.5 * (1.0 + amp * np.sin(t)) * lam * float(x @ x)
         lifted = lift_time_dependent(flat_metric(dim), U, m=m, c=params.get("c", 1.0))
         start = embed_time_dependent(lifted, x0, p0, q=q)
-        traj = integrate_lifted(lifted, start, span, rtol=integration["rtol"],
-                                atol=integration["atol"], record_grid=record)
-        proj = project(traj, lifted)
         direct_sys = MechanicalSystem(
             g=flat_metric(dim), U=U, m=m, time_dependent=True,
             grad_U=lambda x, t: (1.0 + amp * np.sin(t)) * lam * x,
             name="driven-oscillator")
+    traj = integrate_lifted(lifted, start, span, rtol=integration["rtol"],
+                            atol=integration["atol"], record_grid=record)
+    proj = project(traj, lifted)
     direct = integrate(hamilton_flow(direct_sys), FlowState(0.0, x0, p0),
                        proj.params[-1] - proj.params[0],
                        rtol=integration["rtol"], atol=integration["atol"],
                        record_grid=record)
     deviation = compare_paths(proj, direct)
-    pz = traj.monitor("p_dummy")
+    pz, ee = traj.monitor("p_dummy"), traj.monitor("extended_energy")
     drifts = {
         "dummy_momentum": float(np.max(np.abs(pz - pz[0]))),
-        "extended_energy": float(max_relative_drift(traj.monitor("extended_energy"))
-                                 if traj.monitor("extended_energy")[0] != 0.0
-                                 else np.max(np.abs(traj.monitor("extended_energy")))),
+        "extended_energy": float(max_relative_drift(ee) if ee[0] != 0.0
+                                 else np.max(np.abs(ee))),
     }
     if kind == "timedep":
         drifts["shell_residual"] = float(np.max(np.abs(traj.monitor("shell_residual"))))

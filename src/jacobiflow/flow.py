@@ -1,14 +1,14 @@
-"""Phase-space flows: canonical equations, reparametrized geodesic equations,
-adaptive and symplectic integration, invariant monitoring, path comparison.
+"""Phase-space flows: canonical equations, rescaled geodesic equations,
+adaptive integration, invariant monitoring, path comparison.
 
 The time flow and the rescaled flow describe the same configuration paths at
-different pacing; the integrators here make that testable by recording
+different pacing; the integrator here makes that testable by recording
 monitors on accepted steps and by resampling paths to a parameter-free
 common grid.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 from scipy.integrate import RK45
@@ -28,7 +28,6 @@ from .metric import (
     coordinate_point,
     evaluate_metric,
     invert_metric,
-    metric_partials,
 )
 
 # Step-underflow threshold for the adaptive integrator, as a fraction of the
@@ -51,6 +50,10 @@ def turning_eps(E):
 # because the rescaled rhs grows like 1/sqrt(E - U).
 STALL_GAP = 1e-6
 
+# Arclength samples compare_paths resamples both paths to; a path recorded at
+# fewer states is compared as chords.
+PATH_SAMPLES = 1000
+
 
 @dataclass
 class FlowState:
@@ -68,14 +71,11 @@ class Trajectory:
 
     parameter_kind is one of 'time_t', 'jacobi_s', 'arclength'; termination is
     one of 'completed', 'turning_point', 'domain_violation', 'step_failure'.
-    monitor_ranges, when present, holds (min, max) of each monitor over every
-    integrator step, including steps dropped by record_every decimation.
     """
 
     states: List[FlowState]
     parameter_kind: str = "time_t"
     termination: str = "completed"
-    monitor_ranges: Optional[Dict[str, tuple]] = None
 
     def __post_init__(self):
         params = [s.param for s in self.states]
@@ -128,23 +128,6 @@ def hamilton_rhs(sys, x, p, t=None):
     return _hamilton_rhs(sys, coordinate_point(x), p, t)
 
 
-def _require_autonomous(sys, what):
-    """Refuse a system whose potential or kinetic metric depends on time."""
-    if sys.time_dependent or sys.g.time_dependent:
-        raise ValueError(f"{what} is defined for autonomous systems only")
-
-
-def _open_gap(sys, x):
-    """E - U at x; TurningPoint inside the turning-point tolerance."""
-    gap = sys.E - sys.potential(x)
-    if gap <= turning_eps(sys.E):
-        raise TurningPoint(
-            f"energy gap E - U = {gap:.6g} at {x.tolist()} is inside the "
-            f"turning-point tolerance"
-        )
-    return gap
-
-
 def jacobi_rhs(sys, x, p):
     """Rescaled-flow equations: the time flow repaced by ds/dt = 2m(E - U).
 
@@ -152,11 +135,17 @@ def jacobi_rhs(sys, x, p):
     flows launched on the energy-E surface.  Raises TurningPoint where the
     pacing factor degenerates.
     """
-    _require_autonomous(sys, "the rescaled flow")
+    if sys.time_dependent or sys.g.time_dependent:
+        raise ValueError("the rescaled flow is defined for autonomous systems only")
     if sys.E is None:
         raise ValueError("the system needs an energy label E for the rescaled flow")
     x = coordinate_point(x)
-    gap = _open_gap(sys, x)
+    gap = sys.E - sys.potential(x)
+    if gap <= turning_eps(sys.E):
+        raise TurningPoint(
+            f"energy gap E - U = {gap:.6g} at {x.tolist()} is inside the "
+            f"turning-point tolerance"
+        )
     dx, dp = _hamilton_rhs(sys, x, p)
     f = 2.0 * sys.m * gap
     return dx / f, dp / f
@@ -223,21 +212,16 @@ def _record(states, param, x, p, monitor_fns, extra=None):
     states.append(FlowState(param=float(param), x=x.copy(), p=p.copy(), monitors=monitors))
 
 
-def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
-              monitor_fns=None, parameter_kind="time_t", pacing=None,
-              pacing_name="pacing", record_grid=None, step=None,
-              record_every=1):
+def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
+              parameter_kind="time_t", pacing=None, pacing_name="pacing",
+              record_grid=None):
     """Integrate a flow and return its trajectory.
 
     rhs(param, x, p) -> (dx, dp) defines the flow and may raise TurningPoint
     or DomainViolation to terminate cleanly (the partial trajectory is
-    returned with the matching termination flag).  The default method is an
-    adaptive embedded Runge-Kutta pair of order 5(4) at rtol=1e-9,
-    atol=1e-12; method='verlet' selects a fixed-step symplectic update for
-    separable natural Hamiltonians with a constant kinetic metric (pass
-    step=).  Verlet integrates the system of a hamilton_flow closure; any
-    other rhs, or a metric with nonzero partials at the launch point, raises
-    ValueError.
+    returned with the matching termination flag).  The stepper is an adaptive
+    embedded Runge-Kutta pair of order 5(4), by default at rtol=1e-9,
+    atol=1e-12.
 
     monitor_fns maps names to fn(param, x, p) evaluated on accepted steps.
     pacing, when given, is an auxiliary rate integrated alongside the state at
@@ -264,15 +248,6 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
     if span <= 0:
         raise ValueError("the integration span must be positive")
     system = getattr(rhs, "system", None)
-    if method == "verlet":
-        if getattr(rhs, "__qualname__", "") != "hamilton_flow.<locals>.rhs":
-            raise ValueError("the symplectic path integrates a hamilton_flow rhs only")
-        if step is None:
-            raise ValueError("the symplectic path needs step=")
-        return _integrate_verlet(system, initial, span, step, monitor_fns,
-                                 parameter_kind, record_every)
-    if method != "rk45":
-        raise ValueError(f"unknown integration method '{method}'")
     if not rtol >= RTOL_MIN:
         raise ValueError(f"rtol must be at least {RTOL_MIN:.3g}, got {rtol!r}")
     t0 = float(initial.param)
@@ -362,110 +337,14 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, method="rk45",
     return Trajectory(states, parameter_kind, termination)
 
 
-def _integrate_verlet(system, initial, span, step, monitor_fns,
-                      parameter_kind, record_every):
-    """Fixed-step kick-drift-kick update for separable natural Hamiltonians.
-
-    Needs a kinetic metric that is constant over the chart: it is evaluated
-    once at the initial point, and a metric with nonzero partials there (a
-    curvilinear chart such as polar coordinates) raises ValueError.  The
-    potential force is re-evaluated once per step.
-    The natural Hamiltonian is tracked on every step and its extremes
-    reported under monitor_ranges['energy'] (the symplectic boundedness
-    check); user monitor_fns are evaluated only on recorded steps.
-    """
-    _require_autonomous(system, "the symplectic path")
-    x = initial.x.astype(float).copy()
-    p = initial.p.astype(float).copy()
-    t0 = float(initial.param)
-    if np.any(metric_partials(system.g, x) != 0.0):
-        raise ValueError("the symplectic path needs a constant kinetic metric; "
-                         f"metric '{system.g.name}' varies at {x.tolist()}")
-    kinv = invert_metric(evaluate_metric(system.g, x))
-    identity_kinv = np.array_equal(kinv, np.eye(x.size))
-    inv_m = 1.0 / system.m
-    U = system.potential
-
-    n_steps = int(round(span / step))
-    if n_steps < 1:
-        raise ValueError("span shorter than one step")
-
-    states = []
-    _record(states, t0, x, p, monitor_fns)
-
-    def energy(xx, pp):
-        if identity_kinv:
-            kin = pp @ pp
-        else:
-            kin = pp @ kinv @ pp
-        return 0.5 * inv_m * kin + U(xx)
-
-    e0 = energy(x, p)
-    e_lo = e_hi = e0
-    force = _potential_gradient(system, x)
-    half = 0.5 * step
-    for i in range(1, n_steps + 1):
-        p_half = p - half * force
-        if identity_kinv:
-            x = x + (step * inv_m) * p_half
-        else:
-            x = x + step * inv_m * (kinv @ p_half)
-        force = _potential_gradient(system, x)
-        p = p_half - half * force
-        e = energy(x, p)
-        if e < e_lo:
-            e_lo = e
-        elif e > e_hi:
-            e_hi = e
-        if i % record_every == 0 or i == n_steps:
-            _record(states, t0 + i * step, x, p, monitor_fns)
-
-    return Trajectory(states, parameter_kind, "completed",
-                      monitor_ranges={"energy": (e_lo, e_hi)})
-
-
 # ======================================================================
-# Parametrization maps and path comparison
+# Path comparison
 # ======================================================================
 
-def reparametrize(traj, direction, sys):
-    """Remap a trajectory between the time and rescaled parametrizations.
-
-    The pacing is ds/dt = 2m(E - U), accumulated by trapezoid quadrature over
-    the stored samples; the inverse direction divides by the same trapezoid
-    average so a round trip restores the original parameter values exactly
-    (up to float rounding).  The configuration path is unchanged.
-    """
-    if direction not in ("t_to_s", "s_to_t"):
-        raise ValueError(f"unknown direction '{direction}'")
-    _require_autonomous(sys, "reparametrization")
-    if sys.E is None:
-        raise ValueError("the system needs an energy label E to reparametrize")
-    f = 2.0 * sys.m * np.array([_open_gap(sys, s.x) for s in traj.states])
-
-    old = traj.params
-    new = np.empty_like(old)
-    new[0] = old[0]
-    for k in range(1, old.size):
-        avg = 0.5 * (f[k] + f[k - 1])
-        if direction == "t_to_s":
-            new[k] = new[k - 1] + avg * (old[k] - old[k - 1])
-        else:
-            new[k] = new[k - 1] + (old[k] - old[k - 1]) / avg
-
-    kind = "jacobi_s" if direction == "t_to_s" else "time_t"
-    states = [
-        FlowState(param=float(new[k]), x=s.x.copy(), p=s.p.copy(),
-                  monitors=dict(s.monitors))
-        for k, s in enumerate(traj.states)
-    ]
-    return Trajectory(states, kind, traj.termination)
-
-
-def compare_paths(a, b, samples=1000):
+def compare_paths(a, b):
     """Maximum pointwise distance between two configuration paths.
 
-    Both paths are resampled to `samples` points of normalized Euclidean arc
+    Both paths are resampled to PATH_SAMPLES points of normalized Euclidean arc
     length (linear interpolation in chart coordinates), which removes the
     pacing difference between parametrizations from the comparison.
     """
@@ -476,7 +355,7 @@ def compare_paths(a, b, samples=1000):
     xb = b.positions
     if xa.shape[1] != xb.shape[1]:
         raise ValueError("paths live in charts of different dimension")
-    u = np.linspace(0.0, 1.0, samples)
+    u = np.linspace(0.0, 1.0, PATH_SAMPLES)
     ra = _resample_by_arclength(xa, u)
     rb = _resample_by_arclength(xb, u)
     return float(np.max(np.linalg.norm(ra - rb, axis=1)))

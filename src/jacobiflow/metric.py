@@ -1,4 +1,4 @@
-"""Metric substrate: chart points, metric fields, inverses, Christoffel symbols.
+"""Metric substrate: chart points, metric fields, inverses and their partials.
 
 Everything downstream (conformal transforms, geodesic flows, lifts) consumes
 the types and operations defined here.  Metrics are dense small matrices
@@ -193,27 +193,8 @@ def inverse_metric_partials(field, x, t=None, ginv=None):
     return _inverse_partials(field, x, t, ginv)
 
 
-def christoffel(field, x, t=None):
-    """Connection coefficients at a point: an array with [i, j, k] = Gamma^i_jk.
-
-    Gamma^i_jk = (1/2) g^il (d_k g_lj + d_j g_lk - d_l g_jk), with derivatives
-    from analytic partials when the field provides them and from central
-    differences otherwise.
-    """
-    x = coordinate_point(x)
-    ginv = invert_metric(_evaluate(field, x, t))
-    d = _partials(field, x, t)
-    # d[k, i, j] = d_k g_ij; assemble the bracket with einsum.
-    bracket = (
-        np.einsum("klj->ljk", d)      # d_k g_lj
-        + np.einsum("jlk->ljk", d)    # d_j g_lk
-        - np.einsum("ljk->ljk", d)    # d_l g_jk
-    )
-    return 0.5 * np.einsum("il,ljk->ijk", ginv, bracket)
-
-
 # ======================================================================
-# Ready-made charts used by tests and demos
+# Ready-made charts
 # ======================================================================
 
 def flat_metric(dim, name="flat"):
@@ -248,30 +229,4 @@ def polar_metric():
         partials=partials,
         guard=lambda x: x[0] > 0.0,
         name="polar",
-    )
-
-
-def spherical_metric():
-    """Flat 3-space in spherical coordinates (r, theta, phi)."""
-
-    def components(x):
-        r, th = x[0], x[1]
-        s = np.sin(th)
-        return np.diag([1.0, r * r, r * r * s * s])
-
-    def partials(x):
-        r, th = x[0], x[1]
-        s, cth = np.sin(th), np.cos(th)
-        d = np.zeros((3, 3, 3))
-        d[0, 1, 1] = 2.0 * r
-        d[0, 2, 2] = 2.0 * r * s * s
-        d[1, 2, 2] = 2.0 * r * r * s * cth
-        return d
-
-    return MetricField(
-        dim=3,
-        components=components,
-        partials=partials,
-        guard=lambda x: x[0] > 0.0 and np.sin(x[1]) > 1e-9,
-        name="spherical",
     )

@@ -81,10 +81,6 @@ def test_taub_nut_values():
     # prefactor ((r+M)^2/4M^2)(4 m^2 M^2 (r-M)/(r+M) - Q^2) = 4(2-1) = 4,
     # against the chart block diag(1/(r-M)^2, 1, sin^2) at theta = pi/2
     np.testing.assert_allclose(ref, 4.0 * np.diag([0.25, 1.0, 1.0]), rtol=0, atol=1e-13)
-    # the drift one-form has only an azimuthal leg, cos(theta)
-    a = entry.A(np.array([3.0, 0.3, 0.0]))
-    assert a[0] == 0.0 and a[1] == 0.0
-    assert a[2] == pytest.approx(np.cos(0.3), abs=1e-15)
 
 
 def test_taub_nut_no_mechanical_reduction():

@@ -372,6 +372,34 @@ def test_timedep_lift_refuses_nonpositive_q_before_integrating(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["static", "timedep"])
+@pytest.mark.parametrize("lam", ["-1", "0"])
+def test_lift_refuses_nonpositive_lam_before_integrating(tmp_path, capsys, monkeypatch,
+                                                         kind, lam):
+    # the static lift's metric entry 1/(kappa V) needs V = lam |x|^2 / 2 > 0
+    def integrate_lifted(*args, **kwargs):
+        raise AssertionError("the lift was integrated")
+
+    monkeypatch.setattr(cli, "integrate_lifted", integrate_lifted)
+    code, _, err = run(capsys, "lift", "--kind", kind, "--lam", lam, "--out", str(tmp_path))
+    assert code == 2 and err == f"error: lam must be positive, got {float(lam)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("record", ["1", "999"])
+def test_compare_refuses_fewer_states_than_its_samples(tmp_path, capsys, monkeypatch, record):
+    # compare_paths resamples to 1000 points; fewer states compare chords
+    def integrate(*args, **kwargs):
+        raise AssertionError("a flow was integrated")
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    code, _, err = run(capsys, "compare", "--system", "kepler", "--E", "-0.5",
+                       "--record", record, "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: record must be at least 1000 to compare paths, got {record}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("system", [["schwarzschild", "--M", "1"], ["kepler"]],
                          ids=["schwarzschild", "kepler"])
 def test_relativistic_transform_refuses_nonpositive_c(tmp_path, capsys, system):
