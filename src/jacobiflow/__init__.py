@@ -54,7 +54,6 @@ from .flow import (
     turning_eps,
 )
 from .curvature import (
-    ConformalProfile,
     profile_from_potential,
     kepler_profile,
     gaussian_curvature_numeric,

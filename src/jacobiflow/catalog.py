@@ -92,6 +92,14 @@ def mechanical_system_from_entry(entry, E=None):
 # Entries
 # ======================================================================
 
+def _spherical_chart(name, radial_ok, diagonal):
+    """Spatial metric '<name>_spatial' on (r, theta, phi) with components
+    diag(diagonal(r, theta)), valid where radial_ok(r) and |sin theta| > POLE_MARGIN."""
+    return MetricField(dim=3, components=lambda x: np.diag(diagonal(x[0], x[1])),
+                       guard=lambda x: abs(np.sin(x[1])) > POLE_MARGIN and radial_ok(x[0]),
+                       name=f"{name}_spatial")
+
+
 def schwarzschild(M, m, c=1.0):
     """Static spherically symmetric vacuum family.
 
@@ -106,17 +114,8 @@ def schwarzschild(M, m, c=1.0):
     m = float(m)
     c = float(c)
 
-    def guard(x):
-        r, th = x[0], x[1]
-        return r > 0.0 and r > 2.0 * M and abs(np.sin(th)) > POLE_MARGIN
-
-    def components(x):
-        r, th = x[0], x[1]
-        w = 1.0 - 2.0 * M / r
-        return np.diag([1.0 / w, r * r, r * r * np.sin(th) ** 2])
-
-    spatial = MetricField(dim=3, components=components, guard=guard,
-                          name="schwarzschild_spatial")
+    spatial = _spherical_chart("schwarzschild", lambda r: r > 0.0 and r > 2.0 * M, lambda r, th: [
+        1.0 / (1.0 - 2.0 * M / r), r * r, r * r * np.sin(th) ** 2])
 
     def Vsq(x):
         return 1.0 - 2.0 * M / x[0]
@@ -171,20 +170,8 @@ def taub_nut(M, m):
     M = float(M)
     m = float(m)
 
-    def guard(x):
-        r, th = x[0], x[1]
-        return r > M and abs(np.sin(th)) > POLE_MARGIN
-
-    def components(x):
-        r, th = x[0], x[1]
-        return np.diag([
-            (r + M) / (r - M),
-            r * r - M * M,
-            (r * r - M * M) * np.sin(th) ** 2,
-        ])
-
-    spatial = MetricField(dim=3, components=components, guard=guard,
-                          name="taub_nut_spatial")
+    spatial = _spherical_chart("taub_nut", lambda r: r > M, lambda r, th: [
+        (r + M) / (r - M), r * r - M * M, (r * r - M * M) * np.sin(th) ** 2])
 
     def Vsq(x):
         r = x[0]
@@ -228,20 +215,12 @@ def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand"):
     m = float(m)
     c = float(c)
 
-    def guard(x):
-        r, th = x[0], x[1]
-        if r <= 0.0 or abs(np.sin(th)) <= POLE_MARGIN:
-            return False
-        hv = h(r)
+    def radial_ok(r):  # r > 0 with h(r) finite and nonzero
+        hv = h(r) if r > 0.0 else 0.0
         return np.isfinite(hv) and hv * hv > 0.0
 
-    def components(x):
-        r, th = x[0], x[1]
-        h2 = h(r) ** 2
-        return np.diag([h2, r * r, r * r * np.sin(th) ** 2])
-
-    spatial = MetricField(dim=3, components=components, guard=guard,
-                          name=f"{name}_spatial")
+    spatial = _spherical_chart(
+        name, radial_ok, lambda r, th: [h(r) ** 2, r * r, r * r * np.sin(th) ** 2])
 
     def Vsq(x):
         return 1.0 / (c * c * Gamma(x[0]))
@@ -330,20 +309,14 @@ def kerr(M, a, m, G=1.0, c=1.0):
     def rho2(r, th):
         return r * r + a * a * np.cos(th) ** 2
 
-    def guard(x):
-        r, th = x[0], x[1]
-        return r > 0.0 and delta(r) > 0.0 and abs(np.sin(th)) > POLE_MARGIN
-
-    def components(x):
-        r, th = x[0], x[1]
+    def diagonal(r, th):
         d = delta(r)
         p2 = rho2(r, th)
         s2 = np.sin(th) ** 2
         gphph = s2 / p2 * ((r * r + a * a) ** 2 - a * a * d * s2)
-        return np.diag([p2 / d, p2, gphph])
+        return [p2 / d, p2, gphph]
 
-    spatial = MetricField(dim=3, components=components, guard=guard,
-                          name="kerr_spatial")
+    spatial = _spherical_chart("kerr", lambda r: r > 0.0 and delta(r) > 0.0, diagonal)
 
     def Vsq(x):
         r, th = x[0], x[1]
@@ -358,12 +331,12 @@ def kerr(M, a, m, G=1.0, c=1.0):
         p2 = rho2(r, th)
         factor = (E_rel ** 2 * p2 / (c * c * (p2 - 2.0 * G * M * r))
                   - m * m * c * c)
-        return factor * components(x)
+        return factor * np.diag(diagonal(r, th))
 
     def reference_jacobi_nonrel(x, E):
         r, th = x[0], x[1]
         factor = E + 2.0 * G * M * r / rho2(r, th)
-        return factor * components(x)
+        return factor * np.diag(diagonal(r, th))
 
     def cross_term(x):
         r, th = x[0], x[1]

@@ -4,9 +4,10 @@ Subcommands: transform (factor on a radial grid), orbit (integrate one flow),
 compare (time flow vs rescaled flow), curvature (radial scan), lift (extended
 flow plus projection check), catalog (list entries).  A scenario file is a
 JSON object with keys task, system, params, integration, output; values given
-there override the corresponding flags.  Exactly one parameter may be
-list-valued; its values then run one by one in list order, through the same
-code as a single run, and output files gain a zero-padded index suffix.
+there override the corresponding flags and must take the shapes and choices
+the flags take.  Exactly one parameter may be list-valued; its values then
+run one by one in list order, through the same code as a single run, and
+output files gain a zero-padded index suffix.
 
 Exit codes: 0 success, 2 refused input (any ValueError, or a launch outside
 the chart or at a turning point; one 'error:' line on stderr), 3 clean
@@ -18,7 +19,6 @@ endings, so a rerun of the same scenario is byte-identical.
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -28,7 +28,7 @@ import scipy
 from . import __version__
 from .catalog import CATALOG, catalog_entry, mechanical_system_from_entry, spacetime_from_entry
 from .curvature import classify_orbit, gaussian_curvature_numeric, kepler_curvature, kepler_profile
-from .errors import DomainViolation, JacobiFlowError, StepFailure, TurningPoint
+from .errors import JacobiFlowError, StepFailure
 from .flow import (
     PATH_SAMPLES,
     FlowState,
@@ -57,6 +57,9 @@ from .transforms import (
 )
 
 TASKS = ("transform", "orbit", "compare", "curvature", "lift", "catalog")
+# the parser's choices, which scenario files keep to as well; each default is the first
+CHOICES = {"task": TASKS, "flow": ("hamilton", "jacobi"),
+           "form": ("classical", "relativistic"), "kind": ("static", "timedep")}
 INLINE_SYSTEMS = ("kepler", "oscillator", "free")
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -74,6 +77,8 @@ def fmt(value):
 
 
 PARAM_FLAGS = ("E", "E_rel", "q", "M", "a", "k", "m", "c", "lam", "G", "amp", "kappa")
+# read for an absent parameter; the summary still reports params as given
+PARAM_DEFAULTS = {"k": 1.0, "m": 1.0, "lam": 1.0, "q": 1.0, "amp": 0.1, "c": 1.0, "kappa": 2.0}
 
 
 def build_parser():
@@ -107,12 +112,13 @@ def build_parser():
         p.add_argument("--span", type=float,
                        help="integration span (default: one characteristic period)")
         p.add_argument("--initial", help="flat list 'x1,..,xn,p1,..,pn'")
-        p.add_argument("--record", type=int, help="dense output samples (0: accepted steps)")
+        p.add_argument("--record", type=int,
+                       help="dense output samples (0: accepted steps; orbit only)")
         if task == "orbit":
-            p.add_argument("--flow", choices=("hamilton", "jacobi"), default="hamilton",
+            p.add_argument("--flow", choices=CHOICES["flow"], default="hamilton",
                            help="which generator to integrate (default hamilton)")
         if task == "transform":
-            p.add_argument("--form", choices=("classical", "relativistic"), default="classical",
+            p.add_argument("--form", choices=CHOICES["form"], default="classical",
                            help="which rescaling to evaluate (default classical)")
             p.add_argument("--grid-min", type=float, dest="grid_min",
                            help="first radius of the grid")
@@ -128,7 +134,7 @@ def build_parser():
             p.add_argument("--samples", type=int, default=100,
                            help="scan size (default 100)")
         if task == "lift":
-            p.add_argument("--kind", choices=("static", "timedep"), default="static",
+            p.add_argument("--kind", choices=CHOICES["kind"], default="static",
                            help="which lift to run (default static)")
     return parser
 
@@ -168,33 +174,57 @@ def scenario_from_args(args):
             overrides = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"scenario file is not valid JSON: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ValueError("a scenario file must hold a JSON object")
         for key, value in overrides.items():
             if isinstance(value, dict) and isinstance(scn.get(key), dict):
                 scn[key].update(value)
             else:
                 scn[key] = value
+    _check_scenario(scn)
     return scn
 
 
-def reject_nonfinite(value, where=""):
-    """Raise ValueError on a NaN or infinite number anywhere in plain
-    scenario data (flags and scenario-file values alike)."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            reject_nonfinite(item, f"{where}.{key}" if where else str(key))
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            reject_nonfinite(item, f"{where}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{where} must be finite, got {value!r}")
+def _check_scenario(scn):
+    """Refuse entries of another shape than the flags give, or off their choices."""
+    for key in ("params", "integration", "output", "grid"):
+        if not isinstance(scn.get(key, {}), dict):
+            raise ValueError(f"{key} must be an object, got {scn[key]!r}")
+    init = scn["integration"].get("initial") or {"x": [], "p": []}
+    if not (isinstance(init, dict) and all(isinstance(init.get(c), list) for c in "xp")
+            and len(init["x"]) == len(init["p"])):
+        raise ValueError(f"integration.initial must hold lists x and p of one length: {init!r}")
+    numbers = [(f"integration.initial.{c}[{i}]", v) for c in "xp" for i, v in enumerate(init[c])]
+    numbers += [("samples", scn["samples"])] if "samples" in scn else []
+    for box in ("params", "grid", "integration"):
+        for key, value in scn.get(box, {}).items():
+            if box == "params" and isinstance(value, list) and value:  # a sweep
+                numbers += [(f"params.{key}[{i}]", v) for i, v in enumerate(value)]
+            elif (box, key) != ("integration", "initial"):
+                numbers.append((f"{box}.{key}", value))
+    for where, value in numbers:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{where} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int past any float
+            raise ValueError(f"{where} must be finite, got {value!r}")
+    names = {f"output.{key}": value for key, value in scn["output"].items()}
+    for where, value in {**names, "system": scn.get("system") or ""}.items():
+        if not isinstance(value, str):
+            raise ValueError(f"{where} must be a string, got {value!r}")
+    for key, choices in CHOICES.items():
+        if key in scn and scn[key] not in choices:
+            raise ValueError(f"unknown {key} {scn[key]!r} (one of: {', '.join(choices)})")
 
 
-def require(scn, field, where="params"):
-    box = scn.get(where) or {}
-    if field not in box or box[field] is None:
-        raise ValueError(f"missing required parameter '{field}' for "
-                         f"task '{scn['task']}'")
-    return box[field]
+def require(scn, field):
+    if scn["params"].get(field) is None:
+        raise ValueError(f"missing required parameter '{field}' for task '{scn['task']}'")
+    return scn["params"][field]
+
+
+def _param(scn, name):
+    """The scenario's value of a parameter with a default, or the default."""
+    return scn.get("params", {}).get(name, PARAM_DEFAULTS[name])
 
 
 # ----------------------------------------------------------------------
@@ -216,26 +246,23 @@ def build_mechanical(scn, need_energy=True):
     name = scn.get("system")
     if not name:
         raise ValueError("missing required field 'system'")
-    params = scn.get("params", {})
-    E = require(scn, "E") if need_energy else params.get("E")
+    E = require(scn, "E") if need_energy else scn.get("params", {}).get("E")
+    m = _param(scn, "m")
     if name == "kepler":
-        k = params.get("k", 1.0)
-        m = params.get("m", 1.0)
+        k = _param(scn, "k")
         if k <= 0 or m <= 0:
             raise ValueError("kepler needs k > 0 and m > 0")
         return MechanicalSystem(
             g=polar_metric(), U=lambda x: -k / x[0], m=m, E=E,
             grad_U=lambda x: np.array([k / x[0] ** 2, 0.0]), name="kepler")
     if name == "oscillator":
-        lam = params.get("lam", 1.0)
-        m = params.get("m", 1.0)
+        lam = _param(scn, "lam")
         if lam <= 0 or m <= 0:
             raise ValueError("oscillator needs lam > 0 and m > 0")
         return MechanicalSystem(
             g=polar_metric(), U=lambda x: 0.5 * lam * x[0] ** 2, m=m, E=E,
             grad_U=lambda x: np.array([lam * x[0], 0.0]), name="oscillator")
     if name == "free":
-        m = params.get("m", 1.0)
         return MechanicalSystem(
             g=flat_metric(2), U=lambda x: 0.0, m=m, E=E,
             grad_U=lambda x: np.zeros(2), name="free")
@@ -246,27 +273,29 @@ def build_mechanical(scn, need_energy=True):
                      + "; catalog: " + ", ".join(sorted(CATALOG)) + ")")
 
 
+def _given_launch(scn):
+    """The scenario's integration.initial as a launch state at 0, or None."""
+    init = scn["integration"].get("initial")
+    if not init:
+        return None
+    return FlowState(0.0, np.asarray(init["x"], dtype=float), np.asarray(init["p"], dtype=float))
+
+
 def default_initial(scn, sys):
     """A launch state consistent with the requested energy, where one is known."""
-    integration = scn.get("integration", {})
-    init = integration.get("initial")
-    if init:
-        x = np.asarray(init["x"], dtype=float)
-        p = np.asarray(init["p"], dtype=float)
-        if x.shape != p.shape:
-            raise ValueError("initial x and p must have the same length")
-        return FlowState(0.0, x, p)
-    params = scn.get("params", {})
-    E = params.get("E")
+    start = _given_launch(scn)
+    if start is not None:
+        return start
+    E = scn.get("params", {}).get("E")
     if sys.name == "kepler" and E is not None and E < 0:
         # perihelion of the eccentricity-1/2 orbit at this energy
-        k = params.get("k", 1.0)
+        k = _param(scn, "k")
         a = k / (2.0 * abs(E))
         r_p = 0.5 * a
         p_phi = np.sqrt(sys.m * k * a * 0.75)
         return FlowState(0.0, np.array([r_p, 0.0]), np.array([0.0, p_phi]))
     if sys.name == "oscillator" and E is not None and E > 0:
-        lam = params.get("lam", 1.0)
+        lam = _param(scn, "lam")
         r_c = np.sqrt(E / lam)
         p_phi = np.sqrt(sys.m * lam) * r_c * r_c
         return FlowState(0.0, np.array([r_c, 0.0]), np.array([0.0, p_phi]))
@@ -289,18 +318,15 @@ def _require_on_shell(sys, start):
 
 
 def default_span(scn, sys):
-    integration = scn.get("integration", {})
-    if integration.get("span") is not None:
-        return float(integration["span"])
-    params = scn.get("params", {})
-    E = params.get("E")
+    if scn["integration"].get("span") is not None:
+        return float(scn["integration"]["span"])
+    E = scn.get("params", {}).get("E")
     if sys.name == "kepler" and E is not None and E < 0:
-        k = params.get("k", 1.0)
+        k = _param(scn, "k")
         a = k / (2.0 * abs(E))
         return 2.0 * np.pi * a ** 1.5 * np.sqrt(sys.m / k)
     if sys.name == "oscillator":
-        lam = params.get("lam", 1.0)
-        return 2.0 * np.pi * np.sqrt(sys.m / lam)
+        return 2.0 * np.pi * np.sqrt(sys.m / _param(scn, "lam"))
     raise ValueError("no default span for this system; pass "
                      "integration.span (or --span)")
 
@@ -316,15 +342,14 @@ def write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def write_trajectory_csv(path, traj):
+def _trajectory_table(traj):
+    """CSV header and rows of a trajectory: param, x, p, then its monitors."""
     n = traj.states[0].x.size
     monitor_names = list(traj.states[0].monitors)
     header = (["param"] + [f"x{i+1}" for i in range(n)]
               + [f"p{i+1}" for i in range(n)] + monitor_names)
-    rows = []
-    for s in traj.states:
-        rows.append([s.param, *s.x, *s.p] + [s.monitors[k] for k in monitor_names])
-    write_csv(path, header, rows)
+    rows = [[s.param, *s.x, *s.p] + [s.monitors[k] for k in monitor_names] for s in traj.states]
+    return header, rows
 
 
 def write_summary(path, scn, extra):
@@ -344,11 +369,15 @@ def write_summary(path, scn, extra):
                           newline="\n")
 
 
-def out_paths(scn):
+def _write_outputs(scn, header, rows, extra):
+    """Write <prefix>.csv and <prefix>_summary.json; returns the CSV path."""
     out_dir = Path(scn["output"].get("dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = scn["output"].get("prefix") or scn["task"]
-    return out_dir / f"{prefix}.csv", out_dir / f"{prefix}_summary.json"
+    csv_path = out_dir / f"{prefix}.csv"
+    write_csv(csv_path, header, rows)
+    write_summary(out_dir / f"{prefix}_summary.json", scn, extra)
+    return csv_path
 
 
 def exit_code_for(termination):
@@ -381,9 +410,19 @@ def radial_point(dim, r):
     return np.array([r, np.pi / 2, 0.0])
 
 
+def _radial_scan(radii, row_at):
+    """Rows row_at(r) over the radii, and how many row_at refused as off the chart."""
+    rows = []
+    for r in radii:
+        try:
+            rows.append(row_at(r))
+        except JacobiFlowError:
+            pass
+    return rows, len(radii) - len(rows)
+
+
 def run_transform(scn):
     form = scn.get("form", "classical")
-    params = scn.get("params", {})
     radii = radial_grid(scn, "grid_min", "grid_max")
     if form == "classical":
         sys = build_mechanical(scn)
@@ -394,19 +433,11 @@ def run_transform(scn):
             st = spacetime_from_entry(build_catalog_entry(scn))
         else:
             sys = build_mechanical(scn, need_energy=False)
-            st = weak_field_spacetime(sys.g, sys.U, m=sys.m, c=params.get("c", 1.0))
+            st = weak_field_spacetime(sys.g, sys.U, m=sys.m, c=_param(scn, "c"))
         conf = jacobi_relativistic_stationary(st, E_rel)
-    rows = []
-    skipped = 0
-    for r in radii:
-        x = radial_point(conf.base.dim, r)
-        try:
-            rows.append([r, conf.factor_at(x)])
-        except (TurningPoint, DomainViolation):
-            skipped += 1
-    csv_path, summary_path = out_paths(scn)
-    write_csv(csv_path, ["r", "factor"], rows)
-    write_summary(summary_path, scn, {
+    rows, skipped = _radial_scan(
+        radii, lambda r: [r, conf.factor_at(radial_point(conf.base.dim, r))])
+    csv_path = _write_outputs(scn, ["r", "factor"], rows, {
         "form": form,
         "rows": len(rows),
         "skipped_out_of_domain": skipped,
@@ -448,8 +479,6 @@ def run_orbit(scn):
     if sys.g.dim == 2:
         p_phi = traj.momenta[:, 1]
         drifts["angular_momentum"] = float(np.max(np.abs(p_phi - p_phi[0])))
-    csv_path, summary_path = out_paths(scn)
-    write_trajectory_csv(csv_path, traj)
     extra = {
         "flow": flow_kind,
         "span": span,
@@ -459,7 +488,7 @@ def run_orbit(scn):
     }
     if partial:
         extra["failure"] = partial
-    write_summary(summary_path, scn, extra)
+    csv_path = _write_outputs(scn, *_trajectory_table(traj), extra)
     print(f"wrote {csv_path} ({len(traj.states)} states, {traj.termination})")
     return exit_code_for(traj.termination)
 
@@ -470,7 +499,7 @@ def run_compare(scn):
     _require_on_shell(sys, start)
     span = default_span(scn, sys)
     integration = scn["integration"]
-    record = int(integration.get("record") or 8000)
+    record = int(integration.get("record", 8000))
     if record < PATH_SAMPLES:
         # compare_paths resamples to PATH_SAMPLES points: fewer states would
         # compare chords, not paths
@@ -485,9 +514,7 @@ def run_compare(scn):
                        atol=integration["atol"], parameter_kind="jacobi_s",
                        record_grid=record)
     deviation = compare_paths(traj_t, traj_s)
-    csv_path, summary_path = out_paths(scn)
-    write_csv(csv_path, ["deviation", "span_t", "span_s"], [[deviation, span, s_max]])
-    write_summary(summary_path, scn, {
+    _write_outputs(scn, ["deviation", "span_t", "span_s"], [[deviation, span, s_max]], {
         "termination": "completed",
         "deviation": deviation,
         "span_t": span,
@@ -499,25 +526,21 @@ def run_compare(scn):
 
 
 def run_curvature(scn):
-    params = scn.get("params", {})
-    k = params.get("k", 1.0)
+    if scn.get("system") not in (None, "kepler"):
+        raise ValueError(f"curvature scans only the kepler profile, not '{scn['system']}'")
+    k = _param(scn, "k")
     E = require(scn, "E")
     radii = radial_grid(scn, "r_min", "r_max")
     profile = kepler_profile(k, E)
-    rows = []
-    skipped = 0
-    for r in radii:
-        try:
-            kn = gaussian_curvature_numeric(profile, r)
-            kc = kepler_curvature(k, E, r)
-        except JacobiFlowError:
-            skipped += 1
-            continue
-        rows.append([r, kn, kc, abs(kn - kc) / max(1.0, abs(kc))])
-    csv_path, summary_path = out_paths(scn)
-    write_csv(csv_path, ["r", "K_numeric", "K_closed", "rel_err"], rows)
+
+    def row(r):
+        kn = gaussian_curvature_numeric(profile, r)
+        kc = kepler_curvature(k, E, r)
+        return [r, kn, kc, abs(kn - kc) / max(1.0, abs(kc))]
+
+    rows, skipped = _radial_scan(radii, row)
     worst = max((row[3] for row in rows), default=None)
-    write_summary(summary_path, scn, {
+    csv_path = _write_outputs(scn, ["r", "K_numeric", "K_closed", "rel_err"], rows, {
         "termination": "completed",
         "classification": classify_orbit(E),
         "rows": len(rows),
@@ -529,33 +552,30 @@ def run_curvature(scn):
 
 
 def run_lift(scn):
+    if scn.get("system") is not None:
+        raise ValueError(f"lift runs its own oscillator, not '{scn['system']}'")
     kind = scn.get("kind", "static")
-    params = scn.get("params", {})
     integration = scn["integration"]
-    m = params.get("m", 1.0)
-    init = integration.get("initial") or {"x": [1.0], "p": [0.0]}
-    x0 = np.asarray(init["x"], dtype=float)
-    p0 = np.asarray(init["p"], dtype=float)
-    if x0.shape != p0.shape:
-        raise ValueError("initial x and p must have the same length")
-    dim = x0.size
-    span = integration.get("span") or 20.0
-    record = int(integration.get("record") or 8000)
-    lam = params.get("lam", 1.0)
+    m = _param(scn, "m")
+    launch = _given_launch(scn) or FlowState(0.0, np.array([1.0]), np.array([0.0]))
+    x0, p0, dim = launch.x, launch.p, launch.x.size
+    # the scenario check refuses a null span or record, so 0 is never a default
+    span = integration.get("span", 20.0)
+    record = int(integration.get("record", 8000))
+    lam = _param(scn, "lam")
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam!r}")
     if kind == "static":
         V = lambda x: 0.5 * lam * float(x @ x)
-        lifted = lift_static(flat_metric(dim), V, m=m, kappa=params.get("kappa", 2.0))
+        lifted = lift_static(flat_metric(dim), V, m=m, kappa=_param(scn, "kappa"))
         start = embed_static(lifted, x0, p0)
         direct_sys = MechanicalSystem(g=flat_metric(dim), U=V, m=m,
                                       grad_U=lambda x: lam * x, name="oscillator-cartesian")
     else:
-        q = params.get("q", 1.0)
-        amp = params.get("amp", 0.1)
+        amp = _param(scn, "amp")
         U = lambda x, t: 0.5 * (1.0 + amp * np.sin(t)) * lam * float(x @ x)
-        lifted = lift_time_dependent(flat_metric(dim), U, m=m, c=params.get("c", 1.0))
-        start = embed_time_dependent(lifted, x0, p0, q=q)
+        lifted = lift_time_dependent(flat_metric(dim), U, m=m, c=_param(scn, "c"))
+        start = embed_time_dependent(lifted, x0, p0, q=_param(scn, "q"))
         direct_sys = MechanicalSystem(
             g=flat_metric(dim), U=U, m=m, time_dependent=True,
             grad_U=lambda x, t: (1.0 + amp * np.sin(t)) * lam * x,
@@ -563,7 +583,7 @@ def run_lift(scn):
     traj = integrate_lifted(lifted, start, span, rtol=integration["rtol"],
                             atol=integration["atol"], record_grid=record)
     proj = project(traj, lifted)
-    direct = integrate(hamilton_flow(direct_sys), FlowState(0.0, x0, p0),
+    direct = integrate(hamilton_flow(direct_sys), launch,
                        proj.params[-1] - proj.params[0],
                        rtol=integration["rtol"], atol=integration["atol"],
                        record_grid=record)
@@ -576,9 +596,7 @@ def run_lift(scn):
     }
     if kind == "timedep":
         drifts["shell_residual"] = float(np.max(np.abs(traj.monitor("shell_residual"))))
-    csv_path, summary_path = out_paths(scn)
-    write_trajectory_csv(csv_path, proj)
-    write_summary(summary_path, scn, {
+    csv_path = _write_outputs(scn, *_trajectory_table(proj), {
         "kind": kind,
         "termination": traj.termination,
         "projection_deviation": deviation,
@@ -637,14 +655,8 @@ def expand_sweep(scn):
 
 
 def run_scenario(scn):
-    task = scn.get("task")
-    if task not in TASKS:
-        raise ValueError(f"unknown task '{task}' (one of: {', '.join(TASKS)})")
-    runner = RUNNERS[task]
+    runner = RUNNERS[scn["task"]]
     sweep = expand_sweep(scn)
-    # after expansion, so sweep values that float() turns non-finite count too
-    for item in [scn] if sweep is None else sweep[1]:
-        reject_nonfinite(item)
     if sweep is None:
         return runner(scn)
     name, items = sweep

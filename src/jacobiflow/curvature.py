@@ -7,11 +7,9 @@ with f^2 = E - U(r).  Its Gaussian curvature
 
 decides the orbit geometry; for the inverse-distance potential the closed
 form is K = -kE / (2 (rE + k)^3), positive for bound motion, zero for the
-marginal case, negative for escape orbits.
+marginal case, negative for escape orbits.  A radial profile is the
+conformal scale itself, a callable f(r).
 """
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,17 +19,8 @@ from .errors import DomainViolation, PoleAtZeroDenominator, TurningPoint
 CURVATURE_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class ConformalProfile:
-    """Radial profile of a conformally flat planar metric: f(r) is the
-    conformal scale, f^2 = E - U(r)."""
-
-    f: Callable[[float], float]
-
-
 def profile_from_potential(U, E):
-    """Build the profile f = sqrt(E - U(r)); f raises TurningPoint where
-    the gap closes."""
+    """The profile f(r) = sqrt(E - U(r)), raising TurningPoint where E <= U."""
 
     def f(r):
         gap = E - U(r)
@@ -39,7 +28,7 @@ def profile_from_potential(U, E):
             raise TurningPoint(f"E - U = {gap:.6g} at r = {r:.6g}")
         return np.sqrt(gap)
 
-    return ConformalProfile(f=f)
+    return f
 
 
 def kepler_profile(k, E):
@@ -51,11 +40,11 @@ def _curvature_at_step(profile, r, h):
     if r - 2.0 * h <= 0.0:
         raise TurningPoint(f"stencil around r = {r:.6g} leaves the chart")
     try:
-        fm2 = profile.f(r - 2.0 * h)
-        fm1 = profile.f(r - h)
-        f0 = profile.f(r)
-        fp1 = profile.f(r + h)
-        fp2 = profile.f(r + 2.0 * h)
+        fm2 = profile(r - 2.0 * h)
+        fm1 = profile(r - h)
+        f0 = profile(r)
+        fp1 = profile(r + h)
+        fp2 = profile(r + 2.0 * h)
     except (TurningPoint, DomainViolation) as exc:
         raise TurningPoint(f"stencil around r = {r:.6g} exits validity: {exc}")
     for v in (fm2, fm1, f0, fp1, fp2):

@@ -108,15 +108,18 @@ def _potential_gradient(sys, x, t=None):
     return _central_differences(lambda y: sys.potential(y, t), x)
 
 
+def _kinetic_rhs(ginv, dginv, p, m):
+    """Kinetic part of Hamilton's equations: x' = g^ij p_j / m and the force
+    (1/2m) d_k g^ij p_i p_j, which p' subtracts along with any potential gradient."""
+    return ginv @ p / m, 0.5 / m * np.einsum("kij,i,j->k", dginv, p, p)
+
+
 def _hamilton_rhs(sys, x, p, t=None):
     """hamilton_rhs on an already validated chart point."""
     p = np.asarray(p, dtype=float)
     ginv = invert_metric(_evaluate(sys.g, x, t))
-    dx = ginv @ p / sys.m
-    dginv = _inverse_partials(sys.g, x, t, ginv=ginv)
-    kinetic_grad = 0.5 / sys.m * np.einsum("kij,i,j->k", dginv, p, p)
-    dp = -(kinetic_grad + _potential_gradient(sys, x, t))
-    return dx, dp
+    dx, force = _kinetic_rhs(ginv, _inverse_partials(sys.g, x, t, ginv=ginv), p, sys.m)
+    return dx, -(force + _potential_gradient(sys, x, t))
 
 
 def hamilton_rhs(sys, x, p, t=None):
@@ -308,23 +311,15 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
             # ended, same as an explicit guard refusal
             termination = "domain_violation"
             break
-        if stepper.status == "failed":
+        failed = stepper.status == "failed"
+        if failed or (stepper.status == "running" and stepper.h_abs < STEP_UNDERFLOW * span):
             if stalled_at_turn():
                 termination = "turning_point"
                 break
-            traj = Trajectory(states, parameter_kind, "step_failure")
-            raise StepFailure("the adaptive integrator could not take a valid step",
-                              trajectory=traj)
-        if stepper.status == "running" and stepper.h_abs < STEP_UNDERFLOW * span:
-            if stalled_at_turn():
-                termination = "turning_point"
-                break
-            traj = Trajectory(states, parameter_kind, "step_failure")
             raise StepFailure(
-                f"step size {stepper.h_abs:.3e} underflowed below "
-                f"{STEP_UNDERFLOW * span:.3e}",
-                trajectory=traj,
-            )
+                "the adaptive integrator could not take a valid step" if failed else
+                f"step size {stepper.h_abs:.3e} underflowed below {STEP_UNDERFLOW * span:.3e}",
+                trajectory=Trajectory(states, parameter_kind, "step_failure"))
         if grid is None:
             record_y(stepper.t, stepper.y)
         else:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow import FlowState, Trajectory, integrate
+from .flow import FlowState, Trajectory, _kinetic_rhs, integrate
 from .metric import (
     MetricField,
     _central_differences,
@@ -183,17 +183,12 @@ def lift_time_dependent(g, U, gauge=None, /, m=1.0, c=1.0):
 def lifted_rhs(lifted):
     """Geodesic equations of the extended metric in Hamiltonian form,
     evaluated through the closed-form inverse components."""
-    inv = lifted.inverse
-    m = lifted.m
 
     def rhs(param, x, p):
         x = coordinate_point(x)
-        p = np.asarray(p, dtype=float)
-        Ginv = _evaluate(inv, x)
-        dx = Ginv @ p / m
-        dG = _partials(inv, x)
-        dp = -0.5 / m * np.einsum("kij,i,j->k", dG, p, p)
-        return dx, dp
+        dx, force = _kinetic_rhs(_evaluate(lifted.inverse, x), _partials(lifted.inverse, x),
+                                 np.asarray(p, dtype=float), lifted.m)
+        return dx, -force
 
     return rhs
 
@@ -315,14 +310,11 @@ def project(traj, lifted):
     """
     n = lifted.base.dim
     states = []
-    if lifted.kind == STATIC_KIND:
-        for s in traj.states:
-            states.append(FlowState(param=s.param, x=s.x[:n].copy(),
-                                    p=s.p[:n].copy(), monitors=dict(s.monitors)))
-        return Trajectory(states, "time_t", traj.termination)
     for s in traj.states:
-        q = s.p[n + 1] / lifted.c
-        states.append(FlowState(param=float(s.x[n]), x=s.x[:n].copy(),
-                                p=-(lifted.m / q) * s.p[:n],
-                                monitors=dict(s.monitors)))
+        if lifted.kind == STATIC_KIND:
+            param, p = s.param, s.p[:n].copy()
+        else:
+            q = s.p[n + 1] / lifted.c
+            param, p = float(s.x[n]), -(lifted.m / q) * s.p[:n]
+        states.append(FlowState(param=param, x=s.x[:n].copy(), p=p, monitors=dict(s.monitors)))
     return Trajectory(states, "time_t", traj.termination)

@@ -21,6 +21,7 @@ from jacobiflow import (
     bertrand_hooke,
     bertrand_kepler,
 )
+from jacobiflow.catalog import POLE_MARGIN
 
 REL_ENERGIES = (0.3, 1.0, 2.5)
 NONREL_ENERGIES = (-0.25, 0.4)
@@ -129,6 +130,36 @@ def test_kerr_ergo_and_horizon_guards():
         evaluate_metric(entry.spatial, np.array([r_plus, np.pi / 2, 0.0]))
     with pytest.raises(DomainViolation):
         evaluate_metric(entry.spatial, np.array([3.0, 0.0, 0.0]))
+
+
+# params of each family and a radius on or past its radial chart bound
+RADIAL_EDGES = {
+    "schwarzschild": ({"M": 1.0, "m": 1.0}, 2.0),  # r = 2M
+    "taub_nut": ({"M": 1.0, "m": 1.0}, 1.0),  # r = M
+    "bertrand_kepler": ({"k": 1.0, "m": 1.0}, 0.0),  # r <= 0
+    "bertrand_hooke": ({"lam": 1.0, "m": 1.0}, -0.5),  # r <= 0
+    "kerr": ({"M": 1.0, "a": 0.7, "m": 1.0}, 1.0),  # Delta = -0.51
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADIAL_EDGES))
+def test_spherical_chart_refuses_poles_and_radial_edge(name):
+    params, r_edge = RADIAL_EDGES[name]
+    entry = catalog_entry(name, **params)
+    r = entry.sample_ranges[0][0]
+    assert evaluate_metric(entry.spatial, [r, np.pi / 2, 0.0]).shape == (3, 3)
+    for th in (0.0, np.pi, POLE_MARGIN / 2):
+        with pytest.raises(DomainViolation):
+            evaluate_metric(entry.spatial, [r, th, 0.0])
+    with pytest.raises(DomainViolation):
+        evaluate_metric(entry.spatial, [r_edge, np.pi / 2, 0.0])
+
+
+@pytest.mark.parametrize("h_value", [0.0, np.inf, np.nan])
+def test_bertrand_chart_refuses_zero_or_nonfinite_h(h_value):
+    entry = bertrand(Gamma=lambda r: 1.0, h=lambda r: h_value, m=1.0)
+    with pytest.raises(DomainViolation):
+        evaluate_metric(entry.spatial, [1.0, np.pi / 2, 0.0])
 
 
 # ---------------------------------------------------------------------------

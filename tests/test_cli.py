@@ -309,15 +309,58 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     KEPLER + ["--initial=-1,0,0,1"],
     ["orbit", "--system", "kepler", "--E", "-1", "--flow", "jacobi",
      "--initial", "1,0,0,0", "--span", "1"],
+    ["lift", "--span", "0"],
+    ["lift", "--record", "0"],
+    ["compare", "--system", "kepler", "--E", "-0.5", "--record", "0"],
+    ["curvature", "--system", "schwarzschild", "--M", "1", "--E", "-0.1"],
+    ["lift", "--system", "kepler", "--E", "-0.5"],
 ], ids=["free-mass", "lift-mass", "lift-kappa", "lift-c", "lift-q", "lift-span",
         "initial-3d", "record-negative", "initial-text", "initial-off-chart",
-        "jacobi-at-turning-point"])
+        "jacobi-at-turning-point", "lift-span-zero", "lift-record-zero",
+        "compare-record-zero", "curvature-unread-system", "lift-unread-system"])
 def test_refused_input_exits_two_without_output(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+CURVATURE = ["curvature", "--E", "-0.5"]
+ORBIT = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
+
+
+@pytest.mark.parametrize("argv, scenario, entry", [
+    (CURVATURE, [1, 2], "JSON object"),
+    (CURVATURE, {"params": 5}, "params"),
+    (ORBIT, {"integration": [1e-9]}, "integration"),
+    (CURVATURE, {"output": "out"}, "output"),
+    (CURVATURE, {"grid": 5}, "grid"),
+    (CURVATURE, {"params": {"E": "abc"}}, "params.E"),
+    (CURVATURE, {"params": {"k": None}}, "params.k"),
+    (CURVATURE, {"params": {"E": True}}, "params.E"),
+    (CURVATURE, {"params": {"E": []}}, "params.E"),
+    (CURVATURE, {"params": {"k": 10 ** 400}}, "params.k"),
+    (CURVATURE, {"samples": None}, "samples"),
+    (CURVATURE, {"grid": {"r_min": "0.5"}}, "grid.r_min"),
+    (ORBIT, {"integration": {"span": None}}, "integration.span"),
+    (ORBIT, {"integration": {"initial": [0.5, 0, 0, 1.7]}}, "integration.initial"),
+    (["lift"], {"kind": "Static"}, "kind 'Static'"),
+    (ORBIT, {"flow": "rescaled"}, "flow 'rescaled'"),
+    (["transform", "--system", "kepler", "--E", "-0.5", "--E-rel", "1"],
+     {"form": "relativistc"}, "form 'relativistc'"),
+], ids=["not-an-object", "params", "integration", "output", "grid", "text-number",
+        "null-number", "bool-number", "empty-sweep", "int-past-float", "null-samples", "text-grid",
+        "null-span", "initial-list", "kind-choice", "flow-choice", "form-choice"])
+def test_scenario_file_keeps_the_flag_contract(tmp_path, capsys, argv, scenario, entry):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--scenario", str(path), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert entry in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

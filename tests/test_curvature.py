@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from jacobiflow import (
-    ConformalProfile,
     PoleAtZeroDenominator,
     TurningPoint,
     classify_eccentricity,
@@ -35,7 +34,7 @@ def test_closed_form_pole():
 
 
 def test_constant_profile_is_flat():
-    prof = ConformalProfile(f=lambda r: 2.0)
+    prof = lambda r: 2.0
     for r in (0.7, 1.0, 4.0):
         assert abs(gaussian_curvature_numeric(prof, r)) < 1e-6
 
@@ -116,9 +115,9 @@ def test_profile_from_potential_matches_kepler_profile():
     prof_u = profile_from_potential(lambda r: -1.0 / r, E=-0.5)
     prof_k = kepler_profile(1.0, -0.5)
     for r in (0.5, 1.0, 1.9):
-        assert prof_u.f(r) == pytest.approx(prof_k.f(r), rel=1e-15)
+        assert prof_u(r) == pytest.approx(prof_k(r), rel=1e-15)
     with pytest.raises(TurningPoint):
-        prof_u.f(2.5)
+        prof_u(2.5)
 
 
 def test_classify_orbit_regimes():
