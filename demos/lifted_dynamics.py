@@ -28,10 +28,10 @@ start = embed_static(lifted, np.array([1.0]), np.array([0.0]))
 traj = integrate_lifted(lifted, start, SPAN, record_grid=2000)
 mech = project(traj, lifted)
 
-worst = max(abs(st.x[0] - np.cos(st.param)) for st in mech.states)
+worst = max(abs(x[0] - np.cos(t)) for t, x in zip(mech.params, mech.x))
 print("static lift of the harmonic oscillator over t in [0, %.0f]" % SPAN)
 print("  projected geodesic vs cos(t): worst deviation %.3e" % worst)
-pz = [st.p[1] for st in traj.states]
+pz = traj.p[:, 1]
 print("  fiber momentum spread: %.3e (conserved by construction)"
       % (max(pz) - min(pz)))
 print()
@@ -44,8 +44,8 @@ drive = lift_time_dependent(flat_metric(1), driven_U, m=1.0, c=1.0)
 start = embed_time_dependent(drive, np.array([1.0]), np.array([0.0]), q=1.0)
 lifted_traj = integrate_lifted(drive, start, SPAN, record_grid=4000)
 
-p_sigma = [st.p[2] for st in lifted_traj.states]
-shell = np.max(np.abs(lifted_traj.monitor("shell_residual")))
+p_sigma = lifted_traj.p[:, 2]
+shell = np.max(np.abs(lifted_traj.monitors["shell_residual"]))
 print("driven oscillator through the time-dependent lift, same span")
 print("  dummy momentum spread: %.3e" % (max(p_sigma) - min(p_sigma)))
 print("  worst mass-shell residual: %.3e" % shell)

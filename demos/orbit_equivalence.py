@@ -42,12 +42,10 @@ paced = integrate(
     hamilton_flow(sys),
     FlowState(0.0, x0, p0),
     period,
-    parameter_kind="time_t",
     pacing=lambda t, x, p: 2.0 * sys.m * (sys.E - sys.potential(x)),
-    pacing_name="s",
     record_grid=4000,
 )
-s_max = paced.states[-1].monitors["s"]
+s_max = paced.monitors["pacing"][-1]
 print("one period of the time flow covers s = %.6f of rescaled parameter" % s_max)
 
 # geodesic flow of the rescaled metric over the same stretch
@@ -55,7 +53,6 @@ rescaled = integrate(
     jacobi_flow(sys),
     FlowState(0.0, x0, p0),
     s_max,
-    parameter_kind="jacobi_s",
     record_grid=4000,
 )
 
@@ -63,10 +60,10 @@ deviation = compare_paths(paced, rescaled)
 print("max deviation between the two configuration paths: %.3e" % deviation)
 
 h_worst = max(
-    abs(unit_momentum_hamiltonian(sys, st.x, st.p) - 1.0) for st in rescaled.states
+    abs(unit_momentum_hamiltonian(sys, x, p) - 1.0) for x, p in zip(rescaled.x, rescaled.p)
 )
 print("rescaled flow stays on its unit level set to %.3e" % h_worst)
 
-R0 = clairaut_constant(rescaled.states[0], sys, "jacobi_s")
-Rn = clairaut_constant(rescaled.states[-1], sys, "jacobi_s")
+R0 = clairaut_constant(sys, rescaled.x[0], rescaled.p[0], "jacobi_s")
+Rn = clairaut_constant(sys, rescaled.x[-1], rescaled.p[-1], "jacobi_s")
 print("angular invariant at start/end: %.12f / %.12f" % (R0, Rn))

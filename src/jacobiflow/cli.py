@@ -3,11 +3,11 @@
 Subcommands: transform (factor on a radial grid), orbit (integrate one flow),
 compare (time flow vs rescaled flow), curvature (radial scan), lift (extended
 flow plus projection check), catalog (list entries).  A scenario file is a
-JSON object with keys task, system, params, integration, output; values given
-there override the corresponding flags and must take the shapes and choices
-the flags take.  Exactly one parameter may be list-valued; its values then
-run one by one in list order, through the same code as a single run, and
-output files gain a zero-padded index suffix.
+JSON object holding only the keys KEYS lists; values given there override
+the corresponding flags and must take the shapes and choices the flags
+take.  Exactly one parameter may be list-valued; its values then run one by
+one in list order, through the same code as a single run, and output files
+gain a zero-padded index suffix.
 
 Exit codes: 0 success, 2 refused input (any ValueError, or a launch outside
 the chart or at a turning point; one 'error:' line on stderr), 3 clean
@@ -57,9 +57,15 @@ from .transforms import (
 )
 
 TASKS = ("transform", "orbit", "compare", "curvature", "lift", "catalog")
+PARAM_FLAGS = ("E", "E_rel", "q", "M", "a", "k", "m", "c", "lam", "G", "amp", "kappa")
 # the parser's choices, which scenario files keep to as well; each default is the first
 CHOICES = {"task": TASKS, "flow": ("hamilton", "jacobi"),
            "form": ("classical", "relativistic"), "kind": ("static", "timedep")}
+# the keys a scenario may hold: at top level (""), and inside each object entry
+KEYS = {"": ("task", "system", "params", "integration", "output", "flow", "form", "kind",
+             "samples", "grid"),
+        "params": PARAM_FLAGS, "integration": ("rtol", "atol", "span", "record", "initial"),
+        "output": ("dir", "prefix"), "grid": ("grid_min", "grid_max", "r_min", "r_max")}
 INLINE_SYSTEMS = ("kepler", "oscillator", "free")
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -76,7 +82,6 @@ def fmt(value):
 # scenario assembly
 
 
-PARAM_FLAGS = ("E", "E_rel", "q", "M", "a", "k", "m", "c", "lam", "G", "amp", "kappa")
 # read for an absent parameter; the summary still reports params as given
 PARAM_DEFAULTS = {"k": 1.0, "m": 1.0, "lam": 1.0, "q": 1.0, "amp": 0.1, "c": 1.0, "kappa": 2.0}
 
@@ -190,6 +195,11 @@ def _check_scenario(scn):
     for key in ("params", "integration", "output", "grid"):
         if not isinstance(scn.get(key, {}), dict):
             raise ValueError(f"{key} must be an object, got {scn[key]!r}")
+    for box, keys in KEYS.items():
+        for key in scn.get(box, {}) if box else scn:
+            if key not in keys:
+                raise ValueError(f"unknown scenario key {box + '.' if box else ''}{key} "
+                                 f"(one of: {', '.join(keys)})")
     init = scn["integration"].get("initial") or {"x": [], "p": []}
     if not (isinstance(init, dict) and all(isinstance(init.get(c), list) for c in "xp")
             and len(init["x"]) == len(init["p"])):
@@ -344,12 +354,10 @@ def write_csv(path, header, rows):
 
 def _trajectory_table(traj):
     """CSV header and rows of a trajectory: param, x, p, then its monitors."""
-    n = traj.states[0].x.size
-    monitor_names = list(traj.states[0].monitors)
+    n = traj.x.shape[1]
     header = (["param"] + [f"x{i+1}" for i in range(n)]
-              + [f"p{i+1}" for i in range(n)] + monitor_names)
-    rows = [[s.param, *s.x, *s.p] + [s.monitors[k] for k in monitor_names] for s in traj.states]
-    return header, rows
+              + [f"p{i+1}" for i in range(n)] + list(traj.monitors))
+    return header, np.column_stack([traj.params, traj.x, traj.p, *traj.monitors.values()]).tolist()
 
 
 def write_summary(path, scn, extra):
@@ -460,36 +468,34 @@ def run_orbit(scn):
         _require_on_shell(sys, start)
         monitors["unit_momentum"] = lambda s, x, p: unit_momentum_hamiltonian(sys, x, p)
         rhs = jacobi_flow(sys)
-        kind = "jacobi_s"
     else:
         rhs = hamilton_flow(sys)
-        kind = "time_t"
     partial = None
     try:
         traj = integrate(rhs, start, span, rtol=integration["rtol"],
                          atol=integration["atol"], monitor_fns=monitors,
-                         parameter_kind=kind, record_grid=grid)
+                         record_grid=grid)
     except StepFailure as exc:
         traj = exc.trajectory
         partial = str(exc)
-    energy = traj.monitor("energy")
+    energy = traj.monitors["energy"]
     drifts = {"energy": float(np.max(np.abs(energy - energy[0])))}
     if flow_kind == "jacobi":
-        drifts["unit_momentum"] = float(np.max(np.abs(traj.monitor("unit_momentum") - 1.0)))
+        drifts["unit_momentum"] = float(np.max(np.abs(traj.monitors["unit_momentum"] - 1.0)))
     if sys.g.dim == 2:
-        p_phi = traj.momenta[:, 1]
+        p_phi = traj.p[:, 1]
         drifts["angular_momentum"] = float(np.max(np.abs(p_phi - p_phi[0])))
     extra = {
         "flow": flow_kind,
         "span": span,
         "termination": traj.termination,
-        "states": len(traj.states),
+        "states": len(traj.params),
         "drifts": drifts,
     }
     if partial:
         extra["failure"] = partial
     csv_path = _write_outputs(scn, *_trajectory_table(traj), extra)
-    print(f"wrote {csv_path} ({len(traj.states)} states, {traj.termination})")
+    print(f"wrote {csv_path} ({len(traj.params)} states, {traj.termination})")
     return exit_code_for(traj.termination)
 
 
@@ -507,12 +513,10 @@ def run_compare(scn):
                          f"got {record}")
     pace = lambda t, x, p: 2.0 * sys.m * (sys.E - sys.potential(x))
     traj_t = integrate(hamilton_flow(sys), start, span, rtol=integration["rtol"],
-                       atol=integration["atol"], pacing=pace, pacing_name="s_of_t",
-                       record_grid=record)
-    s_max = traj_t.monitor("s_of_t")[-1]
+                       atol=integration["atol"], pacing=pace, record_grid=record)
+    s_max = traj_t.monitors["pacing"][-1]
     traj_s = integrate(jacobi_flow(sys), start, s_max, rtol=integration["rtol"],
-                       atol=integration["atol"], parameter_kind="jacobi_s",
-                       record_grid=record)
+                       atol=integration["atol"], record_grid=record)
     deviation = compare_paths(traj_t, traj_s)
     _write_outputs(scn, ["deviation", "span_t", "span_s"], [[deviation, span, s_max]], {
         "termination": "completed",
@@ -588,20 +592,20 @@ def run_lift(scn):
                        rtol=integration["rtol"], atol=integration["atol"],
                        record_grid=record)
     deviation = compare_paths(proj, direct)
-    pz, ee = traj.monitor("p_dummy"), traj.monitor("extended_energy")
+    pz, ee = traj.monitors["p_dummy"], traj.monitors["extended_energy"]
     drifts = {
         "dummy_momentum": float(np.max(np.abs(pz - pz[0]))),
         "extended_energy": float(max_relative_drift(ee) if ee[0] != 0.0
                                  else np.max(np.abs(ee))),
     }
     if kind == "timedep":
-        drifts["shell_residual"] = float(np.max(np.abs(traj.monitor("shell_residual"))))
+        drifts["shell_residual"] = float(np.max(np.abs(traj.monitors["shell_residual"])))
     csv_path = _write_outputs(scn, *_trajectory_table(proj), {
         "kind": kind,
         "termination": traj.termination,
         "projection_deviation": deviation,
         "drifts": drifts,
-        "states": len(traj.states),
+        "states": len(traj.params),
     })
     print(f"wrote {csv_path}; projection deviation {fmt(deviation)}")
     return exit_code_for(traj.termination)

@@ -3,12 +3,12 @@ adaptive integration, invariant monitoring, path comparison.
 
 The time flow and the rescaled flow describe the same configuration paths at
 different pacing; the integrator here makes that testable by recording
-monitors on accepted steps and by resampling paths to a parameter-free
-common grid.
+states as columns, with each monitor evaluated once per recorded state, and
+by resampling paths to a parameter-free common grid.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 from scipy.integrate import RK45
@@ -57,49 +57,28 @@ PATH_SAMPLES = 1000
 
 @dataclass
 class FlowState:
-    """One phase-space sample: parameter value, position, momentum, monitors."""
+    """A launch state: parameter value, position, momentum."""
 
     param: float
     x: np.ndarray
     p: np.ndarray
-    monitors: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
 class Trajectory:
-    """An ordered run of flow states under one parametrization.
+    """A recorded run as columns: strictly increasing params (N,), x and p
+    (N, n), monitors mapping names to (N,) arrays, and a termination of
+    'completed', 'turning_point', 'domain_violation' or 'step_failure'."""
 
-    parameter_kind is one of 'time_t', 'jacobi_s', 'arclength'; termination is
-    one of 'completed', 'turning_point', 'domain_violation', 'step_failure'.
-    """
-
-    states: List[FlowState]
-    parameter_kind: str = "time_t"
+    params: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    monitors: Dict[str, np.ndarray] = field(default_factory=dict)
     termination: str = "completed"
 
     def __post_init__(self):
-        params = [s.param for s in self.states]
-        if any(b <= a for a, b in zip(params, params[1:])):
+        if np.any(np.diff(self.params) <= 0):
             raise ValueError("trajectory parameter values must be strictly increasing")
-
-    @property
-    def params(self):
-        return np.array([s.param for s in self.states])
-
-    @property
-    def positions(self):
-        return np.array([s.x for s in self.states])
-
-    @property
-    def momenta(self):
-        return np.array([s.p for s in self.states])
-
-    def monitor(self, name):
-        return np.array([s.monitors[name] for s in self.states])
-
-    @property
-    def final(self):
-        return self.states[-1]
 
 
 def _potential_gradient(sys, x, t=None):
@@ -182,21 +161,21 @@ def unit_momentum_hamiltonian(sys, x, p):
     return float(p @ ginv @ p) / (2.0 * sys.m * gap)
 
 
-def clairaut_constant(state, sys, parameter_kind="time_t"):
+def clairaut_constant(sys, x, p, parameter_kind="time_t"):
     """Angular invariant of planar motion in a spherically symmetric chart.
 
     In the time parametrization this is m r^2 dphi/dt; in the rescaled
     parametrization it is 2m r^2 (E - U) dphi/ds.  Both are evaluated from
-    the state's momenta through the corresponding flow equations, and agree
+    the momenta p at x through the corresponding flow equations, and agree
     at corresponding points.
     """
-    r = float(state.x[0])
+    r = float(x[0])
     if parameter_kind == "time_t":
-        dx, _ = hamilton_rhs(sys, state.x, state.p)
+        dx, _ = hamilton_rhs(sys, x, p)
         return sys.m * r * r * dx[1]
     if parameter_kind == "jacobi_s":
-        dx, _ = jacobi_rhs(sys, state.x, state.p)
-        gap = sys.E - sys.potential(state.x)
+        dx, _ = jacobi_rhs(sys, x, p)
+        gap = sys.E - sys.potential(x)
         return 2.0 * sys.m * r * r * gap * dx[1]
     raise ValueError(f"unsupported parameter kind '{parameter_kind}'")
 
@@ -205,19 +184,25 @@ def clairaut_constant(state, sys, parameter_kind="time_t"):
 # Integration
 # ======================================================================
 
-def _record(states, param, x, p, monitor_fns, extra=None):
-    monitors = {}
-    if monitor_fns:
-        for name, fn in monitor_fns.items():
-            monitors[name] = float(fn(param, x, p))
-    if extra:
-        monitors.update(extra)
-    states.append(FlowState(param=float(param), x=x.copy(), p=p.copy(), monitors=monitors))
+def _record(rows, param, y):
+    """Append one recorded state: its parameter, then the stepper's state y."""
+    rows.append(np.concatenate([[param], y]))
+
+
+def _trajectory(rows, n, monitor_fns, termination):
+    """The recorded rows as a Trajectory, each monitor evaluated once per
+    row, and a pacing column (when y carries one) under 'pacing'."""
+    table = np.array(rows)
+    params, x, p = table[:, 0], table[:, 1:n + 1], table[:, n + 1:2 * n + 1]
+    monitors = {name: np.array([float(fn(*row)) for row in zip(params, x, p)])
+                for name, fn in (monitor_fns or {}).items()}
+    if table.shape[1] > 2 * n + 1:
+        monitors["pacing"] = table[:, -1]
+    return Trajectory(params, x, p, monitors, termination)
 
 
 def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
-              parameter_kind="time_t", pacing=None, pacing_name="pacing",
-              record_grid=None):
+              pacing=None, record_grid=None):
     """Integrate a flow and return its trajectory.
 
     rhs(param, x, p) -> (dx, dp) defines the flow and may raise TurningPoint
@@ -226,10 +211,11 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     embedded Runge-Kutta pair of order 5(4), by default at rtol=1e-9,
     atol=1e-12.
 
-    monitor_fns maps names to fn(param, x, p) evaluated on accepted steps.
-    pacing, when given, is an auxiliary rate integrated alongside the state at
-    full accuracy and recorded cumulatively under pacing_name (used to map
-    between parametrizations without quadrature loss).
+    monitor_fns maps names to fn(param, x, p), evaluated after the run once
+    per recorded state: the launch, then each accepted step or grid point.
+    pacing, when given, is an auxiliary rate integrated alongside the state
+    at full accuracy and recorded cumulatively as the monitor 'pacing' (used
+    to map between parametrizations without quadrature loss).
 
     record_grid, when given (a count >= 1 or a strictly increasing array of
     parameter values inside (t0, t0 + span]), records states on that grid
@@ -271,19 +257,17 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
                         else [initial.x, initial.p])
 
     def fun(s, y):
-        x = y[:n]
-        p = y[n:2 * n]
+        x, p = y[:n], y[n:2 * n]
         dx, dp = rhs(s, x, p)
         if augmented:
             return np.concatenate([dx, dp, [pacing(s, x, p)]])
         return np.concatenate([dx, dp])
 
     def stalled_at_turn():
-        if system is None or system.E is None or not states:
+        if system is None or system.E is None:
             return False
-        last = states[-1]
         try:
-            gap = system.E - system.potential(last.x)
+            gap = system.E - system.potential(rows[-1][1:n + 1])
         except Exception:
             return False
         return gap <= STALL_GAP * max(1.0, abs(system.E))
@@ -292,13 +276,8 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
 
     stepper = RK45(fun, t0, y0, t0 + span, rtol=rtol, atol=atol)
 
-    states = []
-
-    def record_y(param, y):
-        extra = {pacing_name: float(y[2 * n])} if augmented else None
-        _record(states, param, y[:n], y[n:2 * n], monitor_fns, extra)
-
-    record_y(t0, y0)
+    rows = []
+    _record(rows, t0, y0)
     termination = "completed"
     while stepper.status == "running":
         try:
@@ -319,17 +298,17 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
             raise StepFailure(
                 "the adaptive integrator could not take a valid step" if failed else
                 f"step size {stepper.h_abs:.3e} underflowed below {STEP_UNDERFLOW * span:.3e}",
-                trajectory=Trajectory(states, parameter_kind, "step_failure"))
+                trajectory=_trajectory(rows, n, monitor_fns, "step_failure"))
         if grid is None:
-            record_y(stepper.t, stepper.y)
+            _record(rows, stepper.t, stepper.y)
         else:
             if next_grid < grid.size and grid[next_grid] <= stepper.t:
                 sol = stepper.dense_output()
                 while next_grid < grid.size and grid[next_grid] <= stepper.t:
-                    record_y(grid[next_grid], sol(grid[next_grid]))
+                    _record(rows, grid[next_grid], sol(grid[next_grid]))
                     next_grid += 1
 
-    return Trajectory(states, parameter_kind, termination)
+    return _trajectory(rows, n, monitor_fns, termination)
 
 
 # ======================================================================
@@ -344,15 +323,13 @@ def compare_paths(a, b):
     pacing difference between parametrizations from the comparison.
     """
     for traj in (a, b):
-        if len(traj.states) < 2:
+        if len(traj.params) < 2:
             raise EmptyTrajectory("need at least two states to compare paths")
-    xa = a.positions
-    xb = b.positions
-    if xa.shape[1] != xb.shape[1]:
+    if a.x.shape[1] != b.x.shape[1]:
         raise ValueError("paths live in charts of different dimension")
     u = np.linspace(0.0, 1.0, PATH_SAMPLES)
-    ra = _resample_by_arclength(xa, u)
-    rb = _resample_by_arclength(xb, u)
+    ra = _resample_by_arclength(a.x, u)
+    rb = _resample_by_arclength(b.x, u)
     return float(np.max(np.linalg.norm(ra - rb, axis=1)))
 
 

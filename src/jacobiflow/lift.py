@@ -247,7 +247,7 @@ def embed_time_dependent(lifted, x0, p0, q, shell="massive"):
     return FlowState(param=0.0, x=xe, p=pe)
 
 
-def lifted_energy_relation(lifted, state):
+def lifted_energy_relation(lifted, x, p):
     """Residual of the printed energy relation on the time-dependent lift:
 
         2c p_t p_sigma - (c^2 g^ij p_i p_j + c^2 V^2 p_sigma^2 + m^2 c^4).
@@ -259,9 +259,9 @@ def lifted_energy_relation(lifted, state):
         raise ValueError("the energy relation lives on the time-dependent lift")
     m, c = lifted.m, lifted.c
     n = lifted.base.dim
-    x, t = state.x[:n], state.x[n]
-    pi = state.p[:n]
-    p_t, p_sigma = state.p[n], state.p[n + 1]
+    x, t = x[:n], x[n]
+    pi = p[:n]
+    p_t, p_sigma = p[n], p[n + 1]
     ginv = invert_metric(evaluate_metric(lifted.base, x, t))
     Vsq = 2.0 * lifted.U_or_V(x, t) / (m * c * c)
     lhs = 2.0 * c * p_t * p_sigma
@@ -292,11 +292,9 @@ def integrate_lifted(lifted, initial, span, *, rtol=1e-9, atol=1e-12,
         "p_dummy": lambda s, x, p: p[-1],
     }
     if lifted.kind == TIMEDEP_KIND:
-        fns["shell_residual"] = lambda s, x, p: lifted_energy_relation(
-            lifted, FlowState(param=s, x=x, p=p))
+        fns["shell_residual"] = lambda s, x, p: lifted_energy_relation(lifted, x, p)
     return integrate(lifted_rhs(lifted), initial, span, rtol=rtol, atol=atol,
-                     monitor_fns=fns, parameter_kind="time_t",
-                     record_grid=record_grid)
+                     monitor_fns=fns, record_grid=record_grid)
 
 
 def project(traj, lifted):
@@ -309,12 +307,9 @@ def project(traj, lifted):
     dummy momentum.
     """
     n = lifted.base.dim
-    states = []
-    for s in traj.states:
-        if lifted.kind == STATIC_KIND:
-            param, p = s.param, s.p[:n].copy()
-        else:
-            q = s.p[n + 1] / lifted.c
-            param, p = float(s.x[n]), -(lifted.m / q) * s.p[:n]
-        states.append(FlowState(param=param, x=s.x[:n].copy(), p=p, monitors=dict(s.monitors)))
-    return Trajectory(states, "time_t", traj.termination)
+    if lifted.kind == STATIC_KIND:
+        params, p = traj.params, traj.p[:, :n]
+    else:
+        q = traj.p[:, n + 1] / lifted.c
+        params, p = traj.x[:, n], -(lifted.m / q)[:, None] * traj.p[:, :n]
+    return Trajectory(params, traj.x[:, :n], p, dict(traj.monitors), traj.termination)

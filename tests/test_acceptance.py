@@ -76,11 +76,9 @@ def rescaled_span(sys, x0, p0, t_span, rtol=1e-9, atol=1e-12):
         t_span,
         rtol=rtol,
         atol=atol,
-        parameter_kind="time_t",
         pacing=lambda t, x, p: 2.0 * sys.m * (sys.E - sys.potential(x)),
-        pacing_name="s",
     )
-    return paced.states[-1].monitors["s"]
+    return paced.monitors["pacing"][-1]
 
 
 def test_rescaled_flow_retraces_the_orbit():
@@ -93,17 +91,14 @@ def test_rescaled_flow_retraces_the_orbit():
         hamilton_flow(sys),
         FlowState(0.0, x0, p0),
         KEPLER_PERIOD,
-        parameter_kind="time_t",
         pacing=lambda t, x, p: 2.0 * sys.m * (sys.E - sys.potential(x)),
-        pacing_name="s",
         record_grid=6283,
     )
-    s_max = paced.states[-1].monitors["s"]
+    s_max = paced.monitors["pacing"][-1]
     rescaled = integrate(
         jacobi_flow(sys),
         FlowState(0.0, x0, p0),
         s_max,
-        parameter_kind="jacobi_s",
         record_grid=6283,
     )
     deviation = compare_paths(paced, rescaled)
@@ -138,11 +133,10 @@ def test_unit_momentum_level_set_over_ten_periods():
             s_max,
             rtol=1e-11,
             atol=1e-13,
-            parameter_kind="jacobi_s",
         )
         worst = max(
-            abs(unit_momentum_hamiltonian(sys, st.x, st.p) - 1.0)
-            for st in traj.states
+            abs(unit_momentum_hamiltonian(sys, x, p) - 1.0)
+            for x, p in zip(traj.x, traj.p)
         )
         assert worst < 1e-8, f"{sys.name}: {worst}"
 
@@ -155,22 +149,21 @@ def test_angular_invariant_in_both_parametrizations():
         hamilton_flow(sys),
         FlowState(0.0, x0, p0),
         10.0 * KEPLER_PERIOD,
-        parameter_kind="time_t",
     )
     s_max = rescaled_span(sys, x0, p0, 10.0 * KEPLER_PERIOD)
     rescaled = integrate(
-        jacobi_flow(sys), FlowState(0.0, x0, p0), s_max, parameter_kind="jacobi_s"
+        jacobi_flow(sys), FlowState(0.0, x0, p0), s_max
     )
 
-    values_t = [clairaut_constant(st, sys, "time_t") for st in timed.states]
-    values_s = [clairaut_constant(st, sys, "jacobi_s") for st in rescaled.states]
+    values_t = [clairaut_constant(sys, x, p, "time_t") for x, p in zip(timed.x, timed.p)]
+    values_s = [clairaut_constant(sys, x, p, "jacobi_s") for x, p in zip(rescaled.x, rescaled.p)]
     assert (max(values_t) - min(values_t)) / abs(values_t[0]) < 1e-9
     assert (max(values_s) - min(values_s)) / abs(values_s[0]) < 1e-9
 
     # both formulas agree pointwise on identical phase points
     worst = max(
-        abs(clairaut_constant(st, sys, "time_t") - clairaut_constant(st, sys, "jacobi_s"))
-        for st in timed.states
+        abs(clairaut_constant(sys, x, p, "time_t") - clairaut_constant(sys, x, p, "jacobi_s"))
+        for x, p in zip(timed.x, timed.p)
     )
     assert worst < 1e-10
 
@@ -213,10 +206,10 @@ def test_orbit_regimes_match_eccentricity_oracle():
     for E, x0, p0 in launches:
         sys = kepler_system(E)
         traj = integrate(
-            hamilton_flow(sys), FlowState(0.0, x0, p0), 5.0, parameter_kind="time_t"
+            hamilton_flow(sys), FlowState(0.0, x0, p0), 5.0
         )
-        final = traj.states[-1]
-        e = kepler_eccentricity(energy_from_state(sys, final.x, final.p), final.p[1])
+        x, p = traj.x[-1], traj.p[-1]
+        e = kepler_eccentricity(energy_from_state(sys, x, p), p[1])
         assert classify_eccentricity(e) == classify_orbit(E), (E, e)
 
     # the tolerance band pins the marginal regime at e = 1 +/- 1e-6; probe a
@@ -301,7 +294,7 @@ def test_static_lift_reproduces_oscillator():
     mech = project(traj, lifted)
 
     worst = max(
-        abs(st.x[0] - np.cos(st.param)) for st in mech.states
+        abs(x[0] - np.cos(t)) for t, x in zip(mech.params, mech.x)
     )
     assert worst < 1e-6
 
@@ -335,9 +328,9 @@ def test_time_dependent_lift_conservation_and_projection():
     # conservation over ten characteristic times, with step control tight
     # enough that accumulation stays below the bounds
     traj = integrate_lifted(lifted, start, DRIVEN_SPAN, rtol=1e-11, atol=1e-13)
-    p_sigma = np.array([st.p[2] for st in traj.states])
+    p_sigma = traj.p[:, 2]
     assert np.max(np.abs(p_sigma - p_sigma[0])) / abs(p_sigma[0]) < 1e-9
-    assert np.max(np.abs(traj.monitor("shell_residual"))) < 1e-8
+    assert np.max(np.abs(traj.monitors["shell_residual"])) < 1e-8
 
     # projecting the lifted flow reproduces direct non-autonomous integration
     recorded = integrate_lifted(lifted, start, DRIVEN_SPAN, record_grid=12000)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from jacobiflow import FlowState, StepFailure, Trajectory, cli
+from jacobiflow import StepFailure, Trajectory, cli
 from jacobiflow.cli import main
 
 
@@ -98,9 +98,9 @@ def test_orbit_chart_degeneration_exits_three(tmp_path, capsys):
 
 def test_step_failure_exits_four(tmp_path, capsys, monkeypatch):
     def failing_integrate(*args, **kwargs):
-        states = [FlowState(0.0, np.array([0.5, 0.0]), np.array([0.0, 1.0]),
-                            {"energy": -0.5})]
-        raise StepFailure("stalled", trajectory=Trajectory(states, "time_t", "step_failure"))
+        partial = Trajectory(np.array([0.0]), np.array([[0.5, 0.0]]), np.array([[0.0, 1.0]]),
+                             {"energy": np.array([-0.5])}, "step_failure")
+        raise StepFailure("stalled", trajectory=partial)
 
     monkeypatch.setattr("jacobiflow.cli.integrate", failing_integrate)
     code, _, _ = run(
@@ -349,9 +349,16 @@ ORBIT = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     (ORBIT, {"flow": "rescaled"}, "flow 'rescaled'"),
     (["transform", "--system", "kepler", "--E", "-0.5", "--E-rel", "1"],
      {"form": "relativistc"}, "form 'relativistc'"),
+    (CURVATURE, {"sample": 7, "grid": {"rmin": 1.0}}, "key sample "),
+    (CURVATURE, {"grid": {"rmin": 1.0}}, "grid.rmin"),
+    (CURVATURE, {"params": {"EE": -0.5}}, "params.EE"),
+    (ORBIT, {"integration": {"rtoll": 1e-9}}, "integration.rtoll"),
+    (CURVATURE, {"output": {"directory": "out"}}, "output.directory"),
 ], ids=["not-an-object", "params", "integration", "output", "grid", "text-number",
         "null-number", "bool-number", "empty-sweep", "int-past-float", "null-samples", "text-grid",
-        "null-span", "initial-list", "kind-choice", "flow-choice", "form-choice"])
+        "null-span", "initial-list", "kind-choice", "flow-choice", "form-choice",
+        "unknown-key", "unknown-grid-key", "unknown-param", "unknown-integration-key",
+        "unknown-output-key"])
 def test_scenario_file_keeps_the_flag_contract(tmp_path, capsys, argv, scenario, entry):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))

@@ -65,9 +65,9 @@ def test_free_particle_straight_line():
     sys = free_particle(m=2.0)
     st = FlowState(0.0, np.array([1.0, -1.0]), np.array([0.4, 0.2]))
     traj = integrate(hamilton_flow(sys), st, 3.0)
-    for s in traj.states:
-        np.testing.assert_allclose(s.x, st.x + st.p / 2.0 * s.param, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(s.p, st.p)
+    for t, x, p in zip(traj.params, traj.x, traj.p):
+        np.testing.assert_allclose(x, st.x + st.p / 2.0 * t, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(p, st.p)
 
 
 def test_hamilton_rhs_circular_orbit_balance():
@@ -148,10 +148,10 @@ def test_autonomous_only_paths_refuse_time_dependence(depends, call):
 def test_orbit_closes_in_phase_space():
     sys = kepler()
     st = perihelion_state()
-    final = integrate(hamilton_flow(sys), st, T_ORBIT).final
-    assert abs(final.x[0] - st.x[0]) < 1e-6
-    assert abs(final.x[1] - st.x[1] - 2.0 * np.pi) < 1e-6
-    assert np.max(np.abs(final.p - st.p)) < 1e-6
+    traj = integrate(hamilton_flow(sys), st, T_ORBIT)
+    assert abs(traj.x[-1][0] - st.x[0]) < 1e-6
+    assert abs(traj.x[-1][1] - st.x[1] - 2.0 * np.pi) < 1e-6
+    assert np.max(np.abs(traj.p[-1] - st.p)) < 1e-6
 
 
 def test_energy_drift_ten_periods():
@@ -165,9 +165,9 @@ def test_energy_drift_ten_periods():
     mon = {"energy": lambda t, x, p: energy_from_state(sys, x, p)}
     e_tight = integrate(
         hamilton_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon, rtol=1e-11, atol=1e-13
-    ).monitor("energy")
+    ).monitors["energy"]
     assert max_relative_drift(e_tight) < 1e-9
-    e_default = integrate(hamilton_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon).monitor("energy")
+    e_default = integrate(hamilton_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon).monitors["energy"]
     assert max_relative_drift(e_default) < 5e-8
 
 
@@ -180,11 +180,10 @@ def test_unit_momentum_stays_one():
         st,
         10 * T_ORBIT,
         monitor_fns=mon,
-        parameter_kind="jacobi_s",
         rtol=1e-11,
         atol=1e-13,
     )
-    h = traj.monitor("htilde")
+    h = traj.monitors["htilde"]
     assert abs(h[0] - 1.0) < 1e-14
     assert np.max(np.abs(h - 1.0)) < 1e-8
 
@@ -192,17 +191,17 @@ def test_unit_momentum_stays_one():
 def test_clairaut_constant_matches_momentum_and_never_drifts():
     sys = kepler()
     st = perihelion_state()
-    R0 = clairaut_constant(st, sys, "time_t")
+    R0 = clairaut_constant(sys, st.x, st.p, "time_t")
     assert R0 == st.p[1]
 
-    mon_t = {"R": lambda t, x, p: clairaut_constant(FlowState(t, x, p), sys, "time_t")}
-    Rt = integrate(hamilton_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon_t).monitor("R")
+    mon_t = {"R": lambda t, x, p: clairaut_constant(sys, x, p, "time_t")}
+    Rt = integrate(hamilton_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon_t).monitors["R"]
     assert np.max(np.abs(Rt - Rt[0])) < 1e-12
 
-    mon_s = {"R": lambda s, x, p: clairaut_constant(FlowState(s, x, p), sys, "jacobi_s")}
+    mon_s = {"R": lambda s, x, p: clairaut_constant(sys, x, p, "jacobi_s")}
     Rs = integrate(
-        jacobi_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon_s, parameter_kind="jacobi_s"
-    ).monitor("R")
+        jacobi_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon_s
+    ).monitors["R"]
     assert np.max(np.abs(Rs - Rs[0])) < 1e-12
 
     # with m=1 both parametrizations report the same invariant value
@@ -213,8 +212,8 @@ def test_clairaut_mass_scaling():
     # in the rescaled parametrization the invariant carries a 1/m relative to p_phi
     sys = kepler(E=-0.25, m=2.0)
     st = FlowState(0.0, np.array([1.0, 0.0]), np.array([0.0, 1.2]))
-    assert clairaut_constant(st, sys, "time_t") == pytest.approx(1.2, abs=1e-15)
-    assert clairaut_constant(st, sys, "jacobi_s") == pytest.approx(0.6, abs=1e-15)
+    assert clairaut_constant(sys, st.x, st.p, "time_t") == pytest.approx(1.2, abs=1e-15)
+    assert clairaut_constant(sys, st.x, st.p, "jacobi_s") == pytest.approx(0.6, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +223,11 @@ def test_clairaut_mass_scaling():
 def test_turning_point_terminates_cleanly():
     sys = kepler()
     st = FlowState(0.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    traj = integrate(jacobi_flow(sys), st, 10.0, parameter_kind="jacobi_s")
+    traj = integrate(jacobi_flow(sys), st, 10.0)
     assert traj.termination == "turning_point"
     # the radial turning point of this launch is r = 2
-    assert traj.final.x[0] == pytest.approx(2.0, abs=1e-6)
-    assert np.all(np.isfinite(traj.positions))
+    assert traj.x[-1][0] == pytest.approx(2.0, abs=1e-6)
+    assert np.all(np.isfinite(traj.x))
 
 
 def test_hamilton_flow_crosses_turning_radius():
@@ -236,7 +235,7 @@ def test_hamilton_flow_crosses_turning_radius():
     st = FlowState(0.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     traj = integrate(hamilton_flow(sys), st, 3.0)
     assert traj.termination == "completed"
-    assert traj.final.p[0] < 0.0  # bounced back inward
+    assert traj.p[-1][0] < 0.0  # bounced back inward
 
 
 def test_domain_violation_terminates_cleanly():
@@ -244,7 +243,7 @@ def test_domain_violation_terminates_cleanly():
     sys = MechanicalSystem(g=gfield, U=lambda x: 0.0, m=1.0, grad_U=lambda x: np.zeros(1))
     traj = integrate(hamilton_flow(sys), FlowState(0.0, np.zeros(1), np.ones(1)), 5.0)
     assert traj.termination == "domain_violation"
-    assert traj.final.x[0] < 2.0
+    assert traj.x[-1][0] < 2.0
 
 
 def test_step_failure_carries_partial_trajectory():
@@ -256,8 +255,23 @@ def test_step_failure_carries_partial_trajectory():
     partial = info.value.trajectory
     assert isinstance(partial, Trajectory)
     assert partial.termination == "step_failure"
-    assert len(partial.states) > 10
-    assert partial.final.x[0] > 1.0
+    assert len(partial.params) > 10
+    assert partial.x[-1][0] > 1.0
+
+
+def test_step_failure_partial_trajectory_carries_every_monitor_column():
+    def blowup(t, x, p):
+        return np.array([x[0] ** 2]), np.array([0.0])
+
+    monitors = {"x": lambda t, x, p: x[0], "p": lambda t, x, p: p[0]}
+    with pytest.raises(StepFailure) as info:
+        integrate(blowup, FlowState(0.0, np.ones(1), np.zeros(1)), 2.0,
+                  monitor_fns=monitors, pacing=lambda t, x, p: 1.0)
+    partial = info.value.trajectory
+    assert list(partial.monitors) == ["x", "p", "pacing"]
+    for column in partial.monitors.values():
+        assert column.shape == partial.params.shape
+    np.testing.assert_array_equal(partial.monitors["x"], partial.x[:, 0])
 
 
 def test_integrate_rejects_bad_arguments():
@@ -312,9 +326,30 @@ def test_monitor_values_recorded_per_state():
         1.0,
         monitor_fns={"r": lambda t, x, p: x[0]},
     )
-    r = traj.monitor("r")
+    r = traj.monitors["r"]
     assert r.shape == traj.params.shape
-    np.testing.assert_array_equal(r, traj.positions[:, 0])
+    np.testing.assert_array_equal(r, traj.x[:, 0])
+
+
+@pytest.mark.parametrize("record_grid", [None, 16], ids=["accepted-steps", "record-grid"])
+def test_each_monitor_runs_once_per_recorded_state(record_grid):
+    calls = []
+    monitors = {"r": lambda t, x, p: calls.append(("r", t)) or x[0],
+                "p_r": lambda t, x, p: calls.append(("p_r", t)) or p[0]}
+    traj = integrate(hamilton_flow(kepler()), perihelion_state(), 1.0,
+                     monitor_fns=monitors, record_grid=record_grid)
+    assert len(traj.params) > 2
+    for name in monitors:
+        assert [t for called, t in calls if called == name] == traj.params.tolist()
+    np.testing.assert_array_equal(traj.monitors["p_r"], traj.p[:, 0])
+
+
+@pytest.mark.parametrize("params", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
+                         ids=["repeated", "decreasing"])
+def test_trajectory_refuses_parameters_that_do_not_increase(params):
+    n = len(params)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(np.array(params), np.zeros((n, 2)), np.zeros((n, 2)))
 
 
 def test_pacing_channel_accumulates():
@@ -323,8 +358,8 @@ def test_pacing_channel_accumulates():
     sys = kepler()
     st = FlowState(0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     pace = lambda t, x, p: 2.0 * sys.m * (sys.E - sys.potential(x))
-    traj = integrate(hamilton_flow(sys), st, 2.0, pacing=pace, pacing_name="s_of_t")
-    s = traj.monitor("s_of_t")
+    traj = integrate(hamilton_flow(sys), st, 2.0, pacing=pace)
+    s = traj.monitors["pacing"]
     np.testing.assert_allclose(s, traj.params, rtol=0, atol=1e-9)
 
 
@@ -333,7 +368,7 @@ def test_record_grid_controls_sampling():
     st = FlowState(0.0, np.zeros(2), np.ones(2))
     traj = integrate(hamilton_flow(sys), st, 1.0, record_grid=64)
     # initial state plus the 64 requested grid points
-    assert len(traj.states) == 65
+    assert len(traj.params) == 65
     np.testing.assert_allclose(np.diff(traj.params), 1.0 / 64.0, rtol=0, atol=1e-12)
 
 
@@ -362,7 +397,7 @@ def test_compare_paths_detects_perturbed_energy():
 def test_compare_paths_validation():
     sys = kepler()
     traj = integrate(hamilton_flow(sys), perihelion_state(), 1.0)
-    single = Trajectory([traj.states[0]], "time_t", "completed")
+    single = Trajectory(traj.params[:1], traj.x[:1], traj.p[:1], {}, "completed")
     with pytest.raises(EmptyTrajectory):
         compare_paths(single, traj)
     other = integrate(
@@ -392,10 +427,10 @@ def test_kepler_time_flow_is_reversible(E, e, share):
     # launch with flipped momenta (the largest miss on a 5 x 5 x 3 grid over
     # this box is 4.9e-8)
     start, T = kepler_launch(E, e, share)
-    there = integrate(hamilton_flow(kepler(E=E)), start, T).final
-    back = integrate(hamilton_flow(kepler(E=E)), FlowState(0.0, there.x, -there.p), T).final
-    np.testing.assert_allclose(back.x, start.x, rtol=0, atol=5e-7)
-    np.testing.assert_allclose(back.p, -start.p, rtol=0, atol=5e-7)
+    there = integrate(hamilton_flow(kepler(E=E)), start, T)
+    back = integrate(hamilton_flow(kepler(E=E)), FlowState(0.0, there.x[-1], -there.p[-1]), T)
+    np.testing.assert_allclose(back.x[-1], start.x, rtol=0, atol=5e-7)
+    np.testing.assert_allclose(back.p[-1], -start.p, rtol=0, atol=5e-7)
 
 
 def cartesian_kepler(k=1.0):
@@ -411,14 +446,14 @@ def test_kepler_path_is_the_same_on_polar_and_cartesian_charts(E, e, share):
     # the Cartesian run (the largest miss on a 4 x 4 x 3 grid over this box
     # is 7.5e-8)
     start, T = kepler_launch(E, e, share)
-    polar = integrate(hamilton_flow(kepler(E=E)), start, T).final
+    polar = integrate(hamilton_flow(kepler(E=E)), start, T)
     r0, p_phi0 = start.x[0], start.p[1]
     cartesian = integrate(hamilton_flow(cartesian_kepler()),
-                          FlowState(0.0, start.x, np.array([0.0, p_phi0 / r0])), T).final
-    (r, phi), (p_r, p_phi) = polar.x, polar.p
+                          FlowState(0.0, start.x, np.array([0.0, p_phi0 / r0])), T)
+    (r, phi), (p_r, p_phi) = polar.x[-1], polar.p[-1]
     c, s = np.cos(phi), np.sin(phi)
-    np.testing.assert_allclose(cartesian.x, [r * c, r * s], rtol=0, atol=1e-6)
-    np.testing.assert_allclose(cartesian.p, [p_r * c - p_phi / r * s, p_r * s + p_phi / r * c],
+    np.testing.assert_allclose(cartesian.x[-1], [r * c, r * s], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(cartesian.p[-1], [p_r * c - p_phi / r * s, p_r * s + p_phi / r * c],
                                rtol=0, atol=1e-6)
 
 
@@ -429,13 +464,14 @@ def test_kepler_scaling_maps_orbits_onto_orbits(lam, E, e, share):
     # one, with p_r -> lam^(-1/2) p_r and p_phi -> lam^(1/2) p_phi (the largest
     # miss on a 4 x 4 x 3 grid over this box at lam = 0.4 and 2.7 is 4.4e-11)
     start, T = kepler_launch(E, e, share)
-    base = integrate(hamilton_flow(kepler(E=E)), start, T).final
+    base = integrate(hamilton_flow(kepler(E=E)), start, T)
     scaled_start = FlowState(0.0, np.array([lam * start.x[0], 0.0]),
                              np.array([0.0, np.sqrt(lam) * start.p[1]]))
-    scaled = integrate(hamilton_flow(kepler(E=E / lam)), scaled_start, lam ** 1.5 * T).final
-    np.testing.assert_allclose([scaled.x[0] / lam, scaled.x[1]], base.x, rtol=0, atol=1e-8)
-    np.testing.assert_allclose([scaled.p[0] * np.sqrt(lam), scaled.p[1] / np.sqrt(lam)],
-                               base.p, rtol=0, atol=1e-8)
+    scaled = integrate(hamilton_flow(kepler(E=E / lam)), scaled_start, lam ** 1.5 * T)
+    (x_r, x_phi), (p_r, p_phi) = scaled.x[-1], scaled.p[-1]
+    np.testing.assert_allclose([x_r / lam, x_phi], base.x[-1], rtol=0, atol=1e-8)
+    np.testing.assert_allclose([p_r * np.sqrt(lam), p_phi / np.sqrt(lam)],
+                               base.p[-1], rtol=0, atol=1e-8)
 
 
 def test_max_relative_drift_helper():

@@ -111,19 +111,19 @@ def test_static_oscillator_projects_to_cosine():
     traj = integrate_lifted(lift, start, 20.0)
     assert traj.termination == "completed"
     proj = project(traj, lift)
-    worst = max(abs(s.x[0] - np.cos(s.param)) for s in proj.states)
+    worst = max(abs(x[0] - np.cos(t)) for t, x in zip(proj.params, proj.x))
     assert worst < 1e-6
     # projection passes positions and momenta through unchanged
-    np.testing.assert_array_equal(proj.positions[:, 0], traj.positions[:, 0])
+    np.testing.assert_array_equal(proj.x[:, 0], traj.x[:, 0])
 
 
 def test_static_dummy_momentum_conserved_bitwise():
     lift = lift_static(flat_metric(1), HARMONIC_V, m=1.0)
     start = embed_static(lift, np.array([0.3]), np.array([0.9]))
     traj = integrate_lifted(lift, start, 15.0)
-    pz = traj.monitor("p_dummy")
+    pz = traj.monitors["p_dummy"]
     assert np.all(pz == pz[0])
-    ee = traj.monitor("extended_energy")
+    ee = traj.monitors["extended_energy"]
     assert np.max(np.abs(ee - ee[0])) < 1e-7
 
 
@@ -132,9 +132,9 @@ def test_constant_profile_gives_free_extended_motion():
     lift = lift_static(flat_metric(1), lambda x: 0.5, m=1.0)
     start = embed_static(lift, np.array([0.0]), np.array([0.7]), z0=1.0)
     traj = integrate_lifted(lift, start, 5.0)
-    for s in traj.states:
+    for t, x in zip(traj.params, traj.x):
         np.testing.assert_allclose(
-            s.x, start.x + start.p * s.param, rtol=0, atol=1e-10
+            x, start.x + start.p * t, rtol=0, atol=1e-10
         )
 
 
@@ -166,7 +166,7 @@ def test_timedep_embedding_massive_shell():
     H0 = 0.5  # kinetic 0 + U(1, 0)
     assert start.p[1] == pytest.approx(H0 + 0.5, abs=1e-15)
     assert start.p[2] == 1.0
-    assert abs(lifted_energy_relation(lift, start)) < 1e-12
+    assert abs(lifted_energy_relation(lift, start.x, start.p)) < 1e-12
 
 
 def test_timedep_embedding_validation():
@@ -181,7 +181,8 @@ def test_timedep_embedding_validation():
     with pytest.raises(ValueError):
         embed_time_dependent(static, np.array([1.0]), np.array([0.0]), q=1.0)
     with pytest.raises(ValueError):
-        lifted_energy_relation(static, embed_static(static, np.array([1.0]), np.array([0.0])))
+        start = embed_static(static, np.array([1.0]), np.array([0.0]))
+        lifted_energy_relation(static, start.x, start.p)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +196,12 @@ def test_driven_oscillator_conservation_census():
     lift = driven_lift()
     start = embed_time_dependent(lift, np.array([1.0]), np.array([0.0]), q=1.0)
     traj = integrate_lifted(lift, start, DRIVEN_SPAN)
-    ps = traj.monitor("p_dummy")
+    ps = traj.monitors["p_dummy"]
     assert np.all(ps == ps[0])
-    assert np.max(np.abs(traj.monitor("shell_residual"))) < 1e-7
-    ee = traj.monitor("extended_energy")
+    assert np.max(np.abs(traj.monitors["shell_residual"])) < 1e-7
+    ee = traj.monitors["extended_energy"]
     assert np.max(np.abs(ee - ee[0])) < 1e-7
-    pt = np.array([s.p[1] for s in traj.states])
+    pt = traj.p[:, 1]
     assert np.max(np.abs(pt - pt[0])) > 1e-3
 
 
@@ -210,9 +211,9 @@ def test_undriven_lift_also_conserves_time_momentum():
     lift = lift_time_dependent(flat_metric(1), U_static, m=1.0, c=1.0)
     start = embed_time_dependent(lift, np.array([1.0]), np.array([0.0]), q=1.0)
     traj = integrate_lifted(lift, start, 20.0)
-    pt = np.array([s.p[1] for s in traj.states])
+    pt = traj.p[:, 1]
     assert np.max(np.abs(pt - pt[0])) < 1e-8
-    ps = traj.monitor("p_dummy")
+    ps = traj.monitors["p_dummy"]
     assert np.all(ps == ps[0])
 
 
@@ -237,7 +238,7 @@ def test_projection_matches_direct_integration():
     )
     assert compare_paths(proj, direct_traj) < 1e-5
     # the projected parameter is physical time read off the lifted state
-    assert proj.states[-1].param == pytest.approx(DRIVEN_SPAN, abs=1e-8)
+    assert proj.params[-1] == pytest.approx(DRIVEN_SPAN, abs=1e-8)
 
 
 def test_null_shell_flow_is_null():
@@ -247,15 +248,15 @@ def test_null_shell_flow_is_null():
     )
     assert abs(lifted_hamiltonian(lift, start.x, start.p)) < 1e-15
     traj = integrate_lifted(lift, start, DRIVEN_SPAN)
-    assert np.max(np.abs(traj.monitor("extended_energy"))) < 1e-8
+    assert np.max(np.abs(traj.monitors["extended_energy"])) < 1e-8
     # the sigma momentum satisfies its closed-form expression in H and p_t
     worst = 0.0
-    for s in traj.states:
-        q = s.p[2] / lift.c
-        p_mech = -(lift.m / q) * s.p[:1]
-        H = float(p_mech @ p_mech) / (2.0 * lift.m) + DRIVEN_U(s.x[:1], s.x[1])
-        got = sigma_momentum_identity(H, s.p[1], q, lift.m, lift.c)
-        worst = max(worst, abs(got - s.p[2]))
+    for x, p in zip(traj.x, traj.p):
+        q = p[2] / lift.c
+        p_mech = -(lift.m / q) * p[:1]
+        H = float(p_mech @ p_mech) / (2.0 * lift.m) + DRIVEN_U(x[:1], x[1])
+        got = sigma_momentum_identity(H, p[1], q, lift.m, lift.c)
+        worst = max(worst, abs(got - p[2]))
     assert worst < 1e-8
 
 

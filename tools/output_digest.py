@@ -6,7 +6,9 @@ For each seed and each workload of ``perfbench/plan.py``, every task of the
 plan runs once through ``jacobiflow.cli.main``, imported from DIR (the
 directory that holds the ``jacobiflow`` package), in a temporary directory.
 The tool prints the number of files written, one sha256 over all of them
-(relative paths and bytes, in sorted path order) and the exit codes.
+(relative paths and bytes, in sorted path order) and the exit codes, then the
+line count of DIR/jacobiflow/*.py (as ``wc -l`` counts it), the source size
+the ROADMAP tracks.
 
 Run it on two checkouts, each with its own ``--src``: equal output means the
 CLI writes the same bytes and exits the same way on every planned task.  Two
@@ -91,6 +93,8 @@ def main(argv=None):
     print(f"sha256: {sha}")
     for key, task_codes in codes.items():
         print(f"exit codes {key}: {task_codes}")
+    lines = sum(path.read_bytes().count(b"\n") for path in Path(args.src).glob("jacobiflow/*.py"))
+    print(f"source lines: {lines}")
     return 0
 
 
