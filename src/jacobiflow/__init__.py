@@ -21,7 +21,6 @@ from .metric import (
     evaluate_metric,
     invert_metric,
     metric_partials,
-    inverse_metric_partials,
     flat_metric,
     polar_metric,
 )

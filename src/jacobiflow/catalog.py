@@ -15,7 +15,7 @@ Conventions per entry (checked by the test suite):
   (Schwarzschild), 2m where the reference omits it (Bertrand, Kerr).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -53,7 +53,6 @@ class CatalogEntry:
     rel_ratio: float = 1.0
     nonrel_ratio: float = 1.0
     sample_ranges: tuple = ()
-    metadata: Dict = field(default_factory=dict)
 
 
 def spacetime_from_entry(entry):
@@ -63,7 +62,6 @@ def spacetime_from_entry(entry):
         Vsq=entry.Vsq,
         m=entry.params["m"],
         c=entry.params.get("c", 1.0),
-        name=entry.name,
     )
 
 
@@ -251,7 +249,6 @@ def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand"):
         rel_ratio=1.0,
         nonrel_ratio=2.0 * m,
         sample_ranges=(tuple(r_range), (0.3, np.pi - 0.3), (0.0, 2.0 * np.pi)),
-        metadata={"Gamma": Gamma, "h": h},
     )
 
 
@@ -290,8 +287,8 @@ def kerr(M, a, m, G=1.0, c=1.0):
 
     Delta = r^2 - 2GMr + a^2, rho^2 = r^2 + a^2 cos^2(theta).  The chart
     excludes Delta <= 0; the redshift-zero surface rho^2 = 2GMr is rejected
-    by the relativistic factor.  The phi-t cross term is carried in metadata
-    but takes no part in the conformal factor.
+    by the relativistic factor.  The phi-t cross term takes no part in the
+    conformal factor.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -338,10 +335,6 @@ def kerr(M, a, m, G=1.0, c=1.0):
         factor = E + 2.0 * G * M * r / rho2(r, th)
         return factor * np.diag(diagonal(r, th))
 
-    def cross_term(x):
-        r, th = x[0], x[1]
-        return -2.0 * G * M * a * r * np.sin(th) ** 2 / rho2(r, th)
-
     r_lo = max(2.1 * G * M, 1.1 * (G * M + np.sqrt(max(G * G * M * M - a * a, 0.0))))
     if r_lo == 0.0:
         r_lo = 0.5
@@ -356,7 +349,6 @@ def kerr(M, a, m, G=1.0, c=1.0):
         rel_ratio=1.0,
         nonrel_ratio=2.0 * m,
         sample_ranges=((r_lo, r_lo + 10.0), (0.3, np.pi - 0.3), (0.0, 2.0 * np.pi)),
-        metadata={"Delta": delta, "rho2": rho2, "cross_term_tphi": cross_term},
     )
 
 

@@ -2,15 +2,19 @@
 
 Subcommands: transform (factor on a radial grid), orbit (integrate one flow),
 compare (time flow vs rescaled flow), curvature (radial scan), lift (extended
-flow plus projection check), catalog (list entries).  A scenario file is a
-JSON object holding only the keys KEYS lists; values given there override
-the corresponding flags and must take the shapes and choices the flags
-take.  Exactly one parameter may be list-valued; its values then run one by
-one in list order, through the same code as a single run, and output files
-gain a zero-padded index suffix.
+flow plus projection check), catalog (list entries).  build_parser states the
+contract once: each subcommand takes only the flags its run reads, each
+flag's dest names the scenario entry it sets ('params.E', 'grid.r_min') and
+each default is given there.  A scenario file is a JSON object holding only
+the entries of its subcommand's flags (and a task, which must be that
+subcommand); its values override the flags and must take the shapes and
+choices the flags take.  Exactly one parameter may be list-valued; its
+values then run one by one in list order, through the same code as a single
+run, and output files gain a zero-padded index suffix.
 
-Exit codes: 0 success, 2 refused input (any ValueError, or a launch outside
-the chart or at a turning point; one 'error:' line on stderr), 3 clean
+Exit codes: 0 success, 2 refused input (a parser refusal, a parameter the
+system or lift does not read, any other ValueError, or a launch outside the
+chart or at a turning point; one 'error:' line on stderr), 3 clean
 numerical termination (turning point or chart violation, reported in the
 summary metadata), 4 step failure; a sweep exits with its largest leg code.
 All numeric output is written with 17 significant digits and LF line
@@ -56,17 +60,28 @@ from .transforms import (
     weak_field_spacetime,
 )
 
-TASKS = ("transform", "orbit", "compare", "curvature", "lift", "catalog")
+TASKS = {
+    "transform": "evaluate a rescaling factor on a radial grid",
+    "orbit": "integrate one flow and track its invariants",
+    "compare": "run the time flow and the rescaled flow, report path deviation",
+    "curvature": "radial curvature scan with orbit classification",
+    "lift": "integrate an extended lift and check the projection",
+    "catalog": "list the built-in spacetime families",
+}
 PARAM_FLAGS = ("E", "E_rel", "q", "M", "a", "k", "m", "c", "lam", "G", "amp", "kappa")
+# the parameters each inline system and each lift reads
+INLINE_SYSTEMS = {"kepler": ("k", "m"), "oscillator": ("lam", "m"), "free": ("m",)}
+LIFT_KINDS = {"static": ("m", "lam", "kappa"), "timedep": ("m", "lam", "amp", "q", "c")}
 # the parser's choices, which scenario files keep to as well; each default is the first
-CHOICES = {"task": TASKS, "flow": ("hamilton", "jacobi"),
-           "form": ("classical", "relativistic"), "kind": ("static", "timedep")}
-# the keys a scenario may hold: at top level (""), and inside each object entry
-KEYS = {"": ("task", "system", "params", "integration", "output", "flow", "form", "kind",
-             "samples", "grid"),
-        "params": PARAM_FLAGS, "integration": ("rtol", "atol", "span", "record", "initial"),
-        "output": ("dir", "prefix"), "grid": ("grid_min", "grid_max", "r_min", "r_max")}
-INLINE_SYSTEMS = ("kepler", "oscillator", "free")
+CHOICES = {"flow": ("hamilton", "jacobi"), "form": ("classical", "relativistic"),
+           "kind": tuple(LIFT_KINDS)}
+_SYSTEMS = {p for _, req, opt, _ in CATALOG.values() for p in req + opt}.union(
+    *INLINE_SYSTEMS.values())
+# the parameter flags of each subcommand: those its systems or lifts read, and its
+# own (E; for transform also E_rel and the c of the relativistic weak field)
+TASK_PARAMS = {"transform": _SYSTEMS | {"E", "E_rel", "c"}, "orbit": _SYSTEMS | {"E"},
+               "compare": _SYSTEMS | {"E"}, "curvature": {"k", "E"},
+               "lift": set().union(*LIFT_KINDS.values()), "catalog": set()}
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_TERMINATED = 3
@@ -86,93 +101,91 @@ def fmt(value):
 PARAM_DEFAULTS = {"k": 1.0, "m": 1.0, "lam": 1.0, "q": 1.0, "amp": 0.1, "c": 1.0, "kappa": 2.0}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals raise ValueError, so that they leave
+    main through the one exit path of every refused input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _initial(text):
+    """The --initial flag 'x1,..,xn,p1,..,pn' as integration.initial."""
+    try:
+        x, p = np.split(np.array(text.split(","), dtype=float), 2)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "initial needs an even-length flat list of numbers, x then p") from None
+    return {"x": x.tolist(), "p": p.tolist()}
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The whole command-line contract: each subcommand takes the flags its
+    run reads, and each flag's dest names the scenario entry it sets."""
+    parser = _Parser(
         prog="jacobi-flow",
         description="transform mechanical systems to rescaled geodesic form, "
                     "integrate both pictures, and check their invariants",
     )
-    blurbs = {
-        "transform": "evaluate a rescaling factor on a radial grid",
-        "orbit": "integrate one flow and track its invariants",
-        "compare": "run the time flow and the rescaled flow, report path deviation",
-        "curvature": "radial curvature scan with orbit classification",
-        "lift": "integrate an extended lift and check the projection",
-        "catalog": "list the built-in spacetime families",
-    }
+    systems = {"curvature": "kepler, the one profile it scans",
+               "catalog": "the one entry to list (default: all)"}
     sub = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS:
-        p = sub.add_parser(task, help=blurbs[task], description=blurbs[task])
-        p.add_argument("--scenario", help="JSON scenario file; entries override flags")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--prefix", help="output file prefix (default: task name)")
-        p.add_argument("--rtol", type=float, default=1e-9,
-                       help="relative integration tolerance (default 1e-9)")
-        p.add_argument("--atol", type=float, default=1e-12,
-                       help="absolute integration tolerance (default 1e-12)")
-        p.add_argument("--system", help="catalog name or one of: " + ", ".join(INLINE_SYSTEMS))
+    for task, blurb in TASKS.items():
+        flag = sub.add_parser(task, help=blurb, description=blurb).add_argument
+        flag("--scenario", help="JSON scenario file; entries override flags")
+        if task != "lift":
+            flag("--system", help=systems.get(
+                task, "catalog name or one of: " + ", ".join(INLINE_SYSTEMS)))
+        if task == "catalog":
+            continue
+        flag("--out", dest="output.dir", default=".",
+             help="output directory (default %(default)s)")
+        flag("--prefix", dest="output.prefix", default=task,
+             help="output file prefix (default %(default)s)")
+        flag("--rtol", dest="integration.rtol", type=float, default=1e-9,
+             help="relative integration tolerance (default %(default)s)")
+        flag("--atol", dest="integration.atol", type=float, default=1e-12,
+             help="absolute integration tolerance (default %(default)s)")
         for name in PARAM_FLAGS:
-            p.add_argument("--" + name.replace("_", "-"), type=float, dest=name,
-                           help=f"system parameter {name}")
-        p.add_argument("--span", type=float,
-                       help="integration span (default: one characteristic period)")
-        p.add_argument("--initial", help="flat list 'x1,..,xn,p1,..,pn'")
-        p.add_argument("--record", type=int,
-                       help="dense output samples (0: accepted steps; orbit only)")
-        if task == "orbit":
-            p.add_argument("--flow", choices=CHOICES["flow"], default="hamilton",
-                           help="which generator to integrate (default hamilton)")
-        if task == "transform":
-            p.add_argument("--form", choices=CHOICES["form"], default="classical",
-                           help="which rescaling to evaluate (default classical)")
-            p.add_argument("--grid-min", type=float, dest="grid_min",
-                           help="first radius of the grid")
-            p.add_argument("--grid-max", type=float, dest="grid_max",
-                           help="last radius of the grid")
-            p.add_argument("--samples", type=int, default=100,
-                           help="grid size (default 100)")
-        if task == "curvature":
-            p.add_argument("--r-min", type=float, dest="r_min", default=0.5,
-                           help="first radius of the scan (default 0.5)")
-            p.add_argument("--r-max", type=float, dest="r_max", default=5.0,
-                           help="last radius of the scan (default 5.0)")
-            p.add_argument("--samples", type=int, default=100,
-                           help="scan size (default 100)")
-        if task == "lift":
-            p.add_argument("--kind", choices=CHOICES["kind"], default="static",
-                           help="which lift to run (default static)")
+            if name in TASK_PARAMS[task]:
+                flag("--" + name.replace("_", "-"), type=float, dest="params." + name,
+                     help=f"system parameter {name}")
+        if task in ("orbit", "compare", "lift"):
+            flag("--span", dest="integration.span", type=float,
+                 default=20.0 if task == "lift" else None, help="integration span" + (
+                     " (default %(default)s)" if task == "lift" else " (default: one period)"))
+            flag("--initial", dest="integration.initial", type=_initial,
+                 help="flat list 'x1,..,xn,p1,..,pn'")
+            flag("--record", dest="integration.record", type=int,
+                 default=None if task == "orbit" else 8000, help="dense output samples" + (
+                     " (0 or absent: the accepted steps)" if task == "orbit"
+                     else " (default %(default)s)"))
+        choice = {"orbit": "flow", "transform": "form", "lift": "kind"}.get(task)
+        if choice:
+            flag("--" + choice, choices=CHOICES[choice], default=CHOICES[choice][0],
+                 help=f"the {choice} to run (default %(default)s)")
+        if task in ("transform", "curvature"):
+            bounds = ("grid_min", "grid_max") if task == "transform" else ("r_min", "r_max")
+            for bound, default in zip(bounds, (0.5, 5.0)):
+                flag("--" + bound.replace("_", "-"), dest="grid." + bound, type=float,
+                     default=default, help="first or last radius (default %(default)s)")
+            flag("--samples", type=int, default=100, help="grid size (default %(default)s)")
     return parser
 
 
 def scenario_from_args(args):
-    """Merge flags and (optionally) a scenario file; the file wins."""
-    params = {name: getattr(args, name) for name in PARAM_FLAGS
-              if getattr(args, name, None) is not None}
-    scn = {
-        "task": args.task,
-        "system": args.system,
-        "params": params,
-        "integration": {"rtol": args.rtol, "atol": args.atol},
-        "output": {"dir": args.out, "prefix": args.prefix or args.task},
-    }
-    if getattr(args, "span", None) is not None:
-        scn["integration"]["span"] = args.span
-    if getattr(args, "record", None) is not None:
-        scn["integration"]["record"] = args.record
-    if getattr(args, "initial", None):
-        flat = [float(v) for v in args.initial.split(",")]
-        if len(flat) % 2:
-            raise ValueError("initial needs an even-length flat list of x then p")
-        half = len(flat) // 2
-        scn["integration"]["initial"] = {"x": flat[:half], "p": flat[half:]}
-    for extra in ("flow", "form", "kind", "samples"):
-        if getattr(args, extra, None) is not None:
-            scn[extra] = getattr(args, extra)
-    for bound in ("grid_min", "grid_max", "r_min", "r_max"):
-        if getattr(args, bound, None) is not None:
-            scn.setdefault("grid", {})[bound] = getattr(args, bound)
-    if args.scenario:
-        path = Path(args.scenario)
+    """The scenario the flags set, each at the entry its dest names, with a
+    scenario file's entries over them; the file may hold only those entries."""
+    given = dict(vars(args))
+    path = given.pop("scenario")
+    scn = {}
+    for dest, value in given.items():
+        box, _, key = dest.rpartition(".")
+        entries = scn.setdefault(box, {}) if box else scn
+        if value is not None:
+            entries[key] = value
+    if path:
+        path = Path(path)
         if not path.exists():
             raise ValueError(f"scenario file not found: {path}")
         try:
@@ -182,25 +195,24 @@ def scenario_from_args(args):
         if not isinstance(overrides, dict):
             raise ValueError("a scenario file must hold a JSON object")
         for key, value in overrides.items():
-            if isinstance(value, dict) and isinstance(scn.get(key), dict):
-                scn[key].update(value)
-            else:
-                scn[key] = value
-    _check_scenario(scn)
+            box = isinstance(scn.get(key), dict)  # params, grid, integration, output
+            if box and not isinstance(value, dict):
+                raise ValueError(f"{key} must be an object, got {value!r}")
+            for entry in [f"{key}.{name}" for name in value] if box else [key]:
+                if entry not in given:
+                    raise ValueError(f"unknown scenario key {entry} "
+                                     f"(one of: {', '.join(sorted(given))})")
+            scn[key] = {**scn[key], **value} if box else value
+    _check_scenario(scn, given["task"])
     return scn
 
 
-def _check_scenario(scn):
-    """Refuse entries of another shape than the flags give, or off their choices."""
-    for key in ("params", "integration", "output", "grid"):
-        if not isinstance(scn.get(key, {}), dict):
-            raise ValueError(f"{key} must be an object, got {scn[key]!r}")
-    for box, keys in KEYS.items():
-        for key in scn.get(box, {}) if box else scn:
-            if key not in keys:
-                raise ValueError(f"unknown scenario key {box + '.' if box else ''}{key} "
-                                 f"(one of: {', '.join(keys)})")
-    init = scn["integration"].get("initial") or {"x": [], "p": []}
+def _check_scenario(scn, task):
+    """Refuse a task other than the subcommand's, entries of another shape
+    than the flags give, and values off their choices."""
+    if scn["task"] != task:
+        raise ValueError(f"the scenario is for task {scn['task']!r}, not {task!r}")
+    init = scn.get("integration", {}).get("initial") or {"x": [], "p": []}
     if not (isinstance(init, dict) and all(isinstance(init.get(c), list) for c in "xp")
             and len(init["x"]) == len(init["p"])):
         raise ValueError(f"integration.initial must hold lists x and p of one length: {init!r}")
@@ -217,10 +229,10 @@ def _check_scenario(scn):
             raise ValueError(f"{where} must be a number, got {value!r}")
         if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int past any float
             raise ValueError(f"{where} must be finite, got {value!r}")
-    names = {f"output.{key}": value for key, value in scn["output"].items()}
+    names = {f"output.{key}": value for key, value in scn.get("output", {}).items()}
     for where, value in {**names, "system": scn.get("system") or ""}.items():
-        if not isinstance(value, str):
-            raise ValueError(f"{where} must be a string, got {value!r}")
+        if not isinstance(value, str) or where == "output.prefix" and not value:
+            raise ValueError(f"{where} must be a non-empty string, got {value!r}")
     for key, choices in CHOICES.items():
         if key in scn and scn[key] not in choices:
             raise ValueError(f"unknown {key} {scn[key]!r} (one of: {', '.join(choices)})")
@@ -234,29 +246,41 @@ def require(scn, field):
 
 def _param(scn, name):
     """The scenario's value of a parameter with a default, or the default."""
-    return scn.get("params", {}).get(name, PARAM_DEFAULTS[name])
+    return scn["params"].get(name, PARAM_DEFAULTS[name])
+
+
+def _refuse_unread(scn, reads, what):
+    """Refuse the scenario parameters outside reads, those that `what` reads."""
+    unread = [name for name in scn["params"] if name not in reads]
+    if unread:
+        raise ValueError(f"{what} does not take: {', '.join(unread)}")
 
 
 # ----------------------------------------------------------------------
 # system construction
 
 
-def build_catalog_entry(scn):
-    """The catalog entry named by the scenario, built from the params its
-    family takes; a missing or refused parameter raises ValueError."""
-    name = scn["system"]
-    params = scn.get("params", {})
-    _, required, optional, _ = CATALOG[name]
-    return catalog_entry(name, **{p: params[p] for p in required + optional
-                                  if p in params})
+def build_catalog_entry(scn, own):
+    """The catalog entry named by the scenario, built from every parameter
+    but the task's own ones; a missing or refused parameter raises ValueError."""
+    return catalog_entry(scn["system"], **{name: value for name, value in scn["params"].items()
+                                           if name not in own})
 
 
-def build_mechanical(scn, need_energy=True):
-    """MechanicalSystem from the scenario's system name and params."""
+def build_mechanical(scn, own=("E",)):
+    """MechanicalSystem from the scenario's system name and params.  own names
+    the parameters the task reads itself, E (the energy label) among them
+    unless the task has none; the system must read every other one."""
     name = scn.get("system")
     if not name:
         raise ValueError("missing required field 'system'")
-    E = require(scn, "E") if need_energy else scn.get("params", {}).get("E")
+    E = require(scn, "E") if "E" in own else None
+    if name in CATALOG:
+        return mechanical_system_from_entry(build_catalog_entry(scn, own), E=E)
+    if name not in INLINE_SYSTEMS:
+        raise ValueError(f"unknown system '{name}' (inline: {', '.join(INLINE_SYSTEMS)}; "
+                         f"catalog: {', '.join(sorted(CATALOG))})")
+    _refuse_unread(scn, own + INLINE_SYSTEMS[name], f"system '{name}'")
     m = _param(scn, "m")
     if name == "kepler":
         k = _param(scn, "k")
@@ -272,15 +296,9 @@ def build_mechanical(scn, need_energy=True):
         return MechanicalSystem(
             g=polar_metric(), U=lambda x: 0.5 * lam * x[0] ** 2, m=m, E=E,
             grad_U=lambda x: np.array([lam * x[0], 0.0]), name="oscillator")
-    if name == "free":
-        return MechanicalSystem(
-            g=flat_metric(2), U=lambda x: 0.0, m=m, E=E,
-            grad_U=lambda x: np.zeros(2), name="free")
-    if name in CATALOG:
-        return mechanical_system_from_entry(build_catalog_entry(scn), E=E)
-    raise ValueError(f"unknown system '{name}' (inline: "
-                     + ", ".join(INLINE_SYSTEMS)
-                     + "; catalog: " + ", ".join(sorted(CATALOG)) + ")")
+    return MechanicalSystem(
+        g=flat_metric(2), U=lambda x: 0.0, m=m, E=E,
+        grad_U=lambda x: np.zeros(2), name="free")
 
 
 def _given_launch(scn):
@@ -296,7 +314,7 @@ def default_initial(scn, sys):
     start = _given_launch(scn)
     if start is not None:
         return start
-    E = scn.get("params", {}).get("E")
+    E = scn["params"].get("E")
     if sys.name == "kepler" and E is not None and E < 0:
         # perihelion of the eccentricity-1/2 orbit at this energy
         k = _param(scn, "k")
@@ -330,7 +348,7 @@ def _require_on_shell(sys, start):
 def default_span(scn, sys):
     if scn["integration"].get("span") is not None:
         return float(scn["integration"]["span"])
-    E = scn.get("params", {}).get("E")
+    E = scn["params"].get("E")
     if sys.name == "kepler" and E is not None and E < 0:
         k = _param(scn, "k")
         a = k / (2.0 * abs(E))
@@ -368,7 +386,7 @@ def write_summary(path, scn, extra):
         "scipy": scipy.__version__,
         "task": scn["task"],
         "system": scn.get("system"),
-        "params": scn.get("params", {}),
+        "params": scn["params"],
         "rtol": scn["integration"]["rtol"],
         "atol": scn["integration"]["atol"],
     }
@@ -379,9 +397,9 @@ def write_summary(path, scn, extra):
 
 def _write_outputs(scn, header, rows, extra):
     """Write <prefix>.csv and <prefix>_summary.json; returns the CSV path."""
-    out_dir = Path(scn["output"].get("dir", "."))
+    out_dir = Path(scn["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = scn["output"].get("prefix") or scn["task"]
+    prefix = scn["output"]["prefix"]
     csv_path = out_dir / f"{prefix}.csv"
     write_csv(csv_path, header, rows)
     write_summary(out_dir / f"{prefix}_summary.json", scn, extra)
@@ -402,9 +420,8 @@ def exit_code_for(termination):
 
 def radial_grid(scn, lo_key, hi_key):
     """The scenario's radii: samples >= 2 points from lo to hi, 0 < lo < hi."""
-    grid = scn.get("grid", {})
-    lo, hi = grid.get(lo_key, 0.5), grid.get(hi_key, 5.0)
-    samples = int(scn.get("samples", 100))
+    lo, hi = scn["grid"][lo_key], scn["grid"][hi_key]
+    samples = int(scn["samples"])
     if not (hi > lo > 0) or samples < 2:
         raise ValueError(f"{scn['task']} needs 0 < {lo_key} < {hi_key} "
                          "and samples >= 2")
@@ -430,17 +447,17 @@ def _radial_scan(radii, row_at):
 
 
 def run_transform(scn):
-    form = scn.get("form", "classical")
+    form = scn["form"]
     radii = radial_grid(scn, "grid_min", "grid_max")
     if form == "classical":
         sys = build_mechanical(scn)
         conf = jacobi_nonrelativistic(sys)
     else:
         E_rel = require(scn, "E_rel")
-        if scn["system"] in CATALOG:
-            st = spacetime_from_entry(build_catalog_entry(scn))
+        if scn.get("system") in CATALOG:
+            st = spacetime_from_entry(build_catalog_entry(scn, own=("E_rel",)))
         else:
-            sys = build_mechanical(scn, need_energy=False)
+            sys = build_mechanical(scn, own=("E_rel", "c"))
             st = weak_field_spacetime(sys.g, sys.U, m=sys.m, c=_param(scn, "c"))
         conf = jacobi_relativistic_stationary(st, E_rel)
     rows, skipped = _radial_scan(
@@ -460,7 +477,7 @@ def run_orbit(scn):
     start = default_initial(scn, sys)
     span = default_span(scn, sys)
     integration = scn["integration"]
-    flow_kind = scn.get("flow", "hamilton")
+    flow_kind = scn["flow"]
     record = integration.get("record")
     grid = int(record) if record else None
     monitors = {"energy": lambda t, x, p: energy_from_state(sys, x, p)}
@@ -505,7 +522,7 @@ def run_compare(scn):
     _require_on_shell(sys, start)
     span = default_span(scn, sys)
     integration = scn["integration"]
-    record = int(integration.get("record", 8000))
+    record = int(integration["record"])
     if record < PATH_SAMPLES:
         # compare_paths resamples to PATH_SAMPLES points: fewer states would
         # compare chords, not paths
@@ -556,16 +573,14 @@ def run_curvature(scn):
 
 
 def run_lift(scn):
-    if scn.get("system") is not None:
-        raise ValueError(f"lift runs its own oscillator, not '{scn['system']}'")
-    kind = scn.get("kind", "static")
+    kind = scn["kind"]
+    _refuse_unread(scn, LIFT_KINDS[kind], f"the {kind} lift")
     integration = scn["integration"]
     m = _param(scn, "m")
     launch = _given_launch(scn) or FlowState(0.0, np.array([1.0]), np.array([0.0]))
     x0, p0, dim = launch.x, launch.p, launch.x.size
-    # the scenario check refuses a null span or record, so 0 is never a default
-    span = integration.get("span", 20.0)
-    record = int(integration.get("record", 8000))
+    span = integration["span"]
+    record = int(integration["record"])
     lam = _param(scn, "lam")
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam!r}")
@@ -648,7 +663,7 @@ def expand_sweep(scn):
         raise ValueError("only one parameter may be list-valued, got: "
                          + ", ".join(sorted(swept)))
     name = swept[0]
-    prefix = scn["output"].get("prefix") or scn["task"]
+    prefix = scn["output"]["prefix"]
     items = []
     for i, value in enumerate(params[name]):
         item = json.loads(json.dumps(scn))  # deep copy of plain data
@@ -688,9 +703,8 @@ def _exit_code(run, *args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     # run_scenario is looked up at call time, so a wrapper on it sees every run
-    return _exit_code(lambda: run_scenario(scenario_from_args(args)))
+    return _exit_code(lambda: run_scenario(scenario_from_args(build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

@@ -116,17 +116,13 @@ def lift_static(g, V, m, kappa=2.0):
                         extended=extended, inverse=inverse, kappa=float(kappa))
 
 
-def lift_time_dependent(g, U, gauge=None, /, m=1.0, c=1.0):
+def lift_time_dependent(g, U, *, m=1.0, c=1.0):
     """Time-dependent lift over (x, t, sigma) honoring the printed signature
     c^2 V^2 dt^2 + 2c dt dsigma - g_ij dx^i dx^j with V^2 = 2U/(m c^2).
 
     U(x, t) is the (possibly non-autonomous) potential; g may itself be
-    time-dependent.  The lift carries no gauge one-form: the third positional
-    slot is kept for existing calls that pass None there, and anything else
-    raises ValueError.
+    time-dependent.  The lift carries no gauge one-form.
     """
-    if gauge is not None:
-        raise ValueError("the time-dependent lift carries no gauge one-form")
     if m <= 0:
         raise ValueError("m must be positive")
     if c <= 0:

@@ -174,23 +174,12 @@ def metric_partials(field, x, t=None):
 
 
 def _inverse_partials(field, x, t=None, ginv=None):
-    """inverse_metric_partials on an already validated chart point."""
+    """Partial derivatives of the inverse metric at a validated chart point,
+    D[k, i, j] = d g^ij / d x^k, from d(g^-1) = -g^-1 (dg) g^-1."""
     if ginv is None:
         ginv = invert_metric(_evaluate(field, x, t))
     dg = _partials(field, x, t)
     return np.array([-(ginv @ dg[k] @ ginv) for k in range(field.dim)])
-
-
-def inverse_metric_partials(field, x, t=None, ginv=None):
-    """Partial derivatives of the inverse metric: D[k, i, j] = d g^ij / d x^k.
-
-    Computed from the identity d(g^-1) = -g^-1 (dg) g^-1 so analytic partials
-    of the components are reused when present.  The point must satisfy the
-    dimension check and the domain guard, also when ginv is given.
-    """
-    x = coordinate_point(x)
-    _check_point(field, x)
-    return _inverse_partials(field, x, t, ginv)
 
 
 # ======================================================================

@@ -54,7 +54,6 @@ class StationarySpacetime:
     Vsq: Callable
     m: float = 1.0
     c: float = 1.0
-    name: str = ""
 
     def __post_init__(self):
         if not self.c > 0:
@@ -133,14 +132,14 @@ def jacobi_relativistic_stationary(st, Erel):
     return ConformalMetric(base=st.g, factor=factor)
 
 
-def weak_field_spacetime(g, U, m, c, name=""):
+def weak_field_spacetime(g, U, m, c):
     """Stationary spacetime whose temporal factor encodes a weak potential:
     V^2 = 1 + 2U/(m c^2)."""
 
     def Vsq(x):
         return 1.0 + 2.0 * U(x) / (m * c * c)
 
-    return StationarySpacetime(g=g, Vsq=Vsq, m=m, c=c, name=name)
+    return StationarySpacetime(g=g, Vsq=Vsq, m=m, c=c)
 
 
 def nonrelativistic_limit_factor(st, E_nr):

@@ -322,7 +322,7 @@ def driven_potential(x, t):
 
 
 def test_time_dependent_lift_conservation_and_projection():
-    lifted = lift_time_dependent(flat_metric(1), driven_potential, None, m=1.0, c=1.0)
+    lifted = lift_time_dependent(flat_metric(1), driven_potential, m=1.0, c=1.0)
     start = embed_time_dependent(lifted, np.array([1.0]), np.array([0.0]), q=1.0)
 
     # conservation over ten characteristic times, with step control tight

@@ -116,11 +116,11 @@ def test_bertrand_flat_profile_reduces_to_energy_factor():
 def test_kerr_values():
     entry = kerr(M=1.0, a=1.0, m=1.0)
     x = np.array([4.0, np.pi / 2, 0.0])
-    assert entry.metadata["rho2"](4.0, np.pi / 2) == pytest.approx(16.0, abs=1e-13)
-    assert entry.metadata["Delta"](4.0) == pytest.approx(9.0, abs=1e-13)
+    # Delta = 9 and rho^2 = 16 here: diag(rho^2 / Delta, rho^2, g_phiphi)
+    np.testing.assert_allclose(evaluate_metric(entry.spatial, x),
+                               np.diag([16.0 / 9.0, 16.0, 17.5]), rtol=1e-14)
     assert entry.Vsq(x) == pytest.approx(0.5, abs=1e-14)
     assert entry.U(x) == pytest.approx(-0.5, abs=1e-14)
-    assert entry.metadata["cross_term_tphi"](x) == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_kerr_ergo_and_horizon_guards():
@@ -283,4 +283,3 @@ def test_spacetime_view_carries_parameters():
     st = spacetime_from_entry(entry)
     assert st.m == 2.0
     assert st.c == 3.0
-    assert st.name == entry.name

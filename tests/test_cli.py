@@ -1,6 +1,7 @@
 """Command-line front end: scenarios, outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,10 +315,31 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     ["compare", "--system", "kepler", "--E", "-0.5", "--record", "0"],
     ["curvature", "--system", "schwarzschild", "--M", "1", "--E", "-0.1"],
     ["lift", "--system", "kepler", "--E", "-0.5"],
+    ["curvature", "--system", "schwarzschild", "--E", "-0.1"],
+    KEPLER + ["--M", "7"],
+    ["orbit", "--system", "schwarzschild", "--M", "1", "--m", "1", "--k", "3", "--E", "-0.1",
+     "--span", "1"],
+    ["transform", "--system", "kepler", "--E", "-0.5", "--E-rel", "3"],
+    ["lift", "--kind", "timedep", "--kappa", "3"],
+    ["lift", "--kind", "static", "--amp", "0.3"],
+    ["orbit", "--system", "kepler", "--E", "abc"],
+    ["orbit", "--system", "kepler", "--E", "-0.5", "--flow", "rescaled"],
+    KEPLER + ["--no-such-flag"],
+    ["orbit"],
+    ["curvature", "--E", "-0.5", "--span", "7"],
+    ["catalog", "--E", "1"],
+    ["curvature", "--E", "-0.5", "--m", "5"],
+    ["transform", "--form", "relativistic", "--system", "kepler", "--E", "-0.5", "--E-rel", "1"],
+    ["curvature", "--E", "-0.5", "--prefix", ""],
 ], ids=["free-mass", "lift-mass", "lift-kappa", "lift-c", "lift-q", "lift-span",
         "initial-3d", "record-negative", "initial-text", "initial-off-chart",
         "jacobi-at-turning-point", "lift-span-zero", "lift-record-zero",
-        "compare-record-zero", "curvature-unread-system", "lift-unread-system"])
+        "compare-record-zero", "curvature-unread-system", "lift-unread-system",
+        "curvature-catalog-system", "kepler-unread-M", "schwarzschild-unread-k",
+        "classical-transform-unread-E-rel", "timedep-lift-unread-kappa",
+        "static-lift-unread-amp", "text-number", "flow-choice", "unknown-flag",
+        "no-system", "curvature-span", "catalog-E", "curvature-m",
+        "relativistic-transform-unread-E", "empty-prefix"])
 def test_refused_input_exits_two_without_output(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2
@@ -354,11 +376,17 @@ ORBIT = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     (CURVATURE, {"params": {"EE": -0.5}}, "params.EE"),
     (ORBIT, {"integration": {"rtoll": 1e-9}}, "integration.rtoll"),
     (CURVATURE, {"output": {"directory": "out"}}, "output.directory"),
+    (ORBIT, {"task": "compare"}, "task 'compare'"),
+    (CURVATURE, {"flow": "jacobi"}, "key flow "),
+    (CURVATURE, {"params": {"m": 5.0}}, "params.m"),
+    (["lift"], {"system": "kepler"}, "key system "),
+    (CURVATURE, {"output": {"prefix": ""}}, "output.prefix"),
 ], ids=["not-an-object", "params", "integration", "output", "grid", "text-number",
         "null-number", "bool-number", "empty-sweep", "int-past-float", "null-samples", "text-grid",
         "null-span", "initial-list", "kind-choice", "flow-choice", "form-choice",
         "unknown-key", "unknown-grid-key", "unknown-param", "unknown-integration-key",
-        "unknown-output-key"])
+        "unknown-output-key", "other-task", "unread-flow", "unread-param", "lift-system",
+        "empty-prefix"])
 def test_scenario_file_keeps_the_flag_contract(tmp_path, capsys, argv, scenario, entry):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
@@ -457,3 +485,51 @@ def test_relativistic_transform_refuses_nonpositive_c(tmp_path, capsys, system):
                        "--m", "1", "--c", "0", "--E-rel", "1", "--out", str(tmp_path))
     assert code == 2 and err == "error: c must be positive\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_step_failure_exits_four_without_output(tmp_path, capsys, monkeypatch):
+    def failing_integrate(*args, **kwargs):
+        partial = Trajectory(np.array([0.0]), np.array([[0.5, 0.0]]), np.array([[0.0, 1.0]]),
+                             {}, "step_failure")
+        raise StepFailure("stalled", trajectory=partial)
+
+    monkeypatch.setattr(cli, "integrate", failing_integrate)
+    code, _, err = run(capsys, "compare", "--system", "kepler", "--E", "-0.5",
+                       "--out", str(tmp_path))
+    assert code == 4
+    assert err.startswith("step failure: ") and len(err.strip().splitlines()) == 1
+    assert "stalled" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oscillator_orbit_runs_from_its_default_launch_and_span(tmp_path, capsys):
+    code, _, _ = run(capsys, "orbit", "--system", "oscillator", "--E", "1",
+                     "--out", str(tmp_path))
+    assert code == 0
+    summary = json.loads((tmp_path / "orbit_summary.json").read_text())
+    assert summary["termination"] == "completed"
+    assert summary["span"] == pytest.approx(2.0 * np.pi, rel=1e-15)
+    assert summary["drifts"]["energy"] < 1e-7
+
+
+def readme_command_line():
+    """The jacobi-flow lines and the scenario JSON of the README's command-line section."""
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = section.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    commands = [line.split()[1:] for line in blocks[0].splitlines()
+                if line.startswith("jacobi-flow ")]
+    scenario = next(block for block in blocks if block.startswith("json"))[len("json"):]
+    return commands, json.loads(scenario)
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    commands, scenario = readme_command_line()
+    assert len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    code, _, err = run(capsys, "curvature", "--scenario", "scenario.json")
+    assert code == 0, err
