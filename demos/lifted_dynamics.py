@@ -62,7 +62,7 @@ direct = MechanicalSystem(
 )
 direct_traj = integrate(
     hamilton_flow(direct),
-    FlowState(0.0, np.array([1.0]), np.array([0.0])),
+    FlowState(np.array([1.0]), np.array([0.0])),
     SPAN,
     record_grid=4000,
 )

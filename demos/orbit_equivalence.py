@@ -40,7 +40,7 @@ print()
 # time flow, accumulating the rescaled parameter along the way
 paced = integrate(
     hamilton_flow(sys),
-    FlowState(0.0, x0, p0),
+    FlowState(x0, p0),
     period,
     pacing=lambda t, x, p: 2.0 * sys.m * (sys.E - sys.potential(x)),
     record_grid=4000,
@@ -51,7 +51,7 @@ print("one period of the time flow covers s = %.6f of rescaled parameter" % s_ma
 # geodesic flow of the rescaled metric over the same stretch
 rescaled = integrate(
     jacobi_flow(sys),
-    FlowState(0.0, x0, p0),
+    FlowState(x0, p0),
     s_max,
     record_grid=4000,
 )

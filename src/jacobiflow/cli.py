@@ -1,12 +1,13 @@
 """Scenario-driven command line front end.
 
 Subcommands: transform (factor on a radial grid), orbit (integrate one flow),
-compare (time flow vs rescaled flow), curvature (radial scan), lift (extended
-flow plus projection check), catalog (list entries).  build_parser states the
-contract once: each subcommand takes only the flags its run reads, each
-flag's dest names the scenario entry it sets ('params.E', 'grid.r_min') and
-each default is given there.  A scenario file is a JSON object holding only
-the entries of its subcommand's flags (and a task, which must be that
+compare (time flow vs rescaled flow), curvature (Kepler radial scan), lift
+(extended flow plus projection check), catalog (list entries).  build_parser
+states the contract once: each subcommand takes only the flags its run reads
+(the tolerances only where it integrates: orbit, compare, lift), each flag's
+dest names the scenario entry it sets ('params.E', 'grid.r_min') and each
+default is given there.  A scenario file is a JSON object holding only the
+entries of its subcommand's flags (and a task, which must be that
 subcommand); its values override the flags and must take the shapes and
 choices the flags take.  Exactly one parameter may be list-valued; its
 values then run one by one in list order, through the same code as a single
@@ -16,7 +17,8 @@ Exit codes: 0 success, 2 refused input (a parser refusal, a parameter the
 system or lift does not read, any other ValueError, or a launch outside the
 chart or at a turning point; one 'error:' line on stderr), 3 clean
 numerical termination (turning point or chart violation, reported in the
-summary metadata), 4 step failure; a sweep exits with its largest leg code.
+summary metadata), 4 step failure (orbit writes its partial trajectory,
+compare and lift write nothing); a sweep exits with its largest leg code.
 All numeric output is written with 17 significant digits and LF line
 endings, so a rerun of the same scenario is byte-identical.
 """
@@ -127,30 +129,28 @@ def build_parser():
         description="transform mechanical systems to rescaled geodesic form, "
                     "integrate both pictures, and check their invariants",
     )
-    systems = {"curvature": "kepler, the one profile it scans",
-               "catalog": "the one entry to list (default: all)"}
     sub = parser.add_subparsers(dest="task", required=True)
     for task, blurb in TASKS.items():
         flag = sub.add_parser(task, help=blurb, description=blurb).add_argument
         flag("--scenario", help="JSON scenario file; entries override flags")
-        if task != "lift":
-            flag("--system", help=systems.get(
-                task, "catalog name or one of: " + ", ".join(INLINE_SYSTEMS)))
+        if task not in ("lift", "curvature"):
+            flag("--system", help="the one entry to list (default: all)" if task == "catalog"
+                 else "catalog name or one of: " + ", ".join(INLINE_SYSTEMS))
         if task == "catalog":
             continue
         flag("--out", dest="output.dir", default=".",
              help="output directory (default %(default)s)")
         flag("--prefix", dest="output.prefix", default=task,
              help="output file prefix (default %(default)s)")
-        flag("--rtol", dest="integration.rtol", type=float, default=1e-9,
-             help="relative integration tolerance (default %(default)s)")
-        flag("--atol", dest="integration.atol", type=float, default=1e-12,
-             help="absolute integration tolerance (default %(default)s)")
         for name in PARAM_FLAGS:
             if name in TASK_PARAMS[task]:
                 flag("--" + name.replace("_", "-"), type=float, dest="params." + name,
                      help=f"system parameter {name}")
         if task in ("orbit", "compare", "lift"):
+            flag("--rtol", dest="integration.rtol", type=float, default=1e-9,
+                 help="relative integration tolerance (default %(default)s)")
+            flag("--atol", dest="integration.atol", type=float, default=1e-12,
+                 help="absolute integration tolerance (default %(default)s)")
             flag("--span", dest="integration.span", type=float,
                  default=20.0 if task == "lift" else None, help="integration span" + (
                      " (default %(default)s)" if task == "lift" else " (default: one period)"))
@@ -276,6 +276,8 @@ def build_mechanical(scn, own=("E",)):
         raise ValueError("missing required field 'system'")
     E = require(scn, "E") if "E" in own else None
     if name in CATALOG:
+        # the mechanical view reads the entry's spatial chart and U; no entry builds those from c
+        _refuse_unread(scn, set(scn["params"]) - {"c"}, f"the mechanical view of '{name}'")
         return mechanical_system_from_entry(build_catalog_entry(scn, own), E=E)
     if name not in INLINE_SYSTEMS:
         raise ValueError(f"unknown system '{name}' (inline: {', '.join(INLINE_SYSTEMS)}; "
@@ -306,7 +308,7 @@ def _given_launch(scn):
     init = scn["integration"].get("initial")
     if not init:
         return None
-    return FlowState(0.0, np.asarray(init["x"], dtype=float), np.asarray(init["p"], dtype=float))
+    return FlowState(np.asarray(init["x"], dtype=float), np.asarray(init["p"], dtype=float))
 
 
 def default_initial(scn, sys):
@@ -321,12 +323,12 @@ def default_initial(scn, sys):
         a = k / (2.0 * abs(E))
         r_p = 0.5 * a
         p_phi = np.sqrt(sys.m * k * a * 0.75)
-        return FlowState(0.0, np.array([r_p, 0.0]), np.array([0.0, p_phi]))
+        return FlowState(np.array([r_p, 0.0]), np.array([0.0, p_phi]))
     if sys.name == "oscillator" and E is not None and E > 0:
         lam = _param(scn, "lam")
         r_c = np.sqrt(E / lam)
         p_phi = np.sqrt(sys.m * lam) * r_c * r_c
-        return FlowState(0.0, np.array([r_c, 0.0]), np.array([0.0, p_phi]))
+        return FlowState(np.array([r_c, 0.0]), np.array([0.0, p_phi]))
     raise ValueError("this system/energy has no default launch state; "
                      "pass integration.initial (or --initial)")
 
@@ -387,9 +389,9 @@ def write_summary(path, scn, extra):
         "task": scn["task"],
         "system": scn.get("system"),
         "params": scn["params"],
-        "rtol": scn["integration"]["rtol"],
-        "atol": scn["integration"]["atol"],
     }
+    if "integration" in scn:  # the tolerances of a task that integrates
+        summary.update(rtol=scn["integration"]["rtol"], atol=scn["integration"]["atol"])
     summary.update(extra)
     Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                           newline="\n")
@@ -547,8 +549,6 @@ def run_compare(scn):
 
 
 def run_curvature(scn):
-    if scn.get("system") not in (None, "kepler"):
-        raise ValueError(f"curvature scans only the kepler profile, not '{scn['system']}'")
     k = _param(scn, "k")
     E = require(scn, "E")
     radii = radial_grid(scn, "r_min", "r_max")
@@ -577,7 +577,7 @@ def run_lift(scn):
     _refuse_unread(scn, LIFT_KINDS[kind], f"the {kind} lift")
     integration = scn["integration"]
     m = _param(scn, "m")
-    launch = _given_launch(scn) or FlowState(0.0, np.array([1.0]), np.array([0.0]))
+    launch = _given_launch(scn) or FlowState(np.array([1.0]), np.array([0.0]))
     x0, p0, dim = launch.x, launch.p, launch.x.size
     span = integration["span"]
     record = int(integration["record"])
@@ -588,8 +588,7 @@ def run_lift(scn):
         V = lambda x: 0.5 * lam * float(x @ x)
         lifted = lift_static(flat_metric(dim), V, m=m, kappa=_param(scn, "kappa"))
         start = embed_static(lifted, x0, p0)
-        direct_sys = MechanicalSystem(g=flat_metric(dim), U=V, m=m,
-                                      grad_U=lambda x: lam * x, name="oscillator-cartesian")
+        direct_sys = MechanicalSystem(g=flat_metric(dim), U=V, m=m, grad_U=lambda x: lam * x)
     else:
         amp = _param(scn, "amp")
         U = lambda x, t: 0.5 * (1.0 + amp * np.sin(t)) * lam * float(x @ x)
@@ -597,8 +596,7 @@ def run_lift(scn):
         start = embed_time_dependent(lifted, x0, p0, q=_param(scn, "q"))
         direct_sys = MechanicalSystem(
             g=flat_metric(dim), U=U, m=m, time_dependent=True,
-            grad_U=lambda x, t: (1.0 + amp * np.sin(t)) * lam * x,
-            name="driven-oscillator")
+            grad_U=lambda x, t: (1.0 + amp * np.sin(t)) * lam * x)
     traj = integrate_lifted(lifted, start, span, rtol=integration["rtol"],
                             atol=integration["atol"], record_grid=record)
     proj = project(traj, lifted)

@@ -110,8 +110,8 @@ def kepler_eccentricity(E, L, m=1.0, k=1.0):
     return float(np.sqrt(radicand))
 
 
-def classify_eccentricity(e, tol=1e-6):
-    """Regime of an eccentricity value, with a tolerance band at e = 1."""
-    if abs(e - 1.0) <= tol:
+def classify_eccentricity(e):
+    """Regime of an eccentricity value, with a tolerance band of 1e-6 at e = 1."""
+    if abs(e - 1.0) <= 1e-6:
         return "parabola"
     return "ellipse" if e < 1.0 else "hyperbola"

@@ -16,6 +16,7 @@ from scipy.integrate import RK45
 from .errors import (
     DomainViolation,
     EmptyTrajectory,
+    JacobiFlowError,
     SingularMatrix,
     StepFailure,
     TurningPoint,
@@ -57,9 +58,8 @@ PATH_SAMPLES = 1000
 
 @dataclass
 class FlowState:
-    """A launch state: parameter value, position, momentum."""
+    """A launch state at parameter 0: position, momentum."""
 
-    param: float
     x: np.ndarray
     p: np.ndarray
 
@@ -139,12 +139,12 @@ def hamilton_flow(sys):
     def rhs(param, x, p):
         return hamilton_rhs(sys, x, p, t=param)
 
-    rhs.system = sys
     return rhs
 
 
 def jacobi_flow(sys):
-    """rhs closure for integrate(): the rescaled flow of a mechanical system."""
+    """rhs closure for integrate(): the rescaled flow of a mechanical system,
+    carrying it as .system for integrate()'s turning-point probe."""
 
     def rhs(param, x, p):
         return jacobi_rhs(sys, x, p)
@@ -189,6 +189,16 @@ def _record(rows, param, y):
     rows.append(np.concatenate([[param], y]))
 
 
+def _stalled_at_turn(system, x):
+    """Whether a rescaled flow whose stepper stalled at x sits at a vanishing
+    energy gap, within STALL_GAP of the turning surface."""
+    try:
+        gap = system.E - system.potential(x)
+    except JacobiFlowError:
+        return False
+    return gap <= STALL_GAP * max(1.0, abs(system.E))
+
+
 def _trajectory(rows, n, monitor_fns, termination):
     """The recorded rows as a Trajectory, each monitor evaluated once per
     row, and a pacing column (when y carries one) under 'pacing'."""
@@ -203,7 +213,8 @@ def _trajectory(rows, n, monitor_fns, termination):
 
 def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
               pacing=None, record_grid=None):
-    """Integrate a flow and return its trajectory.
+    """Integrate a flow from its launch at parameter 0 over (0, span] and
+    return its trajectory.
 
     rhs(param, x, p) -> (dx, dp) defines the flow and may raise TurningPoint
     or DomainViolation to terminate cleanly (the partial trajectory is
@@ -217,39 +228,33 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     at full accuracy and recorded cumulatively as the monitor 'pacing' (used
     to map between parametrizations without quadrature loss).
 
-    record_grid, when given (a count >= 1 or a strictly increasing array of
-    parameter values inside (t0, t0 + span]), records states on that grid
-    through the stepper's dense interpolant instead of at accepted steps.
-    Path comparisons need sample spacing well below the adaptive step size to
+    record_grid, when given, is a count N >= 1: states are then recorded at
+    the N uniform grid points span/N, 2 span/N, .., span through the
+    stepper's dense interpolant instead of at accepted steps.  Path
+    comparisons need sample spacing well below the adaptive step size to
     keep piecewise-linear resampling error out of the measurement; this keeps
     the step sequence (and cost) of the adaptive run.  An rtol below RTOL_MIN
-    or a grid outside that contract raises ValueError before any step.
+    or a record_grid that is not such a count raises ValueError before any
+    step.
 
     Raises StepFailure (carrying the partial trajectory) if the adaptive step
-    size underflows below 1e-14 * span.  One exception: a rescaled flow
-    approaching its turning radius stalls the stepper while the energy gap is
-    still positive (the right-hand side grows like 1/sqrt(E - U), so the gap
-    itself never reaches the analytic cutoff); when the stalled state sits at
-    a vanishing gap the run is reported as a clean 'turning_point'
-    termination rather than a failure.  The system for that check is the
-    .system attribute of the rhs closure, when it has one.
+    size underflows below 1e-14 * span.  One exception: the rescaled flow of
+    jacobi_flow approaching its turning radius stalls the stepper while the
+    energy gap is still positive (the right-hand side grows like
+    1/sqrt(E - U), so the gap itself never reaches the analytic cutoff); when
+    the state where the stepper stalled sits at a vanishing gap the run is
+    reported as a clean 'turning_point' termination rather than a failure.
+    The system for that probe is the rhs closure's .system attribute, which
+    only jacobi_flow sets: the time flow has no singularity at E = U.
     """
     if span <= 0:
         raise ValueError("the integration span must be positive")
     system = getattr(rhs, "system", None)
     if not rtol >= RTOL_MIN:
         raise ValueError(f"rtol must be at least {RTOL_MIN:.3g}, got {rtol!r}")
-    t0 = float(initial.param)
-    grid = record_grid
-    if np.isscalar(grid):
-        if not grid >= 1:
-            raise ValueError(f"record_grid count must be >= 1, got {grid!r}")
-        grid = np.linspace(t0, t0 + span, int(grid) + 1)[1:]
-    elif grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        if not (grid.ndim == 1 and grid.size and grid[0] > t0
-                and grid[-1] <= t0 + span and np.all(np.diff(grid) > 0)):
-            raise ValueError("record_grid must be strictly increasing inside (t0, t0 + span]")
+    if record_grid is not None and not (np.isscalar(record_grid) and record_grid >= 1):
+        raise ValueError(f"record_grid must be a count >= 1, got {record_grid!r}")
+    grid = None if record_grid is None else np.linspace(0.0, span, int(record_grid) + 1)[1:]
 
     n = initial.x.size
     augmented = pacing is not None
@@ -263,21 +268,12 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
             return np.concatenate([dx, dp, [pacing(s, x, p)]])
         return np.concatenate([dx, dp])
 
-    def stalled_at_turn():
-        if system is None or system.E is None:
-            return False
-        try:
-            gap = system.E - system.potential(rows[-1][1:n + 1])
-        except Exception:
-            return False
-        return gap <= STALL_GAP * max(1.0, abs(system.E))
-
     next_grid = 0
 
-    stepper = RK45(fun, t0, y0, t0 + span, rtol=rtol, atol=atol)
+    stepper = RK45(fun, 0.0, y0, span, rtol=rtol, atol=atol)
 
     rows = []
-    _record(rows, t0, y0)
+    _record(rows, 0.0, y0)
     termination = "completed"
     while stepper.status == "running":
         try:
@@ -292,7 +288,7 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
             break
         failed = stepper.status == "failed"
         if failed or (stepper.status == "running" and stepper.h_abs < STEP_UNDERFLOW * span):
-            if stalled_at_turn():
+            if system is not None and _stalled_at_turn(system, stepper.y[:n]):
                 termination = "turning_point"
                 break
             raise StepFailure(

@@ -204,14 +204,12 @@ def mechanical_pz(lifted):
     return float(np.sqrt(2.0 * lifted.m / lifted.kappa))
 
 
-def embed_static(lifted, x0, p0, z0=0.0):
-    """Initial lifted state over a mechanical phase point at time 0, with p_z
-    pinned to the mechanical normalization."""
-    x0 = coordinate_point(x0)
-    p0 = np.asarray(p0, dtype=float)
-    xe = np.concatenate([x0, [z0]])
-    pe = np.concatenate([p0, [mechanical_pz(lifted)]])
-    return FlowState(param=0.0, x=xe, p=pe)
+def embed_static(lifted, x0, p0):
+    """Initial lifted state over a mechanical phase point at time 0 and z = 0,
+    with p_z pinned to the mechanical normalization."""
+    xe = np.concatenate([coordinate_point(x0), [0.0]])
+    pe = np.concatenate([np.asarray(p0, dtype=float), [mechanical_pz(lifted)]])
+    return FlowState(x=xe, p=pe)
 
 
 def embed_time_dependent(lifted, x0, p0, q, shell="massive"):
@@ -240,7 +238,7 @@ def embed_time_dependent(lifted, x0, p0, q, shell="massive"):
         p_t += m * m * c * c / (2.0 * q)
     xe = np.concatenate([x0, [0.0, 0.0]])
     pe = np.concatenate([-(q / m) * p0, [p_t, q * c]])
-    return FlowState(param=0.0, x=xe, p=pe)
+    return FlowState(x=xe, p=pe)
 
 
 def lifted_energy_relation(lifted, x, p):

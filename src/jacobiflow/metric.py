@@ -186,7 +186,7 @@ def _inverse_partials(field, x, t=None, ginv=None):
 # Ready-made charts
 # ======================================================================
 
-def flat_metric(dim, name="flat"):
+def flat_metric(dim):
     """Euclidean metric in Cartesian coordinates."""
     eye = np.eye(dim)
     zeros = np.zeros((dim, dim, dim))
@@ -195,7 +195,7 @@ def flat_metric(dim, name="flat"):
         components=lambda x: eye,
         partials=lambda x: zeros,
         guard=None,
-        name=name,
+        name="flat",
     )
 
 

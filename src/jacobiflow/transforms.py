@@ -23,7 +23,7 @@ class MechanicalSystem:
     U has signature U(x), or U(x, t) when time_dependent is set.  grad_U is an
     optional analytic gradient with the same signature; central differences
     are used when it is absent.  E labels the energy hypersurface a scenario
-    works on and may be filled in later from an initial state.
+    works on.
     """
 
     g: MetricField
@@ -86,12 +86,12 @@ class ConformalMetric:
         return self.factor_at(x, t) * evaluate_metric(self.base, x, t)
 
 
-def energy_from_state(sys, x, p, t=None):
+def energy_from_state(sys, x, p):
     """Energy of a phase point under the natural Hamiltonian T + U."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    ginv = invert_metric(evaluate_metric(sys.g, x, t))
-    return float(p @ ginv @ p) / (2.0 * sys.m) + sys.potential(x, t)
+    ginv = invert_metric(evaluate_metric(sys.g, x))
+    return float(p @ ginv @ p) / (2.0 * sys.m) + sys.potential(x)
 
 
 def jacobi_nonrelativistic(sys):

@@ -72,7 +72,7 @@ def rescaled_span(sys, x0, p0, t_span, rtol=1e-9, atol=1e-12):
     """Total rescaled parameter accumulated by the time flow over t_span."""
     paced = integrate(
         hamilton_flow(sys),
-        FlowState(0.0, x0, p0),
+        FlowState(x0, p0),
         t_span,
         rtol=rtol,
         atol=atol,
@@ -89,7 +89,7 @@ def test_rescaled_flow_retraces_the_orbit():
 
     paced = integrate(
         hamilton_flow(sys),
-        FlowState(0.0, x0, p0),
+        FlowState(x0, p0),
         KEPLER_PERIOD,
         pacing=lambda t, x, p: 2.0 * sys.m * (sys.E - sys.potential(x)),
         record_grid=6283,
@@ -97,7 +97,7 @@ def test_rescaled_flow_retraces_the_orbit():
     s_max = paced.monitors["pacing"][-1]
     rescaled = integrate(
         jacobi_flow(sys),
-        FlowState(0.0, x0, p0),
+        FlowState(x0, p0),
         s_max,
         record_grid=6283,
     )
@@ -129,7 +129,7 @@ def test_unit_momentum_level_set_over_ten_periods():
         s_max = rescaled_span(sys, x0, p0, 10.0 * period, rtol=1e-11, atol=1e-13)
         traj = integrate(
             jacobi_flow(sys),
-            FlowState(0.0, x0, p0),
+            FlowState(x0, p0),
             s_max,
             rtol=1e-11,
             atol=1e-13,
@@ -147,12 +147,12 @@ def test_angular_invariant_in_both_parametrizations():
 
     timed = integrate(
         hamilton_flow(sys),
-        FlowState(0.0, x0, p0),
+        FlowState(x0, p0),
         10.0 * KEPLER_PERIOD,
     )
     s_max = rescaled_span(sys, x0, p0, 10.0 * KEPLER_PERIOD)
     rescaled = integrate(
-        jacobi_flow(sys), FlowState(0.0, x0, p0), s_max
+        jacobi_flow(sys), FlowState(x0, p0), s_max
     )
 
     values_t = [clairaut_constant(sys, x, p, "time_t") for x, p in zip(timed.x, timed.p)]
@@ -206,7 +206,7 @@ def test_orbit_regimes_match_eccentricity_oracle():
     for E, x0, p0 in launches:
         sys = kepler_system(E)
         traj = integrate(
-            hamilton_flow(sys), FlowState(0.0, x0, p0), 5.0
+            hamilton_flow(sys), FlowState(x0, p0), 5.0
         )
         x, p = traj.x[-1], traj.p[-1]
         e = kepler_eccentricity(energy_from_state(sys, x, p), p[1])
@@ -345,7 +345,7 @@ def test_time_dependent_lift_conservation_and_projection():
     )
     direct = integrate(
         hamilton_flow(direct_sys),
-        FlowState(0.0, np.array([1.0]), np.array([0.0])),
+        FlowState(np.array([1.0]), np.array([0.0])),
         DRIVEN_SPAN,
         record_grid=12000,
     )

@@ -75,10 +75,11 @@ def test_orbit_jacobi_flow_reports_unit_momentum(tmp_path, capsys):
     assert header == "param,x1,x2,p1,p2,energy,unit_momentum"
 
 
-def test_orbit_turning_point_exits_three(tmp_path, capsys):
+@pytest.mark.parametrize("record", [[], ["--record", "1000"]], ids=["steps", "record-grid"])
+def test_orbit_turning_point_exits_three(tmp_path, capsys, record):
     code, _, _ = run(
         capsys, "orbit", "--system", "kepler", "--E", "-0.5", "--flow", "jacobi",
-        "--initial", "1,0,1,0", "--span", "10", "--out", str(tmp_path),
+        "--initial", "1,0,1,0", "--span", "10", "--out", str(tmp_path), *record,
     )
     assert code == 3
     summary = json.loads((tmp_path / "orbit_summary.json").read_text())
@@ -127,7 +128,7 @@ def test_compare_prints_small_deviation(tmp_path, capsys):
 
 def test_curvature_scan_columns_and_values(tmp_path, capsys):
     code, _, _ = run(
-        capsys, "curvature", "--system", "kepler", "--k", "1", "--E", "-0.5",
+        capsys, "curvature", "--k", "1", "--E", "-0.5",
         "--r-min", "0.5", "--r-max", "5", "--samples", "100", "--out", str(tmp_path),
     )
     assert code == 0
@@ -218,7 +219,7 @@ def test_nonfinite_parameters_exit_two(tmp_path, capsys):
     assert code == 2 and "params.k" in err
     # one non-finite sweep value rejects the whole sweep before any leg runs
     scenario.write_text(json.dumps({
-        "task": "curvature", "system": "kepler",
+        "task": "curvature",
         "params": {"k": 1.0, "E": [-0.5, float("nan")]},
         "output": {"dir": str(tmp_path), "prefix": "sw"},
     }))
@@ -231,7 +232,6 @@ def test_scenario_file_overrides_flags(tmp_path, capsys):
     scenario = tmp_path / "scan.json"
     scenario.write_text(json.dumps({
         "task": "curvature",
-        "system": "kepler",
         "params": {"k": 1.0, "E": 0.1},
         "samples": 40,
         "output": {"dir": str(tmp_path), "prefix": "scan"},
@@ -251,7 +251,6 @@ def test_sweep_fans_out_in_index_order(tmp_path, capsys):
     scenario = tmp_path / "sweep.json"
     scenario.write_text(json.dumps({
         "task": "curvature",
-        "system": "kepler",
         "params": {"k": 1.0, "E": [-0.5, 0.1, 0.5]},
         "samples": 30,
         "output": {"dir": str(tmp_path), "prefix": "sw"},
@@ -271,7 +270,6 @@ def test_sweep_rejects_two_list_parameters(tmp_path, capsys):
     scenario = tmp_path / "sweep2.json"
     scenario.write_text(json.dumps({
         "task": "curvature",
-        "system": "kepler",
         "params": {"k": [1.0, 2.0], "E": [-0.5, 0.1]},
         "output": {"dir": str(tmp_path)},
     }))
@@ -313,6 +311,8 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     ["lift", "--span", "0"],
     ["lift", "--record", "0"],
     ["compare", "--system", "kepler", "--E", "-0.5", "--record", "0"],
+    ["orbit", "--system", "schwarzschild", "--M", "1", "--m", "1", "--E", "-0.04",
+     "--initial", "12,1.5707963267948966,0,0,0,3.5", "--span", "5", "--c", "5"],
     ["curvature", "--system", "schwarzschild", "--M", "1", "--E", "-0.1"],
     ["lift", "--system", "kepler", "--E", "-0.5"],
     ["curvature", "--system", "schwarzschild", "--E", "-0.1"],
@@ -334,11 +334,11 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
 ], ids=["free-mass", "lift-mass", "lift-kappa", "lift-c", "lift-q", "lift-span",
         "initial-3d", "record-negative", "initial-text", "initial-off-chart",
         "jacobi-at-turning-point", "lift-span-zero", "lift-record-zero",
-        "compare-record-zero", "curvature-unread-system", "lift-unread-system",
-        "curvature-catalog-system", "kepler-unread-M", "schwarzschild-unread-k",
-        "classical-transform-unread-E-rel", "timedep-lift-unread-kappa",
-        "static-lift-unread-amp", "text-number", "flow-choice", "unknown-flag",
-        "no-system", "curvature-span", "catalog-E", "curvature-m",
+        "compare-record-zero", "schwarzschild-orbit-unread-c", "curvature-unread-system",
+        "lift-unread-system", "curvature-catalog-system", "kepler-unread-M",
+        "schwarzschild-unread-k", "classical-transform-unread-E-rel",
+        "timedep-lift-unread-kappa", "static-lift-unread-amp", "text-number", "flow-choice",
+        "unknown-flag", "no-system", "curvature-span", "catalog-E", "curvature-m",
         "relativistic-transform-unread-E", "empty-prefix"])
 def test_refused_input_exits_two_without_output(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, "--out", str(tmp_path))
@@ -380,12 +380,14 @@ ORBIT = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     (CURVATURE, {"flow": "jacobi"}, "key flow "),
     (CURVATURE, {"params": {"m": 5.0}}, "params.m"),
     (["lift"], {"system": "kepler"}, "key system "),
+    (CURVATURE, {"system": "kepler"}, "key system "),
     (CURVATURE, {"output": {"prefix": ""}}, "output.prefix"),
 ], ids=["not-an-object", "params", "integration", "output", "grid", "text-number",
         "null-number", "bool-number", "empty-sweep", "int-past-float", "null-samples", "text-grid",
         "null-span", "initial-list", "kind-choice", "flow-choice", "form-choice",
         "unknown-key", "unknown-grid-key", "unknown-param", "unknown-integration-key",
         "unknown-output-key", "other-task", "unread-flow", "unread-param", "lift-system",
+        "curvature-system",
         "empty-prefix"])
 def test_scenario_file_keeps_the_flag_contract(tmp_path, capsys, argv, scenario, entry):
     path = tmp_path / "scenario.json"
@@ -500,6 +502,17 @@ def test_compare_step_failure_exits_four_without_output(tmp_path, capsys, monkey
     assert err.startswith("step failure: ") and len(err.strip().splitlines()) == 1
     assert "stalled" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_only_integrating_tasks_record_tolerances(tmp_path, capsys):
+    for argv in (["transform", "--system", "kepler", "--E", "-0.5"],
+                 ["curvature", "--E", "-0.5"],
+                 ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]):
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0
+        summary = json.loads((tmp_path / f"{argv[0]}_summary.json").read_text())
+        integrates = argv[0] == "orbit"
+        assert ("rtol" in summary, "atol" in summary) == (integrates, integrates), argv
 
 
 def test_oscillator_orbit_runs_from_its_default_launch_and_span(tmp_path, capsys):

@@ -130,7 +130,7 @@ def test_static_dummy_momentum_conserved_bitwise():
 def test_constant_profile_gives_free_extended_motion():
     # V = 1/2 makes the dummy entry 1 and the whole extended metric flat
     lift = lift_static(flat_metric(1), lambda x: 0.5, m=1.0)
-    start = embed_static(lift, np.array([0.0]), np.array([0.7]), z0=1.0)
+    start = embed_static(lift, np.array([0.0]), np.array([0.7]))
     traj = integrate_lifted(lift, start, 5.0)
     for t, x in zip(traj.params, traj.x):
         np.testing.assert_allclose(
@@ -232,7 +232,7 @@ def test_projection_matches_direct_integration():
     )
     direct_traj = integrate(
         hamilton_flow(direct),
-        FlowState(0.0, np.array([1.0]), np.array([0.0])),
+        FlowState(np.array([1.0]), np.array([0.0])),
         DRIVEN_SPAN,
         record_grid=12000,
     )

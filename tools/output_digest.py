@@ -5,14 +5,16 @@
 For each seed and each workload of ``perfbench/plan.py``, every task of the
 plan runs once through ``jacobiflow.cli.main``, imported from DIR (the
 directory that holds the ``jacobiflow`` package), in a temporary directory.
-The tool prints the number of files written, one sha256 over all of them
-(relative paths and bytes, in sorted path order) and the exit codes, then the
+The tool prints one ``sha256  relative/path`` line per file written, in
+sorted path order, then the number of files, one sha256 over all of them
+(relative paths and bytes, in the same order) and the exit codes, then the
 line count of DIR/jacobiflow/*.py (as ``wc -l`` counts it), the source size
 the ROADMAP tracks.
 
 Run it on two checkouts, each with its own ``--src``: equal output means the
-CLI writes the same bytes and exits the same way on every planned task.  Two
-seeds take about 17 s on a 2-core machine.
+CLI writes the same bytes and exits the same way on every planned task, and
+a diff of the two outputs names the files that differ.  Two seeds take about
+17 s on a 2-core machine.
 """
 
 import argparse
@@ -57,13 +59,16 @@ def run_plan(main, tasks, out, scratch):
 
 
 def digest(directory):
-    """(file count, sha256 over relative paths and bytes) of a tree."""
+    """({relative path: sha256 of its bytes}, sha256 over relative paths and
+    bytes) of a tree, both in sorted path order."""
     files = sorted(p for p in directory.rglob("*") if p.is_file())
-    sha = hashlib.sha256()
+    sha, each = hashlib.sha256(), {}
     for path in files:
-        sha.update(path.relative_to(directory).as_posix().encode() + b"\0")
-        sha.update(path.read_bytes() + b"\0")
-    return len(files), sha.hexdigest()
+        name, data = path.relative_to(directory).as_posix(), path.read_bytes()
+        each[name] = hashlib.sha256(data).hexdigest()
+        sha.update(name.encode() + b"\0")
+        sha.update(data + b"\0")
+    return each, sha.hexdigest()
 
 
 def main(argv=None):
@@ -88,8 +93,10 @@ def main(argv=None):
                 key = f"{workload}:{seed}"
                 codes[key] = run_plan(cli.main, make_plan(workload, seed),
                                       outputs / f"{workload}_{seed}", scratch)
-        count, sha = digest(outputs)
-    print(f"files: {count}")
+        each, sha = digest(outputs)
+    for name, file_sha in each.items():
+        print(f"{file_sha}  {name}")
+    print(f"files: {len(each)}")
     print(f"sha256: {sha}")
     for key, task_codes in codes.items():
         print(f"exit codes {key}: {task_codes}")
