@@ -24,12 +24,12 @@ endings, so a rerun of the same scenario is byte-identical.
 """
 
 import argparse
+import importlib.metadata
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .catalog import CATALOG, catalog_entry, mechanical_system_from_entry, spacetime_from_entry
@@ -385,7 +385,7 @@ def write_summary(path, scn, extra):
         "tool": "jacobi-flow",
         "version": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": importlib.metadata.version("scipy"),
         "task": scn["task"],
         "system": scn.get("system"),
         "params": scn["params"],
@@ -406,6 +406,12 @@ def _write_outputs(scn, header, rows, extra):
     write_csv(csv_path, header, rows)
     write_summary(out_dir / f"{prefix}_summary.json", scn, extra)
     return csv_path
+
+
+def _termination(*trajs):
+    """How a task of several runs ended: the first run's termination that is
+    not 'completed', or 'completed'."""
+    return next((t.termination for t in trajs if t.termination != "completed"), "completed")
 
 
 def exit_code_for(termination):
@@ -537,15 +543,16 @@ def run_compare(scn):
     traj_s = integrate(jacobi_flow(sys), start, s_max, rtol=integration["rtol"],
                        atol=integration["atol"], record_grid=record)
     deviation = compare_paths(traj_t, traj_s)
+    termination = _termination(traj_t, traj_s)
     _write_outputs(scn, ["deviation", "span_t", "span_s"], [[deviation, span, s_max]], {
-        "termination": "completed",
+        "termination": termination,
         "deviation": deviation,
         "span_t": span,
         "span_s": float(s_max),
         "resample_points": record,
     })
     print(f"max path deviation: {fmt(deviation)}")
-    return EXIT_OK
+    return exit_code_for(termination)
 
 
 def run_curvature(scn):
@@ -605,6 +612,7 @@ def run_lift(scn):
                        rtol=integration["rtol"], atol=integration["atol"],
                        record_grid=record)
     deviation = compare_paths(proj, direct)
+    termination = _termination(traj, direct)
     pz, ee = traj.monitors["p_dummy"], traj.monitors["extended_energy"]
     drifts = {
         "dummy_momentum": float(np.max(np.abs(pz - pz[0]))),
@@ -615,13 +623,13 @@ def run_lift(scn):
         drifts["shell_residual"] = float(np.max(np.abs(traj.monitors["shell_residual"])))
     csv_path = _write_outputs(scn, *_trajectory_table(proj), {
         "kind": kind,
-        "termination": traj.termination,
+        "termination": termination,
         "projection_deviation": deviation,
         "drifts": drifts,
         "states": len(traj.params),
     })
     print(f"wrote {csv_path}; projection deviation {fmt(deviation)}")
-    return exit_code_for(traj.termination)
+    return exit_code_for(termination)
 
 
 def run_catalog(scn):

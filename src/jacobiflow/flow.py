@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .errors import (
     DomainViolation,
@@ -35,7 +34,8 @@ from .metric import (
 # requested span.
 STEP_UNDERFLOW = 1e-14
 
-# scipy raises a smaller rtol to this floor with only a warning
+# Smallest rtol the stepper accepts, 100 eps: below it rounding in the stage
+# sums swamps the local error estimate the step-size control reads.
 RTOL_MIN = 100 * np.finfo(float).eps
 
 
@@ -181,6 +181,156 @@ def clairaut_constant(sys, x, p, parameter_kind="time_t"):
 
 
 # ======================================================================
+# Stepper
+# ======================================================================
+
+# Step-size control: the asymptotic factor is damped by SAFETY and clamped
+# to [MIN_FACTOR, MAX_FACTOR].
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+
+
+def _rms(v):
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+class RK45:
+    """Adaptive explicit Runge-Kutta pair of order 5(4) for y' = fun(t, y),
+    stepping forward from t0 to t_bound.
+
+    The Dormand-Prince tableau (Dormand & Prince 1980) advances the
+    fifth-order solution and controls the step with the fourth-order error
+    estimate in the RMS norm scaled by atol + rtol |y|; the quartic dense
+    output is Shampine's (1986); the step-size rule and the initial step are
+    those of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4.  Every
+    operation follows scipy.integrate.RK45 in the same order, so both take
+    the same steps and return the same bits; the tests hold it to that.
+
+    step() advances by one accepted step and sets status to 'finished' at
+    t_bound, or to 'failed' when the step size falls below 10 ulp of t.
+    nfev counts calls of fun: n_stages per attempted step, plus two at
+    construction.
+    """
+
+    n_stages = 6
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+    # Shampine's dense-output coefficients for his optimal c_6
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+    ])
+    # the step scales as error^(-1/5) for an error estimate of order 4
+    ERROR_EXPONENT = -1 / 5
+
+    def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
+        y0 = np.asarray(y0, dtype=float)
+        if not np.isfinite(y0).all():
+            raise ValueError(f"the initial state must be finite, got {y0.tolist()}")
+        self._fun = fun
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.rtol, self.atol = rtol, atol
+        self.t_old = self.y_old = None
+        self.status = "running"
+        self.nfev = 0
+        self.f = self._rhs(t0, y0)
+        self.h_abs = self._initial_step()
+        self.K = np.empty((self.n_stages + 1, y0.size))
+
+    def _rhs(self, t, y):
+        self.nfev += 1
+        return np.asarray(self._fun(t, y), dtype=float)
+
+    def _initial_step(self):
+        """A first step size from the launch derivative and one trial Euler
+        step, no longer than the interval."""
+        t0, y0, f0 = self.t, self.y, self.f
+        interval = abs(self.t_bound - t0)
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        f1 = self._rhs(t0 + h0, y0 + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        return min(100 * h0, h1, interval)
+
+    def _rk_step(self, t, y, h):
+        """The stages of one step of size h into K; returns the fifth-order
+        y at t + h and its derivative, which is also the next step's first stage."""
+        K = self.K
+        K[0] = self.f
+        for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = self._rhs(t + c * h, y + dy)
+        y_new = y + h * np.dot(K[:-1].T, self.B)
+        f_new = self._rhs(t + h, y_new)
+        K[-1] = f_new
+        return y_new, f_new
+
+    def step(self):
+        """Take one accepted step, shrinking and retrying a rejected one.
+        Returns None, or why the stepper failed."""
+        t, y = self.t, self.y
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return "the step size fell below 10 ulp of t"
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = self._rk_step(t, y, h)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = _rms(np.dot(self.K.T, self.E) * h / scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.ERROR_EXPONENT)
+            rejected = True
+        factor = (MAX_FACTOR if error_norm == 0
+                  else min(MAX_FACTOR, SAFETY * error_norm ** self.ERROR_EXPONENT))
+        if rejected:
+            factor = min(1, factor)
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.h_abs = h_abs * factor
+        if t_new >= self.t_bound:
+            self.status = "finished"
+        return None
+
+    def dense_output(self):
+        """The quartic interpolant of the last accepted step, as a callable of t."""
+        Q = self.K.T.dot(self.P)
+        t_old, y_old, h = self.t_old, self.y_old, self.t - self.t_old
+
+        def sol(t):
+            x = (t - t_old) / h
+            return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
+
+        return sol
+
+
+# ======================================================================
 # Integration
 # ======================================================================
 
@@ -218,9 +368,9 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
 
     rhs(param, x, p) -> (dx, dp) defines the flow and may raise TurningPoint
     or DomainViolation to terminate cleanly (the partial trajectory is
-    returned with the matching termination flag).  The stepper is an adaptive
-    embedded Runge-Kutta pair of order 5(4), by default at rtol=1e-9,
-    atol=1e-12.
+    returned with the matching termination flag).  The stepper is RK45, an
+    adaptive embedded Runge-Kutta pair of order 5(4), by default at
+    rtol=1e-9, atol=1e-12.
 
     monitor_fns maps names to fn(param, x, p), evaluated after the run once
     per recorded state: the launch, then each accepted step or grid point.
@@ -233,9 +383,9 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     stepper's dense interpolant instead of at accepted steps.  Path
     comparisons need sample spacing well below the adaptive step size to
     keep piecewise-linear resampling error out of the measurement; this keeps
-    the step sequence (and cost) of the adaptive run.  An rtol below RTOL_MIN
-    or a record_grid that is not such a count raises ValueError before any
-    step.
+    the step sequence (and cost) of the adaptive run.  An rtol below RTOL_MIN,
+    an atol below 0 or not finite, a launch state that is not finite or a
+    record_grid that is not such a count raises ValueError before any step.
 
     Raises StepFailure (carrying the partial trajectory) if the adaptive step
     size underflows below 1e-14 * span.  One exception: the rescaled flow of
@@ -252,6 +402,8 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     system = getattr(rhs, "system", None)
     if not rtol >= RTOL_MIN:
         raise ValueError(f"rtol must be at least {RTOL_MIN:.3g}, got {rtol!r}")
+    if not 0 <= atol < np.inf:
+        raise ValueError(f"atol must be finite and at least 0, got {atol!r}")
     if record_grid is not None and not (np.isscalar(record_grid) and record_grid >= 1):
         raise ValueError(f"record_grid must be a count >= 1, got {record_grid!r}")
     grid = None if record_grid is None else np.linspace(0.0, span, int(record_grid) + 1)[1:]

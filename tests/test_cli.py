@@ -1,12 +1,13 @@
 """Command-line front end: scenarios, outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jacobiflow import StepFailure, Trajectory, cli
+from jacobiflow import StepFailure, Trajectory, cli, integrate
 from jacobiflow.cli import main
 
 
@@ -14,6 +15,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refused(err):
+    """The refusal on stderr without the accepted keys or choices it lists
+    after '(one of:', so a match names the entry that was refused."""
+    return err.split("(one of:")[0]
 
 
 def test_catalog_lists_all_entries(capsys):
@@ -126,6 +133,30 @@ def test_compare_prints_small_deviation(tmp_path, capsys):
     assert summary["deviation"] == deviation
 
 
+def test_compare_reports_how_its_flows_ended(tmp_path, capsys):
+    # a radial launch: the time flow reaches the chart's r = 0 edge, the
+    # rescaled flow its turning radius
+    code, _, _ = run(
+        capsys, "compare", "--system", "kepler", "--E", "-0.5", "--initial", "1,0,1,0",
+        "--span", "10", "--out", str(tmp_path),
+    )
+    assert code == 3
+    summary = json.loads((tmp_path / "compare_summary.json").read_text())
+    assert summary["termination"] == "domain_violation"
+
+
+def test_lift_reports_how_its_direct_run_ended(tmp_path, capsys, monkeypatch):
+    # cli.integrate runs only the direct flow; the lifted flow goes through lift.py
+    def direct_ends_early(*args, **kwargs):
+        return dataclasses.replace(integrate(*args, **kwargs), termination="domain_violation")
+
+    monkeypatch.setattr(cli, "integrate", direct_ends_early)
+    code, _, _ = run(capsys, "lift", "--span", "2", "--record", "1000", "--out", str(tmp_path))
+    assert code == 3
+    summary = json.loads((tmp_path / "lift_summary.json").read_text())
+    assert summary["termination"] == "domain_violation"
+
+
 def test_curvature_scan_columns_and_values(tmp_path, capsys):
     code, _, _ = run(
         capsys, "curvature", "--k", "1", "--E", "-0.5",
@@ -216,7 +247,7 @@ def test_nonfinite_parameters_exit_two(tmp_path, capsys):
     scenario.write_text(json.dumps({"params": {"k": float("inf")}}))
     code, _, err = run(capsys, "curvature", "--E", "-0.5", "--scenario", str(scenario),
                        "--out", str(tmp_path))
-    assert code == 2 and "params.k" in err
+    assert code == 2 and "params.k" in refused(err)
     # one non-finite sweep value rejects the whole sweep before any leg runs
     scenario.write_text(json.dumps({
         "task": "curvature",
@@ -224,7 +255,7 @@ def test_nonfinite_parameters_exit_two(tmp_path, capsys):
         "output": {"dir": str(tmp_path), "prefix": "sw"},
     }))
     code, _, err = run(capsys, "curvature", "--scenario", str(scenario))
-    assert code == 2 and "params.E" in err
+    assert code == 2 and "params.E" in refused(err)
     assert not list(tmp_path.glob("sw_*"))
 
 
@@ -304,6 +335,7 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     ["lift", "--span", "-1"],
     KEPLER + ["--initial", "1,0,0,0,1,0"],
     KEPLER + ["--record", "-3"],
+    KEPLER + ["--atol", "-1"],
     KEPLER + ["--initial", "a,b,c,d"],
     KEPLER + ["--initial=-1,0,0,1"],
     ["orbit", "--system", "kepler", "--E", "-1", "--flow", "jacobi",
@@ -332,7 +364,7 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     ["transform", "--form", "relativistic", "--system", "kepler", "--E", "-0.5", "--E-rel", "1"],
     ["curvature", "--E", "-0.5", "--prefix", ""],
 ], ids=["free-mass", "lift-mass", "lift-kappa", "lift-c", "lift-q", "lift-span",
-        "initial-3d", "record-negative", "initial-text", "initial-off-chart",
+        "initial-3d", "record-negative", "atol-negative", "initial-text", "initial-off-chart",
         "jacobi-at-turning-point", "lift-span-zero", "lift-record-zero",
         "compare-record-zero", "schwarzschild-orbit-unread-c", "curvature-unread-system",
         "lift-unread-system", "curvature-catalog-system", "kepler-unread-M",
@@ -396,7 +428,7 @@ def test_scenario_file_keeps_the_flag_contract(tmp_path, capsys, argv, scenario,
     code, _, err = run(capsys, *argv, "--scenario", str(path), "--out", str(out))
     assert code == 2
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-    assert entry in err and "Traceback" not in err
+    assert entry in refused(err) and "Traceback" not in err
     assert not out.exists()
 
 

@@ -291,14 +291,19 @@ def test_integrate_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"rtol": 1e-14}, "rtol"),  # below scipy's 100 eps floor
+    ({"rtol": 1e-14}, "rtol"),  # below the stepper's 100 eps floor
     ({"rtol": 0.0}, "rtol"),
     ({"rtol": -1.0}, "rtol"),
+    ({"atol": -1.0}, "atol"),
+    ({"atol": np.nan}, "atol"),
+    ({"atol": np.inf}, "atol"),
+    ({"initial": FlowState(np.array([0.0, np.nan]), np.ones(2))}, "finite"),
+    ({"initial": FlowState(np.zeros(2), np.array([1.0, np.inf]))}, "finite"),
     ({"record_grid": 0}, "count"),
     ({"record_grid": -3}, "count"),
     ({"record_grid": [0.25, 0.5, 1.0]}, "count"),  # a grid is a count, not an array
-], ids=["rtol-small", "rtol-zero", "rtol-negative", "count-zero", "count-negative",
-        "grid-array"])
+], ids=["rtol-small", "rtol-zero", "rtol-negative", "atol-negative", "atol-nan", "atol-inf",
+        "x-nan", "p-inf", "count-zero", "count-negative", "grid-array"])
 def test_integrate_refuses_off_contract_input_before_stepping(kwargs, message):
     calls = []
 
@@ -306,9 +311,9 @@ def test_integrate_refuses_off_contract_input_before_stepping(kwargs, message):
         calls.append(t)
         return p, np.zeros_like(p)
 
-    st = FlowState(np.zeros(2), np.ones(2))
+    args = {"initial": FlowState(np.zeros(2), np.ones(2)), "span": 1.0, **kwargs}
     with pytest.raises(ValueError, match=message):
-        integrate(rhs, st, 1.0, **kwargs)
+        integrate(rhs, **args)
     assert calls == []
 
 
