@@ -24,7 +24,6 @@ endings, so a rerun of the same scenario is byte-identical.
 """
 
 import argparse
-import importlib.metadata
 import json
 import sys
 from pathlib import Path
@@ -385,7 +384,6 @@ def write_summary(path, scn, extra):
         "tool": "jacobi-flow",
         "version": __version__,
         "numpy": np.__version__,
-        "scipy": importlib.metadata.version("scipy"),
         "task": scn["task"],
         "system": scn.get("system"),
         "params": scn["params"],
