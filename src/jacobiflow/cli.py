@@ -208,7 +208,8 @@ def scenario_from_args(args):
 
 def _check_scenario(scn, task):
     """Refuse a task other than the subcommand's, entries of another shape
-    than the flags give, and values off their choices."""
+    than the flags give, counts that are not whole numbers, and values off
+    their choices."""
     if scn["task"] != task:
         raise ValueError(f"the scenario is for task {scn['task']!r}, not {task!r}")
     init = scn.get("integration", {}).get("initial") or {"x": [], "p": []}
@@ -228,6 +229,11 @@ def _check_scenario(scn, task):
             raise ValueError(f"{where} must be a number, got {value!r}")
         if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int past any float
             raise ValueError(f"{where} must be finite, got {value!r}")
+    counts = {"integration.record": scn.get("integration", {}).get("record"),
+              "samples": scn.get("samples")}
+    for where, value in counts.items():
+        if value is not None and not float(value).is_integer():
+            raise ValueError(f"{where} must be a whole number, got {value!r}")
     names = {f"output.{key}": value for key, value in scn.get("output", {}).items()}
     for where, value in {**names, "system": scn.get("system") or ""}.items():
         if not isinstance(value, str) or where == "output.prefix" and not value:
@@ -365,10 +371,12 @@ def default_span(scn, sys):
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    """The header, then each row's values as fmt writes them: one format per
+    row, each line written as it is made, so no row string outlives its write."""
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", newline="\n") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(row_fmt % tuple(row) for row in rows)
 
 
 def _trajectory_table(traj):
@@ -410,6 +418,15 @@ def _termination(*trajs):
     """How a task of several runs ended: the first run's termination that is
     not 'completed', or 'completed'."""
     return next((t.termination for t in trajs if t.termination != "completed"), "completed")
+
+
+def _path_deviation(a, b, flows):
+    """compare_paths(a, b) and no summary entry when every run of flows (name
+    -> trajectory) completed; otherwise None, since paths of different extent
+    measure nothing, and each run's termination under 'flows'."""
+    if all(t.termination == "completed" for t in flows.values()):
+        return compare_paths(a, b), {}
+    return None, {"flows": {name: t.termination for name, t in flows.items()}}
 
 
 def exit_code_for(termination):
@@ -540,16 +557,18 @@ def run_compare(scn):
     s_max = traj_t.monitors["pacing"][-1]
     traj_s = integrate(jacobi_flow(sys), start, s_max, rtol=integration["rtol"],
                        atol=integration["atol"], record_grid=record)
-    deviation = compare_paths(traj_t, traj_s)
+    deviation, extra = _path_deviation(traj_t, traj_s, {"time": traj_t, "rescaled": traj_s})
     termination = _termination(traj_t, traj_s)
-    _write_outputs(scn, ["deviation", "span_t", "span_s"], [[deviation, span, s_max]], {
+    measured = np.nan if deviation is None else deviation
+    _write_outputs(scn, ["deviation", "span_t", "span_s"], [[measured, span, s_max]], {
         "termination": termination,
         "deviation": deviation,
         "span_t": span,
         "span_s": float(s_max),
         "resample_points": record,
+        **extra,
     })
-    print(f"max path deviation: {fmt(deviation)}")
+    print(f"max path deviation: {fmt(measured)}")
     return exit_code_for(termination)
 
 
@@ -609,7 +628,7 @@ def run_lift(scn):
                        proj.params[-1] - proj.params[0],
                        rtol=integration["rtol"], atol=integration["atol"],
                        record_grid=record)
-    deviation = compare_paths(proj, direct)
+    deviation, extra = _path_deviation(proj, direct, {"lifted": traj, "direct": direct})
     termination = _termination(traj, direct)
     pz, ee = traj.monitors["p_dummy"], traj.monitors["extended_energy"]
     drifts = {
@@ -625,8 +644,10 @@ def run_lift(scn):
         "projection_deviation": deviation,
         "drifts": drifts,
         "states": len(traj.params),
+        **extra,
     })
-    print(f"wrote {csv_path}; projection deviation {fmt(deviation)}")
+    print(f"wrote {csv_path}; projection deviation "
+          f"{fmt(np.nan if deviation is None else deviation)}")
     return exit_code_for(termination)
 
 

@@ -7,6 +7,7 @@ states as columns, with each monitor evaluated once per recorded state, and
 by resampling paths to a parameter-free common grid.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -319,13 +320,18 @@ class RK45:
         return None
 
     def dense_output(self):
-        """The quartic interpolant of the last accepted step, as a callable of t."""
+        """The quartic interpolant of the last accepted step, as a callable of
+        t: a scalar t gives the state, a 1-D array of m values an (m, n) array
+        with one state per row.  Each row is one matrix-vector product, the
+        same bits as the scalar call; a single matrix-matrix product over all
+        rows would round differently."""
         Q = self.K.T.dot(self.P)
         t_old, y_old, h = self.t_old, self.y_old, self.t - self.t_old
 
         def sol(t):
-            x = (t - t_old) / h
-            return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
+            x = (np.asarray(t) - t_old) / h
+            powers = np.cumprod(np.repeat(x[..., None], 4, axis=-1), axis=-1)
+            return h * np.matmul(Q, powers[..., None])[..., 0] + y_old
 
         return sol
 
@@ -378,9 +384,10 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     at full accuracy and recorded cumulatively as the monitor 'pacing' (used
     to map between parametrizations without quadrature loss).
 
-    record_grid, when given, is a count N >= 1: states are then recorded at
-    the N uniform grid points span/N, 2 span/N, .., span through the
-    stepper's dense interpolant instead of at accepted steps.  Path
+    record_grid, when given, is a whole number N >= 1, not a bool: states
+    are then recorded at the N uniform grid points span/N, 2 span/N, ..,
+    span instead of at accepted steps, through the stepper's dense
+    interpolant, evaluated once per step for all of that step's points.  Path
     comparisons need sample spacing well below the adaptive step size to
     keep piecewise-linear resampling error out of the measurement; this keeps
     the step sequence (and cost) of the adaptive run.  An rtol below RTOL_MIN,
@@ -404,7 +411,9 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
         raise ValueError(f"rtol must be at least {RTOL_MIN:.3g}, got {rtol!r}")
     if not 0 <= atol < np.inf:
         raise ValueError(f"atol must be finite and at least 0, got {atol!r}")
-    if record_grid is not None and not (np.isscalar(record_grid) and record_grid >= 1):
+    if record_grid is not None and not (
+            isinstance(record_grid, numbers.Real) and not isinstance(record_grid, bool)
+            and record_grid >= 1 and float(record_grid).is_integer()):
         raise ValueError(f"record_grid must be a count >= 1, got {record_grid!r}")
     grid = None if record_grid is None else np.linspace(0.0, span, int(record_grid) + 1)[1:]
 
@@ -449,12 +458,14 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
                 trajectory=_trajectory(rows, n, monitor_fns, "step_failure"))
         if grid is None:
             _record(rows, stepper.t, stepper.y)
-        else:
-            if next_grid < grid.size and grid[next_grid] <= stepper.t:
-                sol = stepper.dense_output()
-                while next_grid < grid.size and grid[next_grid] <= stepper.t:
-                    _record(rows, grid[next_grid], sol(grid[next_grid]))
-                    next_grid += 1
+            continue
+        # the grid points this step reached, through one interpolant call
+        end = np.searchsorted(grid, stepper.t, side="right")
+        if end > next_grid:
+            points = grid[next_grid:end]
+            for param, y in zip(points, stepper.dense_output()(points)):
+                _record(rows, param, y)
+            next_grid = end
 
     return _trajectory(rows, n, monitor_fns, termination)
 

@@ -143,6 +143,10 @@ def test_compare_reports_how_its_flows_ended(tmp_path, capsys):
     assert code == 3
     summary = json.loads((tmp_path / "compare_summary.json").read_text())
     assert summary["termination"] == "domain_violation"
+    # paths of different extent give no deviation; each flow says how it ended
+    assert summary["flows"] == {"time": "domain_violation", "rescaled": "turning_point"}
+    assert summary["deviation"] is None
+    assert (tmp_path / "compare.csv").read_text().splitlines()[1].startswith("nan,10,")
 
 
 def test_lift_reports_how_its_direct_run_ended(tmp_path, capsys, monkeypatch):
@@ -155,6 +159,8 @@ def test_lift_reports_how_its_direct_run_ended(tmp_path, capsys, monkeypatch):
     assert code == 3
     summary = json.loads((tmp_path / "lift_summary.json").read_text())
     assert summary["termination"] == "domain_violation"
+    assert summary["flows"] == {"lifted": "completed", "direct": "domain_violation"}
+    assert summary["projection_deviation"] is None
 
 
 def test_curvature_scan_columns_and_values(tmp_path, capsys):
@@ -414,13 +420,15 @@ ORBIT = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     (["lift"], {"system": "kepler"}, "key system "),
     (CURVATURE, {"system": "kepler"}, "key system "),
     (CURVATURE, {"output": {"prefix": ""}}, "output.prefix"),
+    (ORBIT, {"integration": {"record": 50.9}}, "integration.record"),
+    (CURVATURE, {"samples": 100.5}, "samples"),
 ], ids=["not-an-object", "params", "integration", "output", "grid", "text-number",
         "null-number", "bool-number", "empty-sweep", "int-past-float", "null-samples", "text-grid",
         "null-span", "initial-list", "kind-choice", "flow-choice", "form-choice",
         "unknown-key", "unknown-grid-key", "unknown-param", "unknown-integration-key",
         "unknown-output-key", "other-task", "unread-flow", "unread-param", "lift-system",
         "curvature-system",
-        "empty-prefix"])
+        "empty-prefix", "fractional-record", "fractional-samples"])
 def test_scenario_file_keeps_the_flag_contract(tmp_path, capsys, argv, scenario, entry):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))

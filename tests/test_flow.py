@@ -302,8 +302,12 @@ def test_integrate_rejects_bad_arguments():
     ({"record_grid": 0}, "count"),
     ({"record_grid": -3}, "count"),
     ({"record_grid": [0.25, 0.5, 1.0]}, "count"),  # a grid is a count, not an array
+    ({"record_grid": 2.5}, "count"),
+    ({"record_grid": True}, "count"),
+    ({"record_grid": np.inf}, "count"),
 ], ids=["rtol-small", "rtol-zero", "rtol-negative", "atol-negative", "atol-nan", "atol-inf",
-        "x-nan", "p-inf", "count-zero", "count-negative", "grid-array"])
+        "x-nan", "p-inf", "count-zero", "count-negative", "grid-array", "count-fraction",
+        "count-bool", "count-inf"])
 def test_integrate_refuses_off_contract_input_before_stepping(kwargs, message):
     calls = []
 

@@ -1,4 +1,5 @@
-"""The owned Dormand-Prince stepper against scipy's RK45, and the import
+"""The owned Dormand-Prince stepper against scipy's RK45, its dense output
+over arrays of parameters and the record grid built on it, and the import
 path it keeps free of scipy."""
 
 import subprocess
@@ -20,9 +21,9 @@ BERTRAND_E = 0.5 * 0.1 ** 2 + 3.0 / 18.0 - 1.0 / 3.0
 OWN_RK45 = flow.RK45
 
 
-def stepper_inputs(monkeypatch, argv, out):
-    """(fun, t0, y0, t_bound, tolerances) of every stepper the CLI run argv
-    constructs; the run itself must complete."""
+def spy_on_steppers(monkeypatch):
+    """The list that collects (fun, t0, y0, t_bound, tolerances) of every
+    stepper constructed from now on."""
     seen = []
 
     class Spy(OWN_RK45):
@@ -31,17 +32,27 @@ def stepper_inputs(monkeypatch, argv, out):
             super().__init__(fun, t0, y0, t_bound, **tol)
 
     monkeypatch.setattr(flow, "RK45", Spy)
+    return seen
+
+
+def stepper_inputs(monkeypatch, argv, out):
+    """(fun, t0, y0, t_bound, tolerances) of every stepper the CLI run argv
+    constructs; the run itself must complete."""
+    seen = spy_on_steppers(monkeypatch)
     assert main([*argv, "--out", str(out)]) == 0
     return seen
 
 
-@pytest.mark.parametrize("argv, runs", [
+RUNS = pytest.mark.parametrize("argv, runs", [
     (["orbit", "--system", "kepler", "--E", "-0.5"], 1),
     (["lift", "--kind", "timedep", "--amp", "0.3", "--span", "3", "--record", "1000"], 2),
     (["orbit", "--system", "bertrand_kepler", "--k", "1", "--m", "1", "--flow", "jacobi",
       "--E", repr(BERTRAND_E), "--initial", "3,1.5707963267948966,0,0.1,0,1.7320508075688772",
       "--span", "4"], 1),
 ], ids=["kepler-orbit", "timedep-lift", "catalog-jacobi-orbit"])
+
+
+@RUNS
 def test_stepper_matches_scipy_bit_for_bit(tmp_path, monkeypatch, capsys, argv, runs):
     inputs = stepper_inputs(monkeypatch, argv, tmp_path)
     assert len(inputs) == runs
@@ -62,6 +73,56 @@ def test_stepper_matches_scipy_bit_for_bit(tmp_path, monkeypatch, capsys, argv, 
                 t = ref.t_old + frac * (ref.t - ref.t_old)
                 assert np.array_equal(sol(t), ref_sol(t))
         assert ref.status == "finished" and steps > 10
+
+
+@RUNS
+def test_dense_output_of_an_array_is_the_scalar_calls_stacked(tmp_path, monkeypatch, argv, runs):
+    for fun, t0, y0, t_bound, tol in stepper_inputs(monkeypatch, argv, tmp_path):
+        ours = OWN_RK45(fun, t0, y0, t_bound, **tol)
+        ref = scipy_integrate.RK45(fun, t0, y0, t_bound, **tol)
+        steps = 0
+        while ours.status == "running":
+            ours.step()
+            ref.step()
+            steps += 1
+            # one to seven points inside the step, its two ends included
+            fracs = np.linspace(0.0, 1.0, 1 + steps % 7)
+            ts = ours.t_old + fracs * (ours.t - ours.t_old)
+            sol, ref_sol = ours.dense_output(), ref.dense_output()
+            states = sol(ts)
+            assert states.shape == (ts.size, y0.size)
+            assert np.array_equal(states, np.stack([sol(t) for t in ts]))
+            for t, state in zip(ts, states):
+                assert np.array_equal(state, ref_sol(t))
+        assert steps > 10
+
+
+def test_record_grid_rows_equal_a_per_point_loop(monkeypatch):
+    seen = spy_on_steppers(monkeypatch)
+    kepler = jacobiflow.MechanicalSystem(
+        g=jacobiflow.polar_metric(), U=lambda x: -1.0 / x[0], m=1.0, E=-0.5,
+        grad_U=lambda x: np.array([1.0 / x[0] ** 2, 0.0]))
+    # the e = 0.5 ellipse from perihelion over one period: short steps near
+    # perihelion hold no grid point, long ones near aphelion several
+    launch = flow.FlowState(np.array([0.5, 0.0]), np.array([0.0, np.sqrt(0.75)]))
+    span, count = 2.0 * np.pi, 200
+    traj = flow.integrate(flow.hamilton_flow(kepler), launch, span, record_grid=count)
+
+    (fun, t0, y0, t_bound, tol), = seen
+    stepper = OWN_RK45(fun, t0, y0, t_bound, **tol)
+    grid = np.linspace(0.0, span, count + 1)[1:]
+    states, per_step, i = [stepper.y], [], 0
+    while stepper.status == "running":
+        stepper.step()
+        sol, first = stepper.dense_output(), i
+        while i < grid.size and grid[i] <= stepper.t:
+            states.append(sol(grid[i]))
+            i += 1
+        per_step.append(i - first)
+    assert 0 in per_step and max(per_step) > 1
+    assert grid[-1] == span and stepper.t == span
+    assert np.array_equal(traj.params, np.concatenate([[0.0], grid]))
+    assert np.array_equal(np.column_stack([traj.x, traj.p]), np.array(states))
 
 
 def test_importing_the_cli_loads_no_scipy():
