@@ -35,8 +35,6 @@ from .transforms import (
     nonrelativistic_limit_factor,
     jacobi_time_dependent,
     jacobi_time_dependent_approx,
-    projective_factor_static,
-    projective_factor_lifted,
 )
 from .flow import (
     FlowState,

@@ -352,18 +352,26 @@ def _require_on_shell(sys, start):
                          f"H(x0, p0) - E = {gap:.6g}")
 
 
-def default_span(scn, sys):
+def default_span(scn, sys, rescaled=False):
+    """The scenario's span, or one period of the orbit: in time, or, for the
+    rescaled flow, in s, which advances at the pacing 2m(E - U).  By the
+    virial theorem that pacing averages 2m|E| over a Kepler period and mE
+    over an isotropic oscillator's."""
     if scn["integration"].get("span") is not None:
         return float(scn["integration"]["span"])
     E = scn["params"].get("E")
     if sys.name == "kepler" and E is not None and E < 0:
         k = _param(scn, "k")
         a = k / (2.0 * abs(E))
-        return 2.0 * np.pi * a ** 1.5 * np.sqrt(sys.m / k)
-    if sys.name == "oscillator":
-        return 2.0 * np.pi * np.sqrt(sys.m / _param(scn, "lam"))
-    raise ValueError("no default span for this system; pass "
-                     "integration.span (or --span)")
+        period = 2.0 * np.pi * a ** 1.5 * np.sqrt(sys.m / k)
+        pacing = 2.0 * sys.m * abs(E)
+    elif sys.name == "oscillator":
+        period = 2.0 * np.pi * np.sqrt(sys.m / _param(scn, "lam"))
+        pacing = sys.m * E
+    else:
+        raise ValueError("no default span for this system; pass "
+                         "integration.span (or --span)")
+    return period * pacing if rescaled else period
 
 
 # ----------------------------------------------------------------------
@@ -498,9 +506,9 @@ def run_transform(scn):
 def run_orbit(scn):
     sys = build_mechanical(scn)
     start = default_initial(scn, sys)
-    span = default_span(scn, sys)
-    integration = scn["integration"]
     flow_kind = scn["flow"]
+    span = default_span(scn, sys, rescaled=flow_kind == "jacobi")
+    integration = scn["integration"]
     record = integration.get("record")
     grid = int(record) if record else None
     monitors = {"energy": lambda t, x, p: energy_from_state(sys, x, p)}

@@ -80,7 +80,7 @@ def lift_static(g, V, m, kappa=2.0):
     n = g.dim
 
     def inv_guard(xe):
-        return g.guard is None or g.guard(xe[:n])
+        return g.valid(xe[:n])
 
     def ext_guard(xe):
         return inv_guard(xe) and V(xe[:n]) > 0.0
@@ -135,7 +135,7 @@ def lift_time_dependent(g, U, *, m=1.0, c=1.0):
         return _evaluate(g, x, t)
 
     def ext_guard(xe):
-        return g.guard is None or g.guard(xe[:n])
+        return g.valid(xe[:n])
 
     def ext_components(xe):
         x, t = xe[:n], xe[n]

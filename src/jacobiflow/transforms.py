@@ -3,8 +3,7 @@
 Four constructions are provided: the fixed-energy rescaling of a mechanical
 system, the stationary-spacetime rescaling for timelike geodesics, the exact
 time-dependent rescaling fed by lifted momenta, and its non-relativistic
-approximation.  The projective route lands on the same closed forms, so
-its two entry points delegate to the direct constructions.
+approximation.
 """
 
 from dataclasses import dataclass
@@ -160,17 +159,20 @@ def _as_time_function(value):
 def jacobi_time_dependent(g, U, q, p_t, m, c=1.0):
     """Exact conformal factor for time-dependent systems, fed by lifted momenta.
 
-    factor(x, t) = 2[q p_t - q^2 U(x, t)] - m^2 c^2, the rescaling that
+    factor(x, t) = 2[q p_t - q^2 U(x, t) / m] - m^2 c^2, the rescaling that
     projects the lifted geodesic flow onto the constant dummy-momentum
-    hypersurface p_sigma = q c.  p_t may be a constant or a function of time
-    (it varies along lifted flows when U depends on time).
+    hypersurface p_sigma = q c.  At the massive-shell momentum
+    p_t = (q/m) H + m^2 c^2 / (2q) that embed_time_dependent places, it
+    equals g^ij p_i p_j of the lifted spatial momenta.  p_t may be a constant
+    or a function of time (it varies along lifted flows when U depends on
+    time).
     """
     if q == 0:
         raise ValueError("the dummy momentum parameter q must be nonzero")
     pt_fn = _as_time_function(p_t)
 
     def factor(x, t):
-        return 2.0 * (q * pt_fn(t) - q * q * U(x, t)) - m * m * c * c
+        return 2.0 * (q * pt_fn(t) - q * q * U(x, t) / m) - m * m * c * c
 
     return ConformalMetric(base=g, factor=factor, time_dependent=True)
 
@@ -187,23 +189,3 @@ def jacobi_time_dependent_approx(g, U, energy, q, m):
         return 2.0 * m * (e_fn(t) - q * q * U(x, t))
 
     return ConformalMetric(base=g, factor=factor, time_dependent=True)
-
-
-def projective_factor_static(sys):
-    """Fixed-energy rescaling reached through the projective route.
-
-    Rescaling the null-extended kinetic Hamiltonian by the conformal weight
-    E - U and restricting to unit dummy momentum lands on the closed form of
-    jacobi_nonrelativistic, which builds it.
-    """
-    return jacobi_nonrelativistic(sys)
-
-
-def projective_factor_lifted(g, U, q, energy, m):
-    """Time-dependent rescaling reached through the projective route.
-
-    Rescaling the null lifted Hamiltonian with dummy momenta pinned to
-    (q, -E(t)) produces 2m[E(t) - q^2 U(x, t)], the closed form of
-    jacobi_time_dependent_approx, which builds it.
-    """
-    return jacobi_time_dependent_approx(g, U, energy, q, m)

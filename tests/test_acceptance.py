@@ -32,6 +32,7 @@ from jacobiflow import (
     jacobi_flow,
     jacobi_nonrelativistic,
     jacobi_relativistic_stationary,
+    jacobi_time_dependent,
     jacobi_time_dependent_approx,
     kepler_curvature,
     kepler_eccentricity,
@@ -45,8 +46,6 @@ from jacobiflow import (
     nonrelativistic_limit_factor,
     polar_metric,
     project,
-    projective_factor_lifted,
-    projective_factor_static,
     sample_points,
     schwarzschild,
     taub_nut,
@@ -266,25 +265,58 @@ def test_flat_space_energy_relation():
         assert abs(c * c * factor + m * m * c**4 - E_rel * E_rel) < 1e-10
 
 
-def test_projective_factors_equal_fixed_energy_forms():
+def test_jacobi_factors_agree_with_the_eisenhart_duval_lift():
+    # lift.py and transforms.py build each factor independently, so the two
+    # routes agree to rounding, not bit for bit: errors are relative to the
+    # size of the terms, which cancel near the turning surface
+    tol = 4e-15
     rng = np.random.default_rng(7)
 
-    sys = kepler_system()
-    direct = jacobi_nonrelativistic(sys)
-    proj = projective_factor_static(sys)
-    for _ in range(10000):
-        x = np.array([rng.uniform(0.05, 1.95), rng.uniform(0.0, 2.0 * np.pi)])
-        assert proj.factor_at(x) == direct.factor_at(x)
+    # static: kappa V times p_z^2 = 2m/kappa is 2m(E - U)
+    for m, k, E, kappa in ((1.0, 1.0, -0.5, 2.0), (0.7, 2.5, -1.3, 1.0), (2.0, 0.4, 0.8, 3.5)):
+        sys = MechanicalSystem(g=polar_metric(), U=lambda x, k=k: -k / x[0], m=m, E=E)
+        lifted = lift_static(sys.g, lambda x, sys=sys: sys.E - sys.U(x), m, kappa)
+        pz_sq = mechanical_pz(lifted) ** 2
+        direct = jacobi_nonrelativistic(sys)
+        for _ in range(5000):
+            x = np.array([rng.uniform(0.05, 3.0), rng.uniform(0.0, 2.0 * np.pi)])
+            via_lift = evaluate_metric(lifted.inverse, np.append(x, 0.0))[2, 2] * pz_sq
+            factor = direct.factor_at(x)
+            assert abs(via_lift - factor) <= tol * abs(factor), (m, k, E, kappa, x)
 
     def U(x, t):
         return 0.5 * (1.0 + 0.1 * np.sin(t)) * float(x @ x)
 
-    lifted = projective_factor_lifted(flat_metric(2), U, q=1.0, energy=3.0, m=2.0)
-    approx = jacobi_time_dependent_approx(flat_metric(2), U, energy=3.0, q=1.0, m=2.0)
-    for _ in range(10000):
-        x = rng.normal(size=2)
-        t = rng.uniform(0.0, 10.0)
-        assert lifted.factor_at(x, t) == approx.factor_at(x, t)
+    # null shell: the dummy momenta p_D = (E/q, q m c) contracted with the
+    # (t, sigma) block of the inverse give 2m[E - q^2 U]
+    for m, q, c, E in ((1.0, 1.0, 1.0, 3.0), (2.0, 0.7, 3.0, -1.5), (0.5, 1.8, 0.4, 0.6)):
+        lifted = lift_time_dependent(flat_metric(2), U, m=m, c=c)
+        approx = jacobi_time_dependent_approx(flat_metric(2), U, energy=E, q=q, m=m)
+        p_D = np.array([E / q, q * m * c])
+        for _ in range(5000):
+            x = rng.normal(size=2)
+            t = rng.uniform(0.0, 10.0)
+            block = evaluate_metric(lifted.inverse, np.concatenate([x, [t, 0.0]]))[2:, 2:]
+            scale = 2.0 * m * (abs(E) + q * q * abs(U(x, t)))
+            assert abs(p_D @ block @ p_D - approx.factor_at(x, t)) <= tol * scale, (m, q, c, E)
+
+    # massive shell: the embedded spatial momenta give g^ij p_i p_j equal to
+    # the exact factor at the embedded p_t
+    def U_polar(x, t):
+        return -(1.0 + 0.2 * np.sin(t)) / x[0]
+
+    for m in (0.5, 1.0, 2.0):
+        for c in (1.0, 2.5):
+            lifted = lift_time_dependent(polar_metric(), U_polar, m=m, c=c)
+            for _ in range(1334):
+                x0 = np.array([rng.uniform(0.3, 3.0), rng.uniform(0.0, 2.0 * np.pi)])
+                q = rng.uniform(0.3, 2.0)
+                start = embed_time_dependent(lifted, x0, rng.normal(size=2), q)
+                p, p_t = start.p[:2], start.p[2]
+                kinetic = -p @ evaluate_metric(lifted.inverse, start.x)[:2, :2] @ p
+                exact = jacobi_time_dependent(polar_metric(), U_polar, q, p_t, m, c)
+                scale = 2.0 * q * abs(p_t) + 2.0 * q * q * abs(U_polar(x0, 0.0)) / m + m * m * c * c
+                assert abs(kinetic - exact.factor_at(x0, 0.0)) <= tol * scale, (m, c, q)
 
 
 def test_static_lift_reproduces_oscillator():

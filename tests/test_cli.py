@@ -82,6 +82,20 @@ def test_orbit_jacobi_flow_reports_unit_momentum(tmp_path, capsys):
     assert header == "param,x1,x2,p1,p2,energy,unit_momentum"
 
 
+@pytest.mark.parametrize("system", [
+    ["kepler", "--E", "-0.2"],
+    ["oscillator", "--E", "2", "--lam", "0.5"],
+], ids=["kepler", "oscillator"])
+def test_orbit_jacobi_flow_default_span_is_one_period(tmp_path, capsys, system):
+    # s advances at 2m(E - U), not at unit rate, so one turn needs the period
+    # scaled by that pacing's mean over the orbit
+    code, _, _ = run(capsys, "orbit", "--system", *system, "--flow", "jacobi",
+                     "--out", str(tmp_path))
+    assert code == 0
+    phi = float((tmp_path / "orbit.csv").read_text().splitlines()[-1].split(",")[2])
+    assert abs(phi - 2.0 * np.pi) < 1e-6
+
+
 @pytest.mark.parametrize("record", [[], ["--record", "1000"]], ids=["steps", "record-grid"])
 def test_orbit_turning_point_exits_three(tmp_path, capsys, record):
     code, _, _ = run(

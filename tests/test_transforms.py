@@ -1,4 +1,4 @@
-"""Conformal-factor constructions: classical, relativistic, time-dependent, projective."""
+"""Conformal-factor constructions: classical, relativistic, time-dependent."""
 
 import numpy as np
 import pytest
@@ -18,10 +18,10 @@ from jacobiflow import (
     jacobi_relativistic_stationary,
     jacobi_time_dependent,
     jacobi_time_dependent_approx,
+    lift_static,
+    mechanical_pz,
     nonrelativistic_limit_factor,
     polar_metric,
-    projective_factor_lifted,
-    projective_factor_static,
     weak_field_spacetime,
 )
 
@@ -186,6 +186,11 @@ def test_time_dependent_approx_factor_value():
         flat_metric(2), U=lambda x, t: 0.5, energy=1.0, q=1.0, m=1.0
     )
     assert conf.factor_at(np.zeros(2), 0.0) == pytest.approx(1.0, abs=1e-15)
+    # m=2, q=1, E=3, U=1 -> 2*2*(3-1) = 8
+    conf = jacobi_time_dependent_approx(
+        flat_metric(2), U=lambda x, t: 1.0, energy=3.0, q=1.0, m=2.0
+    )
+    assert conf.factor_at(np.zeros(2), 0.0) == pytest.approx(8.0, abs=1e-14)
 
 
 def test_time_dependent_approx_static_reduction():
@@ -200,40 +205,22 @@ def test_time_dependent_approx_static_reduction():
         assert conf_td.factor_at(x, 0.0) == conf_static.factor_at(x)
 
 
-def test_projective_static_bitwise_identity():
-    sys = kepler_system()
-    direct = jacobi_nonrelativistic(sys)
-    proj = projective_factor_static(sys)
-    rng = np.random.default_rng(5)
-    for _ in range(10000):
-        x = np.array([rng.uniform(0.05, 1.95), rng.uniform(0.0, 2 * np.pi)])
-        assert proj.factor_at(x) == direct.factor_at(x)
-
-
-def test_projective_lifted_value_and_identity():
-    # m=2, q=1, E=3, U=1: 2 m [E - q^2 U] = 2*2*(3-1) = 8
-    U = lambda x, t: 1.0
-    proj = projective_factor_lifted(flat_metric(2), U, q=1.0, energy=3.0, m=2.0)
-    assert proj.factor_at(np.zeros(2), 0.0) == pytest.approx(8.0, abs=1e-14)
-    approx = jacobi_time_dependent_approx(flat_metric(2), U, energy=3.0, q=1.0, m=2.0)
-    rng = np.random.default_rng(29)
-    for _ in range(2000):
-        x = rng.normal(size=2)
-        t = rng.uniform(0.0, 10.0)
-        assert proj.factor_at(x, t) == approx.factor_at(x, t)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     m=st.floats(0.1, 10.0),
     E=st.floats(-5.0, 5.0),
     r=st.floats(0.1, 20.0),
     k=st.floats(0.1, 5.0),
+    kappa=st.floats(0.1, 10.0),
 )
-def test_projective_static_identity_property(m, E, r, k):
+def test_static_lift_dummy_entry_is_the_jacobi_factor(m, E, r, k, kappa):
+    # kappa V at the mechanical p_z^2 = 2m/kappa is 2m(E - U), up to rounding
     sys = kepler_system(m=m, k=k, E=E)
+    lifted = lift_static(sys.g, lambda x: E - sys.U(x), m, kappa)
     x = np.array([r, 1.0])
-    assert projective_factor_static(sys).factor_at(x) == jacobi_nonrelativistic(sys).factor_at(x)
+    via_lift = evaluate_metric(lifted.inverse, np.append(x, 0.0))[2, 2] * mechanical_pz(lifted) ** 2
+    factor = jacobi_nonrelativistic(sys).factor_at(x)
+    assert abs(via_lift - factor) <= 4e-15 * abs(factor)
 
 
 def test_conformal_metric_scales_inverse():
