@@ -11,7 +11,6 @@ from .errors import (
     DomainViolation,
     SingularMatrix,
     TurningPoint,
-    StepFailure,
     EmptyTrajectory,
     PoleAtZeroDenominator,
 )

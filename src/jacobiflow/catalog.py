@@ -282,13 +282,13 @@ def bertrand_hooke(lam, m, c=1.0):
     return entry
 
 
-def kerr(M, a, m, G=1.0, c=1.0):
+def kerr(M, a, m, c=1.0):
     """Rotating family in Boyer-Lindquist-type coordinates (r, theta, phi).
 
-    Delta = r^2 - 2GMr + a^2, rho^2 = r^2 + a^2 cos^2(theta).  The chart
-    excludes Delta <= 0; the redshift-zero surface rho^2 = 2GMr is rejected
-    by the relativistic factor.  The phi-t cross term takes no part in the
-    conformal factor.
+    Delta = r^2 - 2Mr + a^2, rho^2 = r^2 + a^2 cos^2(theta), in units with
+    G = 1 (GM enters only as M).  The chart excludes Delta <= 0; the
+    redshift-zero surface rho^2 = 2Mr is rejected by the relativistic
+    factor.  The phi-t cross term takes no part in the conformal factor.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -297,11 +297,10 @@ def kerr(M, a, m, G=1.0, c=1.0):
     M = float(M)
     a = float(a)
     m = float(m)
-    G = float(G)
     c = float(c)
 
     def delta(r):
-        return r * r - 2.0 * G * M * r + a * a
+        return r * r - 2.0 * M * r + a * a
 
     def rho2(r, th):
         return r * r + a * a * np.cos(th) ** 2
@@ -317,30 +316,30 @@ def kerr(M, a, m, G=1.0, c=1.0):
 
     def Vsq(x):
         r, th = x[0], x[1]
-        return 1.0 - 2.0 * G * M * r / rho2(r, th)
+        return 1.0 - 2.0 * M * r / rho2(r, th)
 
     def U(x):
         r, th = x[0], x[1]
-        return -2.0 * G * M * r / rho2(r, th)
+        return -2.0 * M * r / rho2(r, th)
 
     def reference_jacobi(x, E_rel):
         r, th = x[0], x[1]
         p2 = rho2(r, th)
-        factor = (E_rel ** 2 * p2 / (c * c * (p2 - 2.0 * G * M * r))
+        factor = (E_rel ** 2 * p2 / (c * c * (p2 - 2.0 * M * r))
                   - m * m * c * c)
         return factor * np.diag(diagonal(r, th))
 
     def reference_jacobi_nonrel(x, E):
         r, th = x[0], x[1]
-        factor = E + 2.0 * G * M * r / rho2(r, th)
+        factor = E + 2.0 * M * r / rho2(r, th)
         return factor * np.diag(diagonal(r, th))
 
-    r_lo = max(2.1 * G * M, 1.1 * (G * M + np.sqrt(max(G * G * M * M - a * a, 0.0))))
+    r_lo = max(2.1 * M, 1.1 * (M + np.sqrt(max(M * M - a * a, 0.0))))
     if r_lo == 0.0:
         r_lo = 0.5
     return CatalogEntry(
         name="kerr",
-        params={"M": M, "a": a, "m": m, "G": G, "c": c},
+        params={"M": M, "a": a, "m": m, "c": c},
         spatial=spatial,
         Vsq=Vsq,
         U=U,
@@ -365,7 +364,7 @@ CATALOG = {
                         "inverse-distance closed-orbit family"),
     "bertrand_hooke": (bertrand_hooke, ("lam", "m"), ("c",),
                        "oscillator closed-orbit family"),
-    "kerr": (kerr, ("M", "a", "m"), ("G", "c"),
+    "kerr": (kerr, ("M", "a", "m"), ("c",),
              "rotating family; chart Delta > 0"),
 }
 

@@ -16,9 +16,9 @@ run, and output files gain a zero-padded index suffix.
 Exit codes: 0 success, 2 refused input (a parser refusal, a parameter the
 system or lift does not read, any other ValueError, or a launch outside the
 chart or at a turning point; one 'error:' line on stderr), 3 clean
-numerical termination (turning point or chart violation, reported in the
-summary metadata), 4 step failure (orbit writes its partial trajectory,
-compare and lift write nothing); a sweep exits with its largest leg code.
+numerical termination (turning point or chart violation), 4 step failure;
+on 3 and 4 the run writes its partial results, with the termination and its
+reason in the summary; a sweep exits with its largest leg code.
 All numeric output is written with 17 significant digits and LF line
 endings, so a rerun of the same scenario is byte-identical.
 """
@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .catalog import CATALOG, catalog_entry, mechanical_system_from_entry, spacetime_from_entry
 from .curvature import classify_orbit, gaussian_curvature_numeric, kepler_curvature, kepler_profile
-from .errors import JacobiFlowError, StepFailure
+from .errors import JacobiFlowError
 from .flow import (
     PATH_SAMPLES,
     FlowState,
@@ -69,7 +69,7 @@ TASKS = {
     "lift": "integrate an extended lift and check the projection",
     "catalog": "list the built-in spacetime families",
 }
-PARAM_FLAGS = ("E", "E_rel", "q", "M", "a", "k", "m", "c", "lam", "G", "amp", "kappa")
+PARAM_FLAGS = ("E", "E_rel", "q", "M", "a", "k", "m", "c", "lam", "amp", "kappa")
 # the parameters each inline system and each lift reads
 INLINE_SYSTEMS = {"kepler": ("k", "m"), "oscillator": ("lam", "m"), "free": ("m",)}
 LIFT_KINDS = {"static": ("m", "lam", "kappa"), "timedep": ("m", "lam", "amp", "q", "c")}
@@ -422,19 +422,18 @@ def _write_outputs(scn, header, rows, extra):
     return csv_path
 
 
-def _termination(*trajs):
-    """How a task of several runs ended: the first run's termination that is
-    not 'completed', or 'completed'."""
-    return next((t.termination for t in trajs if t.termination != "completed"), "completed")
-
-
-def _path_deviation(a, b, flows):
-    """compare_paths(a, b) and no summary entry when every run of flows (name
-    -> trajectory) completed; otherwise None, since paths of different extent
-    measure nothing, and each run's termination under 'flows'."""
-    if all(t.termination == "completed" for t in flows.values()):
-        return compare_paths(a, b), {}
-    return None, {"flows": {name: t.termination for name, t in flows.items()}}
+def _flows_outcome(flows):
+    """The path deviation and summary entries of a task of several runs
+    (flows: name -> trajectory, in run order).  When every run completed:
+    compare_paths of the two runs and termination 'completed'.
+    Otherwise no deviation, since paths of different extent measure nothing,
+    the first unfinished run's termination and reason, and each run's
+    termination under 'flows'."""
+    early = next((t for t in flows.values() if t.termination != "completed"), None)
+    if early is None:
+        return compare_paths(*flows.values()), {"termination": "completed"}
+    return None, {"termination": early.termination, "reason": early.reason,
+                  "flows": {name: t.termination for name, t in flows.items()}}
 
 
 def exit_code_for(termination):
@@ -518,14 +517,8 @@ def run_orbit(scn):
         rhs = jacobi_flow(sys)
     else:
         rhs = hamilton_flow(sys)
-    partial = None
-    try:
-        traj = integrate(rhs, start, span, rtol=integration["rtol"],
-                         atol=integration["atol"], monitor_fns=monitors,
-                         record_grid=grid)
-    except StepFailure as exc:
-        traj = exc.trajectory
-        partial = str(exc)
+    traj = integrate(rhs, start, span, rtol=integration["rtol"],
+                     atol=integration["atol"], monitor_fns=monitors, record_grid=grid)
     energy = traj.monitors["energy"]
     drifts = {"energy": float(np.max(np.abs(energy - energy[0])))}
     if flow_kind == "jacobi":
@@ -540,8 +533,8 @@ def run_orbit(scn):
         "states": len(traj.params),
         "drifts": drifts,
     }
-    if partial:
-        extra["failure"] = partial
+    if traj.termination != "completed":
+        extra["reason"] = traj.reason
     csv_path = _write_outputs(scn, *_trajectory_table(traj), extra)
     print(f"wrote {csv_path} ({len(traj.params)} states, {traj.termination})")
     return exit_code_for(traj.termination)
@@ -562,14 +555,14 @@ def run_compare(scn):
     pace = lambda t, x, p: 2.0 * sys.m * (sys.E - sys.potential(x))
     traj_t = integrate(hamilton_flow(sys), start, span, rtol=integration["rtol"],
                        atol=integration["atol"], pacing=pace, record_grid=record)
+    flows = {"time": traj_t}
     s_max = traj_t.monitors["pacing"][-1]
-    traj_s = integrate(jacobi_flow(sys), start, s_max, rtol=integration["rtol"],
-                       atol=integration["atol"], record_grid=record)
-    deviation, extra = _path_deviation(traj_t, traj_s, {"time": traj_t, "rescaled": traj_s})
-    termination = _termination(traj_t, traj_s)
+    if len(traj_t.params) > 1:  # the time flow may end before its first grid point
+        flows["rescaled"] = integrate(jacobi_flow(sys), start, s_max, rtol=integration["rtol"],
+                                      atol=integration["atol"], record_grid=record)
+    deviation, extra = _flows_outcome(flows)
     measured = np.nan if deviation is None else deviation
     _write_outputs(scn, ["deviation", "span_t", "span_s"], [[measured, span, s_max]], {
-        "termination": termination,
         "deviation": deviation,
         "span_t": span,
         "span_s": float(s_max),
@@ -577,7 +570,7 @@ def run_compare(scn):
         **extra,
     })
     print(f"max path deviation: {fmt(measured)}")
-    return exit_code_for(termination)
+    return exit_code_for(extra["termination"])
 
 
 def run_curvature(scn):
@@ -636,8 +629,7 @@ def run_lift(scn):
                        proj.params[-1] - proj.params[0],
                        rtol=integration["rtol"], atol=integration["atol"],
                        record_grid=record)
-    deviation, extra = _path_deviation(proj, direct, {"lifted": traj, "direct": direct})
-    termination = _termination(traj, direct)
+    deviation, extra = _flows_outcome({"lifted": proj, "direct": direct})
     pz, ee = traj.monitors["p_dummy"], traj.monitors["extended_energy"]
     drifts = {
         "dummy_momentum": float(np.max(np.abs(pz - pz[0]))),
@@ -648,7 +640,6 @@ def run_lift(scn):
         drifts["shell_residual"] = float(np.max(np.abs(traj.monitors["shell_residual"])))
     csv_path = _write_outputs(scn, *_trajectory_table(proj), {
         "kind": kind,
-        "termination": termination,
         "projection_deviation": deviation,
         "drifts": drifts,
         "states": len(traj.params),
@@ -656,7 +647,7 @@ def run_lift(scn):
     })
     print(f"wrote {csv_path}; projection deviation "
           f"{fmt(np.nan if deviation is None else deviation)}")
-    return exit_code_for(termination)
+    return exit_code_for(extra["termination"])
 
 
 def run_catalog(scn):
@@ -727,9 +718,6 @@ def _exit_code(run, *args):
     termination."""
     try:
         return run(*args)
-    except StepFailure as exc:
-        print(f"step failure: {exc}", file=sys.stderr)
-        return EXIT_STEP_FAILURE
     except (ValueError, JacobiFlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -2,7 +2,10 @@
 
 Every failure mode that integrations and transforms can hit maps to one of
 these exception types, so callers (and the command line front end) can react
-by kind instead of parsing messages.
+by kind instead of parsing messages.  Once a run is stepping, integrate()
+catches the ones that end it and returns the partial trajectory instead,
+with the kind as its termination and the message as its reason; a stepper
+that fails is one more termination, 'step_failure', not an exception.
 """
 
 
@@ -20,18 +23,6 @@ class SingularMatrix(JacobiFlowError):
 
 class TurningPoint(JacobiFlowError):
     """The conformal factor degenerated: the energy hit the potential."""
-
-
-class StepFailure(JacobiFlowError):
-    """The adaptive integrator's step size underflowed.
-
-    Carries the partial trajectory accumulated before the failure in the
-    ``trajectory`` attribute (``None`` if nothing was integrated).
-    """
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 class EmptyTrajectory(JacobiFlowError):

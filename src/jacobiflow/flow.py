@@ -18,7 +18,6 @@ from .errors import (
     EmptyTrajectory,
     JacobiFlowError,
     SingularMatrix,
-    StepFailure,
     TurningPoint,
 )
 from .metric import (
@@ -26,8 +25,8 @@ from .metric import (
     _central_differences,
     _evaluate,
     _inverse_partials,
+    _kinetic_form,
     coordinate_point,
-    evaluate_metric,
     invert_metric,
 )
 
@@ -68,14 +67,16 @@ class FlowState:
 @dataclass
 class Trajectory:
     """A recorded run as columns: strictly increasing params (N,), x and p
-    (N, n), monitors mapping names to (N,) arrays, and a termination of
-    'completed', 'turning_point', 'domain_violation' or 'step_failure'."""
+    (N, n), monitors mapping names to (N,) arrays, a termination of
+    'completed', 'turning_point', 'domain_violation' or 'step_failure', and
+    the reason: the message of what ended the run early, '' if it completed."""
 
     params: np.ndarray
     x: np.ndarray
     p: np.ndarray
     monitors: Dict[str, np.ndarray] = field(default_factory=dict)
     termination: str = "completed"
+    reason: str = ""
 
     def __post_init__(self):
         if np.any(np.diff(self.params) <= 0):
@@ -157,9 +158,9 @@ def jacobi_flow(sys):
 def unit_momentum_hamiltonian(sys, x, p):
     """The rescaled-flow invariant g^ij p_i p_j / (2m(E - U)); 1 on the
     energy surface."""
-    ginv = invert_metric(evaluate_metric(sys.g, x))
+    kinetic = _kinetic_form(sys.g, x, p)
     gap = sys.E - sys.potential(x)
-    return float(p @ ginv @ p) / (2.0 * sys.m * gap)
+    return kinetic / (2.0 * sys.m * gap)
 
 
 def clairaut_constant(sys, x, p, parameter_kind="time_t"):
@@ -346,16 +347,16 @@ def _record(rows, param, y):
 
 
 def _stalled_at_turn(system, x):
-    """Whether a rescaled flow whose stepper stalled at x sits at a vanishing
-    energy gap, within STALL_GAP of the turning surface."""
+    """The energy gap E - U at x when a rescaled flow whose stepper stalled
+    there sits within STALL_GAP of the turning surface, otherwise None."""
     try:
         gap = system.E - system.potential(x)
     except JacobiFlowError:
-        return False
-    return gap <= STALL_GAP * max(1.0, abs(system.E))
+        return None
+    return gap if gap <= STALL_GAP * max(1.0, abs(system.E)) else None
 
 
-def _trajectory(rows, n, monitor_fns, termination):
+def _trajectory(rows, n, monitor_fns, termination, reason):
     """The recorded rows as a Trajectory, each monitor evaluated once per
     row, and a pacing column (when y carries one) under 'pacing'."""
     table = np.array(rows)
@@ -364,19 +365,18 @@ def _trajectory(rows, n, monitor_fns, termination):
                 for name, fn in (monitor_fns or {}).items()}
     if table.shape[1] > 2 * n + 1:
         monitors["pacing"] = table[:, -1]
-    return Trajectory(params, x, p, monitors, termination)
+    return Trajectory(params, x, p, monitors, termination, reason)
 
 
 def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
               pacing=None, record_grid=None):
     """Integrate a flow from its launch at parameter 0 over (0, span] and
-    return its trajectory.
+    return its trajectory, up to where the run ended.
 
     rhs(param, x, p) -> (dx, dp) defines the flow and may raise TurningPoint
-    or DomainViolation to terminate cleanly (the partial trajectory is
-    returned with the matching termination flag).  The stepper is RK45, an
-    adaptive embedded Runge-Kutta pair of order 5(4), by default at
-    rtol=1e-9, atol=1e-12.
+    or DomainViolation (or SingularMatrix, a numerically degenerate metric)
+    to end the run.  The stepper is RK45, an adaptive embedded Runge-Kutta
+    pair of order 5(4), by default at rtol=1e-9, atol=1e-12.
 
     monitor_fns maps names to fn(param, x, p), evaluated after the run once
     per recorded state: the launch, then each accepted step or grid point.
@@ -394,15 +394,19 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     an atol below 0 or not finite, a launch state that is not finite or a
     record_grid that is not such a count raises ValueError before any step.
 
-    Raises StepFailure (carrying the partial trajectory) if the adaptive step
-    size underflows below 1e-14 * span.  One exception: the rescaled flow of
-    jacobi_flow approaching its turning radius stalls the stepper while the
-    energy gap is still positive (the right-hand side grows like
-    1/sqrt(E - U), so the gap itself never reaches the analytic cutoff); when
-    the state where the stepper stalled sits at a vanishing gap the run is
-    reported as a clean 'turning_point' termination rather than a failure.
-    The system for that probe is the rhs closure's .system attribute, which
-    only jacobi_flow sets: the time flow has no singularity at E = U.
+    A run that started returns how it ended as its termination and the
+    message of what ended it early as its reason: 'turning_point' or
+    'domain_violation' from the rhs errors above (at the launch they still
+    raise: that run never started), 'step_failure' from a step size below
+    1e-14 * span or a stepper that cannot take a valid step.  One exception:
+    the rescaled flow of jacobi_flow approaching its turning radius stalls
+    the stepper while the energy gap is still positive (the right-hand side
+    grows like 1/sqrt(E - U), so the gap itself never reaches the analytic
+    cutoff); when the state where the stepper stalled sits at a vanishing
+    gap the run ends as 'turning_point', with a reason that names the stall
+    and its gap.  The system for that probe is the rhs closure's .system
+    attribute, which only jacobi_flow sets: the time flow has no
+    singularity at E = U.
     """
     if span <= 0:
         raise ValueError("the integration span must be positive")
@@ -435,27 +439,31 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
 
     rows = []
     _record(rows, 0.0, y0)
-    termination = "completed"
+    termination, reason = "completed", ""
     while stepper.status == "running":
         try:
             stepper.step()
-        except TurningPoint:
-            termination = "turning_point"
+        except TurningPoint as exc:
+            termination, reason = "turning_point", str(exc)
             break
-        except (DomainViolation, SingularMatrix):
+        except (DomainViolation, SingularMatrix) as exc:
             # a numerically degenerate metric means the chart has effectively
             # ended, same as an explicit guard refusal
-            termination = "domain_violation"
+            termination, reason = "domain_violation", str(exc)
             break
         failed = stepper.status == "failed"
         if failed or (stepper.status == "running" and stepper.h_abs < STEP_UNDERFLOW * span):
-            if system is not None and _stalled_at_turn(system, stepper.y[:n]):
+            reason = ("the adaptive integrator could not take a valid step" if failed else
+                      f"step size {stepper.h_abs:.3e} underflowed below "
+                      f"{STEP_UNDERFLOW * span:.3e}")
+            gap = None if system is None else _stalled_at_turn(system, stepper.y[:n])
+            if gap is None:
+                termination = "step_failure"
+            else:
                 termination = "turning_point"
-                break
-            raise StepFailure(
-                "the adaptive integrator could not take a valid step" if failed else
-                f"step size {stepper.h_abs:.3e} underflowed below {STEP_UNDERFLOW * span:.3e}",
-                trajectory=_trajectory(rows, n, monitor_fns, "step_failure"))
+                reason = (f"the stepper stalled at E - U = {gap:.6g}, within "
+                          f"{STALL_GAP:g} of the turning surface: {reason}")
+            break
         if grid is None:
             _record(rows, stepper.t, stepper.y)
             continue
@@ -467,7 +475,7 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
                 _record(rows, param, y)
             next_grid = end
 
-    return _trajectory(rows, n, monitor_fns, termination)
+    return _trajectory(rows, n, monitor_fns, termination, reason)
 
 
 # ======================================================================

@@ -31,6 +31,7 @@ from .metric import (
     _central_differences,
     _evaluate,
     _inverse_partials,
+    _kinetic_form,
     _partials,
     _stencil_point,
     coordinate_point,
@@ -231,8 +232,7 @@ def embed_time_dependent(lifted, x0, p0, q, shell="massive"):
     x0 = coordinate_point(x0)
     p0 = np.asarray(p0, dtype=float)
     m, c = lifted.m, lifted.c
-    g0 = evaluate_metric(lifted.base, x0, 0.0)
-    H0 = float(p0 @ invert_metric(g0) @ p0) / (2.0 * m) + lifted.U_or_V(x0, 0.0)
+    H0 = _kinetic_form(lifted.base, x0, p0, 0.0) / (2.0 * m) + lifted.U_or_V(x0, 0.0)
     p_t = (q / m) * H0
     if shell == "massive":
         p_t += m * m * c * c / (2.0 * q)
@@ -256,11 +256,10 @@ def lifted_energy_relation(lifted, x, p):
     x, t = x[:n], x[n]
     pi = p[:n]
     p_t, p_sigma = p[n], p[n + 1]
-    ginv = invert_metric(evaluate_metric(lifted.base, x, t))
+    kinetic = _kinetic_form(lifted.base, x, pi, t)
     Vsq = 2.0 * lifted.U_or_V(x, t) / (m * c * c)
     lhs = 2.0 * c * p_t * p_sigma
-    rhs = (c * c * float(pi @ ginv @ pi) + c * c * Vsq * p_sigma ** 2
-           + m ** 2 * c ** 4)
+    rhs = c * c * kinetic + c * c * Vsq * p_sigma ** 2 + m ** 2 * c ** 4
     return float(lhs - rhs)
 
 
@@ -306,4 +305,5 @@ def project(traj, lifted):
     else:
         q = traj.p[:, n + 1] / lifted.c
         params, p = traj.x[:, n], -(lifted.m / q)[:, None] * traj.p[:, :n]
-    return Trajectory(params, traj.x[:, :n], p, dict(traj.monitors), traj.termination)
+    return Trajectory(params, traj.x[:, :n], p, dict(traj.monitors), traj.termination,
+                      traj.reason)

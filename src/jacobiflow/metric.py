@@ -122,6 +122,13 @@ def invert_metric(g):
     return 0.5 * (inv + inv.T)
 
 
+def _kinetic_form(field, x, p, t=None):
+    """g^ij p_i p_j: the inverse metric at a chart point contracted twice
+    with the momentum p, the one kinetic-form rule of the package."""
+    p = np.asarray(p, dtype=float)
+    return float(p @ invert_metric(evaluate_metric(field, x, t)) @ p)
+
+
 def _fd_steps(x):
     return FD_SCALE * np.maximum(1.0, np.abs(x))
 

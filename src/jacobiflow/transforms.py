@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolation
-from .metric import MetricField, _at, evaluate_metric, invert_metric
+from .metric import MetricField, _at, _kinetic_form, evaluate_metric
 
 
 @dataclass
@@ -88,9 +88,7 @@ class ConformalMetric:
 def energy_from_state(sys, x, p):
     """Energy of a phase point under the natural Hamiltonian T + U."""
     x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    ginv = invert_metric(evaluate_metric(sys.g, x))
-    return float(p @ ginv @ p) / (2.0 * sys.m) + sys.potential(x)
+    return _kinetic_form(sys.g, x, p) / (2.0 * sys.m) + sys.potential(x)
 
 
 def jacobi_nonrelativistic(sys):

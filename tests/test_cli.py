@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jacobiflow import StepFailure, Trajectory, cli, integrate
+from jacobiflow import Trajectory, cli, integrate
 from jacobiflow.cli import main
 
 
@@ -105,6 +105,7 @@ def test_orbit_turning_point_exits_three(tmp_path, capsys, record):
     assert code == 3
     summary = json.loads((tmp_path / "orbit_summary.json").read_text())
     assert summary["termination"] == "turning_point"
+    assert summary["reason"].startswith("the stepper stalled at E - U = ")
 
 
 def test_orbit_chart_degeneration_exits_three(tmp_path, capsys):
@@ -117,13 +118,14 @@ def test_orbit_chart_degeneration_exits_three(tmp_path, capsys):
     summary = json.loads((tmp_path / "orbit_summary.json").read_text())
     assert summary["termination"] == "domain_violation"
     assert summary["states"] > 1
+    # the polar metric's conditioning guard trips before r reaches 0
+    assert summary["reason"].startswith("matrix is too ill-conditioned to invert")
 
 
 def test_step_failure_exits_four(tmp_path, capsys, monkeypatch):
     def failing_integrate(*args, **kwargs):
-        partial = Trajectory(np.array([0.0]), np.array([[0.5, 0.0]]), np.array([[0.0, 1.0]]),
-                             {"energy": np.array([-0.5])}, "step_failure")
-        raise StepFailure("stalled", trajectory=partial)
+        return Trajectory(np.array([0.0]), np.array([[0.5, 0.0]]), np.array([[0.0, 1.0]]),
+                          {"energy": np.array([-0.5])}, "step_failure", "stalled")
 
     monkeypatch.setattr("jacobiflow.cli.integrate", failing_integrate)
     code, _, _ = run(
@@ -132,7 +134,7 @@ def test_step_failure_exits_four(tmp_path, capsys, monkeypatch):
     assert code == 4
     summary = json.loads((tmp_path / "orbit_summary.json").read_text())
     assert summary["termination"] == "step_failure"
-    assert "stalled" in summary["failure"]
+    assert "stalled" in summary["reason"]
 
 
 def test_compare_prints_small_deviation(tmp_path, capsys):
@@ -160,6 +162,8 @@ def test_compare_reports_how_its_flows_ended(tmp_path, capsys):
     # paths of different extent give no deviation; each flow says how it ended
     assert summary["flows"] == {"time": "domain_violation", "rescaled": "turning_point"}
     assert summary["deviation"] is None
+    # the reason is the time flow's: the polar metric's conditioning guard near r = 0
+    assert summary["reason"].startswith("matrix is too ill-conditioned to invert")
     assert (tmp_path / "compare.csv").read_text().splitlines()[1].startswith("nan,10,")
 
 
@@ -369,6 +373,8 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     ["lift", "--system", "kepler", "--E", "-0.5"],
     ["curvature", "--system", "schwarzschild", "--E", "-0.1"],
     KEPLER + ["--M", "7"],
+    ["orbit", "--system", "kerr", "--M", "1", "--a", "0.5", "--m", "1", "--G", "1",
+     "--E", "-0.1", "--initial", "12,1.5707963267948966,0,0,0,3.5", "--span", "1"],
     ["orbit", "--system", "schwarzschild", "--M", "1", "--m", "1", "--k", "3", "--E", "-0.1",
      "--span", "1"],
     ["transform", "--system", "kepler", "--E", "-0.5", "--E-rel", "3"],
@@ -387,7 +393,7 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
         "initial-3d", "record-negative", "atol-negative", "initial-text", "initial-off-chart",
         "jacobi-at-turning-point", "lift-span-zero", "lift-record-zero",
         "compare-record-zero", "schwarzschild-orbit-unread-c", "curvature-unread-system",
-        "lift-unread-system", "curvature-catalog-system", "kepler-unread-M",
+        "lift-unread-system", "curvature-catalog-system", "kepler-unread-M", "kerr-G",
         "schwarzschild-unread-k", "classical-transform-unread-E-rel",
         "timedep-lift-unread-kappa", "static-lift-unread-amp", "text-number", "flow-choice",
         "unknown-flag", "no-system", "curvature-span", "catalog-E", "curvature-m",
@@ -543,19 +549,38 @@ def test_relativistic_transform_refuses_nonpositive_c(tmp_path, capsys, system):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_compare_step_failure_exits_four_without_output(tmp_path, capsys, monkeypatch):
+def test_compare_step_failure_exits_four_with_partial_output(tmp_path, capsys, monkeypatch):
+    # both flows fail after one step; compare writes what a clean early end writes
     def failing_integrate(*args, **kwargs):
-        partial = Trajectory(np.array([0.0]), np.array([[0.5, 0.0]]), np.array([[0.0, 1.0]]),
-                             {}, "step_failure")
-        raise StepFailure("stalled", trajectory=partial)
+        return Trajectory(np.array([0.0, 0.1]), np.array([[0.5, 0.0], [0.5, 0.1]]),
+                          np.array([[0.0, 1.0], [0.0, 1.0]]),
+                          {"pacing": np.array([0.0, 0.2])}, "step_failure", "stalled")
 
     monkeypatch.setattr(cli, "integrate", failing_integrate)
     code, _, err = run(capsys, "compare", "--system", "kepler", "--E", "-0.5",
                        "--out", str(tmp_path))
-    assert code == 4
-    assert err.startswith("step failure: ") and len(err.strip().splitlines()) == 1
-    assert "stalled" in err
-    assert list(tmp_path.iterdir()) == []
+    assert code == 4 and err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["compare.csv", "compare_summary.json"]
+    summary = json.loads((tmp_path / "compare_summary.json").read_text())
+    assert summary["termination"] == "step_failure"
+    assert summary["flows"] == {"time": "step_failure", "rescaled": "step_failure"}
+    assert summary["deviation"] is None
+    assert "stalled" in summary["reason"]
+    assert (tmp_path / "compare.csv").read_text().splitlines()[1].startswith("nan,")
+
+
+def test_compare_time_flow_ending_before_its_first_grid_point_exits_three(tmp_path, capsys):
+    # an inward radial launch on the energy shell at r = 0.001 reaches the
+    # chart's edge long before the first of 8000 grid points: the time flow
+    # records only its launch and the rescaled flow has no span to run
+    code, _, err = run(capsys, "compare", "--system", "kepler", "--E", "-0.5",
+                       f"--initial=0.001,0,{-1999.0 ** 0.5!r},0", "--out", str(tmp_path))
+    assert code == 3 and err == ""
+    summary = json.loads((tmp_path / "compare_summary.json").read_text())
+    assert summary["termination"] == "domain_violation"
+    assert summary["flows"] == {"time": "domain_violation"}
+    assert summary["deviation"] is None and summary["span_s"] == 0.0
+    assert (tmp_path / "compare.csv").read_text().splitlines()[1].startswith("nan,")
 
 
 def test_only_integrating_tasks_record_tolerances(tmp_path, capsys):

@@ -11,10 +11,16 @@ sorted path order, then the number of files, one sha256 over all of them
 line count of DIR/jacobiflow/*.py (as ``wc -l`` counts it), the source size
 the ROADMAP tracks.
 
+The plans only hold runs that complete, so the tool also runs a fixed
+handful of launches that end early (EARLY_ENDINGS: a turning point, the
+chart's r = 0 edge, a time flow that ends before its first grid point) and
+prints their hashes and exit codes after the plans', outside the plans'
+file count and total sha256.
+
 Run it on two checkouts, each with its own ``--src``: equal output means the
 CLI writes the same bytes and exits the same way on every planned task, and
 a diff of the two outputs names the files that differ.  Two seeds take about
-17 s on a 2-core machine.
+12 s on a 2-core machine.
 """
 
 import argparse
@@ -27,6 +33,24 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def early_task(name, *argv):
+    """A run of argv that writes under the output prefix name."""
+    return {"id": name, "scenario": None, "argv": [*argv, "--prefix", name]}
+
+
+# Runs that end before their span; none of them depends on a plan seed.
+KEPLER = ("--system", "kepler", "--E", "-0.5")
+EARLY_ENDINGS = [
+    early_task("radial_compare", "compare", *KEPLER, "--initial", "1,0,1,0", "--span", "10"),
+    early_task("turning_orbit", "orbit", *KEPLER, "--flow", "jacobi",
+               "--initial", "1,0,1,0", "--span", "10"),
+    early_task("chart_edge_orbit", "orbit", *KEPLER, "--initial", "0.02,0,0,0", "--span", "5"),
+    # on the energy shell, H = 1999/2 - 1000 = -0.5; r = 0 comes before the first grid point
+    early_task("launch_only_compare", "compare", *KEPLER,
+               f"--initial=0.001,0,{-1999.0 ** 0.5!r},0"),
+]
 
 
 def import_cli(src):
@@ -93,13 +117,19 @@ def main(argv=None):
                 key = f"{workload}:{seed}"
                 codes[key] = run_plan(cli.main, make_plan(workload, seed),
                                       outputs / f"{workload}_{seed}", scratch)
+        early = Path(tmp) / "early_endings"
+        early_codes = run_plan(cli.main, EARLY_ENDINGS, early, scratch)
         each, sha = digest(outputs)
+        early_each, _ = digest(early)
     for name, file_sha in each.items():
         print(f"{file_sha}  {name}")
     print(f"files: {len(each)}")
     print(f"sha256: {sha}")
     for key, task_codes in codes.items():
         print(f"exit codes {key}: {task_codes}")
+    for name, file_sha in early_each.items():
+        print(f"{file_sha}  early_endings/{name}")
+    print(f"exit codes early_endings: {early_codes}")
     lines = sum(path.read_bytes().count(b"\n") for path in Path(args.src).glob("jacobiflow/*.py"))
     print(f"source lines: {lines}")
     return 0
