@@ -9,9 +9,10 @@ from jacobiflow import (
     CATALOG,
     catalog_entry,
     flat_metric,
-    generic_relativistic,
+    jacobi_relativistic_stationary,
     nonrelativistic_limit_factor,
     sample_points,
+    spacetime_from_entry,
     weak_field_spacetime,
 )
 
@@ -30,7 +31,7 @@ for name, params in (
     ("bertrand_hooke", dict(lam=1.0, m=1.0)),
 ):
     entry = catalog_entry(name, **params)
-    conf = generic_relativistic(entry, E_REL)
+    conf = jacobi_relativistic_stationary(spacetime_from_entry(entry), E_REL)
     pts = sample_points(entry, 200, rng)
     worst = 0.0
     for x in pts:

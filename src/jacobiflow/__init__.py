@@ -69,8 +69,6 @@ from .catalog import (
     bertrand_hooke,
     kerr,
     spacetime_from_entry,
-    generic_relativistic,
-    generic_nonrelativistic,
     mechanical_system_from_entry,
     sample_points,
 )

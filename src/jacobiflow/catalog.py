@@ -21,12 +21,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .metric import MetricField
-from .transforms import (
-    MechanicalSystem,
-    StationarySpacetime,
-    jacobi_nonrelativistic,
-    jacobi_relativistic_stationary,
-)
+from .transforms import MechanicalSystem, StationarySpacetime
 
 POLE_MARGIN = 1e-9  # sin(theta) floor shared by all spherical-type charts
 
@@ -63,17 +58,6 @@ def spacetime_from_entry(entry):
         m=entry.params["m"],
         c=entry.params.get("c", 1.0),
     )
-
-
-def generic_relativistic(entry, E_rel):
-    """Generic relativistic transform applied to the entry's ingredients."""
-    return jacobi_relativistic_stationary(spacetime_from_entry(entry), E_rel)
-
-
-def generic_nonrelativistic(entry, E):
-    """Generic fixed-energy transform on the entry's spatial metric and
-    equivalent potential."""
-    return jacobi_nonrelativistic(mechanical_system_from_entry(entry, E=E))
 
 
 def mechanical_system_from_entry(entry, E=None):

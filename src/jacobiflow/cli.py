@@ -633,8 +633,7 @@ def run_lift(scn):
     pz, ee = traj.monitors["p_dummy"], traj.monitors["extended_energy"]
     drifts = {
         "dummy_momentum": float(np.max(np.abs(pz - pz[0]))),
-        "extended_energy": float(max_relative_drift(ee) if ee[0] != 0.0
-                                 else np.max(np.abs(ee))),
+        "extended_energy": max_relative_drift(ee),
     }
     if kind == "timedep":
         drifts["shell_residual"] = float(np.max(np.abs(traj.monitors["shell_residual"])))

@@ -23,11 +23,9 @@ from .errors import (
 from .metric import (
     _at,
     _central_differences,
-    _evaluate,
     _inverse_partials,
     _kinetic_form,
     coordinate_point,
-    invert_metric,
 )
 
 # Step-underflow threshold for the adaptive integrator, as a fraction of the
@@ -98,8 +96,7 @@ def _kinetic_rhs(ginv, dginv, p, m):
 def _hamilton_rhs(sys, x, p, t=None):
     """hamilton_rhs on an already validated chart point."""
     p = np.asarray(p, dtype=float)
-    ginv = invert_metric(_evaluate(sys.g, x, t))
-    dx, force = _kinetic_rhs(ginv, _inverse_partials(sys.g, x, t, ginv=ginv), p, sys.m)
+    dx, force = _kinetic_rhs(*_inverse_partials(sys.g, x, t), p, sys.m)
     return dx, -(force + _potential_gradient(sys, x, t))
 
 
@@ -398,7 +395,8 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     message of what ended it early as its reason: 'turning_point' or
     'domain_violation' from the rhs errors above (at the launch they still
     raise: that run never started), 'step_failure' from a step size below
-    1e-14 * span or a stepper that cannot take a valid step.  One exception:
+    1e-14 * span or a stepper that cannot take a valid step, whose own
+    message is then the reason.  One exception:
     the rescaled flow of jacobi_flow approaching its turning radius stalls
     the stepper while the energy gap is still positive (the right-hand side
     grows like 1/sqrt(E - U), so the gap itself never reaches the analytic
@@ -442,7 +440,7 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     termination, reason = "completed", ""
     while stepper.status == "running":
         try:
-            stepper.step()
+            failure = stepper.step()
         except TurningPoint as exc:
             termination, reason = "turning_point", str(exc)
             break
@@ -451,18 +449,17 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
             # ended, same as an explicit guard refusal
             termination, reason = "domain_violation", str(exc)
             break
-        failed = stepper.status == "failed"
-        if failed or (stepper.status == "running" and stepper.h_abs < STEP_UNDERFLOW * span):
-            reason = ("the adaptive integrator could not take a valid step" if failed else
-                      f"step size {stepper.h_abs:.3e} underflowed below "
-                      f"{STEP_UNDERFLOW * span:.3e}")
+        if stepper.status == "running" and stepper.h_abs < STEP_UNDERFLOW * span:
+            failure = (f"step size {stepper.h_abs:.3e} underflowed below "
+                       f"{STEP_UNDERFLOW * span:.3e}")
+        if failure is not None:
             gap = None if system is None else _stalled_at_turn(system, stepper.y[:n])
             if gap is None:
-                termination = "step_failure"
+                termination, reason = "step_failure", failure
             else:
                 termination = "turning_point"
                 reason = (f"the stepper stalled at E - U = {gap:.6g}, within "
-                          f"{STALL_GAP:g} of the turning surface: {reason}")
+                          f"{STALL_GAP:g} of the turning surface: {failure}")
             break
         if grid is None:
             _record(rows, stepper.t, stepper.y)
@@ -511,7 +508,8 @@ def _resample_by_arclength(xs, u):
 
 
 def max_relative_drift(values):
-    """Largest excursion of a monitored series relative to its initial value."""
+    """Largest excursion of a monitored series relative to its initial value,
+    or the absolute excursion when the series starts at 0."""
     v = np.asarray(values, dtype=float)
-    scale = max(abs(v[0]), np.finfo(float).tiny)
-    return float(np.max(np.abs(v - v[0])) / scale)
+    excursion = float(np.max(np.abs(v - v[0])))
+    return excursion / abs(v[0]) if v[0] != 0.0 else excursion

@@ -30,13 +30,13 @@ from .metric import (
     MetricField,
     _central_differences,
     _evaluate,
+    _inverse,
     _inverse_partials,
     _kinetic_form,
     _partials,
     _stencil_point,
     coordinate_point,
     evaluate_metric,
-    invert_metric,
 )
 
 STATIC_KIND = "static_z_lift"
@@ -96,14 +96,14 @@ def lift_static(g, V, m, kappa=2.0):
     def inv_components(xe):
         x = xe[:n]
         Gi = np.zeros((n + 1, n + 1))
-        Gi[:n, :n] = invert_metric(_evaluate(g, x))
+        Gi[:n, :n] = _inverse(g, x)
         Gi[n, n] = kappa * V(x)
         return Gi
 
     def inv_partials(xe):
         x = xe[:n]
         D = np.zeros((n + 1, n + 1, n + 1))
-        D[:n, :n, :n] = _inverse_partials(g, x)
+        D[:n, :n, :n] = _inverse_partials(g, x)[1]
         D[:n, n, n] = kappa * _central_differences(
             lambda y: V(_stencil_point(g, y)), x)
         return D
@@ -132,16 +132,13 @@ def lift_time_dependent(g, U, *, m=1.0, c=1.0):
     m = float(m)
     c = float(c)
 
-    def base_at(x, t):
-        return _evaluate(g, x, t)
-
     def ext_guard(xe):
         return g.valid(xe[:n])
 
     def ext_components(xe):
         x, t = xe[:n], xe[n]
         G = np.zeros((n + 2, n + 2))
-        G[:n, :n] = -base_at(x, t)
+        G[:n, :n] = -_evaluate(g, x, t)
         G[n, n] = 2.0 * U(x, t) / m
         G[n, n + 1] = G[n + 1, n] = c
         return G
@@ -149,7 +146,7 @@ def lift_time_dependent(g, U, *, m=1.0, c=1.0):
     def inv_components(xe):
         x, t = xe[:n], xe[n]
         Gi = np.zeros((n + 2, n + 2))
-        Gi[:n, :n] = -invert_metric(base_at(x, t))
+        Gi[:n, :n] = -_inverse(g, x, t)
         Gi[n, n + 1] = Gi[n + 1, n] = 1.0 / c
         Gi[n + 1, n + 1] = -2.0 * U(x, t) / (m * c * c)
         return Gi
@@ -157,11 +154,11 @@ def lift_time_dependent(g, U, *, m=1.0, c=1.0):
     def inv_partials(xe):
         x, t = xe[:n], xe[n]
         D = np.zeros((n + 2, n + 2, n + 2))
-        ginv = invert_metric(base_at(x, t))
-        D[:n, :n, :n] = -_inverse_partials(g, x, t, ginv=ginv)
+        ginv, dginv = _inverse_partials(g, x, t)
+        D[:n, :n, :n] = -dginv
         if g.time_dependent:
             dgdt = _central_differences(
-                lambda s: base_at(x, s[0]), xe[n:n + 1])[0]
+                lambda s: _evaluate(g, x, s[0]), xe[n:n + 1])[0]
             D[n, :n, :n] = ginv @ dgdt @ ginv
         dU = _central_differences(
             lambda y: U(_stencil_point(g, y[:n]), y[n]), xe[:n + 1])

@@ -122,11 +122,22 @@ def invert_metric(g):
     return 0.5 * (inv + inv.T)
 
 
+def _inverse(field, x, t=None):
+    """g^ij at an already validated chart point: the one route from a chart
+    point to the inverse metric.  The dimension check and the domain guard
+    apply; a SingularMatrix names the point and the metric."""
+    g = _evaluate(field, x, t)
+    try:
+        return invert_metric(g)
+    except SingularMatrix as exc:
+        raise SingularMatrix(f"{exc} at {x.tolist()} on metric '{field.name}'") from exc
+
+
 def _kinetic_form(field, x, p, t=None):
     """g^ij p_i p_j: the inverse metric at a chart point contracted twice
     with the momentum p, the one kinetic-form rule of the package."""
     p = np.asarray(p, dtype=float)
-    return float(p @ invert_metric(evaluate_metric(field, x, t)) @ p)
+    return float(p @ _inverse(field, coordinate_point(x), t) @ p)
 
 
 def _fd_steps(x):
@@ -180,13 +191,12 @@ def metric_partials(field, x, t=None):
     return _partials(field, x, t)
 
 
-def _inverse_partials(field, x, t=None, ginv=None):
-    """Partial derivatives of the inverse metric at a validated chart point,
-    D[k, i, j] = d g^ij / d x^k, from d(g^-1) = -g^-1 (dg) g^-1."""
-    if ginv is None:
-        ginv = invert_metric(_evaluate(field, x, t))
+def _inverse_partials(field, x, t=None):
+    """The inverse metric g^ij at a validated chart point and its partial
+    derivatives D[k, i, j] = d g^ij / d x^k, from d(g^-1) = -g^-1 (dg) g^-1."""
+    ginv = _inverse(field, x, t)
     dg = _partials(field, x, t)
-    return np.array([-(ginv @ dg[k] @ ginv) for k in range(field.dim)])
+    return ginv, np.array([-(ginv @ dg[k] @ ginv) for k in range(field.dim)])
 
 
 # ======================================================================

@@ -24,8 +24,6 @@ from jacobiflow import (
     evaluate_metric,
     flat_metric,
     gaussian_curvature_numeric,
-    generic_nonrelativistic,
-    generic_relativistic,
     hamilton_flow,
     integrate,
     integrate_lifted,
@@ -48,6 +46,7 @@ from jacobiflow import (
     project,
     sample_points,
     schwarzschild,
+    spacetime_from_entry,
     taub_nut,
     unit_momentum_hamiltonian,
     weak_field_spacetime,
@@ -234,7 +233,8 @@ def test_relativistic_factor_limit_is_quadratic_in_inverse_c():
         # spherically symmetric vacuum family in physical units: the mass
         # parameter of the geometric-units chart is G M / c^2
         entry = catalog_entry("schwarzschild", M=1.0 / c**2, m=1.0, c=c)
-        factor = generic_relativistic(entry, c * c + E_nr).factor_at(x_s)
+        conf = jacobi_relativistic_stationary(spacetime_from_entry(entry), c * c + E_nr)
+        factor = conf.factor_at(x_s)
         target = 2.0 * (E_nr + 1.0 / x_s[0])
         errors["schwarzschild"].append(abs(factor - target) / target)
 
@@ -408,7 +408,7 @@ def test_catalog_printed_forms_and_limits():
     for entry in entry_suite():
         pts = sample_points(entry, 1000, rng)
         for E_rel in REL_ENERGIES:
-            conf = generic_relativistic(entry, E_rel)
+            conf = jacobi_relativistic_stationary(spacetime_from_entry(entry), E_rel)
             worst = max(
                 matrix_deviation(
                     conf.metric(x), entry.rel_ratio * entry.reference_jacobi(x, E_rel)
@@ -418,7 +418,7 @@ def test_catalog_printed_forms_and_limits():
             assert worst < 1e-12, f"{entry.name} at {E_rel}: {worst}"
         if entry.reference_jacobi_nonrel is not None:
             for E in NONREL_ENERGIES:
-                conf = generic_nonrelativistic(entry, E)
+                conf = jacobi_nonrelativistic(mechanical_system_from_entry(entry, E=E))
                 worst = max(
                     matrix_deviation(
                         conf.metric(x),

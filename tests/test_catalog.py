@@ -8,9 +8,9 @@ from jacobiflow import (
     DomainViolation,
     catalog_entry,
     evaluate_metric,
-    generic_nonrelativistic,
-    generic_relativistic,
     invert_metric,
+    jacobi_nonrelativistic,
+    jacobi_relativistic_stationary,
     kerr,
     mechanical_system_from_entry,
     sample_points,
@@ -70,7 +70,7 @@ def test_schwarzschild_printed_relativistic_matrix():
 def test_schwarzschild_nonrelativistic_factor_value():
     # the fixed-energy factor 2m(E + mM/r) at r=2, M=1, m=1, E=-0.25 is 0.5
     entry = schwarzschild(M=1.0, m=1.0)
-    conf = generic_nonrelativistic(entry, -0.25)
+    conf = jacobi_nonrelativistic(mechanical_system_from_entry(entry, E=-0.25))
     assert conf.factor_at(np.array([2.0, np.pi / 2, 0.0])) == pytest.approx(0.5, abs=1e-15)
 
 
@@ -87,7 +87,7 @@ def test_taub_nut_values():
 def test_taub_nut_no_mechanical_reduction():
     entry = taub_nut(M=1.0, m=1.0)
     with pytest.raises(ValueError):
-        generic_nonrelativistic(entry, 0.5)
+        jacobi_nonrelativistic(mechanical_system_from_entry(entry, E=0.5))
     with pytest.raises(ValueError):
         mechanical_system_from_entry(entry)
 
@@ -171,7 +171,7 @@ def test_relativistic_printed_forms_match_generic():
     for entry in entry_suite():
         pts = sample_points(entry, 1000, rng)
         for E_rel in REL_ENERGIES:
-            conf = generic_relativistic(entry, E_rel)
+            conf = jacobi_relativistic_stationary(spacetime_from_entry(entry), E_rel)
             worst = 0.0
             for x in pts:
                 got = conf.metric(x)
@@ -187,7 +187,7 @@ def test_nonrelativistic_printed_forms_match_generic():
             continue
         pts = sample_points(entry, 1000, rng)
         for E in NONREL_ENERGIES:
-            conf = generic_nonrelativistic(entry, E)
+            conf = jacobi_nonrelativistic(mechanical_system_from_entry(entry, E=E))
             worst = 0.0
             for x in pts:
                 got = conf.metric(x)

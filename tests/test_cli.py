@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +119,10 @@ def test_orbit_chart_degeneration_exits_three(tmp_path, capsys):
     summary = json.loads((tmp_path / "orbit_summary.json").read_text())
     assert summary["termination"] == "domain_violation"
     assert summary["states"] > 1
-    # the polar metric's conditioning guard trips before r reaches 0
+    # the polar metric's conditioning guard trips before r reaches 0, and
+    # says where
     assert summary["reason"].startswith("matrix is too ill-conditioned to invert")
+    assert re.search(r" at \[\S+, \S+\] on metric 'polar'$", summary["reason"])
 
 
 def test_step_failure_exits_four(tmp_path, capsys, monkeypatch):
@@ -164,6 +167,7 @@ def test_compare_reports_how_its_flows_ended(tmp_path, capsys):
     assert summary["deviation"] is None
     # the reason is the time flow's: the polar metric's conditioning guard near r = 0
     assert summary["reason"].startswith("matrix is too ill-conditioned to invert")
+    assert re.search(r" at \[\S+, \S+\] on metric 'polar'$", summary["reason"])
     assert (tmp_path / "compare.csv").read_text().splitlines()[1].startswith("nan,10,")
 
 

@@ -268,6 +268,18 @@ def test_step_failure_carries_partial_trajectory():
     assert partial.x[-1][0] > 1.0
 
 
+def test_step_failure_reason_is_the_steppers_own_message():
+    # every stage after the launch is NaN, so each trial step is rejected
+    # until the step size falls below the stepper's floor
+    def nan_after_launch(t, x, p):
+        return np.array([np.nan if t > 0 else 1.0]), np.array([0.0])
+
+    partial = integrate(nan_after_launch, FlowState(np.zeros(1), np.zeros(1)), 1.0)
+    assert partial.termination == "step_failure"
+    assert partial.reason == "the step size fell below 10 ulp of t"
+    assert len(partial.params) == 1
+
+
 def test_step_failure_partial_trajectory_carries_every_monitor_column():
     def blowup(t, x, p):
         return np.array([x[0] ** 2]), np.array([0.0])
@@ -484,3 +496,5 @@ def test_kepler_scaling_maps_orbits_onto_orbits(lam, E, e, share):
 def test_max_relative_drift_helper():
     assert max_relative_drift(np.array([2.0, 2.0, 2.0])) == 0.0
     assert max_relative_drift(np.array([2.0, 2.2])) == pytest.approx(0.1, abs=1e-15)
+    # a series that starts at 0 has no scale: its drift is the absolute excursion
+    assert max_relative_drift(np.array([0.0, 1e-12, -3e-12])) == 3e-12

@@ -1,9 +1,11 @@
 """Tests for the metric substrate: evaluation, inversion, derivatives."""
 
 import unittest
+from pathlib import Path
 
 import numpy as np
 
+import jacobiflow
 from jacobiflow import (
     DomainViolation,
     MechanicalSystem,
@@ -163,6 +165,23 @@ class TestInvertMetric(unittest.TestCase):
             g = a @ a.T + 3.0 * np.eye(3)
             prod = g @ invert_metric(g)
             np.testing.assert_allclose(prod, np.eye(3), rtol=0, atol=1e-12)
+
+
+    def test_refusal_at_a_chart_point_names_the_point_and_the_metric(self):
+        sys = MechanicalSystem(g=polar_metric(), U=lambda x: 0.0, m=1.0)
+        with self.assertRaises(SingularMatrix) as ctx:
+            hamilton_rhs(sys, [1e-7, 0.0], [0.0, 0.0])
+        message = str(ctx.exception)
+        self.assertTrue(message.startswith("matrix is too ill-conditioned to invert"))
+        self.assertTrue(message.endswith(" at [1e-07, 0.0] on metric 'polar'"))
+
+    def test_only_the_metric_module_inverts(self):
+        # every inverse metric goes through metric._inverse, so a fast path or
+        # a change of conditioning rule has one place to go
+        package = Path(jacobiflow.__file__).resolve().parent
+        callers = [path.name for path in sorted(package.glob("*.py"))
+                   if path.name != "metric.py" and "invert_metric(" in path.read_text()]
+        self.assertEqual(callers, [])
 
 
 class TestPartials(unittest.TestCase):
