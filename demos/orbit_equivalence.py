@@ -59,9 +59,7 @@ rescaled = integrate(
 deviation = compare_paths(paced, rescaled)
 print("max deviation between the two configuration paths: %.3e" % deviation)
 
-h_worst = max(
-    abs(unit_momentum_hamiltonian(sys, x, p) - 1.0) for x, p in zip(rescaled.x, rescaled.p)
-)
+h_worst = np.max(np.abs(unit_momentum_hamiltonian(sys, rescaled.x, rescaled.p) - 1.0))
 print("rescaled flow stays on its unit level set to %.3e" % h_worst)
 
 R0 = clairaut_constant(sys, rescaled.x[0], rescaled.p[0], "jacobi_s")

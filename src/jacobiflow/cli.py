@@ -510,10 +510,10 @@ def run_orbit(scn):
     integration = scn["integration"]
     record = integration.get("record")
     grid = int(record) if record else None
-    monitors = {"energy": lambda t, x, p: energy_from_state(sys, x, p)}
+    monitors = {"energy": lambda t, X, P: energy_from_state(sys, X, P)}
     if flow_kind == "jacobi":
         _require_on_shell(sys, start)
-        monitors["unit_momentum"] = lambda s, x, p: unit_momentum_hamiltonian(sys, x, p)
+        monitors["unit_momentum"] = lambda s, X, P: unit_momentum_hamiltonian(sys, X, P)
         rhs = jacobi_flow(sys)
     else:
         rhs = hamilton_flow(sys)

@@ -3,8 +3,8 @@ adaptive integration, invariant monitoring, path comparison.
 
 The time flow and the rescaled flow describe the same configuration paths at
 different pacing; the integrator here makes that testable by recording
-states as columns, with each monitor evaluated once per recorded state, and
-by resampling paths to a parameter-free common grid.
+states as columns, with each monitor evaluated once per run over the
+recorded arrays, and by resampling paths to a parameter-free common grid.
 """
 
 import numbers
@@ -25,6 +25,8 @@ from .metric import (
     _central_differences,
     _inverse_partials,
     _kinetic_form,
+    _pointwise,
+    _points,
     coordinate_point,
 )
 
@@ -154,9 +156,10 @@ def jacobi_flow(sys):
 
 def unit_momentum_hamiltonian(sys, x, p):
     """The rescaled-flow invariant g^ij p_i p_j / (2m(E - U)); 1 on the
-    energy surface."""
+    energy surface.  Over (N, n) rows of states it returns the (N,) values."""
+    x = _points(x)
     kinetic = _kinetic_form(sys.g, x, p)
-    gap = sys.E - sys.potential(x)
+    gap = sys.E - _pointwise(sys.potential, x)
     return kinetic / (2.0 * sys.m * gap)
 
 
@@ -354,12 +357,22 @@ def _stalled_at_turn(system, x):
 
 
 def _trajectory(rows, n, monitor_fns, termination, reason):
-    """The recorded rows as a Trajectory, each monitor evaluated once per
-    row, and a pacing column (when y carries one) under 'pacing'."""
+    """The recorded rows as a Trajectory, each monitor evaluated once over
+    the recorded arrays, and a pacing column (when y carries one) under
+    'pacing'.  A monitor whose result is not one value per row raises
+    ValueError: a per-state monitor fn(param, x, p) handed the arrays
+    returns some other shape instead of a wrong column."""
     table = np.array(rows)
     params, x, p = table[:, 0], table[:, 1:n + 1], table[:, n + 1:2 * n + 1]
-    monitors = {name: np.array([float(fn(*row)) for row in zip(params, x, p)])
-                for name, fn in (monitor_fns or {}).items()}
+    monitors = {}
+    for name, fn in (monitor_fns or {}).items():
+        column = np.array(fn(params, x, p), dtype=float)
+        if column.shape != params.shape:
+            raise ValueError(
+                f"monitor '{name}' returned shape {column.shape} for {params.size} "
+                f"recorded states: a monitor maps the arrays (params, X, P) to "
+                f"one value per state, shape ({params.size},)")
+        monitors[name] = column
     if table.shape[1] > 2 * n + 1:
         monitors["pacing"] = table[:, -1]
     return Trajectory(params, x, p, monitors, termination, reason)
@@ -375,8 +388,12 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     to end the run.  The stepper is RK45, an adaptive embedded Runge-Kutta
     pair of order 5(4), by default at rtol=1e-9, atol=1e-12.
 
-    monitor_fns maps names to fn(param, x, p), evaluated after the run once
-    per recorded state: the launch, then each accepted step or grid point.
+    monitor_fns maps names to fn(params, X, P) -> (N,), evaluated once after
+    the run over the recorded arrays: params (N,), X and P (N, n), one row per
+    recorded state (the launch, then each accepted step or grid point).  The
+    package's invariants take such rows directly, so a monitor such as
+    lambda s, X, P: energy_from_state(sys, X, P) costs one stacked
+    inversion per run.  A result of any other shape raises ValueError.
     pacing, when given, is an auxiliary rate integrated alongside the state
     at full accuracy and recorded cumulatively as the monitor 'pacing' (used
     to map between parametrizations without quadrature loss).
@@ -394,9 +411,11 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     A run that started returns how it ended as its termination and the
     message of what ended it early as its reason: 'turning_point' or
     'domain_violation' from the rhs errors above (at the launch they still
-    raise: that run never started), 'step_failure' from a step size below
-    1e-14 * span or a stepper that cannot take a valid step, whose own
-    message is then the reason.  One exception:
+    raise: that run never started), with the s of the step they
+    interrupted appended; 'step_failure' from a step size below 1e-14 * span
+    or a stepper that cannot take a valid step, whose own message is then
+    the reason, with the s and the chart point x where the step size
+    collapsed appended.  One exception:
     the rescaled flow of jacobi_flow approaching its turning radius stalls
     the stepper while the energy gap is still positive (the right-hand side
     grows like 1/sqrt(E - U), so the gap itself never reaches the analytic
@@ -441,18 +460,18 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     while stepper.status == "running":
         try:
             failure = stepper.step()
-        except TurningPoint as exc:
-            termination, reason = "turning_point", str(exc)
-            break
-        except (DomainViolation, SingularMatrix) as exc:
+        except (TurningPoint, DomainViolation, SingularMatrix) as exc:
             # a numerically degenerate metric means the chart has effectively
             # ended, same as an explicit guard refusal
-            termination, reason = "domain_violation", str(exc)
+            termination = ("turning_point" if isinstance(exc, TurningPoint)
+                           else "domain_violation")
+            reason = f"{exc}, in the step from s = {float(stepper.t)!r}"
             break
         if stepper.status == "running" and stepper.h_abs < STEP_UNDERFLOW * span:
             failure = (f"step size {stepper.h_abs:.3e} underflowed below "
                        f"{STEP_UNDERFLOW * span:.3e}")
         if failure is not None:
+            failure += f" at s = {float(stepper.t)!r}, x = {stepper.y[:n].tolist()}"
             gap = None if system is None else _stalled_at_turn(system, stepper.y[:n])
             if gap is None:
                 termination, reason = "step_failure", failure

@@ -29,14 +29,17 @@ from .flow import FlowState, Trajectory, _kinetic_rhs, integrate
 from .metric import (
     MetricField,
     _central_differences,
+    _check_point,
     _evaluate,
     _inverse,
     _inverse_partials,
     _kinetic_form,
     _partials,
+    _pointwise,
+    _points,
+    _quadratic_form,
     _stencil_point,
     coordinate_point,
-    evaluate_metric,
 )
 
 STATIC_KIND = "static_z_lift"
@@ -51,7 +54,8 @@ class LiftedSystem:
     (n+2)-dimensional metric with the dummy directions appended after the
     base coordinates (static: x1..xn, z; time-dependent: x1..xn, t, sigma).
     inverse holds the closed-form inverse components of the extended metric
-    and is what the flow equations evaluate.
+    and is what the flow equations evaluate; its components also take (N,
+    dim) rows of points, from one stacked inversion of the base metric.
     """
 
     base: MetricField
@@ -94,10 +98,10 @@ def lift_static(g, V, m, kappa=2.0):
         return G
 
     def inv_components(xe):
-        x = xe[:n]
-        Gi = np.zeros((n + 1, n + 1))
-        Gi[:n, :n] = _inverse(g, x)
-        Gi[n, n] = kappa * V(x)
+        x = xe[..., :n]
+        Gi = np.zeros(xe.shape[:-1] + (n + 1, n + 1))
+        Gi[..., :n, :n] = _inverse(g, x)
+        Gi[..., n, n] = kappa * _pointwise(V, x)
         return Gi
 
     def inv_partials(xe):
@@ -144,11 +148,11 @@ def lift_time_dependent(g, U, *, m=1.0, c=1.0):
         return G
 
     def inv_components(xe):
-        x, t = xe[:n], xe[n]
-        Gi = np.zeros((n + 2, n + 2))
-        Gi[:n, :n] = -_inverse(g, x, t)
-        Gi[n, n + 1] = Gi[n + 1, n] = 1.0 / c
-        Gi[n + 1, n + 1] = -2.0 * U(x, t) / (m * c * c)
+        x, t = xe[..., :n], xe.T[n]
+        Gi = np.zeros(xe.shape[:-1] + (n + 2, n + 2))
+        Gi[..., :n, :n] = -_inverse(g, x, t)
+        Gi[..., n, n + 1] = Gi[..., n + 1, n] = 1.0 / c
+        Gi[..., n + 1, n + 1] = -2.0 * _pointwise(U, x, t) / (m * c * c)
         return Gi
 
     def inv_partials(xe):
@@ -188,10 +192,13 @@ def lifted_rhs(lifted):
 
 
 def lifted_hamiltonian(lifted, x, p):
-    """Flow Hamiltonian (1/2m) G^AB p_A p_B of the extended metric."""
-    Ginv = evaluate_metric(lifted.inverse, x)
-    p = np.asarray(p, dtype=float)
-    return float(p @ Ginv @ p) / (2.0 * lifted.m)
+    """Flow Hamiltonian (1/2m) G^AB p_A p_B of the extended metric, or its
+    (N,) values over (N, dim) rows of states, from one stacked inversion."""
+    x = _points(x)
+    for xe in np.atleast_2d(x):
+        _check_point(lifted.inverse, xe)
+    Ginv = np.asarray(lifted.inverse.components(x), dtype=float)
+    return _quadratic_form(0.5 * (Ginv + Ginv.swapaxes(-1, -2)), p) / (2.0 * lifted.m)
 
 
 def mechanical_pz(lifted):
@@ -244,20 +251,21 @@ def lifted_energy_relation(lifted, x, p):
         2c p_t p_sigma - (c^2 g^ij p_i p_j + c^2 V^2 p_sigma^2 + m^2 c^4).
 
     Zero along massive-shell flows; this is the hypersurface on which the
-    exact time-dependent conformal factor projects.
+    exact time-dependent conformal factor projects.  Over (N, n + 2) rows of
+    states it returns the (N,) residuals, from one stacked inversion.
     """
     if lifted.kind != TIMEDEP_KIND:
         raise ValueError("the energy relation lives on the time-dependent lift")
     m, c = lifted.m, lifted.c
     n = lifted.base.dim
-    x, t = x[:n], x[n]
-    pi = p[:n]
-    p_t, p_sigma = p[n], p[n + 1]
-    kinetic = _kinetic_form(lifted.base, x, pi, t)
-    Vsq = 2.0 * lifted.U_or_V(x, t) / (m * c * c)
+    x, p = _points(x), np.asarray(p, dtype=float)
+    x, t = x[..., :n], x.T[n]
+    p_t, p_sigma = p.T[n], p.T[n + 1]
+    kinetic = _kinetic_form(lifted.base, x, p[..., :n], t)
+    Vsq = 2.0 * _pointwise(lifted.U_or_V, x, t) / (m * c * c)
     lhs = 2.0 * c * p_t * p_sigma
     rhs = c * c * kinetic + c * c * Vsq * p_sigma ** 2 + m ** 2 * c ** 4
-    return float(lhs - rhs)
+    return lhs - rhs if x.ndim == 2 else float(lhs - rhs)
 
 
 def sigma_momentum_identity(H_mech, p_t, q, m, c):
@@ -265,9 +273,9 @@ def sigma_momentum_identity(H_mech, p_t, q, m, c):
     null-shell flow: p_sigma = (q^2 c / m) H / p_t (equal to qc when p_t =
     (q/m)H).  Printed treatments quote this relation as -mcH/p_t under their
     own sign conventions; the form here is the one the implemented signature
-    actually conserves.
+    actually conserves.  Arrays of values give the identity at each state.
     """
-    if p_t == 0:
+    if np.any(np.equal(p_t, 0)):
         raise ValueError("p_t must be nonzero on the null shell")
     return (q * q * c / m) * H_mech / p_t
 
@@ -276,13 +284,13 @@ def integrate_lifted(lifted, initial, span, *, rtol=1e-9, atol=1e-12,
                      record_grid=None):
     """Integrate the lifted geodesic flow, always monitoring the flow
     Hamiltonian and the dummy momentum (plus the energy-relation residual on
-    the time-dependent lift)."""
+    the time-dependent lift), each over the recorded arrays."""
     fns = {
-        "extended_energy": lambda s, x, p: lifted_hamiltonian(lifted, x, p),
-        "p_dummy": lambda s, x, p: p[-1],
+        "extended_energy": lambda s, X, P: lifted_hamiltonian(lifted, X, P),
+        "p_dummy": lambda s, X, P: P[:, -1],
     }
     if lifted.kind == TIMEDEP_KIND:
-        fns["shell_residual"] = lambda s, x, p: lifted_energy_relation(lifted, x, p)
+        fns["shell_residual"] = lambda s, X, P: lifted_energy_relation(lifted, X, P)
     return integrate(lifted_rhs(lifted), initial, span, rtol=rtol, atol=atol,
                      monitor_fns=fns, record_grid=record_grid)
 

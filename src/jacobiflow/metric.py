@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainViolation, SingularMatrix
+from .errors import DomainViolation, JacobiFlowError, SingularMatrix
 
 # Finite-difference step rule used everywhere derivatives of fields are taken:
 # central differences with h scaled to the coordinate magnitude.
@@ -32,6 +32,27 @@ def coordinate_point(coords):
     if not np.all(np.isfinite(x)):
         raise ValueError("chart coordinates must be finite")
     return x
+
+
+def _points(x):
+    """coordinate_point for one chart point, or for each row of an (N, n)
+    array of chart points."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        return coordinate_point(x)
+    if x.size == 0:
+        raise ValueError("rows of chart points must form a non-empty (N, n) array")
+    if not np.isfinite(x).all():
+        raise ValueError("chart coordinates must be finite")
+    return x
+
+
+def _pointwise(fn, x, *t):
+    """fn(x, *t) at one chart point, or an (N,) array of fn over the rows of
+    x (and of each t): a callable of the contract is called once per point."""
+    if x.ndim == 1:
+        return fn(x, *t)
+    return np.array([fn(*args) for args in zip(x, *t)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -79,9 +100,23 @@ def _check_point(field, x):
         )
 
 
+def _times(t, x):
+    """The time of each row of x: t itself when it holds one per row,
+    otherwise t (None included) repeated."""
+    return [t] * len(x) if np.ndim(t) == 0 else t
+
+
 def _evaluate(field, x, t=None):
     """evaluate_metric on an already validated chart point: the dimension
-    check and the domain guard still apply."""
+    check and the domain guard still apply.  Over the rows of an (N, n)
+    array of points, with t one time for every row or one per row, the
+    components are called once per row and symmetrized as one stack."""
+    if x.ndim == 2:
+        for row in x:
+            _check_point(field, row)
+        g = np.array([_at(field.components, row, s, field.time_dependent)
+                      for row, s in zip(x, _times(t, x))], dtype=float)
+        return 0.5 * (g + g.swapaxes(-1, -2))
     _check_point(field, x)
     g = np.asarray(_at(field.components, x, t, field.time_dependent), dtype=float)
     return 0.5 * (g + g.T)
@@ -96,36 +131,69 @@ def evaluate_metric(field, x, t=None):
 
 
 def invert_metric(g):
-    """Invert a square matrix, guarding against ill conditioning.
+    """Invert a square matrix, or each matrix of an (N, n, n) stack, guarding
+    against ill conditioning.
 
     The guard is the 2-norm reciprocal condition rcond = sigma_min/sigma_max
-    of g, from one singular-value decomposition: matrices with rcond below
-    1e-12 (RCOND_MIN; exactly singular and zero matrices included) or with
-    non-finite entries raise SingularMatrix.  The guard does not assume
-    symmetry; the returned inverse is symmetrized.
+    of each matrix, from one (stacked) singular-value decomposition: a matrix
+    with rcond below 1e-12 (RCOND_MIN; exactly singular and zero matrices
+    included) or with non-finite entries raises SingularMatrix, which for a
+    stack names the first refused member.  The guard does not assume
+    symmetry; the returned inverses are symmetrized.  A stack costs one
+    decomposition and one inversion call, and each of its inverses has the
+    bits of its own single-matrix call.
     """
     g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise SingularMatrix("matrix has non-finite entries")
+    if not np.isfinite(g).all():
+        raise _refusal("matrix has non-finite entries", ~np.isfinite(g).all(axis=(-2, -1)))
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[0] == 0.0:
-        raise SingularMatrix("zero matrix is not invertible")
-    rcond = sv[-1] / sv[0]
-    if not np.isfinite(rcond) or rcond < RCOND_MIN:
-        raise SingularMatrix(
-            f"matrix is too ill-conditioned to invert (rcond={rcond:.3e})"
-        )
+    top = sv[..., 0]
+    if not _every(top != 0.0):
+        raise _refusal("zero matrix is not invertible", top == 0.0)
+    rcond = sv[..., -1] / top
+    conditioned = rcond >= RCOND_MIN
+    if not _every(conditioned):
+        first = np.argmax(~conditioned)
+        raise _refusal(f"matrix is too ill-conditioned to invert "
+                       f"(rcond={np.ravel(rcond)[first]:.3e})", ~conditioned)
     try:
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix inversion failed: {exc}") from exc
-    return 0.5 * (inv + inv.T)
+    return 0.5 * (inv + inv.swapaxes(-1, -2))
+
+
+def _every(flags):
+    """Whether every flag holds: one numpy bool, or each member's of a stack.
+    A numpy scalar's .all() costs microseconds, bool() does not."""
+    return bool(flags) if flags.ndim == 0 else bool(flags.all())
+
+
+def _refusal(message, bad):
+    """SingularMatrix with message, naming the first refused member when
+    bad flags the members of a stack."""
+    if bad.ndim == 0:
+        return SingularMatrix(message)
+    return SingularMatrix(f"{message} (member {np.argmax(bad)} of the stack)")
 
 
 def _inverse(field, x, t=None):
     """g^ij at an already validated chart point: the one route from a chart
     point to the inverse metric.  The dimension check and the domain guard
-    apply; a SingularMatrix names the point and the metric."""
+    apply; a SingularMatrix names the point and the metric.
+
+    Over the rows of an (N, n) array of points, with t one time for every row
+    or one per row, the (N, n, n) inverses come from one stacked
+    invert_metric call.  A row that is refused raises exactly what its own
+    single-point call raises: the rows are then replayed one by one.
+    """
+    if x.ndim == 2:
+        try:
+            return invert_metric(_evaluate(field, x, t))
+        except JacobiFlowError:
+            for row, s in zip(x, _times(t, x)):
+                _inverse(field, row, s)
+            raise
     g = _evaluate(field, x, t)
     try:
         return invert_metric(g)
@@ -133,11 +201,22 @@ def _inverse(field, x, t=None):
         raise SingularMatrix(f"{exc} at {x.tolist()} on metric '{field.name}'") from exc
 
 
+def _quadratic_form(a, p):
+    """p_i a^ij p_j for one matrix, or for each matrix of a stack with the
+    matching rows of p, associated as (p @ a) @ p: the stacked products give
+    each row the bits of its single-matrix call."""
+    p = np.asarray(p, dtype=float)
+    if a.ndim == 2:
+        return float(p @ a @ p)
+    return np.matmul(np.matmul(p[:, None, :], a), p[:, :, None])[:, 0, 0]
+
+
 def _kinetic_form(field, x, p, t=None):
     """g^ij p_i p_j: the inverse metric at a chart point contracted twice
-    with the momentum p, the one kinetic-form rule of the package."""
-    p = np.asarray(p, dtype=float)
-    return float(p @ _inverse(field, coordinate_point(x), t) @ p)
+    with the momentum p, the one kinetic-form rule of the package.  Over
+    (N, n) rows of points and momenta it returns the (N,) values, from one
+    stacked inversion."""
+    return _quadratic_form(_inverse(field, _points(x), t), p)
 
 
 def _fd_steps(x):

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolation
-from .metric import MetricField, _at, _kinetic_form, evaluate_metric
+from .metric import MetricField, _at, _kinetic_form, _pointwise, _points, evaluate_metric
 
 
 @dataclass
@@ -86,9 +86,10 @@ class ConformalMetric:
 
 
 def energy_from_state(sys, x, p):
-    """Energy of a phase point under the natural Hamiltonian T + U."""
-    x = np.asarray(x, dtype=float)
-    return _kinetic_form(sys.g, x, p) / (2.0 * sys.m) + sys.potential(x)
+    """Energy of a phase point under the natural Hamiltonian T + U, or the
+    (N,) energies of (N, n) rows of states, from one stacked inversion."""
+    x = _points(x)
+    return _kinetic_form(sys.g, x, p) / (2.0 * sys.m) + _pointwise(sys.potential, x)
 
 
 def jacobi_nonrelativistic(sys):

@@ -132,10 +132,7 @@ def test_unit_momentum_level_set_over_ten_periods():
             rtol=1e-11,
             atol=1e-13,
         )
-        worst = max(
-            abs(unit_momentum_hamiltonian(sys, x, p) - 1.0)
-            for x, p in zip(traj.x, traj.p)
-        )
+        worst = np.max(np.abs(unit_momentum_hamiltonian(sys, traj.x, traj.p) - 1.0))
         assert worst < 1e-8, f"{sys.name}: {worst}"
 
 

@@ -107,6 +107,8 @@ def test_orbit_turning_point_exits_three(tmp_path, capsys, record):
     summary = json.loads((tmp_path / "orbit_summary.json").read_text())
     assert summary["termination"] == "turning_point"
     assert summary["reason"].startswith("the stepper stalled at E - U = ")
+    # and where the step size collapsed
+    assert re.search(r" at s = \S+, x = \[\S+, \S+\]$", summary["reason"])
 
 
 def test_orbit_chart_degeneration_exits_three(tmp_path, capsys):
@@ -122,7 +124,8 @@ def test_orbit_chart_degeneration_exits_three(tmp_path, capsys):
     # the polar metric's conditioning guard trips before r reaches 0, and
     # says where
     assert summary["reason"].startswith("matrix is too ill-conditioned to invert")
-    assert re.search(r" at \[\S+, \S+\] on metric 'polar'$", summary["reason"])
+    assert re.search(r" at \[\S+, \S+\] on metric 'polar', in the step from s = \S+$",
+                     summary["reason"])
 
 
 def test_step_failure_exits_four(tmp_path, capsys, monkeypatch):
@@ -167,7 +170,8 @@ def test_compare_reports_how_its_flows_ended(tmp_path, capsys):
     assert summary["deviation"] is None
     # the reason is the time flow's: the polar metric's conditioning guard near r = 0
     assert summary["reason"].startswith("matrix is too ill-conditioned to invert")
-    assert re.search(r" at \[\S+, \S+\] on metric 'polar'$", summary["reason"])
+    assert re.search(r" at \[\S+, \S+\] on metric 'polar', in the step from s = \S+$",
+                     summary["reason"])
     assert (tmp_path / "compare.csv").read_text().splitlines()[1].startswith("nan,10,")
 
 

@@ -1,5 +1,7 @@
 """Flow integration: canonical equations, rescaled geodesic form, invariants, comparison."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,9 @@ from jacobiflow import (
     integrate,
     jacobi_flow,
     jacobi_rhs,
+    kerr,
     max_relative_drift,
+    mechanical_system_from_entry,
     polar_metric,
     unit_momentum_hamiltonian,
 )
@@ -161,7 +165,7 @@ def test_energy_drift_ten_periods():
     # the tight figure.
     sys = kepler()
     st = perihelion_state()
-    mon = {"energy": lambda t, x, p: energy_from_state(sys, x, p)}
+    mon = {"energy": lambda t, X, P: energy_from_state(sys, X, P)}
     e_tight = integrate(
         hamilton_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon, rtol=1e-11, atol=1e-13
     ).monitors["energy"]
@@ -173,7 +177,7 @@ def test_energy_drift_ten_periods():
 def test_unit_momentum_stays_one():
     sys = kepler()
     st = perihelion_state()
-    mon = {"htilde": lambda s, x, p: unit_momentum_hamiltonian(sys, x, p)}
+    mon = {"htilde": lambda s, X, P: unit_momentum_hamiltonian(sys, X, P)}
     traj = integrate(
         jacobi_flow(sys),
         st,
@@ -193,11 +197,13 @@ def test_clairaut_constant_matches_momentum_and_never_drifts():
     R0 = clairaut_constant(sys, st.x, st.p, "time_t")
     assert R0 == st.p[1]
 
-    mon_t = {"R": lambda t, x, p: clairaut_constant(sys, x, p, "time_t")}
+    mon_t = {"R": lambda t, X, P: [clairaut_constant(sys, x, p, "time_t")
+                                   for x, p in zip(X, P)]}
     Rt = integrate(hamilton_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon_t).monitors["R"]
     assert np.max(np.abs(Rt - Rt[0])) < 1e-12
 
-    mon_s = {"R": lambda s, x, p: clairaut_constant(sys, x, p, "jacobi_s")}
+    mon_s = {"R": lambda s, X, P: [clairaut_constant(sys, x, p, "jacobi_s")
+                                   for x, p in zip(X, P)]}
     Rs = integrate(
         jacobi_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon_s
     ).monitors["R"]
@@ -254,6 +260,20 @@ def test_domain_violation_terminates_cleanly():
     traj = integrate(hamilton_flow(sys), FlowState(np.zeros(1), np.ones(1)), 5.0)
     assert traj.termination == "domain_violation"
     assert traj.x[-1][0] < 2.0
+    # the last recorded state is where the interrupted step began
+    assert traj.reason.endswith(f", in the step from s = {float(traj.params[-1])!r}")
+
+
+def test_turning_point_from_the_rhs_names_the_step_it_interrupted():
+    def wall(t, x, p):
+        if x[0] > 1.0:
+            raise TurningPoint(f"wall reached at {x.tolist()}")
+        return np.ones(1), np.zeros(1)
+
+    traj = integrate(wall, FlowState(np.zeros(1), np.zeros(1)), 5.0)
+    assert traj.termination == "turning_point"
+    assert traj.reason.startswith("wall reached at [")
+    assert traj.reason.endswith(f", in the step from s = {float(traj.params[-1])!r}")
 
 
 def test_step_failure_carries_partial_trajectory():
@@ -265,6 +285,11 @@ def test_step_failure_carries_partial_trajectory():
     assert partial.termination == "step_failure"
     assert "underflowed" in partial.reason
     assert len(partial.params) > 10
+    # the reason names where the step size collapsed: the end of the accepted
+    # step after the last recorded state
+    where = re.search(r" at s = (\S+), x = \[(\S+)\]$", partial.reason)
+    assert float(where[1]) > partial.params[-1]
+    assert float(where[2]) > partial.x[-1][0]
     assert partial.x[-1][0] > 1.0
 
 
@@ -276,7 +301,7 @@ def test_step_failure_reason_is_the_steppers_own_message():
 
     partial = integrate(nan_after_launch, FlowState(np.zeros(1), np.zeros(1)), 1.0)
     assert partial.termination == "step_failure"
-    assert partial.reason == "the step size fell below 10 ulp of t"
+    assert partial.reason == "the step size fell below 10 ulp of t at s = 0.0, x = [0.0]"
     assert len(partial.params) == 1
 
 
@@ -284,7 +309,7 @@ def test_step_failure_partial_trajectory_carries_every_monitor_column():
     def blowup(t, x, p):
         return np.array([x[0] ** 2]), np.array([0.0])
 
-    monitors = {"x": lambda t, x, p: x[0], "p": lambda t, x, p: p[0]}
+    monitors = {"x": lambda t, X, P: X[:, 0], "p": lambda t, X, P: P[:, 0]}
     partial = integrate(blowup, FlowState(np.ones(1), np.zeros(1)), 2.0,
                         monitor_fns=monitors, pacing=lambda t, x, p: 1.0)
     assert partial.termination == "step_failure"
@@ -343,7 +368,7 @@ def test_monitor_values_recorded_per_state():
         hamilton_flow(sys),
         st,
         1.0,
-        monitor_fns={"r": lambda t, x, p: x[0]},
+        monitor_fns={"r": lambda t, X, P: X[:, 0]},
     )
     r = traj.monitors["r"]
     assert r.shape == traj.params.shape
@@ -351,16 +376,59 @@ def test_monitor_values_recorded_per_state():
 
 
 @pytest.mark.parametrize("record_grid", [None, 16], ids=["accepted-steps", "record-grid"])
-def test_each_monitor_runs_once_per_recorded_state(record_grid):
+def test_each_monitor_runs_once_per_run_over_the_recorded_arrays(record_grid):
     calls = []
-    monitors = {"r": lambda t, x, p: calls.append(("r", t)) or x[0],
-                "p_r": lambda t, x, p: calls.append(("p_r", t)) or p[0]}
+
+    def monitor(name, column):
+        def fn(params, X, P):
+            calls.append((name, params.copy(), X.copy(), P.copy()))
+            return column(X, P)
+        return fn
+
+    monitors = {"r": monitor("r", lambda X, P: X[:, 0]),
+                "p_r": monitor("p_r", lambda X, P: P[:, 0])}
     traj = integrate(hamilton_flow(kepler()), perihelion_state(), 1.0,
                      monitor_fns=monitors, record_grid=record_grid)
     assert len(traj.params) > 2
-    for name in monitors:
-        assert [t for called, t in calls if called == name] == traj.params.tolist()
+    assert [name for name, *_ in calls] == ["r", "p_r"]
+    for _, params, X, P in calls:
+        np.testing.assert_array_equal(params, traj.params)
+        np.testing.assert_array_equal(X, traj.x)
+        np.testing.assert_array_equal(P, traj.p)
     np.testing.assert_array_equal(traj.monitors["p_r"], traj.p[:, 0])
+
+
+@pytest.mark.parametrize("monitor, shape", [
+    (lambda t, x, p: x[0], "(2,)"),  # a per-state monitor handed the arrays
+    (lambda t, x, p: 1.0, "()"),
+    (lambda t, x, p: x, "({n}, 2)"),
+], ids=["per-state", "scalar", "rows"])
+def test_a_monitor_off_the_array_contract_is_refused(monitor, shape):
+    n = len(integrate(hamilton_flow(kepler()), perihelion_state(), 1.0).params)
+    assert n > 2
+    message = f"monitor 'stale' returned shape {shape.format(n=n)} for {n} recorded states"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate(hamilton_flow(kepler()), perihelion_state(), 1.0,
+                  monitor_fns={"r": lambda t, X, P: X[:, 0], "stale": monitor})
+
+
+def test_batched_invariants_equal_their_per_state_values():
+    # each row of a batched invariant has the bits of its single-state call,
+    # on the polar Kepler chart and on Kerr's 3-d catalog chart
+    kerr_sys = mechanical_system_from_entry(kerr(M=1.0, a=0.6, m=1.0), E=-0.2475)
+    runs = [
+        (kepler(), jacobi_flow(kepler()), perihelion_state(), 3.0),
+        (kerr_sys, hamilton_flow(kerr_sys),
+         FlowState(np.array([6.0, 1.4, 0.0]), np.array([0.0, 0.1, 2.5])), 2.0),
+    ]
+    for sys, rhs, start, span in runs:
+        traj = integrate(rhs, start, span, record_grid=40)
+        assert len(traj.params) == 41
+        for invariant in (energy_from_state, unit_momentum_hamiltonian):
+            rows = invariant(sys, traj.x, traj.p)
+            assert rows.shape == traj.params.shape
+            each = [invariant(sys, x, p) for x, p in zip(traj.x, traj.p)]
+            assert rows.tolist() == each, (sys.name, invariant.__name__)
 
 
 @pytest.mark.parametrize("params", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],

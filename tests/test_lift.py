@@ -250,14 +250,41 @@ def test_null_shell_flow_is_null():
     traj = integrate_lifted(lift, start, DRIVEN_SPAN)
     assert np.max(np.abs(traj.monitors["extended_energy"])) < 1e-8
     # the sigma momentum satisfies its closed-form expression in H and p_t
-    worst = 0.0
-    for x, p in zip(traj.x, traj.p):
-        q = p[2] / lift.c
-        p_mech = -(lift.m / q) * p[:1]
-        H = float(p_mech @ p_mech) / (2.0 * lift.m) + DRIVEN_U(x[:1], x[1])
-        got = sigma_momentum_identity(H, p[1], q, lift.m, lift.c)
-        worst = max(worst, abs(got - p[2]))
-    assert worst < 1e-8
+    q = traj.p[:, 2] / lift.c
+    p_mech = -(lift.m / q) * traj.p[:, 0]
+    U = np.array([DRIVEN_U(x[:1], x[1]) for x in traj.x])
+    H = p_mech * p_mech / (2.0 * lift.m) + U
+    got = sigma_momentum_identity(H, traj.p[:, 1], q, lift.m, lift.c)
+    assert np.max(np.abs(got - traj.p[:, 2])) < 1e-8
+
+
+def test_batched_lift_invariants_equal_their_per_state_values():
+    # each row of a batched invariant, and of the monitor column it fills,
+    # has the bits of its single-state call, on both lifts
+    static = lift_static(polar_metric(), lambda x: 1.0 + 0.5 * x[0] ** 2, m=1.0)
+    timedep = driven_lift()
+    runs = [
+        (static, embed_static(static, np.array([1.0, 0.0]), np.array([0.2, 0.8])),
+         (lifted_hamiltonian,)),
+        (timedep, embed_time_dependent(timedep, np.array([1.0]), np.array([0.3]), q=1.0),
+         (lifted_hamiltonian, lifted_energy_relation)),
+    ]
+    for lift, start, invariants in runs:
+        traj = integrate_lifted(lift, start, 3.0, record_grid=40)
+        assert len(traj.params) == 41
+        for invariant in invariants:
+            rows = invariant(lift, traj.x, traj.p)
+            assert rows.shape == traj.params.shape
+            each = [invariant(lift, x, p) for x, p in zip(traj.x, traj.p)]
+            assert rows.tolist() == each, (lift.kind, invariant.__name__)
+        assert traj.monitors["extended_energy"].tolist() == lifted_hamiltonian(
+            lift, traj.x, traj.p).tolist()
+        assert traj.monitors["p_dummy"].tolist() == traj.p[:, -1].tolist()
+
+
+def test_sigma_momentum_identity_refuses_a_vanishing_p_t_among_states():
+    with pytest.raises(ValueError, match="p_t"):
+        sigma_momentum_identity(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 1.0, 1.0, 1.0)
 
 
 def test_sigma_momentum_identity_validation():

@@ -20,6 +20,7 @@ from jacobiflow import (
     polar_metric,
     schwarzschild,
 )
+from jacobiflow.metric import _inverse
 
 
 def rotation(angle):
@@ -174,6 +175,59 @@ class TestInvertMetric(unittest.TestCase):
         message = str(ctx.exception)
         self.assertTrue(message.startswith("matrix is too ill-conditioned to invert"))
         self.assertTrue(message.endswith(" at [1e-07, 0.0] on metric 'polar'"))
+
+    def test_stack_equals_each_matrix_inverted_alone(self):
+        rng = np.random.default_rng(2000)
+        for dim in range(2, 6):
+            for count in (1, 7, 40):
+                a = rng.normal(size=(count, dim, dim))
+                stack = a @ a.swapaxes(-1, -2) + 10.0 ** rng.uniform(-3, 1) * np.eye(dim)
+                together = invert_metric(stack)
+                self.assertEqual(together.shape, (count, dim, dim))
+                alone = np.array([invert_metric(g) for g in stack])
+                self.assertTrue((together == alone).all(), (dim, count))
+
+    def test_stack_with_one_bad_member_is_refused(self):
+        good = np.array([np.diag([2.0, 3.0]), with_singular_values([1.0, 1e-11])])
+        members = {
+            "non-finite entries": np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            "zero matrix": np.zeros((2, 2)),
+            "ill-conditioned": with_singular_values([1.0, 1e-13]),
+        }
+        for kind, bad in members.items():
+            stack = np.concatenate([good, [bad], good])
+            with self.assertRaises(SingularMatrix) as ctx:
+                invert_metric(stack)
+            with self.assertRaises(SingularMatrix) as alone:
+                invert_metric(bad)
+            self.assertEqual(str(ctx.exception),
+                             f"{alone.exception} (member 2 of the stack)", kind)
+
+    def test_rows_refusal_names_the_first_bad_point_as_the_single_route_does(self):
+        field = polar_metric()
+        rows = np.array([[1.0, 0.0], [2e-7, 0.3], [1e-7, 0.0], [3.0, 1.0]])
+        with self.assertRaises(SingularMatrix) as ctx:
+            _inverse(field, rows)
+        with self.assertRaises(SingularMatrix) as single:
+            _inverse(field, rows[1])
+        self.assertEqual(str(ctx.exception), str(single.exception))
+        self.assertTrue(str(ctx.exception).endswith(" at [2e-07, 0.3] on metric 'polar'"))
+        # a row outside the chart before a singular one raises its own refusal
+        rows[0, 0] = -1.0
+        with self.assertRaises(DomainViolation) as ctx:
+            _inverse(field, rows)
+        self.assertIn("[-1.0, 0.0]", str(ctx.exception))
+        self.assertIn("'polar'", str(ctx.exception))
+
+    def test_rows_take_one_time_per_row(self):
+        field = MetricField(dim=1, components=lambda x, t: np.array([[1.0 + t * t]]),
+                            time_dependent=True, name="clock")
+        rows = np.array([[0.5], [1.5], [2.5]])
+        times = np.array([0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(
+            _inverse(field, rows, times)[:, 0, 0], 1.0 / (1.0 + times * times))
+        np.testing.assert_array_equal(_inverse(field, rows, 2.0)[:, 0, 0], 0.2)
+        np.testing.assert_array_equal(_inverse(field, rows)[:, 0, 0], 1.0)
 
     def test_only_the_metric_module_inverts(self):
         # every inverse metric goes through metric._inverse, so a fast path or
