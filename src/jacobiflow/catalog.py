@@ -33,8 +33,9 @@ class CatalogEntry:
     reference_jacobi(x, E_rel) returns the printed relativistic matrix;
     reference_jacobi_nonrel(x, E) the printed fixed-energy matrix where one
     exists; reference_jacobi_weak(x, Q) the weak-potential variant (only the
-    Euclidean entry has one).  sample_ranges bounds a box of valid chart
-    points for property tests and grid scans.
+    Euclidean entry has one).  grad_U is the analytic gradient of U where
+    the entry has one.  sample_ranges bounds a box of valid chart points for
+    property tests and grid scans.
     """
 
     name: str
@@ -42,6 +43,7 @@ class CatalogEntry:
     spatial: MetricField
     Vsq: Callable
     U: Optional[Callable] = None
+    grad_U: Optional[Callable] = None
     reference_jacobi: Optional[Callable] = None
     reference_jacobi_nonrel: Optional[Callable] = None
     reference_jacobi_weak: Optional[Callable] = None
@@ -62,24 +64,31 @@ def spacetime_from_entry(entry):
 
 def mechanical_system_from_entry(entry, E=None):
     """MechanicalSystem over the entry's spatial chart with its equivalent
-    potential (for orbit-level cross checks)."""
+    potential and its gradient (for orbit-level cross checks)."""
     if entry.U is None:
         raise ValueError(f"entry '{entry.name}' has no equivalent potential")
-    return MechanicalSystem(
-        g=entry.spatial, U=entry.U, m=entry.params["m"], E=E, name=entry.name
-    )
+    return MechanicalSystem(g=entry.spatial, U=entry.U, m=entry.params["m"], E=E,
+                            grad_U=entry.grad_U, name=entry.name)
 
 
 # ======================================================================
 # Entries
 # ======================================================================
 
-def _spherical_chart(name, radial_ok, diagonal):
-    """Spatial metric '<name>_spatial' on (r, theta, phi) with components
-    diag(diagonal(r, theta)), valid where radial_ok(r) and |sin theta| > POLE_MARGIN."""
-    return MetricField(dim=3, components=lambda x: np.diag(diagonal(x[0], x[1])),
+def _spherical_chart(name, radial_ok, diagonal, gradient=None):
+    """Diagonal spatial metric '<name>_spatial' on (r, theta, phi) with
+    components diagonal(r, theta), valid where radial_ok(r) and
+    |sin theta| > POLE_MARGIN.  gradient(r, theta), when given, returns the
+    r and theta derivatives of the diagonal, which become the chart's
+    analytic partials (phi is cyclic); without it the partials are central
+    differences."""
+    partials = None
+    if gradient is not None:
+        def partials(x):
+            return [*gradient(x[0], x[1]), [0.0, 0.0, 0.0]]
+    return MetricField(dim=3, components=lambda x: diagonal(x[0], x[1]), partials=partials,
                        guard=lambda x: abs(np.sin(x[1])) > POLE_MARGIN and radial_ok(x[0]),
-                       name=f"{name}_spatial")
+                       name=f"{name}_spatial", diagonal=True)
 
 
 def schwarzschild(M, m, c=1.0):
@@ -96,14 +105,23 @@ def schwarzschild(M, m, c=1.0):
     m = float(m)
     c = float(c)
 
+    def gradient(r, th):
+        w = 1.0 - 2.0 * M / r
+        s2 = np.sin(th) ** 2
+        return ([-2.0 * M / (r * r * w * w), 2.0 * r, 2.0 * r * s2],
+                [0.0, 0.0, r * r * np.sin(2.0 * th)])
+
     spatial = _spherical_chart("schwarzschild", lambda r: r > 0.0 and r > 2.0 * M, lambda r, th: [
-        1.0 / (1.0 - 2.0 * M / r), r * r, r * r * np.sin(th) ** 2])
+        1.0 / (1.0 - 2.0 * M / r), r * r, r * r * np.sin(th) ** 2], gradient)
 
     def Vsq(x):
         return 1.0 - 2.0 * M / x[0]
 
     def U(x):
         return -m * M / x[0]
+
+    def grad_U(x):
+        return [m * M / (x[0] * x[0]), 0.0, 0.0]
 
     def reference_jacobi(x, E_rel):
         r, th = x[0], x[1]
@@ -128,6 +146,7 @@ def schwarzschild(M, m, c=1.0):
         spatial=spatial,
         Vsq=Vsq,
         U=U,
+        grad_U=grad_U,
         reference_jacobi=reference_jacobi,
         reference_jacobi_nonrel=reference_jacobi_nonrel,
         rel_ratio=1.0,
@@ -152,8 +171,12 @@ def taub_nut(M, m):
     M = float(M)
     m = float(m)
 
+    def gradient(r, th):
+        return ([-2.0 * M / (r - M) ** 2, 2.0 * r, 2.0 * r * np.sin(th) ** 2],
+                [0.0, 0.0, (r * r - M * M) * np.sin(2.0 * th)])
+
     spatial = _spherical_chart("taub_nut", lambda r: r > M, lambda r, th: [
-        (r + M) / (r - M), r * r - M * M, (r * r - M * M) * np.sin(th) ** 2])
+        (r + M) / (r - M), r * r - M * M, (r * r - M * M) * np.sin(th) ** 2], gradient)
 
     def Vsq(x):
         r = x[0]
@@ -184,13 +207,17 @@ def taub_nut(M, m):
     )
 
 
-def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand"):
+def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand", dGamma=None, dh=None):
     """Closed-orbit family: spatial metric diag(h^2, r^2, r^2 sin^2) with
     redshift c^2 V^2 = 1/Gamma(r) and equivalent potential (m/2)(1/Gamma - 1).
 
     The spatial chart only requires r > 0 and h^2 > 0; where Gamma <= 0 the
     relativistic factor itself reports the domain violation, so fixed-energy
     orbits may run inside the region the relativistic form excludes.
+
+    dh, the derivative of h, gives the chart analytic partials, and dGamma,
+    the derivative of Gamma, gives the entry an analytic grad_U; without
+    them the partials and the potential gradient are central differences.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -201,14 +228,26 @@ def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand"):
         hv = h(r) if r > 0.0 else 0.0
         return np.isfinite(hv) and hv * hv > 0.0
 
+    gradient = None
+    if dh is not None:
+        def gradient(r, th):
+            return ([2.0 * h(r) * dh(r), 2.0 * r, 2.0 * r * np.sin(th) ** 2],
+                    [0.0, 0.0, r * r * np.sin(2.0 * th)])
+
     spatial = _spherical_chart(
-        name, radial_ok, lambda r, th: [h(r) ** 2, r * r, r * r * np.sin(th) ** 2])
+        name, radial_ok, lambda r, th: [h(r) ** 2, r * r, r * r * np.sin(th) ** 2], gradient)
 
     def Vsq(x):
         return 1.0 / (c * c * Gamma(x[0]))
 
     def U(x):
         return 0.5 * m * (1.0 / Gamma(x[0]) - 1.0)
+
+    grad_U = None
+    if dGamma is not None:
+        def grad_U(x):
+            G = Gamma(x[0])
+            return [-0.5 * m * dGamma(x[0]) / (G * G), 0.0, 0.0]
 
     def reference_jacobi(x, E_rel):
         r, th = x[0], x[1]
@@ -228,6 +267,7 @@ def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand"):
         spatial=spatial,
         Vsq=Vsq,
         U=U,
+        grad_U=grad_U,
         reference_jacobi=reference_jacobi,
         reference_jacobi_nonrel=reference_jacobi_nonrel,
         rel_ratio=1.0,
@@ -244,10 +284,13 @@ def bertrand_kepler(k, m, c=1.0):
     def Gamma(r):
         return m * r / (m * r - 2.0 * k)
 
+    def dGamma(r):
+        return -2.0 * k * m / (m * r - 2.0 * k) ** 2
+
     r_lo = 2.0 * k / m
     entry = bertrand(Gamma, lambda r: 1.0, m, c=c,
                      r_range=(1.1 * r_lo + 0.5, 1.1 * r_lo + 8.0),
-                     name="bertrand_kepler")
+                     name="bertrand_kepler", dGamma=dGamma, dh=lambda r: 0.0)
     entry.params["k"] = k
     return entry
 
@@ -260,8 +303,11 @@ def bertrand_hooke(lam, m, c=1.0):
     def Gamma(r):
         return 1.0 / (1.0 + lam * r * r)
 
+    def dGamma(r):
+        return -2.0 * lam * r / (1.0 + lam * r * r) ** 2
+
     entry = bertrand(Gamma, lambda r: 1.0, m, c=c, r_range=(0.3, 6.0),
-                     name="bertrand_hooke")
+                     name="bertrand_hooke", dGamma=dGamma, dh=lambda r: 0.0)
     entry.params["lam"] = lam
     return entry
 
@@ -296,7 +342,20 @@ def kerr(M, a, m, c=1.0):
         gphph = s2 / p2 * ((r * r + a * a) ** 2 - a * a * d * s2)
         return [p2 / d, p2, gphph]
 
-    spatial = _spherical_chart("kerr", lambda r: r > 0.0 and delta(r) > 0.0, diagonal)
+    def gradient(r, th):
+        d = delta(r)
+        p2 = rho2(r, th)
+        s2 = np.sin(th) ** 2
+        sin2 = np.sin(2.0 * th)  # d(sin^2)/dtheta; d(rho^2)/dtheta = -a^2 sin2
+        big = (r * r + a * a) ** 2 - a * a * d * s2
+        dbig_dr = 4.0 * r * (r * r + a * a) - a * a * s2 * (2.0 * r - 2.0 * M)
+        return ([(2.0 * r * d - p2 * (2.0 * r - 2.0 * M)) / (d * d), 2.0 * r,
+                 s2 * (dbig_dr * p2 - 2.0 * r * big) / (p2 * p2)],
+                [-a * a * sin2 / d, -a * a * sin2,
+                 sin2 * ((big - a * a * d * s2) / p2 + a * a * s2 * big / (p2 * p2))])
+
+    spatial = _spherical_chart("kerr", lambda r: r > 0.0 and delta(r) > 0.0, diagonal,
+                               gradient)
 
     def Vsq(x):
         r, th = x[0], x[1]
@@ -305,6 +364,12 @@ def kerr(M, a, m, c=1.0):
     def U(x):
         r, th = x[0], x[1]
         return -2.0 * M * r / rho2(r, th)
+
+    def grad_U(x):
+        r, th = x[0], x[1]
+        p2 = rho2(r, th)
+        return [2.0 * M * (2.0 * r * r - p2) / (p2 * p2),
+                -2.0 * M * r * a * a * np.sin(2.0 * th) / (p2 * p2), 0.0]
 
     def reference_jacobi(x, E_rel):
         r, th = x[0], x[1]
@@ -327,6 +392,7 @@ def kerr(M, a, m, c=1.0):
         spatial=spatial,
         Vsq=Vsq,
         U=U,
+        grad_U=grad_U,
         reference_jacobi=reference_jacobi,
         reference_jacobi_nonrel=reference_jacobi_nonrel,
         rel_ratio=1.0,

@@ -2,7 +2,8 @@
 
 Everything downstream (conformal transforms, geodesic flows, lifts) consumes
 the types and operations defined here.  Metrics are dense small matrices
-(dim <= 5), evaluated by closures over chart coordinates.
+(dim <= 5), evaluated by closures over chart coordinates; a diagonal field's
+closures return only the diagonal, and its inverse is 1/d.
 """
 
 from dataclasses import dataclass
@@ -64,6 +65,12 @@ class MetricField:
     array D with D[k, i, j] = d g_ij / d x^k; otherwise central differences
     are used.  guard(x) identifies valid chart points; None means the whole
     chart is valid.
+
+    A diagonal field (diagonal=True) is one whose matrix is diag(d):
+    components returns the (dim,) vector d and partials the (dim, dim) array
+    D[k, i] = d d_i / d x^k.  Every consumer still reads the matrix forms,
+    and the inverse at a point is 1/d, refused exactly where the matrix
+    diag(d) would be.
     """
 
     dim: int
@@ -72,6 +79,7 @@ class MetricField:
     guard: Optional[Callable] = None
     time_dependent: bool = False
     name: str = ""
+    diagonal: bool = False
 
     def valid(self, x):
         return self.guard is None or bool(self.guard(np.asarray(x, dtype=float)))
@@ -106,20 +114,36 @@ def _times(t, x):
     return [t] * len(x) if np.ndim(t) == 0 else t
 
 
+def _on_diagonals(d):
+    """The matrices whose diagonals are the last axis of d, zero elsewhere."""
+    n = d.shape[-1]
+    g = np.zeros(d.shape[:-1] + (n * n,))
+    g[..., ::n + 1] = d
+    return g.reshape(d.shape + (n,))
+
+
+def _components(field, x, t=None):
+    """The field's components at a validated chart point, once the dimension
+    check and the domain guard accept it: the matrix, or d of a diagonal
+    field."""
+    _check_point(field, x)
+    return np.asarray(_at(field.components, x, t, field.time_dependent), dtype=float)
+
+
 def _evaluate(field, x, t=None):
     """evaluate_metric on an already validated chart point: the dimension
     check and the domain guard still apply.  Over the rows of an (N, n)
     array of points, with t one time for every row or one per row, the
-    components are called once per row and symmetrized as one stack."""
+    components are called once per row and symmetrized as one stack.  A
+    diagonal field's d is placed on the diagonal, which needs no
+    symmetrizing."""
     if x.ndim == 2:
-        for row in x:
-            _check_point(field, row)
-        g = np.array([_at(field.components, row, s, field.time_dependent)
-                      for row, s in zip(x, _times(t, x))], dtype=float)
-        return 0.5 * (g + g.swapaxes(-1, -2))
-    _check_point(field, x)
-    g = np.asarray(_at(field.components, x, t, field.time_dependent), dtype=float)
-    return 0.5 * (g + g.T)
+        g = np.array([_components(field, row, s) for row, s in zip(x, _times(t, x))])
+    else:
+        g = _components(field, x, t)
+    if field.diagonal:
+        return _on_diagonals(g)
+    return 0.5 * (g + g.swapaxes(-1, -2))
 
 
 def evaluate_metric(field, x, t=None):
@@ -180,7 +204,8 @@ def _refusal(message, bad):
 def _inverse(field, x, t=None):
     """g^ij at an already validated chart point: the one route from a chart
     point to the inverse metric.  The dimension check and the domain guard
-    apply; a SingularMatrix names the point and the metric.
+    apply; a SingularMatrix names the point and the metric.  A diagonal
+    field's inverse at one point is diag(1/d), with no decomposition.
 
     Over the rows of an (N, n) array of points, with t one time for every row
     or one per row, the (N, n, n) inverses come from one stacked
@@ -194,7 +219,19 @@ def _inverse(field, x, t=None):
             for row, s in zip(x, _times(t, x)):
                 _inverse(field, row, s)
             raise
-    g = _evaluate(field, x, t)
+    if field.diagonal:
+        # diag(1/d) where invert_metric would accept diag(d): finite
+        # entries (max|d| is nan or inf otherwise), max|d| != 0 and rcond =
+        # min|d| / max|d| >= RCOND_MIN; a refusal is left to invert_metric,
+        # which words it
+        d = _components(field, x, t)
+        size = np.abs(d)
+        top = size.max()
+        if 0.0 < top < np.inf and size.min() / top >= RCOND_MIN:
+            return np.diag(1.0 / d)
+        g = np.diag(d)
+    else:
+        g = _evaluate(field, x, t)
     try:
         return invert_metric(g)
     except SingularMatrix as exc:
@@ -253,7 +290,8 @@ def _stencil_point(field, y):
 def _partials(field, x, t=None):
     """metric_partials on an already validated chart point."""
     if field.partials is not None:
-        return np.asarray(_at(field.partials, x, t, field.time_dependent), dtype=float)
+        dg = np.asarray(_at(field.partials, x, t, field.time_dependent), dtype=float)
+        return _on_diagonals(dg) if field.diagonal else dg
     return _central_differences(
         lambda y: _evaluate(field, _stencil_point(field, y), t), x)
 
@@ -272,9 +310,14 @@ def metric_partials(field, x, t=None):
 
 def _inverse_partials(field, x, t=None):
     """The inverse metric g^ij at a validated chart point and its partial
-    derivatives D[k, i, j] = d g^ij / d x^k, from d(g^-1) = -g^-1 (dg) g^-1."""
+    derivatives D[k, i, j] = d g^ij / d x^k, from d(g^-1) = -g^-1 (dg) g^-1.
+    For a diagonal field, with a = 1/d, the products are the row and column
+    scalings -((a_i dg_ij) a_j), which are the matrix products' bits."""
     ginv = _inverse(field, x, t)
     dg = _partials(field, x, t)
+    if field.diagonal:
+        a = ginv.diagonal()
+        return ginv, -((a[:, None] * dg) * a[None, :])
     return ginv, np.array([-(ginv @ dg[k] @ ginv) for k in range(field.dim)])
 
 
@@ -283,30 +326,29 @@ def _inverse_partials(field, x, t=None):
 # ======================================================================
 
 def flat_metric(dim):
-    """Euclidean metric in Cartesian coordinates."""
-    eye = np.eye(dim)
-    zeros = np.zeros((dim, dim, dim))
+    """Euclidean metric in Cartesian coordinates, a diagonal field."""
+    ones = np.ones(dim)
+    zeros = np.zeros((dim, dim))
     return MetricField(
         dim=dim,
-        components=lambda x: eye,
+        components=lambda x: ones,
         partials=lambda x: zeros,
         guard=None,
         name="flat",
+        diagonal=True,
     )
 
 
 def polar_metric():
-    """Plane metric in polar coordinates (r, phi): diag(1, r^2)."""
+    """Plane metric in polar coordinates (r, phi): diag(1, r^2), a diagonal
+    field."""
 
     def components(x):
         r = x[0]
-        return np.array([[1.0, 0.0], [0.0, r * r]])
+        return np.array([1.0, r * r])
 
     def partials(x):
-        r = x[0]
-        d = np.zeros((2, 2, 2))
-        d[0, 1, 1] = 2.0 * r
-        return d
+        return np.array([[0.0, 2.0 * x[0]], [0.0, 0.0]])
 
     return MetricField(
         dim=2,
@@ -314,4 +356,5 @@ def polar_metric():
         partials=partials,
         guard=lambda x: x[0] > 0.0,
         name="polar",
+        diagonal=True,
     )

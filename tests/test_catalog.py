@@ -13,6 +13,7 @@ from jacobiflow import (
     jacobi_relativistic_stationary,
     kerr,
     mechanical_system_from_entry,
+    metric_partials,
     sample_points,
     schwarzschild,
     spacetime_from_entry,
@@ -283,3 +284,74 @@ def test_spacetime_view_carries_parameters():
     st = spacetime_from_entry(entry)
     assert st.m == 2.0
     assert st.c == 3.0
+
+
+# ---------------------------------------------------------------------------
+# analytic partials and potential gradients against sympy.diff
+
+
+def symbolic_forms():
+    """(entry, symbolic diagonal, symbolic U or None) per catalog entry, plus
+    a generic Bertrand entry with non-constant Gamma and h, written from the
+    printed forms independently of the catalog's closures."""
+    import sympy
+
+    r, th = sympy.symbols("r theta")
+    s2 = sympy.sin(th) ** 2
+    sphere = [r ** 2, r ** 2 * s2]
+    M, a, m, k, lam = 1.3, 0.6, 1.7, 0.8, 0.9
+    delta, rho2 = r ** 2 - 2 * M * r + a ** 2, r ** 2 + a ** 2 * sympy.cos(th) ** 2
+    Gamma, h = 1 / (1 + r / 3), 1 + r ** 2 / 10
+    return [
+        (schwarzschild(M=M, m=m), [1 / (1 - 2 * M / r), *sphere], -m * M / r),
+        (taub_nut(M=M, m=m), [(r + M) / (r - M), r ** 2 - M ** 2, (r ** 2 - M ** 2) * s2], None),
+        (kerr(M=M, a=a, m=m),
+         [rho2 / delta, rho2, s2 / rho2 * ((r ** 2 + a ** 2) ** 2 - a ** 2 * delta * s2)],
+         -2 * M * r / rho2),
+        (bertrand_kepler(k=k, m=m), [1, *sphere], -k / r),
+        (bertrand_hooke(lam=lam, m=m), [1, *sphere], m * lam * r ** 2 / 2),
+        (bertrand(Gamma=sympy.lambdify(r, Gamma), h=sympy.lambdify(r, h), m=m,
+                  dGamma=sympy.lambdify(r, Gamma.diff(r)), dh=sympy.lambdify(r, h.diff(r))),
+         [h ** 2, *sphere], m / 2 * (1 / Gamma - 1)),
+    ], (r, th)
+
+
+def test_analytic_partials_and_gradients_match_sympy():
+    # every entry's chart partials and grad_U against sympy.diff, within
+    # 1e-12 of the largest term at each point (the worst is below 1e-15)
+    forms, (r, th) = symbolic_forms()
+    assert {entry.name for entry, _, _ in forms} >= set(CATALOG)
+    rng = np.random.default_rng(17)
+    for entry, diagonal, U in forms:
+        assert entry.spatial.diagonal and entry.spatial.partials is not None, entry.name
+        assert (entry.grad_U is None) == (U is None), entry.name
+        if U is not None:
+            assert mechanical_system_from_entry(entry).grad_U is entry.grad_U
+        d_exact = sympy_gradient(diagonal, (r, th))
+        u_exact = None if U is None else sympy_gradient([U], (r, th))
+        for x in sample_points(entry, 300, rng):
+            dd = np.array([np.diagonal(block) for block in metric_partials(entry.spatial, x)])
+            assert_within_term_scale(dd, d_exact(x), entry.name)
+            if U is not None:
+                assert_within_term_scale(np.asarray(entry.grad_U(x), dtype=float),
+                                         u_exact(x)[:, 0], entry.name)
+
+
+def sympy_gradient(exprs, variables):
+    """x -> the (3, len(exprs)) array of r, theta and phi derivatives."""
+    import sympy
+
+    rows = [[sympy.diff(e, v) for e in exprs] for v in variables]
+    exact = sympy.lambdify(variables, rows, "numpy")
+    return lambda x: np.array(exact(x[0], x[1]) + [[0.0] * len(exprs)], dtype=float)
+
+
+def assert_within_term_scale(got, exact, name):
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    assert np.max(np.abs(got - exact)) <= 1e-12 * scale, name
+
+
+def test_generic_bertrand_without_derivatives_keeps_central_differences():
+    entry = bertrand(Gamma=lambda r: 1.0 / (1.0 + r), h=lambda r: 1.0, m=1.0)
+    assert entry.spatial.partials is None and entry.grad_U is None
+    assert mechanical_system_from_entry(entry, E=0.5).grad_U is None

@@ -128,6 +128,25 @@ def test_orbit_chart_degeneration_exits_three(tmp_path, capsys):
                      summary["reason"])
 
 
+def test_kerr_plunge_ends_at_the_horizon(tmp_path, capsys):
+    # a plunge reaches Delta = 0 at r+ = M + sqrt(M^2 - a^2) = 1.8, where
+    # the conditioning guard refuses the diagonal g_rr = rho^2 / Delta and
+    # the energy has held to the end
+    code, _, _ = run(
+        capsys, "orbit", "--system", "kerr", "--M", "1", "--a", "0.6", "--m", "1",
+        "--E", "-0.2475", "--initial", "6,1.5707963267948966,0,0,0.1,2.5", "--span", "30",
+        "--out", str(tmp_path),
+    )
+    assert code == 3
+    summary = json.loads((tmp_path / "orbit_summary.json").read_text())
+    assert summary["termination"] == "domain_violation"
+    assert summary["reason"].startswith("matrix is too ill-conditioned to invert")
+    assert "on metric 'kerr_spatial'" in summary["reason"]
+    last = np.loadtxt(tmp_path / "orbit.csv", delimiter=",", skiprows=1)[-1]
+    assert abs(last[1] - 1.8) < 1e-6
+    assert summary["drifts"]["energy"] < 1e-3
+
+
 def test_step_failure_exits_four(tmp_path, capsys, monkeypatch):
     def failing_integrate(*args, **kwargs):
         return Trajectory(np.array([0.0]), np.array([[0.5, 0.0]]), np.array([[0.0, 1.0]]),

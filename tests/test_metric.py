@@ -8,6 +8,7 @@ import numpy as np
 import jacobiflow
 from jacobiflow import (
     DomainViolation,
+    JacobiFlowError,
     MechanicalSystem,
     MetricField,
     SingularMatrix,
@@ -18,9 +19,9 @@ from jacobiflow import (
     invert_metric,
     metric_partials,
     polar_metric,
-    schwarzschild,
 )
-from jacobiflow.metric import _inverse
+from jacobiflow.catalog import CATALOG, catalog_entry, sample_points
+from jacobiflow.metric import RCOND_MIN, _inverse, _inverse_partials
 
 
 def rotation(angle):
@@ -238,6 +239,87 @@ class TestInvertMetric(unittest.TestCase):
         self.assertEqual(callers, [])
 
 
+def generic_twin(field):
+    """The same field with its diagonal written out as matrices, which takes
+    the generic inversion route."""
+    partials = None
+    if field.partials is not None:
+        def partials(x):
+            return np.array([np.diag(row) for row in np.asarray(field.partials(x), dtype=float)])
+    return MetricField(dim=field.dim, components=lambda x: np.diag(field.components(x)),
+                       partials=partials, guard=field.guard, name=field.name)
+
+
+def catalog_charts():
+    params = {"M": 1.0, "a": 0.6, "m": 1.0, "k": 1.0, "lam": 1.0}
+    for name, (_, required, _, _) in sorted(CATALOG.items()):
+        yield catalog_entry(name, **{p: params[p] for p in required})
+
+
+class TestDiagonalRoute(unittest.TestCase):
+    """A diagonal field inverts as 1/d with the bits, and the refusals, of the
+    generic route on the same components."""
+
+    def assert_same_outcome(self, diagonal, generic, x):
+        outcomes = []
+        for field in (diagonal, generic):
+            try:
+                outcomes.append(_inverse(field, x))
+            except JacobiFlowError as exc:
+                outcomes.append(exc)
+        fast, slow = outcomes
+        if isinstance(slow, Exception):
+            self.assertIs(type(fast), type(slow), x)
+            self.assertEqual(str(fast), str(slow))
+        else:
+            self.assertTrue((fast == slow).all(), x)
+        return fast
+
+    def test_inverse_and_its_partials_equal_the_generic_route(self):
+        rng = np.random.default_rng(5000)
+        charts = [(polar_metric(), [np.array([rng.uniform(0.05, 20.0), rng.uniform(0.0, 7.0)])
+                                    for _ in range(5000)])]
+        for dim in range(2, 6):
+            charts.append((flat_metric(dim), list(rng.normal(size=(5000, dim)))))
+        for entry in catalog_charts():
+            charts.append((entry.spatial, sample_points(entry, 5000, rng)))
+        for field, points in charts:
+            self.assertTrue(field.diagonal, field.name)
+            twin = generic_twin(field)
+            for x in points:
+                ginv, dginv = _inverse_partials(field, x)
+                twin_ginv, twin_dginv = _inverse_partials(twin, x)
+                self.assertTrue((ginv == twin_ginv).all(), (field.name, x))
+                self.assertTrue((dginv == twin_dginv).all(), (field.name, x))
+
+    def test_refusals_equal_the_generic_route(self):
+        below, above = np.nextafter(RCOND_MIN, 0.0), np.nextafter(RCOND_MIN, 1.0)
+        # d and its refusal before the point is named, or None where both
+        # routes accept
+        cases = [
+            ([1.0, np.nan, 2.0], "matrix has non-finite entries"),
+            ([np.inf, 1.0, 2.0], "matrix has non-finite entries"),
+            ([1.0, 0.0, 2.0], "matrix is too ill-conditioned to invert (rcond=0.000e+00)"),
+            ([0.0, 0.0, 0.0], "zero matrix is not invertible"),
+            ([1.0, below, -1.0], "matrix is too ill-conditioned to invert (rcond=1.000e-12)"),
+            ([1.0, above, -1.0], None),
+        ]
+        for d, refusal in cases:
+            field = MetricField(dim=3, components=lambda x, d=d: np.array(d), name="fixed",
+                                guard=lambda x: x[0] > 0.0, diagonal=True)
+            twin = generic_twin(field)
+            outcome = self.assert_same_outcome(field, twin, np.array([1.0, 2.0, 3.0]))
+            if refusal is None:
+                np.testing.assert_array_equal(outcome, np.diag(1.0 / np.array(d)))
+            else:
+                self.assertIsInstance(outcome, SingularMatrix)
+                self.assertEqual(str(outcome),
+                                 f"{refusal} at [1.0, 2.0, 3.0] on metric 'fixed'")
+            # outside the chart both refuse the point before evaluating it
+            self.assertIsInstance(self.assert_same_outcome(field, twin, np.array([-1.0, 2.0, 3.0])),
+                                  DomainViolation)
+
+
 class TestPartials(unittest.TestCase):
     def test_flat_partials_zero(self):
         dg = metric_partials(flat_metric(3), coordinate_point([1.0, 2.0, 3.0]))
@@ -245,7 +327,8 @@ class TestPartials(unittest.TestCase):
 
     def test_polar_analytic_vs_fd(self):
         analytic = polar_metric()
-        numeric = MetricField(dim=2, components=analytic.components, guard=analytic.guard)
+        numeric = MetricField(dim=2, components=analytic.components, guard=analytic.guard,
+                              diagonal=True)
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(120):
@@ -256,15 +339,16 @@ class TestPartials(unittest.TestCase):
         self.assertLess(worst, 1e-6)
 
     def test_fd_partials_match_sympy(self):
-        # central differences on a catalog chart without analytic partials,
-        # against the symbolic derivative of the same components (the worst
+        # central differences on a chart without analytic partials, against
+        # the symbolic derivative of the same components (the worst
         # difference over these points is 8.5e-9)
         import sympy
 
         r, th, ph = sympy.symbols("r theta phi")
         comps = sympy.diag(1 / (1 - 2 / r), r ** 2, r ** 2 * sympy.sin(th) ** 2)
         exact = sympy.lambdify((r, th, ph), [comps.diff(v) for v in (r, th, ph)], "numpy")
-        field = schwarzschild(M=1.0, m=1.0).spatial
+        field = schwarzschild_spatial(1.0)
+        self.assertIsNone(field.partials)
         rng = np.random.default_rng(13)
         worst = 0.0
         for _ in range(120):

@@ -13,8 +13,8 @@ the ROADMAP tracks.
 
 The plans only hold runs that complete, so the tool also runs a fixed
 handful of launches that end early (EARLY_ENDINGS: a turning point, the
-chart's r = 0 edge, a time flow that ends before its first grid point) and
-prints their hashes and exit codes after the plans', outside the plans'
+chart's r = 0 edge, a time flow that ends before its first grid point, a
+Kerr plunge that ends at the horizon) and prints their hashes and exit codes after the plans', outside the plans'
 file count and total sha256.
 
 Run it on two checkouts, each with its own ``--src``: equal output means the
@@ -50,6 +50,10 @@ EARLY_ENDINGS = [
     # on the energy shell, H = 1999/2 - 1000 = -0.5; r = 0 comes before the first grid point
     early_task("launch_only_compare", "compare", *KEPLER,
                f"--initial=0.001,0,{-1999.0 ** 0.5!r},0"),
+    # r falls to the horizon r+ = 1.8, where g_rr = rho^2 / Delta is refused
+    early_task("kerr_plunge_orbit", "orbit", "--system", "kerr", "--M", "1", "--a", "0.6",
+               "--m", "1", "--E", "-0.2475",
+               "--initial", "6,1.5707963267948966,0,0,0.1,2.5", "--span", "30"),
 ]
 
 
