@@ -23,7 +23,8 @@ from jacobiflow import (
 SPAN = 20.0
 
 # ----- static lift: V = x^2 / 2 on a flat line ------------------------------
-lifted = lift_static(flat_metric(1), lambda x: 0.5 * x[0] ** 2, m=1.0)
+oscillator = MechanicalSystem(g=flat_metric(1), U=lambda x: 0.5 * x[0] ** 2, m=1.0)
+lifted = lift_static(oscillator)
 start = embed_static(lifted, np.array([1.0]), np.array([0.0]))
 traj = integrate_lifted(lifted, start, SPAN, record_grid=2000)
 mech = project(traj, lifted)
@@ -40,7 +41,16 @@ print()
 def driven_U(x, t):
     return 0.5 * (1.0 + 0.1 * np.sin(t)) * float(x @ x)
 
-drive = lift_time_dependent(flat_metric(1), driven_U, m=1.0, c=1.0)
+# one system feeds both the lift and the direct integration below
+driven = MechanicalSystem(
+    g=flat_metric(1),
+    U=driven_U,
+    m=1.0,
+    time_dependent=True,
+    grad_U=lambda x, t: np.array([(1.0 + 0.1 * np.sin(t)) * x[0]]),
+    name="driven",
+)
+drive = lift_time_dependent(driven, c=1.0)
 start = embed_time_dependent(drive, np.array([1.0]), np.array([0.0]), q=1.0)
 lifted_traj = integrate_lifted(drive, start, SPAN, record_grid=4000)
 
@@ -52,16 +62,8 @@ print("  worst mass-shell residual: %.3e" % shell)
 
 # project back down and compare with a direct non-autonomous integration
 mech = project(lifted_traj, drive)
-direct = MechanicalSystem(
-    g=flat_metric(1),
-    U=driven_U,
-    m=1.0,
-    time_dependent=True,
-    grad_U=lambda x, t: np.array([(1.0 + 0.1 * np.sin(t)) * x[0]]),
-    name="driven",
-)
 direct_traj = integrate(
-    hamilton_flow(direct),
+    hamilton_flow(driven),
     FlowState(np.array([1.0]), np.array([0.0])),
     SPAN,
     record_grid=4000,

@@ -610,22 +610,21 @@ def run_lift(scn):
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam!r}")
     if kind == "static":
-        V = lambda x: 0.5 * lam * float(x @ x)
-        lifted = lift_static(flat_metric(dim), V, m=m, kappa=_param(scn, "kappa"))
+        sys = MechanicalSystem(g=flat_metric(dim), U=lambda x: 0.5 * lam * float(x @ x), m=m,
+                               grad_U=lambda x: lam * x)
+        lifted = lift_static(sys, kappa=_param(scn, "kappa"))
         start = embed_static(lifted, x0, p0)
-        direct_sys = MechanicalSystem(g=flat_metric(dim), U=V, m=m, grad_U=lambda x: lam * x)
     else:
         amp = _param(scn, "amp")
-        U = lambda x, t: 0.5 * (1.0 + amp * np.sin(t)) * lam * float(x @ x)
-        lifted = lift_time_dependent(flat_metric(dim), U, m=m, c=_param(scn, "c"))
+        sys = MechanicalSystem(
+            g=flat_metric(dim), U=lambda x, t: 0.5 * (1.0 + amp * np.sin(t)) * lam * float(x @ x),
+            m=m, time_dependent=True, grad_U=lambda x, t: (1.0 + amp * np.sin(t)) * lam * x)
+        lifted = lift_time_dependent(sys, c=_param(scn, "c"))
         start = embed_time_dependent(lifted, x0, p0, q=_param(scn, "q"))
-        direct_sys = MechanicalSystem(
-            g=flat_metric(dim), U=U, m=m, time_dependent=True,
-            grad_U=lambda x, t: (1.0 + amp * np.sin(t)) * lam * x)
     traj = integrate_lifted(lifted, start, span, rtol=integration["rtol"],
                             atol=integration["atol"], record_grid=record)
     proj = project(traj, lifted)
-    direct = integrate(hamilton_flow(direct_sys), launch,
+    direct = integrate(hamilton_flow(sys), launch,
                        proj.params[-1] - proj.params[0],
                        rtol=integration["rtol"], atol=integration["atol"],
                        record_grid=record)

@@ -27,6 +27,7 @@ from .metric import (
     _kinetic_form,
     _pointwise,
     _points,
+    _stencil_point,
     coordinate_point,
 )
 
@@ -84,9 +85,11 @@ class Trajectory:
 
 
 def _potential_gradient(sys, x, t=None):
+    """dU/dx^k at a validated chart point: the system's grad_U, or central
+    differences whose stencil points must lie on the chart of sys.g."""
     if sys.grad_U is not None:
         return np.asarray(_at(sys.grad_U, x, t, sys.time_dependent), dtype=float)
-    return _central_differences(lambda y: sys.potential(y, t), x)
+    return _central_differences(lambda y: sys.potential(_stencil_point(sys.g, y), t), x)
 
 
 def _kinetic_rhs(ginv, dginv, p, m):

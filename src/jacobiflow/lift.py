@@ -1,10 +1,9 @@
-"""Extended-metric embeddings of mechanical systems.
+"""Extended-metric embeddings of a mechanical system (g, U, m):
 
-Two constructions are provided:
-
-* a static (n+1)-dimensional lift appending one dummy coordinate z with
-  metric block 1/(kappa V); geodesics at the right constant p_z reproduce
-  the mechanical flow in the potential V,
+* a static (n+1)-dimensional lift of an autonomous system appending one
+  dummy coordinate z with metric block 1/(kappa V), V the system's
+  potential; geodesics at the right constant p_z reproduce the mechanical
+  flow in the potential V,
 * a time-dependent (n+2)-dimensional lift appending physical time t and a
   dummy coordinate sigma, with line element c^2 V^2 dt^2 + 2c dt dsigma
   - g_ij dx^i dx^j where V^2 = 2U/(m c^2); the cyclic sigma supplies the
@@ -15,9 +14,9 @@ The geodesic equations are driven by the closed-form inverse components, so
 the static lift stays integrable across V = 0 where the forward metric
 entry 1/(kappa V) blows up (the flow itself only ever needs kappa V).  Their
 partials are closed-form too: the base block follows d(g^-1) = -g^-1 (dg)
-g^-1 with dg from the base metric's partials, and the potential entry takes
-central differences of the scalar potential, so each evaluation inverts the
-base metric once.
+g^-1, the potential entry takes the flows' potential gradient (grad_U, or
+central differences), and t derivatives are central differences in t; each
+rhs evaluation inverts the base metric once.
 """
 
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow import FlowState, Trajectory, _kinetic_rhs, integrate
+from .flow import FlowState, Trajectory, _kinetic_rhs, _potential_gradient, integrate
 from .metric import (
     MetricField,
     _central_differences,
@@ -33,14 +32,12 @@ from .metric import (
     _evaluate,
     _inverse,
     _inverse_partials,
-    _kinetic_form,
-    _partials,
     _pointwise,
     _points,
     _quadratic_form,
-    _stencil_point,
     coordinate_point,
 )
+from .transforms import MechanicalSystem, energy_from_state
 
 STATIC_KIND = "static_z_lift"
 TIMEDEP_KIND = "timedep_sigma_lift"
@@ -50,26 +47,26 @@ TIMEDEP_KIND = "timedep_sigma_lift"
 class LiftedSystem:
     """A mechanical system embedded in an extended metric.
 
-    base is the n-dimensional kinetic metric; extended the (n+1)- or
-    (n+2)-dimensional metric with the dummy directions appended after the
-    base coordinates (static: x1..xn, z; time-dependent: x1..xn, t, sigma).
-    inverse holds the closed-form inverse components of the extended metric
-    and is what the flow equations evaluate; its components also take (N,
-    dim) rows of points, from one stacked inversion of the base metric.
+    extended is the (n+1)- or (n+2)-dimensional metric with the dummy
+    directions appended after the coordinates of sys.g (static: x1..xn, z;
+    time-dependent: x1..xn, t, sigma).  inverse holds its closed-form,
+    exactly symmetric inverse components, also over (N, dim) rows of points
+    from one stacked inversion of sys.g, and their partials; _inverse_at(xe)
+    gives both at one point from one inversion of sys.g, for the flow.
     """
 
-    base: MetricField
-    U_or_V: Callable
+    sys: MechanicalSystem
     kind: str
-    m: float
     c: float
     extended: MetricField
     inverse: MetricField
+    _inverse_at: Callable
     kappa: float = 2.0
 
 
-def lift_static(g, V, m, kappa=2.0):
-    """Static lift: extended metric diag(g_ij, 1/(kappa V)) over (x, z).
+def lift_static(sys, kappa=2.0):
+    """Static lift of an autonomous system: extended metric diag(g_ij,
+    1/(kappa V)) over (x, z), with V the system's potential.
 
     kappa fixes the normalization freedom of the dummy block: kappa = 2
     gives the metric entry (2V)^-1 with mechanical reduction at p_z =
@@ -78,63 +75,59 @@ def lift_static(g, V, m, kappa=2.0):
     at p_z = sqrt(2m/kappa) projects onto the mechanical flow of mass m in
     the potential V.
     """
-    if m <= 0:
-        raise ValueError("m must be positive")
+    if sys.time_dependent or sys.g.time_dependent:
+        raise ValueError("the static lift is defined for autonomous systems only")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    n = g.dim
+    g, n, kappa = sys.g, sys.g.dim, float(kappa)
 
     def inv_guard(xe):
         return g.valid(xe[:n])
 
     def ext_guard(xe):
-        return inv_guard(xe) and V(xe[:n]) > 0.0
+        return inv_guard(xe) and sys.potential(xe[:n]) > 0.0
 
     def ext_components(xe):
         x = xe[:n]
         G = np.zeros((n + 1, n + 1))
         G[:n, :n] = _evaluate(g, x)
-        G[n, n] = 1.0 / (kappa * V(x))
+        G[n, n] = 1.0 / (kappa * sys.potential(x))
         return G
 
     def inv_components(xe):
         x = xe[..., :n]
         Gi = np.zeros(xe.shape[:-1] + (n + 1, n + 1))
         Gi[..., :n, :n] = _inverse(g, x)
-        Gi[..., n, n] = kappa * _pointwise(V, x)
+        Gi[..., n, n] = kappa * _pointwise(sys.potential, x)
         return Gi
 
-    def inv_partials(xe):
+    def inverse_at(xe):
         x = xe[:n]
-        D = np.zeros((n + 1, n + 1, n + 1))
-        D[:n, :n, :n] = _inverse_partials(g, x)[1]
-        D[:n, n, n] = kappa * _central_differences(
-            lambda y: V(_stencil_point(g, y)), x)
-        return D
+        Gi, D = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1, n + 1))
+        Gi[:n, :n], D[:n, :n, :n] = _inverse_partials(g, x)
+        Gi[n, n] = kappa * sys.potential(x)
+        D[:n, n, n] = kappa * _potential_gradient(sys, x)
+        return Gi, D
 
     extended = MetricField(dim=n + 1, components=ext_components,
                            guard=ext_guard, name="static_lift")
     inverse = MetricField(dim=n + 1, components=inv_components,
-                          partials=inv_partials, guard=inv_guard,
+                          partials=lambda xe: inverse_at(xe)[1], guard=inv_guard,
                           name="static_lift_inverse")
-    return LiftedSystem(base=g, U_or_V=V, kind=STATIC_KIND, m=float(m), c=1.0,
-                        extended=extended, inverse=inverse, kappa=float(kappa))
+    return LiftedSystem(sys=sys, kind=STATIC_KIND, c=1.0, extended=extended,
+                        inverse=inverse, _inverse_at=inverse_at, kappa=kappa)
 
 
-def lift_time_dependent(g, U, *, m=1.0, c=1.0):
+def lift_time_dependent(sys, *, c=1.0):
     """Time-dependent lift over (x, t, sigma) honoring the printed signature
     c^2 V^2 dt^2 + 2c dt dsigma - g_ij dx^i dx^j with V^2 = 2U/(m c^2).
 
-    U(x, t) is the (possibly non-autonomous) potential; g may itself be
-    time-dependent.  The lift carries no gauge one-form.
+    U is the system's (possibly non-autonomous) potential; its metric g may
+    itself be time-dependent.  The lift carries no gauge one-form.
     """
-    if m <= 0:
-        raise ValueError("m must be positive")
     if c <= 0:
         raise ValueError("c must be positive")
-    n = g.dim
-    m = float(m)
-    c = float(c)
+    g, n, m, c = sys.g, sys.g.dim, sys.m, float(c)
 
     def ext_guard(xe):
         return g.valid(xe[:n])
@@ -143,7 +136,7 @@ def lift_time_dependent(g, U, *, m=1.0, c=1.0):
         x, t = xe[:n], xe[n]
         G = np.zeros((n + 2, n + 2))
         G[:n, :n] = -_evaluate(g, x, t)
-        G[n, n] = 2.0 * U(x, t) / m
+        G[n, n] = 2.0 * sys.potential(x, t) / m
         G[n, n + 1] = G[n + 1, n] = c
         return G
 
@@ -152,40 +145,45 @@ def lift_time_dependent(g, U, *, m=1.0, c=1.0):
         Gi = np.zeros(xe.shape[:-1] + (n + 2, n + 2))
         Gi[..., :n, :n] = -_inverse(g, x, t)
         Gi[..., n, n + 1] = Gi[..., n + 1, n] = 1.0 / c
-        Gi[..., n + 1, n + 1] = -2.0 * _pointwise(U, x, t) / (m * c * c)
+        Gi[..., n + 1, n + 1] = -2.0 * _pointwise(sys.potential, x, t) / (m * c * c)
         return Gi
 
-    def inv_partials(xe):
+    def inverse_at(xe):
         x, t = xe[:n], xe[n]
-        D = np.zeros((n + 2, n + 2, n + 2))
+        Gi, D = np.zeros((n + 2, n + 2)), np.zeros((n + 2, n + 2, n + 2))
         ginv, dginv = _inverse_partials(g, x, t)
-        D[:n, :n, :n] = -dginv
+        Gi[:n, :n], D[:n, :n, :n] = -ginv, -dginv
+        Gi[n, n + 1] = Gi[n + 1, n] = 1.0 / c
+        Gi[n + 1, n + 1] = -2.0 * sys.potential(x, t) / (m * c * c)
         if g.time_dependent:
             dgdt = _central_differences(
                 lambda s: _evaluate(g, x, s[0]), xe[n:n + 1])[0]
             D[n, :n, :n] = ginv @ dgdt @ ginv
-        dU = _central_differences(
-            lambda y: U(_stencil_point(g, y[:n]), y[n]), xe[:n + 1])
-        D[:n + 1, n + 1, n + 1] = -2.0 * dU / (m * c * c)
-        return D
+        D[:n, n + 1, n + 1] = -2.0 * _potential_gradient(sys, x, t) / (m * c * c)
+        if sys.time_dependent:
+            dUdt = _central_differences(lambda s: sys.potential(x, s[0]), xe[n:n + 1])[0]
+            D[n, n + 1, n + 1] = -2.0 * dUdt / (m * c * c)
+        return Gi, D
 
     extended = MetricField(dim=n + 2, components=ext_components,
                            guard=ext_guard, name="timedep_lift")
     inverse = MetricField(dim=n + 2, components=inv_components,
-                          partials=inv_partials, guard=ext_guard,
+                          partials=lambda xe: inverse_at(xe)[1], guard=ext_guard,
                           name="timedep_lift_inverse")
-    return LiftedSystem(base=g, U_or_V=U, kind=TIMEDEP_KIND, m=m, c=c,
-                        extended=extended, inverse=inverse)
+    return LiftedSystem(sys=sys, kind=TIMEDEP_KIND, c=c, extended=extended,
+                        inverse=inverse, _inverse_at=inverse_at)
 
 
 def lifted_rhs(lifted):
     """Geodesic equations of the extended metric in Hamiltonian form,
-    evaluated through the closed-form inverse components."""
+    evaluated through the closed-form inverse components and their partials
+    at one inversion of the base metric per call."""
 
     def rhs(param, x, p):
         x = coordinate_point(x)
-        dx, force = _kinetic_rhs(_evaluate(lifted.inverse, x), _partials(lifted.inverse, x),
-                                 np.asarray(p, dtype=float), lifted.m)
+        _check_point(lifted.inverse, x)
+        dx, force = _kinetic_rhs(*lifted._inverse_at(x), np.asarray(p, dtype=float),
+                                 lifted.sys.m)
         return dx, -force
 
     return rhs
@@ -197,8 +195,7 @@ def lifted_hamiltonian(lifted, x, p):
     x = _points(x)
     for xe in np.atleast_2d(x):
         _check_point(lifted.inverse, xe)
-    Ginv = np.asarray(lifted.inverse.components(x), dtype=float)
-    return _quadratic_form(0.5 * (Ginv + Ginv.swapaxes(-1, -2)), p) / (2.0 * lifted.m)
+    return _quadratic_form(lifted.inverse.components(x), p) / (2.0 * lifted.sys.m)
 
 
 def mechanical_pz(lifted):
@@ -206,7 +203,7 @@ def mechanical_pz(lifted):
     system: sqrt(2m/kappa)."""
     if lifted.kind != STATIC_KIND:
         raise ValueError("p_z normalization applies to the static lift")
-    return float(np.sqrt(2.0 * lifted.m / lifted.kappa))
+    return float(np.sqrt(2.0 * lifted.sys.m / lifted.kappa))
 
 
 def embed_static(lifted, x0, p0):
@@ -235,9 +232,8 @@ def embed_time_dependent(lifted, x0, p0, q, shell="massive"):
         raise ValueError("embedding over (t, sigma) needs the time-dependent lift")
     x0 = coordinate_point(x0)
     p0 = np.asarray(p0, dtype=float)
-    m, c = lifted.m, lifted.c
-    H0 = _kinetic_form(lifted.base, x0, p0, 0.0) / (2.0 * m) + lifted.U_or_V(x0, 0.0)
-    p_t = (q / m) * H0
+    m, c = lifted.sys.m, lifted.c
+    p_t = (q / m) * energy_from_state(lifted.sys, x0, p0)
     if shell == "massive":
         p_t += m * m * c * c / (2.0 * q)
     xe = np.concatenate([x0, [0.0, 0.0]])
@@ -256,13 +252,13 @@ def lifted_energy_relation(lifted, x, p):
     """
     if lifted.kind != TIMEDEP_KIND:
         raise ValueError("the energy relation lives on the time-dependent lift")
-    m, c = lifted.m, lifted.c
-    n = lifted.base.dim
+    m, c = lifted.sys.m, lifted.c
+    n = lifted.sys.g.dim
     x, p = _points(x), np.asarray(p, dtype=float)
-    x, t = x[..., :n], x.T[n]
+    Gi = lifted.inverse.components(x)
     p_t, p_sigma = p.T[n], p.T[n + 1]
-    kinetic = _kinetic_form(lifted.base, x, p[..., :n], t)
-    Vsq = 2.0 * _pointwise(lifted.U_or_V, x, t) / (m * c * c)
+    kinetic = _quadratic_form(-Gi[..., :n, :n], p[..., :n])
+    Vsq = -Gi[..., n + 1, n + 1]
     lhs = 2.0 * c * p_t * p_sigma
     rhs = c * c * kinetic + c * c * Vsq * p_sigma ** 2 + m ** 2 * c ** 4
     return lhs - rhs if x.ndim == 2 else float(lhs - rhs)
@@ -304,11 +300,11 @@ def project(traj, lifted):
     are mapped back through p_mech = -(m/q) p, with q read off the conserved
     dummy momentum.
     """
-    n = lifted.base.dim
+    n = lifted.sys.g.dim
     if lifted.kind == STATIC_KIND:
         params, p = traj.params, traj.p[:, :n]
     else:
         q = traj.p[:, n + 1] / lifted.c
-        params, p = traj.x[:, n], -(lifted.m / q)[:, None] * traj.p[:, :n]
+        params, p = traj.x[:, n], -(lifted.sys.m / q)[:, None] * traj.p[:, :n]
     return Trajectory(params, traj.x[:, :n], p, dict(traj.monitors), traj.termination,
                       traj.reason)

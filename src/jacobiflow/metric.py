@@ -134,16 +134,16 @@ def _evaluate(field, x, t=None):
     """evaluate_metric on an already validated chart point: the dimension
     check and the domain guard still apply.  Over the rows of an (N, n)
     array of points, with t one time for every row or one per row, the
-    components are called once per row and symmetrized as one stack.  A
-    diagonal field's d is placed on the diagonal, which needs no
-    symmetrizing."""
+    components are called once per row and symmetrized as one stack, halved
+    before the sum so that entries near the float limit do not overflow.  A
+    diagonal field's d is placed on the diagonal, which needs no symmetrizing."""
     if x.ndim == 2:
         g = np.array([_components(field, row, s) for row, s in zip(x, _times(t, x))])
     else:
         g = _components(field, x, t)
     if field.diagonal:
         return _on_diagonals(g)
-    return 0.5 * (g + g.swapaxes(-1, -2))
+    return 0.5 * g + 0.5 * g.swapaxes(-1, -2)
 
 
 def evaluate_metric(field, x, t=None):
@@ -184,7 +184,7 @@ def invert_metric(g):
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix inversion failed: {exc}") from exc
-    return 0.5 * (inv + inv.swapaxes(-1, -2))
+    return 0.5 * inv + 0.5 * inv.swapaxes(-1, -2)
 
 
 def _every(flags):

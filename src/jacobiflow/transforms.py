@@ -20,9 +20,10 @@ class MechanicalSystem:
     """Natural-Hamiltonian data: kinetic metric, potential, mass, energy label.
 
     U has signature U(x), or U(x, t) when time_dependent is set.  grad_U is an
-    optional analytic gradient with the same signature; central differences
-    are used when it is absent.  E labels the energy hypersurface a scenario
-    works on.
+    optional analytic gradient with the same signature, read by the flows and
+    by both lifts; central differences, whose stencil points must lie on the
+    chart of g, are used when it is absent.  E labels the energy hypersurface
+    a scenario works on.
     """
 
     g: MetricField

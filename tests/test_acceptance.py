@@ -272,7 +272,8 @@ def test_jacobi_factors_agree_with_the_eisenhart_duval_lift():
     # static: kappa V times p_z^2 = 2m/kappa is 2m(E - U)
     for m, k, E, kappa in ((1.0, 1.0, -0.5, 2.0), (0.7, 2.5, -1.3, 1.0), (2.0, 0.4, 0.8, 3.5)):
         sys = MechanicalSystem(g=polar_metric(), U=lambda x, k=k: -k / x[0], m=m, E=E)
-        lifted = lift_static(sys.g, lambda x, sys=sys: sys.E - sys.U(x), m, kappa)
+        profile = MechanicalSystem(g=sys.g, U=lambda x, sys=sys: sys.E - sys.U(x), m=m)
+        lifted = lift_static(profile, kappa=kappa)
         pz_sq = mechanical_pz(lifted) ** 2
         direct = jacobi_nonrelativistic(sys)
         for _ in range(5000):
@@ -287,7 +288,8 @@ def test_jacobi_factors_agree_with_the_eisenhart_duval_lift():
     # null shell: the dummy momenta p_D = (E/q, q m c) contracted with the
     # (t, sigma) block of the inverse give 2m[E - q^2 U]
     for m, q, c, E in ((1.0, 1.0, 1.0, 3.0), (2.0, 0.7, 3.0, -1.5), (0.5, 1.8, 0.4, 0.6)):
-        lifted = lift_time_dependent(flat_metric(2), U, m=m, c=c)
+        lifted = lift_time_dependent(
+            MechanicalSystem(g=flat_metric(2), U=U, m=m, time_dependent=True), c=c)
         approx = jacobi_time_dependent_approx(flat_metric(2), U, energy=E, q=q, m=m)
         p_D = np.array([E / q, q * m * c])
         for _ in range(5000):
@@ -304,7 +306,8 @@ def test_jacobi_factors_agree_with_the_eisenhart_duval_lift():
 
     for m in (0.5, 1.0, 2.0):
         for c in (1.0, 2.5):
-            lifted = lift_time_dependent(polar_metric(), U_polar, m=m, c=c)
+            lifted = lift_time_dependent(
+                MechanicalSystem(g=polar_metric(), U=U_polar, m=m, time_dependent=True), c=c)
             for _ in range(1334):
                 x0 = np.array([rng.uniform(0.3, 3.0), rng.uniform(0.0, 2.0 * np.pi)])
                 q = rng.uniform(0.3, 2.0)
@@ -317,7 +320,8 @@ def test_jacobi_factors_agree_with_the_eisenhart_duval_lift():
 
 
 def test_static_lift_reproduces_oscillator():
-    lifted = lift_static(flat_metric(1), lambda x: 0.5 * x[0] ** 2, m=1.0)
+    oscillator = MechanicalSystem(g=flat_metric(1), U=lambda x: 0.5 * x[0] ** 2, m=1.0)
+    lifted = lift_static(oscillator)
     start = embed_static(lifted, np.array([1.0]), np.array([0.0]))
     traj = integrate_lifted(lifted, start, 20.0, record_grid=4000)
     mech = project(traj, lifted)
@@ -331,7 +335,7 @@ def test_static_lift_reproduces_oscillator():
     # to the mechanical one
     rng = np.random.default_rng(3)
     for kappa in (1.0, 2.0):
-        lk = lift_static(flat_metric(1), lambda x: 0.5 * x[0] ** 2, m=1.0, kappa=kappa)
+        lk = lift_static(oscillator, kappa=kappa)
         pz = mechanical_pz(lk)
         for _ in range(50):
             x = rng.normal(size=1)
@@ -351,7 +355,15 @@ def driven_potential(x, t):
 
 
 def test_time_dependent_lift_conservation_and_projection():
-    lifted = lift_time_dependent(flat_metric(1), driven_potential, m=1.0, c=1.0)
+    driven = MechanicalSystem(
+        g=flat_metric(1),
+        U=driven_potential,
+        m=1.0,
+        time_dependent=True,
+        grad_U=lambda x, t: np.array([(1.0 + 0.1 * np.sin(t)) * x[0]]),
+        name="driven",
+    )
+    lifted = lift_time_dependent(driven, c=1.0)
     start = embed_time_dependent(lifted, np.array([1.0]), np.array([0.0]), q=1.0)
 
     # conservation over ten characteristic times, with step control tight
@@ -364,16 +376,8 @@ def test_time_dependent_lift_conservation_and_projection():
     # projecting the lifted flow reproduces direct non-autonomous integration
     recorded = integrate_lifted(lifted, start, DRIVEN_SPAN, record_grid=12000)
     mech = project(recorded, lifted)
-    direct_sys = MechanicalSystem(
-        g=flat_metric(1),
-        U=driven_potential,
-        m=1.0,
-        time_dependent=True,
-        grad_U=lambda x, t: np.array([(1.0 + 0.1 * np.sin(t)) * x[0]]),
-        name="driven",
-    )
     direct = integrate(
-        hamilton_flow(direct_sys),
+        hamilton_flow(driven),
         FlowState(np.array([1.0]), np.array([0.0])),
         DRIVEN_SPAN,
         record_grid=12000,

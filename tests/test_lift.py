@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import jacobiflow.lift as lift_module
+import jacobiflow.metric as metric_module
 from jacobiflow import (
     DomainViolation,
     FlowState,
@@ -33,8 +35,18 @@ DRIVEN_U = lambda x, t: 0.5 * (1.0 + 0.1 * np.sin(t)) * x[0] ** 2
 DRIVEN_SPAN = 20.0 * np.pi  # ten characteristic times of the drive
 
 
+def harmonic(m=1.0):
+    return MechanicalSystem(g=flat_metric(1), U=HARMONIC_V, m=m, name="harmonic")
+
+
+def driven():
+    return MechanicalSystem(g=flat_metric(1), U=DRIVEN_U, m=1.0, time_dependent=True,
+                            grad_U=lambda x, t: np.array([(1.0 + 0.1 * np.sin(t)) * x[0]]),
+                            name="driven")
+
+
 def driven_lift():
-    return lift_time_dependent(flat_metric(1), DRIVEN_U, m=1.0, c=1.0)
+    return lift_time_dependent(driven(), c=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +54,7 @@ def driven_lift():
 
 
 def test_static_extended_metric_blocks():
-    lift = lift_static(flat_metric(1), HARMONIC_V, m=1.0)
+    lift = lift_static(harmonic())
     g = evaluate_metric(lift.extended, np.array([1.0, 0.0]))
     # base block unchanged; dummy entry 1/(2V) with V(1) = 1/2
     np.testing.assert_allclose(g, np.diag([1.0, 1.0]), rtol=0, atol=1e-15)
@@ -51,7 +63,7 @@ def test_static_extended_metric_blocks():
 
 
 def test_static_lift_guards_nonpositive_profile():
-    lift = lift_static(flat_metric(1), HARMONIC_V, m=1.0)
+    lift = lift_static(harmonic())
     with pytest.raises(DomainViolation):
         evaluate_metric(lift.extended, np.array([0.0, 0.0]))  # V = 0
     # the flow's inverse field stays regular across the zero of V
@@ -60,35 +72,31 @@ def test_static_lift_guards_nonpositive_profile():
 
 
 def test_static_lift_ignores_dummy_coordinate():
-    lift = lift_static(flat_metric(1), HARMONIC_V, m=1.0)
+    lift = lift_static(harmonic())
     a = evaluate_metric(lift.extended, np.array([0.7, 0.0]))
     b = evaluate_metric(lift.extended, np.array([0.7, 123.0]))
     np.testing.assert_array_equal(a, b)
 
 
 def test_static_lift_validation():
-    with pytest.raises(ValueError):
-        lift_static(flat_metric(1), HARMONIC_V, m=0.0)
-    with pytest.raises(ValueError):
-        lift_static(flat_metric(1), HARMONIC_V, m=1.0, kappa=0.0)
+    with pytest.raises(ValueError, match="kappa"):
+        lift_static(harmonic(), kappa=0.0)
+    with pytest.raises(ValueError, match="autonomous"):
+        lift_static(driven())
 
 
 def test_dummy_momentum_normalization():
     # sqrt(2m/kappa): both published normalizations of the dummy entry
-    assert mechanical_pz(lift_static(flat_metric(1), HARMONIC_V, m=1.0)) == 1.0
-    assert mechanical_pz(
-        lift_static(flat_metric(1), HARMONIC_V, m=1.0, kappa=1.0)
-    ) == pytest.approx(np.sqrt(2.0), rel=1e-15)
-    assert mechanical_pz(
-        lift_static(flat_metric(1), HARMONIC_V, m=4.0)
-    ) == pytest.approx(2.0, rel=1e-15)
+    assert mechanical_pz(lift_static(harmonic())) == 1.0
+    assert mechanical_pz(lift_static(harmonic(), kappa=1.0)) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert mechanical_pz(lift_static(harmonic(m=4.0))) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_lifted_hamiltonian_reduces_to_mechanical():
     # at the dummy-momentum normalization the flow Hamiltonian equals
     # kinetic + V for either kappa convention
     for kappa in (1.0, 2.0):
-        lift = lift_static(flat_metric(1), HARMONIC_V, m=1.0, kappa=kappa)
+        lift = lift_static(harmonic(), kappa=kappa)
         x = np.array([0.7, 0.3])
         p = np.array([0.4, mechanical_pz(lift)])
         want = 0.4 ** 2 / 2.0 + HARMONIC_V(x[:1])
@@ -105,7 +113,7 @@ def test_mechanical_pz_rejects_time_dependent_lift():
 
 
 def test_static_oscillator_projects_to_cosine():
-    lift = lift_static(flat_metric(1), HARMONIC_V, m=1.0)
+    lift = lift_static(harmonic())
     start = embed_static(lift, np.array([1.0]), np.array([0.0]))
     np.testing.assert_array_equal(start.p, np.array([0.0, 1.0]))
     traj = integrate_lifted(lift, start, 20.0)
@@ -118,7 +126,7 @@ def test_static_oscillator_projects_to_cosine():
 
 
 def test_static_dummy_momentum_conserved_bitwise():
-    lift = lift_static(flat_metric(1), HARMONIC_V, m=1.0)
+    lift = lift_static(harmonic())
     start = embed_static(lift, np.array([0.3]), np.array([0.9]))
     traj = integrate_lifted(lift, start, 15.0)
     pz = traj.monitors["p_dummy"]
@@ -129,7 +137,7 @@ def test_static_dummy_momentum_conserved_bitwise():
 
 def test_constant_profile_gives_free_extended_motion():
     # V = 1/2 makes the dummy entry 1 and the whole extended metric flat
-    lift = lift_static(flat_metric(1), lambda x: 0.5, m=1.0)
+    lift = lift_static(MechanicalSystem(g=flat_metric(1), U=lambda x: 0.5, m=1.0))
     start = embed_static(lift, np.array([0.0]), np.array([0.7]))
     traj = integrate_lifted(lift, start, 5.0)
     for t, x in zip(traj.params, traj.x):
@@ -177,7 +185,7 @@ def test_timedep_embedding_validation():
         embed_time_dependent(
             lift, np.array([1.0]), np.array([0.0]), q=1.0, shell="timelike"
         )
-    static = lift_static(flat_metric(1), HARMONIC_V, m=1.0)
+    static = lift_static(harmonic())
     with pytest.raises(ValueError):
         embed_time_dependent(static, np.array([1.0]), np.array([0.0]), q=1.0)
     with pytest.raises(ValueError):
@@ -207,8 +215,7 @@ def test_driven_oscillator_conservation_census():
 
 def test_undriven_lift_also_conserves_time_momentum():
     # freezing the drive restores the extra conserved quantity
-    U_static = lambda x, t: 0.5 * x[0] ** 2
-    lift = lift_time_dependent(flat_metric(1), U_static, m=1.0, c=1.0)
+    lift = lift_time_dependent(harmonic(), c=1.0)
     start = embed_time_dependent(lift, np.array([1.0]), np.array([0.0]), q=1.0)
     traj = integrate_lifted(lift, start, 20.0)
     pt = traj.p[:, 1]
@@ -222,16 +229,8 @@ def test_projection_matches_direct_integration():
     start = embed_time_dependent(lift, np.array([1.0]), np.array([0.0]), q=1.0)
     lifted_traj = integrate_lifted(lift, start, DRIVEN_SPAN, record_grid=12000)
     proj = project(lifted_traj, lift)
-    direct = MechanicalSystem(
-        g=flat_metric(1),
-        U=DRIVEN_U,
-        m=1.0,
-        time_dependent=True,
-        grad_U=lambda x, t: np.array([(1.0 + 0.1 * np.sin(t)) * x[0]]),
-        name="driven",
-    )
     direct_traj = integrate(
-        hamilton_flow(direct),
+        hamilton_flow(lift.sys),
         FlowState(np.array([1.0]), np.array([0.0])),
         DRIVEN_SPAN,
         record_grid=12000,
@@ -250,18 +249,20 @@ def test_null_shell_flow_is_null():
     traj = integrate_lifted(lift, start, DRIVEN_SPAN)
     assert np.max(np.abs(traj.monitors["extended_energy"])) < 1e-8
     # the sigma momentum satisfies its closed-form expression in H and p_t
+    m = lift.sys.m
     q = traj.p[:, 2] / lift.c
-    p_mech = -(lift.m / q) * traj.p[:, 0]
+    p_mech = -(m / q) * traj.p[:, 0]
     U = np.array([DRIVEN_U(x[:1], x[1]) for x in traj.x])
-    H = p_mech * p_mech / (2.0 * lift.m) + U
-    got = sigma_momentum_identity(H, traj.p[:, 1], q, lift.m, lift.c)
+    H = p_mech * p_mech / (2.0 * m) + U
+    got = sigma_momentum_identity(H, traj.p[:, 1], q, m, lift.c)
     assert np.max(np.abs(got - traj.p[:, 2])) < 1e-8
 
 
 def test_batched_lift_invariants_equal_their_per_state_values():
     # each row of a batched invariant, and of the monitor column it fills,
     # has the bits of its single-state call, on both lifts
-    static = lift_static(polar_metric(), lambda x: 1.0 + 0.5 * x[0] ** 2, m=1.0)
+    static = lift_static(MechanicalSystem(g=polar_metric(), U=lambda x: 1.0 + 0.5 * x[0] ** 2,
+                                          m=1.0))
     timedep = driven_lift()
     runs = [
         (static, embed_static(static, np.array([1.0, 0.0]), np.array([0.2, 0.8])),
@@ -331,28 +332,57 @@ def inverse_partials_against_fd(lift, point):
     np.testing.assert_allclose(closed, numeric, rtol=1e-6, atol=1e-12)
 
 
-@pytest.mark.parametrize("base, x", [
-    (flat_metric(1), [0.7]),
-    (flat_metric(2), [0.7, -1.3]),
-    (polar_metric(), [1.4, 0.6]),
-])
+def static_V(y):
+    return 0.5 * float(y @ y) + 0.3 * y[0] + 1.0
+
+
+def static_grad_V(y):
+    return y + 0.3 * np.eye(y.size)[0]
+
+
+# the last input is the same system with an analytic grad_U, whose entry
+# partials the lift must take as they are
+@pytest.mark.parametrize("base, x, grad_U", [
+    (flat_metric(1), [0.7], None),
+    (flat_metric(2), [0.7, -1.3], None),
+    (polar_metric(), [1.4, 0.6], None),
+    (polar_metric(), [1.4, 0.6], static_grad_V),
+], ids=["base0-x0", "base1-x1", "base2-x2", "base2-x2-grad_U"])
 @pytest.mark.parametrize("kappa", [1.0, 2.0])
-def test_static_inverse_partials_match_fd(base, x, kappa):
-    V = lambda y: 0.5 * float(y @ y) + 0.3 * y[0] + 1.0
-    lift = lift_static(base, V, m=1.3, kappa=kappa)
-    inverse_partials_against_fd(lift, np.array(x + [0.4]))
+def test_static_inverse_partials_match_fd(base, x, grad_U, kappa):
+    lift = lift_static(MechanicalSystem(g=base, U=static_V, m=1.3, grad_U=grad_U), kappa=kappa)
+    point = np.array(x + [0.4])
+    inverse_partials_against_fd(lift, point)
+    if grad_U is not None:
+        n = base.dim
+        D = metric_partials(lift.inverse, point)
+        assert (D[:n, n, n] == kappa * grad_U(point[:n])).all()
 
 
-@pytest.mark.parametrize("base, x", [
-    (flat_metric(1), [0.7]),
-    (flat_metric(2), [0.7, -1.3]),
-    (polar_metric(), [1.4, 0.6]),
-    (breathing_metric(), [0.8, 0.5]),
-])
-def test_timedep_inverse_partials_match_fd(base, x):
-    U = lambda y, t: 0.5 * (1.0 + 0.3 * np.sin(2.0 * t)) * float(y @ y) + 0.2 * y[0] * t
-    lift = lift_time_dependent(base, U, m=1.3, c=1.7)
-    inverse_partials_against_fd(lift, np.array(x + [0.9, -0.2]))
+def timedep_U(y, t):
+    return 0.5 * (1.0 + 0.3 * np.sin(2.0 * t)) * float(y @ y) + 0.2 * y[0] * t
+
+
+def timedep_grad_U(y, t):
+    return (1.0 + 0.3 * np.sin(2.0 * t)) * y + 0.2 * t * np.eye(y.size)[0]
+
+
+@pytest.mark.parametrize("base, x, grad_U", [
+    (flat_metric(1), [0.7], None),
+    (flat_metric(2), [0.7, -1.3], None),
+    (polar_metric(), [1.4, 0.6], None),
+    (breathing_metric(), [0.8, 0.5], None),
+    (breathing_metric(), [0.8, 0.5], timedep_grad_U),
+], ids=["base0-x0", "base1-x1", "base2-x2", "base3-x3", "base3-x3-grad_U"])
+def test_timedep_inverse_partials_match_fd(base, x, grad_U):
+    sys = MechanicalSystem(g=base, U=timedep_U, m=1.3, grad_U=grad_U, time_dependent=True)
+    lift = lift_time_dependent(sys, c=1.7)
+    point = np.array(x + [0.9, -0.2])
+    inverse_partials_against_fd(lift, point)
+    if grad_U is not None:
+        n = base.dim
+        D = metric_partials(lift.inverse, point)
+        assert (D[:n, n + 1, n + 1] == -2.0 * grad_U(point[:n], point[n]) / (1.3 * 1.7 * 1.7)).all()
 
 
 def test_lift_inverse_partials_refuse_stencil_off_chart():
@@ -361,8 +391,9 @@ def test_lift_inverse_partials_refuse_stencil_off_chart():
     half_line = MetricField(dim=1, components=lambda x: np.eye(1),
                             partials=lambda x: np.zeros((1, 1, 1)),
                             guard=lambda x: x[0] > 0.0, name="half_line")
-    static = lift_static(half_line, lambda y: 1.0 + y[0], m=1.0)
-    timedep = lift_time_dependent(half_line, lambda y, t: 1.0 + y[0] * t)
+    static = lift_static(MechanicalSystem(g=half_line, U=lambda y: 1.0 + y[0], m=1.0))
+    timedep = lift_time_dependent(MechanicalSystem(g=half_line, U=lambda y, t: 1.0 + y[0] * t,
+                                                   m=1.0, time_dependent=True))
     for lift in (static, timedep):
         n = lift.inverse.dim
         x = np.array([1e-7] + [0.5] * (n - 1))
@@ -370,9 +401,31 @@ def test_lift_inverse_partials_refuse_stencil_off_chart():
             lifted_rhs(lift)(0.0, x, np.ones(n))
 
 
+def test_each_lifted_rhs_call_inverts_the_base_metric_once(monkeypatch):
+    # G^AB and its partials come from one inversion of the base metric,
+    # counted at every binding of metric._inverse
+    calls = []
+    inverse = metric_module._inverse
+
+    def counted(field, x, t=None):
+        calls.append(field.name)
+        return inverse(field, x, t)
+
+    for module in (metric_module, lift_module):
+        monkeypatch.setattr(module, "_inverse", counted)
+    static = lift_static(MechanicalSystem(g=polar_metric(), U=static_V, m=1.3))
+    timedep = lift_time_dependent(
+        MechanicalSystem(g=breathing_metric(), U=timedep_U, m=1.3, time_dependent=True), c=1.7)
+    for lift, x in ((static, [1.4, 0.6, 0.4]), (timedep, [0.8, 0.5, 0.9, -0.2])):
+        rhs = lifted_rhs(lift)
+        calls.clear()
+        rhs(0.0, np.array(x), np.ones(len(x)))
+        assert calls == [lift.sys.g.name], lift.kind
+
+
 def test_timedep_lift_takes_no_gauge_one_form():
     gauge = lambda x, t: np.array([0.1])
     with pytest.raises(TypeError):
-        lift_time_dependent(flat_metric(1), DRIVEN_U, gauge)
+        lift_time_dependent(driven(), gauge)
     with pytest.raises(TypeError):
-        lift_time_dependent(flat_metric(1), DRIVEN_U, A=gauge)
+        lift_time_dependent(driven(), A=gauge)

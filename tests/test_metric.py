@@ -320,6 +320,14 @@ class TestDiagonalRoute(unittest.TestCase):
                                   DomainViolation)
 
 
+    def test_entries_near_the_float_limit_invert_on_both_routes(self):
+        # g + g^T overflows for these entries; the symmetrization halves first
+        field = MetricField(dim=2, components=lambda x: np.array([1e308, 1e300]), name="huge",
+                            diagonal=True)
+        outcome = self.assert_same_outcome(field, generic_twin(field), np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(outcome, np.diag(1.0 / np.array([1e308, 1e300])))
+
+
 class TestPartials(unittest.TestCase):
     def test_flat_partials_zero(self):
         dg = metric_partials(flat_metric(3), coordinate_point([1.0, 2.0, 3.0]))
@@ -383,6 +391,16 @@ class TestDomainGuardAtEveryPoint(unittest.TestCase):
         self.assertTrue(self.system().g.valid(np.array(x)))
         with self.assertRaisesRegex(DomainViolation, "stencil"):
             hamilton_rhs(self.system(), x, [0.0, 1.0, 0.0])
+
+    def test_hamilton_rhs_potential_stencil_exit(self):
+        # no grad_U: the potential's central differences at x = 1e-7 would
+        # read U at x - 1e-6, off the half-line chart
+        half_line = MetricField(dim=1, components=lambda x: np.ones(1),
+                                partials=lambda x: np.zeros((1, 1)), guard=lambda x: x[0] > 0.0,
+                                name="half_line", diagonal=True)
+        sys = MechanicalSystem(g=half_line, U=lambda x: 1.0 + x[0], m=1.0)
+        with self.assertRaisesRegex(DomainViolation, "stencil"):
+            hamilton_rhs(sys, [1e-7], [1.0])
 
     def test_analytic_chart_outside_guard(self):
         sys = MechanicalSystem(g=polar_metric(), U=lambda x: 0.0, m=1.0)

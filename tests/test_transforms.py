@@ -216,7 +216,7 @@ def test_time_dependent_approx_static_reduction():
 def test_static_lift_dummy_entry_is_the_jacobi_factor(m, E, r, k, kappa):
     # kappa V at the mechanical p_z^2 = 2m/kappa is 2m(E - U), up to rounding
     sys = kepler_system(m=m, k=k, E=E)
-    lifted = lift_static(sys.g, lambda x: E - sys.U(x), m, kappa)
+    lifted = lift_static(MechanicalSystem(g=sys.g, U=lambda x: E - sys.U(x), m=m), kappa=kappa)
     x = np.array([r, 1.0])
     via_lift = evaluate_metric(lifted.inverse, np.append(x, 0.0))[2, 2] * mechanical_pz(lifted) ** 2
     factor = jacobi_nonrelativistic(sys).factor_at(x)
