@@ -51,8 +51,10 @@ class LiftedSystem:
     directions appended after the coordinates of sys.g (static: x1..xn, z;
     time-dependent: x1..xn, t, sigma).  inverse holds its closed-form,
     exactly symmetric inverse components, also over (N, dim) rows of points
-    from one stacked inversion of sys.g, and their partials; _inverse_at(xe)
-    gives both at one point from one inversion of sys.g, for the flow.
+    from one stacked inversion of sys.g, and their partials.  For the flow,
+    _partials_at(xe) gives sys.g's inverse and the partials at one point from
+    one inversion, and _inverse_from(xe, ginv) lays out the components around
+    a given inverse of sys.g: the one layout every route reads.
     """
 
     sys: MechanicalSystem
@@ -60,7 +62,8 @@ class LiftedSystem:
     c: float
     extended: MetricField
     inverse: MetricField
-    _inverse_at: Callable
+    _partials_at: Callable
+    _inverse_from: Callable
     kappa: float = 2.0
 
 
@@ -94,28 +97,26 @@ def lift_static(sys, kappa=2.0):
         G[n, n] = 1.0 / (kappa * sys.potential(x))
         return G
 
-    def inv_components(xe):
-        x = xe[..., :n]
-        Gi = np.zeros(xe.shape[:-1] + (n + 1, n + 1))
-        Gi[..., :n, :n] = _inverse(g, x)
-        Gi[..., n, n] = kappa * _pointwise(sys.potential, x)
+    def inverse_from(xe, ginv):
+        Gi = np.zeros(ginv.shape[:-2] + (n + 1, n + 1))
+        Gi[..., :n, :n], Gi[..., n, n] = ginv, kappa * _pointwise(sys.potential, xe[..., :n])
         return Gi
 
-    def inverse_at(xe):
+    def partials_at(xe):
         x = xe[:n]
-        Gi, D = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1, n + 1))
-        Gi[:n, :n], D[:n, :n, :n] = _inverse_partials(g, x)
-        Gi[n, n] = kappa * sys.potential(x)
+        ginv, dginv = _inverse_partials(g, x)
+        D = np.zeros((n + 1, n + 1, n + 1))
+        D[:n, :n, :n] = dginv
         D[:n, n, n] = kappa * _potential_gradient(sys, x)
-        return Gi, D
+        return ginv, D
 
     extended = MetricField(dim=n + 1, components=ext_components,
                            guard=ext_guard, name="static_lift")
-    inverse = MetricField(dim=n + 1, components=inv_components,
-                          partials=lambda xe: inverse_at(xe)[1], guard=inv_guard,
-                          name="static_lift_inverse")
-    return LiftedSystem(sys=sys, kind=STATIC_KIND, c=1.0, extended=extended,
-                        inverse=inverse, _inverse_at=inverse_at, kappa=kappa)
+    inverse = MetricField(dim=n + 1, partials=lambda xe: partials_at(xe)[1],
+                          components=lambda xe: inverse_from(xe, _inverse(g, xe[..., :n])),
+                          guard=inv_guard, name="static_lift_inverse")
+    return LiftedSystem(sys=sys, kind=STATIC_KIND, c=1.0, extended=extended, inverse=inverse,
+                        _partials_at=partials_at, _inverse_from=inverse_from, kappa=kappa)
 
 
 def lift_time_dependent(sys, *, c=1.0):
@@ -140,21 +141,18 @@ def lift_time_dependent(sys, *, c=1.0):
         G[n, n + 1] = G[n + 1, n] = c
         return G
 
-    def inv_components(xe):
-        x, t = xe[..., :n], xe.T[n]
-        Gi = np.zeros(xe.shape[:-1] + (n + 2, n + 2))
-        Gi[..., :n, :n] = -_inverse(g, x, t)
+    def inverse_from(xe, ginv):
+        Gi = np.zeros(ginv.shape[:-2] + (n + 2, n + 2))
+        Gi[..., :n, :n] = -ginv
         Gi[..., n, n + 1] = Gi[..., n + 1, n] = 1.0 / c
-        Gi[..., n + 1, n + 1] = -2.0 * _pointwise(sys.potential, x, t) / (m * c * c)
+        Gi[..., n + 1, n + 1] = -2.0 * _pointwise(sys.potential, xe[..., :n], xe.T[n]) / (m * c * c)
         return Gi
 
-    def inverse_at(xe):
+    def partials_at(xe):
         x, t = xe[:n], xe[n]
-        Gi, D = np.zeros((n + 2, n + 2)), np.zeros((n + 2, n + 2, n + 2))
         ginv, dginv = _inverse_partials(g, x, t)
-        Gi[:n, :n], D[:n, :n, :n] = -ginv, -dginv
-        Gi[n, n + 1] = Gi[n + 1, n] = 1.0 / c
-        Gi[n + 1, n + 1] = -2.0 * sys.potential(x, t) / (m * c * c)
+        D = np.zeros((n + 2, n + 2, n + 2))
+        D[:n, :n, :n] = -dginv
         if g.time_dependent:
             dgdt = _central_differences(
                 lambda s: _evaluate(g, x, s[0]), xe[n:n + 1])[0]
@@ -163,15 +161,15 @@ def lift_time_dependent(sys, *, c=1.0):
         if sys.time_dependent:
             dUdt = _central_differences(lambda s: sys.potential(x, s[0]), xe[n:n + 1])[0]
             D[n, n + 1, n + 1] = -2.0 * dUdt / (m * c * c)
-        return Gi, D
+        return ginv, D
 
     extended = MetricField(dim=n + 2, components=ext_components,
                            guard=ext_guard, name="timedep_lift")
-    inverse = MetricField(dim=n + 2, components=inv_components,
-                          partials=lambda xe: inverse_at(xe)[1], guard=ext_guard,
-                          name="timedep_lift_inverse")
-    return LiftedSystem(sys=sys, kind=TIMEDEP_KIND, c=c, extended=extended,
-                        inverse=inverse, _inverse_at=inverse_at)
+    inverse = MetricField(dim=n + 2, partials=lambda xe: partials_at(xe)[1],
+                          components=lambda xe: inverse_from(xe, _inverse(g, xe[..., :n], xe.T[n])),
+                          guard=ext_guard, name="timedep_lift_inverse")
+    return LiftedSystem(sys=sys, kind=TIMEDEP_KIND, c=c, extended=extended, inverse=inverse,
+                        _partials_at=partials_at, _inverse_from=inverse_from)
 
 
 def lifted_rhs(lifted):
@@ -182,7 +180,8 @@ def lifted_rhs(lifted):
     def rhs(param, x, p):
         x = coordinate_point(x)
         _check_point(lifted.inverse, x)
-        dx, force = _kinetic_rhs(*lifted._inverse_at(x), np.asarray(p, dtype=float),
+        ginv, D = lifted._partials_at(x)
+        dx, force = _kinetic_rhs(lifted._inverse_from(x, ginv), D, np.asarray(p, dtype=float),
                                  lifted.sys.m)
         return dx, -force
 

@@ -83,6 +83,9 @@ def test_static_lift_validation():
         lift_static(harmonic(), kappa=0.0)
     with pytest.raises(ValueError, match="autonomous"):
         lift_static(driven())
+    # the mass refusal the lifts rely on lives in the system itself
+    with pytest.raises(ValueError, match="mass"):
+        MechanicalSystem(g=flat_metric(1), U=HARMONIC_V, m=0.0)
 
 
 def test_dummy_momentum_normalization():
@@ -330,6 +333,10 @@ def inverse_partials_against_fd(lift, point):
     assert closed.shape == (lift.inverse.dim,) * 3
     assert np.max(np.abs(closed)) > 0.1
     np.testing.assert_allclose(closed, numeric, rtol=1e-6, atol=1e-12)
+    # the flow's G^AB and D are the field's components and partials, bit for bit
+    ginv, D = lift._partials_at(point)
+    assert (lift._inverse_from(point, ginv) == evaluate_metric(lift.inverse, point)).all()
+    assert (D == closed).all()
 
 
 def static_V(y):
