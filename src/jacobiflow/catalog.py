@@ -97,9 +97,9 @@ def schwarzschild(M, m, c=1.0):
     Chart (r, theta, phi) valid for r > 2M (and r > 0 when M = 0, which is
     allowed and reproduces flat space exactly).
     """
-    if M < 0:
+    if not M >= 0:
         raise ValueError("M must be nonnegative")
-    if m <= 0:
+    if not m > 0:
         raise ValueError("m must be positive")
     M = float(M)
     m = float(m)
@@ -164,9 +164,9 @@ def taub_nut(M, m):
     geodesic-form matrix is the negative of the generic transform's output
     (rel_ratio = -1).
     """
-    if M <= 0:
+    if not M > 0:
         raise ValueError("M must be positive")
-    if m <= 0:
+    if not m > 0:
         raise ValueError("m must be positive")
     M = float(M)
     m = float(m)
@@ -219,7 +219,7 @@ def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand", dGamma=Non
     the derivative of Gamma, gives the entry an analytic grad_U; without
     them the partials and the potential gradient are central differences.
     """
-    if m <= 0:
+    if not m > 0:
         raise ValueError("m must be positive")
     m = float(m)
     c = float(c)
@@ -320,9 +320,9 @@ def kerr(M, a, m, c=1.0):
     redshift-zero surface rho^2 = 2Mr is rejected by the relativistic
     factor.  The phi-t cross term takes no part in the conformal factor.
     """
-    if m <= 0:
+    if not m > 0:
         raise ValueError("m must be positive")
-    if M < 0:
+    if not M >= 0:
         raise ValueError("M must be nonnegative")
     M = float(M)
     a = float(a)

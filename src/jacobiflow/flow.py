@@ -23,6 +23,7 @@ from .errors import (
 from .metric import (
     _at,
     _central_differences,
+    _diagonal_inverse_partials,
     _inverse_partials,
     _kinetic_form,
     _pointwise,
@@ -94,14 +95,21 @@ def _potential_gradient(sys, x, t=None):
 
 def _kinetic_rhs(ginv, dginv, p, m):
     """Kinetic part of Hamilton's equations: x' = g^ij p_j / m and the force
-    (1/2m) d_k g^ij p_i p_j, which p' subtracts along with any potential gradient."""
+    (1/2m) d_k g^ij p_i p_j, which p' subtracts along with any potential gradient.
+
+    ginv and dginv are the matrices g^ij and D[k, i, j] = d g^ij / d x^k, or
+    for a diagonal metric the diagonal a and D[k, i] = d a_i / d x^k; the row
+    scalings of the diagonal layout give the matrix products' bits."""
+    if ginv.ndim == 1:
+        return ginv * p / m, 0.5 / m * ((dginv * p) * p).sum(axis=1)
     return ginv @ p / m, 0.5 / m * np.einsum("kij,i,j->k", dginv, p, p)
 
 
 def _hamilton_rhs(sys, x, p, t=None):
     """hamilton_rhs on an already validated chart point."""
     p = np.asarray(p, dtype=float)
-    dx, force = _kinetic_rhs(*_inverse_partials(sys.g, x, t), p, sys.m)
+    inverse_partials = _diagonal_inverse_partials if sys.g.diagonal else _inverse_partials
+    dx, force = _kinetic_rhs(*inverse_partials(sys.g, x, t), p, sys.m)
     return dx, -(force + _potential_gradient(sys, x, t))
 
 
@@ -344,9 +352,12 @@ class RK45:
 # Integration
 # ======================================================================
 
-def _record(rows, param, y):
-    """Append one recorded state: its parameter, then the stepper's state y."""
-    rows.append(np.concatenate([[param], y]))
+def _record(rows, params, Y):
+    """Append one block of recorded states: k parameters, each in front of
+    its row of the stepper's states Y, (k, len(y)), or one state y when k = 1."""
+    block = np.empty((len(params), Y.shape[-1] + 1))
+    block[:, 0], block[:, 1:] = params, Y
+    rows.append(block)
 
 
 def _stalled_at_turn(system, x):
@@ -360,12 +371,12 @@ def _stalled_at_turn(system, x):
 
 
 def _trajectory(rows, n, monitor_fns, termination, reason):
-    """The recorded rows as a Trajectory, each monitor evaluated once over
-    the recorded arrays, and a pacing column (when y carries one) under
-    'pacing'.  A monitor whose result is not one value per row raises
+    """The recorded blocks of rows as a Trajectory, each monitor evaluated
+    once over the recorded arrays, and a pacing column (when y carries one)
+    under 'pacing'.  A monitor whose result is not one value per row raises
     ValueError: a per-state monitor fn(param, x, p) handed the arrays
     returns some other shape instead of a wrong column."""
-    table = np.array(rows)
+    table = np.concatenate(rows)
     params, x, p = table[:, 0], table[:, 1:n + 1], table[:, n + 1:2 * n + 1]
     monitors = {}
     for name, fn in (monitor_fns or {}).items():
@@ -404,7 +415,8 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     record_grid, when given, is a whole number N >= 1, not a bool: states
     are then recorded at the N uniform grid points span/N, 2 span/N, ..,
     span instead of at accepted steps, through the stepper's dense
-    interpolant, evaluated once per step for all of that step's points.  Path
+    interpolant, evaluated once per step for all of that step's points,
+    which are recorded as one block.  Path
     comparisons need sample spacing well below the adaptive step size to
     keep piecewise-linear resampling error out of the measurement; this keeps
     the step sequence (and cost) of the adaptive run.  An rtol below RTOL_MIN,
@@ -458,7 +470,7 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     stepper = RK45(fun, 0.0, y0, span, rtol=rtol, atol=atol)
 
     rows = []
-    _record(rows, 0.0, y0)
+    _record(rows, [0.0], y0)
     termination, reason = "completed", ""
     while stepper.status == "running":
         try:
@@ -484,14 +496,14 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
                           f"{STALL_GAP:g} of the turning surface: {failure}")
             break
         if grid is None:
-            _record(rows, stepper.t, stepper.y)
+            _record(rows, [stepper.t], stepper.y)
             continue
-        # the grid points this step reached, through one interpolant call
+        # the grid points this step reached, through one interpolant call,
+        # recorded as one block
         end = np.searchsorted(grid, stepper.t, side="right")
         if end > next_grid:
             points = grid[next_grid:end]
-            for param, y in zip(points, stepper.dense_output()(points)):
-                _record(rows, param, y)
+            _record(rows, points, stepper.dense_output()(points))
             next_grid = end
 
     return _trajectory(rows, n, monitor_fns, termination, reason)

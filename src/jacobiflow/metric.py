@@ -30,7 +30,7 @@ def coordinate_point(coords):
     x = np.asarray(coords, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("a chart point must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("chart coordinates must be finite")
     return x
 
@@ -68,9 +68,9 @@ class MetricField:
 
     A diagonal field (diagonal=True) is one whose matrix is diag(d):
     components returns the (dim,) vector d and partials the (dim, dim) array
-    D[k, i] = d d_i / d x^k.  Every consumer still reads the matrix forms,
-    and the inverse at a point is 1/d, refused exactly where the matrix
-    diag(d) would be.
+    D[k, i] = d d_i / d x^k.  The flows' right-hand sides read these as they
+    are; every other consumer reads the matrix forms.  The inverse at a point
+    is 1/d, refused exactly where the matrix diag(d) would be.
     """
 
     dim: int
@@ -220,22 +220,31 @@ def _inverse(field, x, t=None):
                 _inverse(field, row, s)
             raise
     if field.diagonal:
-        # diag(1/d) where invert_metric would accept diag(d): finite
-        # entries (max|d| is nan or inf otherwise), max|d| != 0 and rcond =
-        # min|d| / max|d| >= RCOND_MIN; a refusal is left to invert_metric,
-        # which words it
-        d = _components(field, x, t)
-        size = np.abs(d)
-        top = size.max()
-        if 0.0 < top < np.inf and size.min() / top >= RCOND_MIN:
-            return np.diag(1.0 / d)
-        g = np.diag(d)
-    else:
-        g = _evaluate(field, x, t)
+        return np.diag(_diagonal_inverse(field, x, t))
+    return _invert_at(field, x, _evaluate(field, x, t))
+
+
+def _invert_at(field, x, g):
+    """invert_metric(g) for the metric g of field at the chart point x, its
+    SingularMatrix naming the point and the metric."""
     try:
         return invert_metric(g)
     except SingularMatrix as exc:
         raise SingularMatrix(f"{exc} at {x.tolist()} on metric '{field.name}'") from exc
+
+
+def _diagonal_inverse(field, x, t=None):
+    """The diagonal a = 1/d of a diagonal field's inverse at a validated chart
+    point, accepted where invert_metric would accept diag(d): finite entries
+    (max|d| is nan or inf otherwise), max|d| != 0 and rcond = min|d| / max|d|
+    >= RCOND_MIN.  Anything else is left to invert_metric, which words the
+    refusal."""
+    d = _components(field, x, t)
+    size = np.abs(d)
+    top = size.max()
+    if 0.0 < top < np.inf and size.min() / top >= RCOND_MIN:
+        return 1.0 / d
+    return _invert_at(field, x, np.diag(d)).diagonal()
 
 
 def _quadratic_form(a, p):
@@ -288,12 +297,13 @@ def _stencil_point(field, y):
 
 
 def _partials(field, x, t=None):
-    """metric_partials on an already validated chart point."""
+    """D[k] = d/dx^k of the field's components at a validated chart point:
+    of the matrix, or of d for a diagonal field, D[k, i] = d d_i / d x^k.
+    The field's analytic partials when given, otherwise central differences."""
     if field.partials is not None:
-        dg = np.asarray(_at(field.partials, x, t, field.time_dependent), dtype=float)
-        return _on_diagonals(dg) if field.diagonal else dg
-    return _central_differences(
-        lambda y: _evaluate(field, _stencil_point(field, y), t), x)
+        return np.asarray(_at(field.partials, x, t, field.time_dependent), dtype=float)
+    evaluate = _components if field.diagonal else _evaluate
+    return _central_differences(lambda y: evaluate(field, _stencil_point(field, y), t), x)
 
 
 def metric_partials(field, x, t=None):
@@ -305,20 +315,28 @@ def metric_partials(field, x, t=None):
     """
     x = coordinate_point(x)
     _check_point(field, x)
-    return _partials(field, x, t)
+    dg = _partials(field, x, t)
+    return _on_diagonals(dg) if field.diagonal else dg
 
 
 def _inverse_partials(field, x, t=None):
     """The inverse metric g^ij at a validated chart point and its partial
     derivatives D[k, i, j] = d g^ij / d x^k, from d(g^-1) = -g^-1 (dg) g^-1.
-    For a diagonal field, with a = 1/d, the products are the row and column
-    scalings -((a_i dg_ij) a_j), which are the matrix products' bits."""
+    For a diagonal field, with a = 1/d, these are the diagonal matrices
+    -((a_i dd_i/dx^k) a_i), which are the matrix products' bits."""
     ginv = _inverse(field, x, t)
     dg = _partials(field, x, t)
     if field.diagonal:
         a = ginv.diagonal()
-        return ginv, -((a[:, None] * dg) * a[None, :])
+        return ginv, _on_diagonals(-((a * dg) * a))
     return ginv, np.array([-(ginv @ dg[k] @ ginv) for k in range(field.dim)])
+
+
+def _diagonal_inverse_partials(field, x, t=None):
+    """_inverse_partials of a diagonal field in its own layout, with no
+    matrix built: the diagonal a = 1/d and D[k, i] = d a_i / d x^k."""
+    a = _diagonal_inverse(field, x, t)
+    return a, -((a * _partials(field, x, t)) * a)
 
 
 # ======================================================================

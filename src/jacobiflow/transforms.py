@@ -35,7 +35,7 @@ class MechanicalSystem:
     name: str = ""
 
     def __post_init__(self):
-        if self.m <= 0:
+        if not self.m > 0:
             raise ValueError("mass must be positive")
 
     def potential(self, x, t=None):

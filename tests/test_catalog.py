@@ -6,8 +6,10 @@ import pytest
 from jacobiflow import (
     CATALOG,
     DomainViolation,
+    MechanicalSystem,
     catalog_entry,
     evaluate_metric,
+    flat_metric,
     invert_metric,
     jacobi_nonrelativistic,
     jacobi_relativistic_stationary,
@@ -355,3 +357,23 @@ def test_generic_bertrand_without_derivatives_keeps_central_differences():
     entry = bertrand(Gamma=lambda r: 1.0 / (1.0 + r), h=lambda r: 1.0, m=1.0)
     assert entry.spatial.partials is None and entry.grad_U is None
     assert mechanical_system_from_entry(entry, E=0.5).grad_U is None
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, refusal", [
+    (lambda: MechanicalSystem(g=flat_metric(1), U=lambda x: 0.0, m=NAN), "mass must be positive"),
+    (lambda: schwarzschild(M=NAN, m=1.0), "M must be nonnegative"),
+    (lambda: schwarzschild(M=1.0, m=NAN), "m must be positive"),
+    (lambda: taub_nut(M=NAN, m=1.0), "M must be positive"),
+    (lambda: taub_nut(M=1.0, m=NAN), "m must be positive"),
+    (lambda: bertrand(lambda r: 1.0, lambda r: 1.0, m=NAN), "m must be positive"),
+    (lambda: kerr(M=NAN, a=0.6, m=1.0), "M must be nonnegative"),
+    (lambda: kerr(M=1.0, a=0.6, m=NAN), "m must be positive"),
+], ids=["system-m", "schwarzschild-M", "schwarzschild-m", "taub_nut-M", "taub_nut-m",
+        "bertrand-m", "kerr-M", "kerr-m"])
+def test_mass_parameters_refuse_nan(build, refusal):
+    # a comparison such as m <= 0 is false for NaN, which would let it through
+    with pytest.raises(ValueError, match=refusal):
+        build()

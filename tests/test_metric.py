@@ -17,6 +17,7 @@ from jacobiflow import (
     flat_metric,
     hamilton_rhs,
     invert_metric,
+    jacobi_rhs,
     metric_partials,
     polar_metric,
 )
@@ -256,15 +257,32 @@ def catalog_charts():
         yield catalog_entry(name, **{p: params[p] for p in required})
 
 
+def system_over(field):
+    """A system over field whose potential is 0 everywhere but whose E labels
+    an energy shell, so that the rescaled flow is defined on the whole chart."""
+    return MechanicalSystem(g=field, U=lambda x: 0.0, m=1.0, E=1.0,
+                            grad_U=lambda x: np.zeros(x.size))
+
+
+def through_the_rhs(field, x, p=None, sys=None):
+    """hamilton_rhs and jacobi_rhs, stacked, of the system over field at x:
+    the diagonal route's kinetic terms there, the matrix ones on a generic
+    field."""
+    sys = system_over(field) if sys is None else sys
+    p = np.linspace(-1.0, 2.0, x.size) if p is None else p
+    return np.concatenate([*hamilton_rhs(sys, x, p), *jacobi_rhs(sys, x, p)])
+
+
 class TestDiagonalRoute(unittest.TestCase):
     """A diagonal field inverts as 1/d with the bits, and the refusals, of the
-    generic route on the same components."""
+    generic route on the same components, and so do the flows' right-hand
+    sides, which read d and its partials without building matrices."""
 
-    def assert_same_outcome(self, diagonal, generic, x):
+    def assert_same_outcome(self, diagonal, generic, x, route=_inverse):
         outcomes = []
         for field in (diagonal, generic):
             try:
-                outcomes.append(_inverse(field, x))
+                outcomes.append(route(field, x))
             except JacobiFlowError as exc:
                 outcomes.append(exc)
         fast, slow = outcomes
@@ -286,11 +304,16 @@ class TestDiagonalRoute(unittest.TestCase):
         for field, points in charts:
             self.assertTrue(field.diagonal, field.name)
             twin = generic_twin(field)
+            sys, twin_sys = system_over(field), system_over(twin)
             for x in points:
                 ginv, dginv = _inverse_partials(field, x)
                 twin_ginv, twin_dginv = _inverse_partials(twin, x)
                 self.assertTrue((ginv == twin_ginv).all(), (field.name, x))
                 self.assertTrue((dginv == twin_dginv).all(), (field.name, x))
+                p = rng.normal(size=field.dim)
+                rhs = through_the_rhs(field, x, p, sys)
+                self.assertTrue((rhs == through_the_rhs(twin, x, p, twin_sys)).all(),
+                                (field.name, x, p))
 
     def test_refusals_equal_the_generic_route(self):
         below, above = np.nextafter(RCOND_MIN, 0.0), np.nextafter(RCOND_MIN, 1.0)
@@ -308,17 +331,19 @@ class TestDiagonalRoute(unittest.TestCase):
             field = MetricField(dim=3, components=lambda x, d=d: np.array(d), name="fixed",
                                 guard=lambda x: x[0] > 0.0, diagonal=True)
             twin = generic_twin(field)
-            outcome = self.assert_same_outcome(field, twin, np.array([1.0, 2.0, 3.0]))
-            if refusal is None:
-                np.testing.assert_array_equal(outcome, np.diag(1.0 / np.array(d)))
-            else:
-                self.assertIsInstance(outcome, SingularMatrix)
-                self.assertEqual(str(outcome),
-                                 f"{refusal} at [1.0, 2.0, 3.0] on metric 'fixed'")
-            # outside the chart both refuse the point before evaluating it
-            self.assertIsInstance(self.assert_same_outcome(field, twin, np.array([-1.0, 2.0, 3.0])),
-                                  DomainViolation)
-
+            for route in (_inverse, through_the_rhs):
+                outcome = self.assert_same_outcome(field, twin, np.array([1.0, 2.0, 3.0]), route)
+                if refusal is None:
+                    if route is _inverse:
+                        np.testing.assert_array_equal(outcome, np.diag(1.0 / np.array(d)))
+                else:
+                    self.assertIsInstance(outcome, SingularMatrix)
+                    self.assertEqual(str(outcome),
+                                     f"{refusal} at [1.0, 2.0, 3.0] on metric 'fixed'")
+                # outside the chart both refuse the point before evaluating it
+                self.assertIsInstance(
+                    self.assert_same_outcome(field, twin, np.array([-1.0, 2.0, 3.0]), route),
+                    DomainViolation)
 
     def test_entries_near_the_float_limit_invert_on_both_routes(self):
         # g + g^T overflows for these entries; the symmetrization halves first
@@ -326,6 +351,7 @@ class TestDiagonalRoute(unittest.TestCase):
                             diagonal=True)
         outcome = self.assert_same_outcome(field, generic_twin(field), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(outcome, np.diag(1.0 / np.array([1e308, 1e300])))
+        self.assert_same_outcome(field, generic_twin(field), np.array([1.0, 2.0]), through_the_rhs)
 
 
 class TestPartials(unittest.TestCase):

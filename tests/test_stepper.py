@@ -97,32 +97,69 @@ def test_dense_output_of_an_array_is_the_scalar_calls_stacked(tmp_path, monkeypa
         assert steps > 10
 
 
-def test_record_grid_rows_equal_a_per_point_loop(monkeypatch):
-    seen = spy_on_steppers(monkeypatch)
-    kepler = jacobiflow.MechanicalSystem(
-        g=jacobiflow.polar_metric(), U=lambda x: -1.0 / x[0], m=1.0, E=-0.5,
-        grad_U=lambda x: np.array([1.0 / x[0] ** 2, 0.0]))
-    # the e = 0.5 ellipse from perihelion over one period: short steps near
-    # perihelion hold no grid point, long ones near aphelion several
-    launch = flow.FlowState(np.array([0.5, 0.0]), np.array([0.0, np.sqrt(0.75)]))
-    span, count = 2.0 * np.pi, 200
-    traj = flow.integrate(flow.hamilton_flow(kepler), launch, span, record_grid=count)
-
-    (fun, t0, y0, t_bound, tol), = seen
-    stepper = OWN_RK45(fun, t0, y0, t_bound, **tol)
-    grid = np.linspace(0.0, span, count + 1)[1:]
-    states, per_step, i = [stepper.y], [], 0
+def per_state_rows(stepper, grid):
+    """The rows integrate records, built one state at a time: the launch, then
+    each accepted step's state, or with a grid each grid point a step reached
+    through its own interpolant call, up to a step the rhs refused as a
+    turning point; and how many grid points each step reached."""
+    rows, per_step, i = [[0.0, *stepper.y]], [], 0
     while stepper.status == "running":
-        stepper.step()
+        try:
+            stepper.step()
+        except jacobiflow.TurningPoint:
+            break
+        if grid is None:
+            rows.append([stepper.t, *stepper.y])
+            continue
         sol, first = stepper.dense_output(), i
         while i < grid.size and grid[i] <= stepper.t:
-            states.append(sol(grid[i]))
+            rows.append([grid[i], *sol(grid[i])])
             i += 1
         per_step.append(i - first)
-    assert 0 in per_step and max(per_step) > 1
-    assert grid[-1] == span and stepper.t == span
-    assert np.array_equal(traj.params, np.concatenate([[0.0], grid]))
-    assert np.array_equal(np.column_stack([traj.x, traj.p]), np.array(states))
+    return np.array(rows), per_step
+
+
+KEPLER = jacobiflow.MechanicalSystem(
+    g=jacobiflow.polar_metric(), U=lambda x: -1.0 / x[0], m=1.0, E=-0.5,
+    grad_U=lambda x: np.array([1.0 / x[0] ** 2, 0.0]))
+# the e = 0.5 ellipse from perihelion: short steps near perihelion hold no
+# grid point, long ones near aphelion several
+ELLIPSE = flow.FlowState(np.array([0.5, 0.0]), np.array([0.0, np.sqrt(0.75)]))
+# the radial launch whose rescaled flow reaches its turning radius r = 2 at
+# s = 0.5708, in the middle of a grid over s in (0, 1]
+RADIAL = flow.FlowState(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+
+# (flow, launch, span, record_grid, termination): the ellipse over one period
+# on a grid, the radial launch ending mid-grid, the ellipse at accepted steps
+RECORD_RUNS = [
+    (flow.hamilton_flow, ELLIPSE, 2.0 * np.pi, 200, "completed"),
+    (flow.jacobi_flow, RADIAL, 1.0, 200, "turning_point"),
+    (flow.hamilton_flow, ELLIPSE, 2.0 * np.pi, None, "completed"),
+]
+
+
+def test_record_grid_rows_equal_a_per_point_loop(monkeypatch):
+    seen = spy_on_steppers(monkeypatch)
+    for flow_of, launch, span, count, termination in RECORD_RUNS:
+        traj = flow.integrate(flow_of(KEPLER), launch, span, record_grid=count)
+
+        (fun, t0, y0, t_bound, tol), = seen
+        seen.clear()
+        stepper = OWN_RK45(fun, t0, y0, t_bound, **tol)
+        grid = None if count is None else np.linspace(0.0, span, count + 1)[1:]
+        rows, per_step = per_state_rows(stepper, grid)
+        assert traj.termination == termination
+        assert np.array_equal(np.column_stack([traj.params, traj.x, traj.p]), rows)
+        if termination == "completed":
+            assert stepper.t == span and traj.params[-1] == span
+        if count is None:
+            assert len(rows) > 100
+        elif termination == "completed":
+            assert 0 in per_step and max(per_step) > 1
+            assert np.array_equal(traj.params, np.concatenate([[0.0], grid]))
+        else:
+            assert 0.5 < traj.params[-1] < 0.6 and len(rows) == 115
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -1,0 +1,79 @@
+"""Per-layer cost of the flow's hot path, in microseconds per call.
+
+    python3 tools/layer_timings.py
+
+Prints one JSON line: for each layer, the best of 7 timeit repeats divided
+by the calls per repeat.  The right-hand sides are those the CLI builds:
+Kepler on the polar chart (k = m = 1, E = -0.5) and Schwarzschild's
+mechanical view (M = m = 1, E = 0), both with analytic partials, and the
+static and time-dependent lifts of the 1-d oscillator of `lift`.  Recording
+is per state, in blocks of 8 states and their final concatenation, and the
+stepper is per accepted step of RK45 on the harmonic oscillator y'' = -y.
+Compare numbers only when taken on the same machine in one session.
+"""
+
+import json
+import sys
+import timeit
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from jacobiflow import flow, lift  # noqa: E402
+from jacobiflow.catalog import catalog_entry, mechanical_system_from_entry  # noqa: E402
+from jacobiflow.metric import _inverse, flat_metric, invert_metric, polar_metric  # noqa: E402
+from jacobiflow.transforms import MechanicalSystem  # noqa: E402
+
+REPEATS = 7
+BLOCK = 8
+
+
+def layer_timings(number=2000):
+    """{layer: µs per call}, each the best of REPEATS runs of number calls."""
+    kepler = MechanicalSystem(g=polar_metric(), U=lambda x: -1.0 / x[0], m=1.0, E=-0.5,
+                              grad_U=lambda x: np.array([1.0 / x[0] ** 2, 0.0]))
+    schwarzschild = mechanical_system_from_entry(catalog_entry("schwarzschild", M=1.0, m=1.0),
+                                                 E=0.0)
+    static = lift.lifted_rhs(lift.lift_static(MechanicalSystem(
+        g=flat_metric(1), U=lambda x: 0.5 * (x @ x), m=1.0, grad_U=lambda x: x)))
+    timedep = lift.lifted_rhs(lift.lift_time_dependent(MechanicalSystem(
+        g=flat_metric(1), U=lambda x, t: 0.5 * (1.0 + 0.3 * np.sin(t)) * (x @ x), m=1.0,
+        time_dependent=True, grad_U=lambda x, t: (1.0 + 0.3 * np.sin(t)) * x)))
+    xk, pk = np.array([1.2, 0.4]), np.array([0.3, 0.9])
+    xs, ps = np.array([10.0, np.pi / 2, 0.0]), np.array([0.1, 0.0, 3.5])
+    xl, pl = np.array([0.5, 0.0]), np.array([0.2, 1.0])
+    xt, pt = np.array([0.5, 0.7, 0.0]), np.array([-0.2, 1.1, 1.0])
+    g = np.array([[2.0, 0.3], [0.3, 1.0]])
+    states = np.random.default_rng(0).normal(size=(BLOCK, 5))
+    params = np.arange(1.0, BLOCK + 1.0)
+
+    def record():
+        rows = []
+        for _ in range(number):
+            flow._record(rows, params, states)
+        np.concatenate(rows)
+
+    stepper = flow.RK45(lambda t, y: np.array([y[1], -y[0]]), 0.0, np.array([1.0, 0.0]),
+                        np.inf, rtol=1e-9, atol=1e-12)
+    calls = {
+        "kepler.hamilton_rhs": lambda: flow.hamilton_rhs(kepler, xk, pk),
+        "kepler.jacobi_rhs": lambda: flow.jacobi_rhs(kepler, xk, pk),
+        "schwarzschild.hamilton_rhs": lambda: flow.hamilton_rhs(schwarzschild, xs, ps),
+        "schwarzschild.jacobi_rhs": lambda: flow.jacobi_rhs(schwarzschild, xs, ps),
+        "static.lifted_rhs": lambda: static(0.0, xl, pl),
+        "timedep.lifted_rhs": lambda: timedep(0.0, xt, pt),
+        "metric._inverse.polar": lambda: _inverse(kepler.g, xk),
+        "metric.invert_metric.2x2": lambda: invert_metric(g),
+        "flow.stepper.per_step": stepper.step,
+    }
+    us = {name: min(timeit.repeat(fn, number=number, repeat=REPEATS)) / number * 1e6
+          for name, fn in calls.items()}
+    us["flow.record.per_state"] = (min(timeit.repeat(record, number=1, repeat=REPEATS))
+                                   / (number * BLOCK) * 1e6)
+    return {name: round(value, 3) for name, value in us.items()}
+
+
+if __name__ == "__main__":
+    print(json.dumps(layer_timings()))
