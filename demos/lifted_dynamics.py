@@ -23,7 +23,7 @@ from jacobiflow import (
 SPAN = 20.0
 
 # ----- static lift: V = x^2 / 2 on a flat line ------------------------------
-oscillator = MechanicalSystem(g=flat_metric(1), U=lambda x: 0.5 * x[0] ** 2, m=1.0)
+oscillator = MechanicalSystem(g=flat_metric(1), U=lambda x: 0.5 * (x[0] * x[0]), m=1.0)
 lifted = lift_static(oscillator)
 start = embed_static(lifted, np.array([1.0]), np.array([0.0]))
 traj = integrate_lifted(lifted, start, SPAN, record_grid=2000)
@@ -39,7 +39,7 @@ print()
 
 # ----- time-dependent lift: U = (1 + 0.1 sin t) x^2 / 2 ---------------------
 def driven_U(x, t):
-    return 0.5 * (1.0 + 0.1 * np.sin(t)) * float(x @ x)
+    return 0.5 * (1.0 + 0.1 * np.sin(t)) * (x * x).sum(axis=0)
 
 # one system feeds both the lift and the direct integration below
 driven = MechanicalSystem(

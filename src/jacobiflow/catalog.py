@@ -26,6 +26,11 @@ from .transforms import MechanicalSystem, StationarySpacetime
 POLE_MARGIN = 1e-9  # sin(theta) floor shared by all spherical-type charts
 
 
+def _square(v):
+    """v * v: numpy's array ** 2 rounds unlike its scalar one, a product does not."""
+    return v * v
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One parameterized metric family.
@@ -78,16 +83,21 @@ def mechanical_system_from_entry(entry, E=None):
 def _spherical_chart(name, radial_ok, diagonal, gradient=None):
     """Diagonal spatial metric '<name>_spatial' on (r, theta, phi) with
     components diagonal(r, theta), valid where radial_ok(r) and
-    |sin theta| > POLE_MARGIN.  gradient(r, theta), when given, returns the
-    r and theta derivatives of the diagonal, which become the chart's
-    analytic partials (phi is cyclic); without it the partials are central
-    differences."""
+    |sin theta| > POLE_MARGIN, each taking numbers or one array entry per
+    point.  gradient(r, theta), when given, returns the r and theta
+    derivatives of the diagonal, which become the chart's analytic partials
+    (phi is cyclic); without it the partials are central differences."""
     partials = None
     if gradient is not None:
         def partials(x):
             return [*gradient(x[0], x[1]), [0.0, 0.0, 0.0]]
-    return MetricField(dim=3, components=lambda x: diagonal(x[0], x[1]), partials=partials,
-                       guard=lambda x: abs(np.sin(x[1])) > POLE_MARGIN and radial_ok(x[0]),
+
+    def components(x):
+        d = np.empty(x.shape)
+        d[0], d[1], d[2] = diagonal(x[0], x[1])
+        return d
+    return MetricField(dim=3, components=components, partials=partials,
+                       guard=lambda x: (abs(np.sin(x[1])) > POLE_MARGIN) & radial_ok(x[0]),
                        name=f"{name}_spatial", diagonal=True)
 
 
@@ -111,8 +121,8 @@ def schwarzschild(M, m, c=1.0):
         return ([-2.0 * M / (r * r * w * w), 2.0 * r, 2.0 * r * s2],
                 [0.0, 0.0, r * r * np.sin(2.0 * th)])
 
-    spatial = _spherical_chart("schwarzschild", lambda r: r > 0.0 and r > 2.0 * M, lambda r, th: [
-        1.0 / (1.0 - 2.0 * M / r), r * r, r * r * np.sin(th) ** 2], gradient)
+    spatial = _spherical_chart("schwarzschild", lambda r: r > 2.0 * M, lambda r, th: [
+        1.0 / (1.0 - 2.0 * M / r), r * r, r * r * _square(np.sin(th))], gradient)
 
     def Vsq(x):
         return 1.0 - 2.0 * M / x[0]
@@ -176,7 +186,7 @@ def taub_nut(M, m):
                 [0.0, 0.0, (r * r - M * M) * np.sin(2.0 * th)])
 
     spatial = _spherical_chart("taub_nut", lambda r: r > M, lambda r, th: [
-        (r + M) / (r - M), r * r - M * M, (r * r - M * M) * np.sin(th) ** 2], gradient)
+        (r + M) / (r - M), r * r - M * M, (r * r - M * M) * _square(np.sin(th))], gradient)
 
     def Vsq(x):
         r = x[0]
@@ -225,8 +235,8 @@ def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand", dGamma=Non
     c = float(c)
 
     def radial_ok(r):  # r > 0 with h(r) finite and nonzero
-        hv = h(r) if r > 0.0 else 0.0
-        return np.isfinite(hv) and hv * hv > 0.0
+        hv = h(r)
+        return (r > 0.0) & np.isfinite(hv) & (hv * hv > 0.0)
 
     gradient = None
     if dh is not None:
@@ -235,7 +245,8 @@ def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand", dGamma=Non
                     [0.0, 0.0, r * r * np.sin(2.0 * th)])
 
     spatial = _spherical_chart(
-        name, radial_ok, lambda r, th: [h(r) ** 2, r * r, r * r * np.sin(th) ** 2], gradient)
+        name, radial_ok, lambda r, th: [_square(h(r)), r * r, r * r * _square(np.sin(th))],
+        gradient)
 
     def Vsq(x):
         return 1.0 / (c * c * Gamma(x[0]))
@@ -333,13 +344,13 @@ def kerr(M, a, m, c=1.0):
         return r * r - 2.0 * M * r + a * a
 
     def rho2(r, th):
-        return r * r + a * a * np.cos(th) ** 2
+        return r * r + a * a * _square(np.cos(th))
 
     def diagonal(r, th):
         d = delta(r)
         p2 = rho2(r, th)
-        s2 = np.sin(th) ** 2
-        gphph = s2 / p2 * ((r * r + a * a) ** 2 - a * a * d * s2)
+        s2 = _square(np.sin(th))
+        gphph = s2 / p2 * (_square(r * r + a * a) - a * a * d * s2)
         return [p2 / d, p2, gphph]
 
     def gradient(r, th):
@@ -354,7 +365,7 @@ def kerr(M, a, m, c=1.0):
                 [-a * a * sin2 / d, -a * a * sin2,
                  sin2 * ((big - a * a * d * s2) / p2 + a * a * s2 * big / (p2 * p2))])
 
-    spatial = _spherical_chart("kerr", lambda r: r > 0.0 and delta(r) > 0.0, diagonal,
+    spatial = _spherical_chart("kerr", lambda r: (r > 0.0) & (delta(r) > 0.0), diagonal,
                                gradient)
 
     def Vsq(x):

@@ -301,10 +301,10 @@ def build_mechanical(scn, own=("E",)):
         if lam <= 0 or m <= 0:
             raise ValueError("oscillator needs lam > 0 and m > 0")
         return MechanicalSystem(
-            g=polar_metric(), U=lambda x: 0.5 * lam * x[0] ** 2, m=m, E=E,
+            g=polar_metric(), U=lambda x: 0.5 * lam * (x[0] * x[0]), m=m, E=E,
             grad_U=lambda x: np.array([lam * x[0], 0.0]), name="oscillator")
     return MechanicalSystem(
-        g=flat_metric(2), U=lambda x: 0.0, m=m, E=E,
+        g=flat_metric(2), U=lambda x: 0.0 * x[0], m=m, E=E,
         grad_U=lambda x: np.zeros(2), name="free")
 
 
@@ -610,15 +610,16 @@ def run_lift(scn):
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam!r}")
     if kind == "static":
-        sys = MechanicalSystem(g=flat_metric(dim), U=lambda x: 0.5 * lam * float(x @ x), m=m,
-                               grad_U=lambda x: lam * x)
+        sys = MechanicalSystem(g=flat_metric(dim), U=lambda x: 0.5 * lam * (x * x).sum(axis=0),
+                               m=m, grad_U=lambda x: lam * x)
         lifted = lift_static(sys, kappa=_param(scn, "kappa"))
         start = embed_static(lifted, x0, p0)
     else:
         amp = _param(scn, "amp")
         sys = MechanicalSystem(
-            g=flat_metric(dim), U=lambda x, t: 0.5 * (1.0 + amp * np.sin(t)) * lam * float(x @ x),
-            m=m, time_dependent=True, grad_U=lambda x, t: (1.0 + amp * np.sin(t)) * lam * x)
+            g=flat_metric(dim),
+            U=lambda x, t: 0.5 * (1.0 + amp * np.sin(t)) * lam * (x * x).sum(axis=0), m=m,
+            time_dependent=True, grad_U=lambda x, t: (1.0 + amp * np.sin(t)) * lam * x)
         lifted = lift_time_dependent(sys, c=_param(scn, "c"))
         start = embed_time_dependent(lifted, x0, p0, q=_param(scn, "q"))
     traj = integrate_lifted(lifted, start, span, rtol=integration["rtol"],

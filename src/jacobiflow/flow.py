@@ -26,7 +26,6 @@ from .metric import (
     _diagonal_inverse_partials,
     _inverse_partials,
     _kinetic_form,
-    _pointwise,
     _points,
     _stencil_point,
     coordinate_point,
@@ -170,7 +169,7 @@ def unit_momentum_hamiltonian(sys, x, p):
     energy surface.  Over (N, n) rows of states it returns the (N,) values."""
     x = _points(x)
     kinetic = _kinetic_form(sys.g, x, p)
-    gap = sys.E - _pointwise(sys.potential, x)
+    gap = sys.E - sys.potential(x)
     return kinetic / (2.0 * sys.m * gap)
 
 
@@ -182,6 +181,7 @@ def clairaut_constant(sys, x, p, parameter_kind="time_t"):
     the momenta p at x through the corresponding flow equations, and agree
     at corresponding points.
     """
+    x = coordinate_point(x)
     r = float(x[0])
     if parameter_kind == "time_t":
         dx, _ = hamilton_rhs(sys, x, p)
@@ -419,9 +419,10 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     which are recorded as one block.  Path
     comparisons need sample spacing well below the adaptive step size to
     keep piecewise-linear resampling error out of the measurement; this keeps
-    the step sequence (and cost) of the adaptive run.  An rtol below RTOL_MIN,
-    an atol below 0 or not finite, a launch state that is not finite or a
-    record_grid that is not such a count raises ValueError before any step.
+    the step sequence (and cost) of the adaptive run.  A span that is not
+    positive and finite, an rtol below RTOL_MIN, an atol below 0 or not
+    finite, a launch state that is not finite or a record_grid that is not
+    such a count raises ValueError before any step.
 
     A run that started returns how it ended as its termination and the
     message of what ended it early as its reason: 'turning_point' or
@@ -440,8 +441,8 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     attribute, which only jacobi_flow sets: the time flow has no
     singularity at E = U.
     """
-    if span <= 0:
-        raise ValueError("the integration span must be positive")
+    if not 0 < span < np.inf:
+        raise ValueError(f"the integration span must be positive and finite, got {span!r}")
     system = getattr(rhs, "system", None)
     if not rtol >= RTOL_MIN:
         raise ValueError(f"rtol must be at least {RTOL_MIN:.3g}, got {rtol!r}")

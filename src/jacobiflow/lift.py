@@ -29,10 +29,10 @@ from .metric import (
     MetricField,
     _central_differences,
     _check_point,
+    _components,
     _evaluate,
     _inverse,
     _inverse_partials,
-    _pointwise,
     _points,
     _quadratic_form,
     coordinate_point,
@@ -50,11 +50,11 @@ class LiftedSystem:
     extended is the (n+1)- or (n+2)-dimensional metric with the dummy
     directions appended after the coordinates of sys.g (static: x1..xn, z;
     time-dependent: x1..xn, t, sigma).  inverse holds its closed-form,
-    exactly symmetric inverse components, also over (N, dim) rows of points
+    exactly symmetric inverse components, also over the columns of N points
     from one stacked inversion of sys.g, and their partials.  For the flow,
     _partials_at(xe) gives sys.g's inverse and the partials at one point from
     one inversion, and _inverse_from(xe, ginv) lays out the components around
-    a given inverse of sys.g: the one layout every route reads.
+    a given inverse of sys.g, points last: the one layout every route reads.
     """
 
     sys: MechanicalSystem
@@ -80,26 +80,26 @@ def lift_static(sys, kappa=2.0):
     """
     if sys.time_dependent or sys.g.time_dependent:
         raise ValueError("the static lift is defined for autonomous systems only")
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa must be positive")
     g, n, kappa = sys.g, sys.g.dim, float(kappa)
 
     def inv_guard(xe):
-        return g.valid(xe[:n])
+        return g.valid(xe[:n].T)
 
     def ext_guard(xe):
-        return inv_guard(xe) and sys.potential(xe[:n]) > 0.0
+        return inv_guard(xe) & (sys.potential(xe[:n].T) > 0.0)
 
     def ext_components(xe):
-        x = xe[:n]
-        G = np.zeros((n + 1, n + 1))
-        G[:n, :n] = _evaluate(g, x)
+        x = xe[:n].T
+        G = np.zeros((n + 1, n + 1) + xe.shape[1:])
+        G[:n, :n] = _evaluate(g, x).T  # points last, as g_ij is symmetric
         G[n, n] = 1.0 / (kappa * sys.potential(x))
         return G
 
     def inverse_from(xe, ginv):
-        Gi = np.zeros(ginv.shape[:-2] + (n + 1, n + 1))
-        Gi[..., :n, :n], Gi[..., n, n] = ginv, kappa * _pointwise(sys.potential, xe[..., :n])
+        Gi = np.zeros((n + 1, n + 1) + xe.shape[1:])
+        Gi[:n, :n], Gi[n, n] = ginv.T, kappa * sys.potential(xe[:n].T)
         return Gi
 
     def partials_at(xe):
@@ -113,7 +113,7 @@ def lift_static(sys, kappa=2.0):
     extended = MetricField(dim=n + 1, components=ext_components,
                            guard=ext_guard, name="static_lift")
     inverse = MetricField(dim=n + 1, partials=lambda xe: partials_at(xe)[1],
-                          components=lambda xe: inverse_from(xe, _inverse(g, xe[..., :n])),
+                          components=lambda xe: inverse_from(xe, _inverse(g, xe[:n].T)),
                           guard=inv_guard, name="static_lift_inverse")
     return LiftedSystem(sys=sys, kind=STATIC_KIND, c=1.0, extended=extended, inverse=inverse,
                         _partials_at=partials_at, _inverse_from=inverse_from, kappa=kappa)
@@ -126,26 +126,26 @@ def lift_time_dependent(sys, *, c=1.0):
     U is the system's (possibly non-autonomous) potential; its metric g may
     itself be time-dependent.  The lift carries no gauge one-form.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     g, n, m, c = sys.g, sys.g.dim, sys.m, float(c)
 
     def ext_guard(xe):
-        return g.valid(xe[:n])
+        return g.valid(xe[:n].T)
 
     def ext_components(xe):
-        x, t = xe[:n], xe[n]
-        G = np.zeros((n + 2, n + 2))
-        G[:n, :n] = -_evaluate(g, x, t)
+        x, t = xe[:n].T, xe[n]
+        G = np.zeros((n + 2, n + 2) + xe.shape[1:])
+        G[:n, :n] = -_evaluate(g, x, t).T  # points last, as g_ij is symmetric
         G[n, n] = 2.0 * sys.potential(x, t) / m
         G[n, n + 1] = G[n + 1, n] = c
         return G
 
     def inverse_from(xe, ginv):
-        Gi = np.zeros(ginv.shape[:-2] + (n + 2, n + 2))
-        Gi[..., :n, :n] = -ginv
-        Gi[..., n, n + 1] = Gi[..., n + 1, n] = 1.0 / c
-        Gi[..., n + 1, n + 1] = -2.0 * _pointwise(sys.potential, xe[..., :n], xe.T[n]) / (m * c * c)
+        Gi = np.zeros((n + 2, n + 2) + xe.shape[1:])
+        Gi[:n, :n] = -ginv.T
+        Gi[n, n + 1] = Gi[n + 1, n] = 1.0 / c
+        Gi[n + 1, n + 1] = -2.0 * sys.potential(xe[:n].T, xe[n]) / (m * c * c)
         return Gi
 
     def partials_at(xe):
@@ -166,7 +166,7 @@ def lift_time_dependent(sys, *, c=1.0):
     extended = MetricField(dim=n + 2, components=ext_components,
                            guard=ext_guard, name="timedep_lift")
     inverse = MetricField(dim=n + 2, partials=lambda xe: partials_at(xe)[1],
-                          components=lambda xe: inverse_from(xe, _inverse(g, xe[..., :n], xe.T[n])),
+                          components=lambda xe: inverse_from(xe, _inverse(g, xe[:n].T, xe[n])),
                           guard=ext_guard, name="timedep_lift_inverse")
     return LiftedSystem(sys=sys, kind=TIMEDEP_KIND, c=c, extended=extended, inverse=inverse,
                         _partials_at=partials_at, _inverse_from=inverse_from)
@@ -191,10 +191,7 @@ def lifted_rhs(lifted):
 def lifted_hamiltonian(lifted, x, p):
     """Flow Hamiltonian (1/2m) G^AB p_A p_B of the extended metric, or its
     (N,) values over (N, dim) rows of states, from one stacked inversion."""
-    x = _points(x)
-    for xe in np.atleast_2d(x):
-        _check_point(lifted.inverse, xe)
-    return _quadratic_form(lifted.inverse.components(x), p) / (2.0 * lifted.sys.m)
+    return _quadratic_form(_components(lifted.inverse, _points(x)), p) / (2.0 * lifted.sys.m)
 
 
 def mechanical_pz(lifted):
@@ -254,7 +251,7 @@ def lifted_energy_relation(lifted, x, p):
     m, c = lifted.sys.m, lifted.c
     n = lifted.sys.g.dim
     x, p = _points(x), np.asarray(p, dtype=float)
-    Gi = lifted.inverse.components(x)
+    Gi = _components(lifted.inverse, x)
     p_t, p_sigma = p.T[n], p.T[n + 1]
     kinetic = _quadratic_form(-Gi[..., :n, :n], p[..., :n])
     Vsq = -Gi[..., n + 1, n + 1]

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainViolation, JacobiFlowError, SingularMatrix
+from .errors import DomainViolation, SingularMatrix
 
 # Finite-difference step rule used everywhere derivatives of fields are taken:
 # central differences with h scaled to the coordinate magnitude.
@@ -48,14 +48,6 @@ def _points(x):
     return x
 
 
-def _pointwise(fn, x, *t):
-    """fn(x, *t) at one chart point, or an (N,) array of fn over the rows of
-    x (and of each t): a callable of the contract is called once per point."""
-    if x.ndim == 1:
-        return fn(x, *t)
-    return np.array([fn(*args) for args in zip(x, *t)], dtype=float)
-
-
 @dataclass(frozen=True)
 class MetricField:
     """A metric tensor field over a coordinate chart.
@@ -65,6 +57,14 @@ class MetricField:
     array D with D[k, i, j] = d g_ij / d x^k; otherwise central differences
     are used.  guard(x) identifies valid chart points; None means the whole
     chart is valid.
+
+    components and guard take one point x, (dim,), or the coordinates-first
+    columns (dim, N) of N points, with t a scalar or (N,), and then put the
+    points on the last axis: (dim, dim, N) or (dim, N) components, (N,)
+    flags.  Code indexing coordinates, x[0] * x[0], works as written; write
+    powers as products (numpy's array ** rounds unlike its scalar one).  A
+    row result of another shape raises ValueError, which a contraction over
+    the last axis (x @ w) escapes when N == dim.  partials takes one point.
 
     A diagonal field (diagonal=True) is one whose matrix is diag(d):
     components returns the (dim,) vector d and partials the (dim, dim) array
@@ -82,36 +82,56 @@ class MetricField:
     diagonal: bool = False
 
     def valid(self, x):
-        return self.guard is None or bool(self.guard(np.asarray(x, dtype=float)))
+        """Whether the guard accepts the point x, or (N,) flags over (N, dim) rows."""
+        x = np.asarray(x, dtype=float)
+        if self.guard is None:
+            return True if x.ndim == 1 else np.ones(len(x), dtype=bool)
+        ok = _call(self.guard, x, None, False, (), "guard of metric", self.name)
+        return bool(ok) if x.ndim == 1 else ok
 
 
 def _at(fn, x, t, time_dependent):
-    """fn(x), or fn(x, t) for a time-dependent callable, with t=None read as 0.
+    """fn(x), or fn(x, t) for a time-dependent callable, with t=None read as 0
+    and an array t, one time per point, passed through.
 
     The one place that knows both call signatures: callers hand over the time
     they hold whether or not fn depends on it, and convert the result.
     """
     if time_dependent:
-        return fn(x, 0.0 if t is None else float(t))
+        return fn(x, 0.0 if t is None else t if isinstance(t, np.ndarray) else float(t))
     return fn(x)
 
 
-def _check_point(field, x):
-    """The dimension check and the domain guard on a validated chart point."""
-    if x.size != field.dim:
+def _call(fn, x, t, time_dependent, shape, role, name):
+    """fn at the validated chart point x, or over (N, n) rows of x in one
+    call on their columns x.T, the result's point axis moved first: the one
+    evaluation path of components, guards and potentials.  A row result not
+    of shape + (N,) raises ValueError naming the role and the owner's name."""
+    if x.ndim == 1:
+        return _at(fn, x, t, time_dependent)
+    value = np.asarray(_at(fn, x.T, t, time_dependent))
+    expected = shape + (len(x),)
+    if value.shape != expected:
         raise ValueError(
-            f"point has {x.size} coordinates, metric '{field.name}' expects {field.dim}"
+            f"{role} '{name}' returned shape {value.shape} for {len(x)} points, "
+            f"expected {expected}: handed the (n, N) columns of N points, it "
+            f"returns its one-point shape with the points on a last axis")
+    return np.moveaxis(value, -1, 0)
+
+
+def _check_point(field, x):
+    """The dimension check and the domain guard on a validated chart point or rows."""
+    if x.shape[-1] != field.dim:
+        raise ValueError(
+            f"point has {x.shape[-1]} coordinates, metric '{field.name}' expects {field.dim}"
         )
-    if not field.valid(x):
+    ok = field.valid(x)
+    if x.ndim == 2:
+        x, ok = x[np.argmin(ok)], ok.all()
+    if not ok:
         raise DomainViolation(
             f"point {x.tolist()} is outside the valid chart of metric '{field.name}'"
         )
-
-
-def _times(t, x):
-    """The time of each row of x: t itself when it holds one per row,
-    otherwise t (None included) repeated."""
-    return [t] * len(x) if np.ndim(t) == 0 else t
 
 
 def _on_diagonals(d):
@@ -123,24 +143,23 @@ def _on_diagonals(d):
 
 
 def _components(field, x, t=None):
-    """The field's components at a validated chart point, once the dimension
-    check and the domain guard accept it: the matrix, or d of a diagonal
-    field."""
+    """The field's components at a validated chart point, or over (N, n)
+    rows of them from one call, once the dimension check and the domain
+    guard accept them: the matrix, or d of a diagonal field."""
     _check_point(field, x)
-    return np.asarray(_at(field.components, x, t, field.time_dependent), dtype=float)
+    shape = (field.dim,) if field.diagonal else (field.dim, field.dim)
+    return np.asarray(_call(field.components, x, t, field.time_dependent, shape,
+                            "components of metric", field.name), dtype=float)
 
 
 def _evaluate(field, x, t=None):
-    """evaluate_metric on an already validated chart point: the dimension
-    check and the domain guard still apply.  Over the rows of an (N, n)
-    array of points, with t one time for every row or one per row, the
-    components are called once per row and symmetrized as one stack, halved
-    before the sum so that entries near the float limit do not overflow.  A
-    diagonal field's d is placed on the diagonal, which needs no symmetrizing."""
-    if x.ndim == 2:
-        g = np.array([_components(field, row, s) for row, s in zip(x, _times(t, x))])
-    else:
-        g = _components(field, x, t)
+    """evaluate_metric on an already validated chart point, or on the rows of
+    an (N, n) array of them with t one time for every row or one per row:
+    the dimension check and the domain guard still apply.  The components
+    are symmetrized, halved before the sum so that entries near the float
+    limit do not overflow; a diagonal field's d is placed on the diagonal,
+    which needs no symmetrizing."""
+    g = _components(field, x, t)
     if field.diagonal:
         return _on_diagonals(g)
     return 0.5 * g + 0.5 * g.swapaxes(-1, -2)
@@ -210,14 +229,16 @@ def _inverse(field, x, t=None):
     Over the rows of an (N, n) array of points, with t one time for every row
     or one per row, the (N, n, n) inverses come from one stacked
     invert_metric call.  A row that is refused raises exactly what its own
-    single-point call raises: the rows are then replayed one by one.
+    single-point call raises: the guard names the first row it refuses, and
+    a refused stack has its matrices inverted one by one until one fails.
     """
     if x.ndim == 2:
+        g = _evaluate(field, x, t)
         try:
-            return invert_metric(_evaluate(field, x, t))
-        except JacobiFlowError:
-            for row, s in zip(x, _times(t, x)):
-                _inverse(field, row, s)
+            return invert_metric(g)
+        except SingularMatrix:
+            for row, matrix in zip(x, g):
+                _invert_at(field, row, matrix)
             raise
     if field.diagonal:
         return np.diag(_diagonal_inverse(field, x, t))
@@ -249,12 +270,12 @@ def _diagonal_inverse(field, x, t=None):
 
 def _quadratic_form(a, p):
     """p_i a^ij p_j for one matrix, or for each matrix of a stack with the
-    matching rows of p, associated as (p @ a) @ p: the stacked products give
-    each row the bits of its single-matrix call."""
+    matching rows of p, associated as (p @ a) @ p: the stacked products over
+    a contiguous stack give each row the bits of its single-matrix call."""
     p = np.asarray(p, dtype=float)
     if a.ndim == 2:
         return float(p @ a @ p)
-    return np.matmul(np.matmul(p[:, None, :], a), p[:, :, None])[:, 0, 0]
+    return np.matmul(np.matmul(p[:, None, :], np.ascontiguousarray(a)), p[:, :, None])[:, 0, 0]
 
 
 def _kinetic_form(field, x, p, t=None):
@@ -345,11 +366,16 @@ def _diagonal_inverse_partials(field, x, t=None):
 
 def flat_metric(dim):
     """Euclidean metric in Cartesian coordinates, a diagonal field."""
-    ones = np.ones(dim)
     zeros = np.zeros((dim, dim))
+
+    def components(x):
+        d = np.empty(x.shape)
+        d.fill(1.0)
+        return d
+
     return MetricField(
         dim=dim,
-        components=lambda x: ones,
+        components=components,
         partials=lambda x: zeros,
         guard=None,
         name="flat",
@@ -362,8 +388,9 @@ def polar_metric():
     field."""
 
     def components(x):
-        r = x[0]
-        return np.array([1.0, r * r])
+        d = np.empty(x.shape)
+        d[0], d[1] = 1.0, x[0] * x[0]
+        return d
 
     def partials(x):
         return np.array([[0.0, 2.0 * x[0]], [0.0, 0.0]])

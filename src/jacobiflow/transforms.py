@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolation
-from .metric import MetricField, _at, _kinetic_form, _pointwise, _points, evaluate_metric
+from .metric import MetricField, _at, _call, _kinetic_form, _points, evaluate_metric
 
 
 @dataclass
@@ -24,6 +24,10 @@ class MechanicalSystem:
     by both lifts; central differences, whose stencil points must lie on the
     chart of g, are used when it is absent.  E labels the energy hypersurface
     a scenario works on.
+
+    U takes one point or the columns of N points as MetricField.components
+    does and gives (N,) values for the columns, so a constant reads 0.0 *
+    x[0]; grad_U takes one point.
     """
 
     g: MetricField
@@ -39,7 +43,9 @@ class MechanicalSystem:
             raise ValueError("mass must be positive")
 
     def potential(self, x, t=None):
-        return float(_at(self.U, x, t, self.time_dependent))
+        """U at a validated chart point, or its (N,) values over (N, n) rows."""
+        u = _call(self.U, x, t, self.time_dependent, (), "potential of system", self.name)
+        return float(u) if x.ndim == 1 else np.asarray(u, dtype=float)
 
 
 @dataclass
@@ -56,6 +62,8 @@ class StationarySpacetime:
     c: float = 1.0
 
     def __post_init__(self):
+        if not self.m > 0:
+            raise ValueError("m must be positive")
         if not self.c > 0:
             raise ValueError("c must be positive")
 
@@ -90,7 +98,7 @@ def energy_from_state(sys, x, p):
     """Energy of a phase point under the natural Hamiltonian T + U, or the
     (N,) energies of (N, n) rows of states, from one stacked inversion."""
     x = _points(x)
-    return _kinetic_form(sys.g, x, p) / (2.0 * sys.m) + _pointwise(sys.potential, x)
+    return _kinetic_form(sys.g, x, p) / (2.0 * sys.m) + sys.potential(x)
 
 
 def jacobi_nonrelativistic(sys):
@@ -116,7 +124,7 @@ def jacobi_relativistic_stationary(st, Erel):
     factor = (Erel^2 - m^2 c^4 V^2) / (c^2 V^2); the spacetime's spatial
     metric is the base.
     """
-    if Erel <= 0:
+    if not Erel > 0:
         raise ValueError("the relativistic energy must be positive")
     m, c, Vsq = st.m, st.c, st.Vsq
 
@@ -167,8 +175,8 @@ def jacobi_time_dependent(g, U, q, p_t, m, c=1.0):
     or a function of time (it varies along lifted flows when U depends on
     time).
     """
-    if q == 0:
-        raise ValueError("the dummy momentum parameter q must be nonzero")
+    if q == 0 or not np.isfinite(q):
+        raise ValueError("the dummy momentum parameter q must be nonzero and finite")
     pt_fn = _as_time_function(p_t)
 
     def factor(x, t):

@@ -7,13 +7,17 @@ from jacobiflow import (
     CATALOG,
     DomainViolation,
     MechanicalSystem,
+    StationarySpacetime,
     catalog_entry,
     evaluate_metric,
     flat_metric,
     invert_metric,
     jacobi_nonrelativistic,
     jacobi_relativistic_stationary,
+    jacobi_time_dependent,
     kerr,
+    lift_static,
+    lift_time_dependent,
     mechanical_system_from_entry,
     metric_partials,
     sample_points,
@@ -362,6 +366,14 @@ def test_generic_bertrand_without_derivatives_keeps_central_differences():
 NAN = float("nan")
 
 
+def oscillator():
+    return MechanicalSystem(g=flat_metric(1), U=lambda x: 0.5 * (x[0] * x[0]), m=1.0)
+
+
+def unit_spacetime():
+    return StationarySpacetime(g=flat_metric(1), Vsq=lambda x: 1.0 + 0.0 * x[0])
+
+
 @pytest.mark.parametrize("build, refusal", [
     (lambda: MechanicalSystem(g=flat_metric(1), U=lambda x: 0.0, m=NAN), "mass must be positive"),
     (lambda: schwarzschild(M=NAN, m=1.0), "M must be nonnegative"),
@@ -371,8 +383,21 @@ NAN = float("nan")
     (lambda: bertrand(lambda r: 1.0, lambda r: 1.0, m=NAN), "m must be positive"),
     (lambda: kerr(M=NAN, a=0.6, m=1.0), "M must be nonnegative"),
     (lambda: kerr(M=1.0, a=0.6, m=NAN), "m must be positive"),
+    (lambda: lift_static(oscillator(), kappa=NAN), "kappa must be positive"),
+    (lambda: lift_time_dependent(oscillator(), c=NAN), "c must be positive"),
+    (lambda: jacobi_relativistic_stationary(unit_spacetime(), Erel=NAN),
+     "relativistic energy must be positive"),
+    (lambda: jacobi_time_dependent(flat_metric(1), lambda x, t: 0.0 * x[0], q=NAN, p_t=1.0,
+                                   m=1.0), "q must be nonzero and finite"),
+    (lambda: jacobi_time_dependent(flat_metric(1), lambda x, t: 0.0 * x[0], q=np.inf, p_t=1.0,
+                                   m=1.0), "q must be nonzero and finite"),
+    (lambda: StationarySpacetime(g=flat_metric(1), Vsq=lambda x: 1.0 + 0.0 * x[0], m=NAN),
+     "m must be positive"),
+    (lambda: StationarySpacetime(g=flat_metric(1), Vsq=lambda x: 1.0 + 0.0 * x[0], m=-1.0),
+     "m must be positive"),
 ], ids=["system-m", "schwarzschild-M", "schwarzschild-m", "taub_nut-M", "taub_nut-m",
-        "bertrand-m", "kerr-M", "kerr-m"])
+        "bertrand-m", "kerr-M", "kerr-m", "lift-kappa", "lift-c", "stationary-Erel",
+        "timedep-q", "timedep-q-inf", "spacetime-m", "spacetime-m-negative"])
 def test_mass_parameters_refuse_nan(build, refusal):
     # a comparison such as m <= 0 is false for NaN, which would let it through
     with pytest.raises(ValueError, match=refusal):

@@ -341,9 +341,12 @@ def test_integrate_rejects_bad_arguments():
     ({"record_grid": 2.5}, "count"),
     ({"record_grid": True}, "count"),
     ({"record_grid": np.inf}, "count"),
+    ({"span": np.nan}, "span"),  # never reached as a stepper bound
+    ({"span": np.inf}, "span"),
+    ({"span": 0.0}, "span"),
 ], ids=["rtol-small", "rtol-zero", "rtol-negative", "atol-negative", "atol-nan", "atol-inf",
         "x-nan", "p-inf", "count-zero", "count-negative", "grid-array", "count-fraction",
-        "count-bool", "count-inf"])
+        "count-bool", "count-inf", "span-nan", "span-inf", "span-zero"])
 def test_integrate_refuses_off_contract_input_before_stepping(kwargs, message):
     calls = []
 

@@ -30,8 +30,8 @@ from jacobiflow import (
     sigma_momentum_identity,
 )
 
-HARMONIC_V = lambda x: 0.5 * x[0] ** 2
-DRIVEN_U = lambda x, t: 0.5 * (1.0 + 0.1 * np.sin(t)) * x[0] ** 2
+HARMONIC_V = lambda x: 0.5 * (x[0] * x[0])
+DRIVEN_U = lambda x, t: 0.5 * (1.0 + 0.1 * np.sin(t)) * (x[0] * x[0])
 DRIVEN_SPAN = 20.0 * np.pi  # ten characteristic times of the drive
 
 
@@ -140,7 +140,7 @@ def test_static_dummy_momentum_conserved_bitwise():
 
 def test_constant_profile_gives_free_extended_motion():
     # V = 1/2 makes the dummy entry 1 and the whole extended metric flat
-    lift = lift_static(MechanicalSystem(g=flat_metric(1), U=lambda x: 0.5, m=1.0))
+    lift = lift_static(MechanicalSystem(g=flat_metric(1), U=lambda x: 0.5 + 0.0 * x[0], m=1.0))
     start = embed_static(lift, np.array([0.0]), np.array([0.7]))
     traj = integrate_lifted(lift, start, 5.0)
     for t, x in zip(traj.params, traj.x):
@@ -264,18 +264,27 @@ def test_null_shell_flow_is_null():
 def test_batched_lift_invariants_equal_their_per_state_values():
     # each row of a batched invariant, and of the monitor column it fills,
     # has the bits of its single-state call, on both lifts
-    static = lift_static(MechanicalSystem(g=polar_metric(), U=lambda x: 1.0 + 0.5 * x[0] ** 2,
+    static = lift_static(MechanicalSystem(g=polar_metric(), U=lambda x: 1.0 + 0.5 * (x[0] * x[0]),
                                           m=1.0))
     timedep = driven_lift()
+    # the CLI's driven oscillator at one launch whose rows once rounded apart
+    # from their states (a non-contiguous stack of G^AB)
+    cli_driven = lift_time_dependent(MechanicalSystem(
+        g=flat_metric(1), m=1.0, time_dependent=True,
+        U=lambda x, t: 0.5 * (1.0 + 0.10865214102827102 * np.sin(t)) * (x * x).sum(axis=0)))
     runs = [
-        (static, embed_static(static, np.array([1.0, 0.0]), np.array([0.2, 0.8])),
+        (static, embed_static(static, np.array([1.0, 0.0]), np.array([0.2, 0.8])), 3.0,
          (lifted_hamiltonian,)),
-        (timedep, embed_time_dependent(timedep, np.array([1.0]), np.array([0.3]), q=1.0),
+        (timedep, embed_time_dependent(timedep, np.array([1.0]), np.array([0.3]), q=1.0), 3.0,
+         (lifted_hamiltonian, lifted_energy_relation)),
+        (cli_driven, embed_time_dependent(cli_driven, np.array([1.164403846067402]),
+                                          np.array([-0.028880012506914854]),
+                                          q=1.4166047594093016), 1.0588698012178588,
          (lifted_hamiltonian, lifted_energy_relation)),
     ]
-    for lift, start, invariants in runs:
-        traj = integrate_lifted(lift, start, 3.0, record_grid=40)
-        assert len(traj.params) == 41
+    for lift, start, span, invariants in runs:
+        traj = integrate_lifted(lift, start, span, record_grid=1000)
+        assert len(traj.params) == 1001
         for invariant in invariants:
             rows = invariant(lift, traj.x, traj.p)
             assert rows.shape == traj.params.shape

@@ -222,7 +222,7 @@ class TestInvertMetric(unittest.TestCase):
         self.assertIn("'polar'", str(ctx.exception))
 
     def test_rows_take_one_time_per_row(self):
-        field = MetricField(dim=1, components=lambda x, t: np.array([[1.0 + t * t]]),
+        field = MetricField(dim=1, components=lambda x, t: np.ones_like(x)[None] * (1.0 + t * t),
                             time_dependent=True, name="clock")
         rows = np.array([[0.5], [1.5], [2.5]])
         times = np.array([0.0, 1.0, 2.0])

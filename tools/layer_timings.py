@@ -9,6 +9,8 @@ mechanical view (M = m = 1, E = 0), both with analytic partials, and the
 static and time-dependent lifts of the 1-d oscillator of `lift`.  Recording
 is per state, in blocks of 8 states and their final concatenation, and the
 stepper is per accepted step of RK45 on the harmonic oscillator y'' = -y.
+The monitors are per row of one call over 1000 recorded states: Kepler's
+energy and the static lift's flow Hamiltonian.
 Compare numbers only when taken on the same machine in one session.
 """
 
@@ -24,10 +26,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from jacobiflow import flow, lift  # noqa: E402
 from jacobiflow.catalog import catalog_entry, mechanical_system_from_entry  # noqa: E402
 from jacobiflow.metric import _inverse, flat_metric, invert_metric, polar_metric  # noqa: E402
-from jacobiflow.transforms import MechanicalSystem  # noqa: E402
+from jacobiflow.transforms import MechanicalSystem, energy_from_state  # noqa: E402
 
 REPEATS = 7
 BLOCK = 8
+ROWS = 1000
 
 
 def layer_timings(number=2000):
@@ -36,15 +39,20 @@ def layer_timings(number=2000):
                               grad_U=lambda x: np.array([1.0 / x[0] ** 2, 0.0]))
     schwarzschild = mechanical_system_from_entry(catalog_entry("schwarzschild", M=1.0, m=1.0),
                                                  E=0.0)
-    static = lift.lifted_rhs(lift.lift_static(MechanicalSystem(
-        g=flat_metric(1), U=lambda x: 0.5 * (x @ x), m=1.0, grad_U=lambda x: x)))
+    static_lift = lift.lift_static(MechanicalSystem(
+        g=flat_metric(1), U=lambda x: 0.5 * (x * x).sum(axis=0), m=1.0, grad_U=lambda x: x))
+    static = lift.lifted_rhs(static_lift)
     timedep = lift.lifted_rhs(lift.lift_time_dependent(MechanicalSystem(
-        g=flat_metric(1), U=lambda x, t: 0.5 * (1.0 + 0.3 * np.sin(t)) * (x @ x), m=1.0,
-        time_dependent=True, grad_U=lambda x, t: (1.0 + 0.3 * np.sin(t)) * x)))
+        g=flat_metric(1), U=lambda x, t: 0.5 * (1.0 + 0.3 * np.sin(t)) * (x * x).sum(axis=0),
+        m=1.0, time_dependent=True, grad_U=lambda x, t: (1.0 + 0.3 * np.sin(t)) * x)))
     xk, pk = np.array([1.2, 0.4]), np.array([0.3, 0.9])
     xs, ps = np.array([10.0, np.pi / 2, 0.0]), np.array([0.1, 0.0, 3.5])
     xl, pl = np.array([0.5, 0.0]), np.array([0.2, 1.0])
     xt, pt = np.array([0.5, 0.7, 0.0]), np.array([-0.2, 1.1, 1.0])
+    rng = np.random.default_rng(0)
+    XK = np.column_stack([rng.uniform(0.5, 1.5, ROWS), rng.uniform(0.0, 6.0, ROWS)])
+    XL = np.column_stack([rng.uniform(-1.0, 1.0, ROWS), np.zeros(ROWS)])
+    PK, PL = rng.normal(size=(ROWS, 2)), rng.normal(size=(ROWS, 2))
     g = np.array([[2.0, 0.3], [0.3, 1.0]])
     states = np.random.default_rng(0).normal(size=(BLOCK, 5))
     params = np.arange(1.0, BLOCK + 1.0)
@@ -72,6 +80,13 @@ def layer_timings(number=2000):
           for name, fn in calls.items()}
     us["flow.record.per_state"] = (min(timeit.repeat(record, number=1, repeat=REPEATS))
                                    / (number * BLOCK) * 1e6)
+    monitors = {
+        "monitors.energy_from_state.per_row": lambda: energy_from_state(kepler, XK, PK),
+        "monitors.lifted_hamiltonian.per_row": lambda: lift.lifted_hamiltonian(static_lift, XL, PL),
+    }
+    calls = max(1, number // 200)
+    for name, fn in monitors.items():
+        us[name] = min(timeit.repeat(fn, number=calls, repeat=REPEATS)) / (calls * ROWS) * 1e6
     return {name: round(value, 3) for name, value in us.items()}
 
 
