@@ -235,7 +235,8 @@ def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand", dGamma=Non
     c = float(c)
 
     def radial_ok(r):  # r > 0 with h(r) finite and nonzero
-        hv = h(r)
+        # h is read only at r > 0: its formula need not hold elsewhere
+        hv = h(np.where(r > 0.0, r, 1.0))
         return (r > 0.0) & np.isfinite(hv) & (hv * hv > 0.0)
 
     gradient = None

@@ -532,6 +532,7 @@ def run_orbit(scn):
         "termination": traj.termination,
         "states": len(traj.params),
         "drifts": drifts,
+        "stats": traj.stats,
     }
     if traj.termination != "completed":
         extra["reason"] = traj.reason
@@ -567,6 +568,7 @@ def run_compare(scn):
         "span_t": span,
         "span_s": float(s_max),
         "resample_points": record,
+        "stats": {name: traj.stats for name, traj in flows.items()},
         **extra,
     })
     print(f"max path deviation: {fmt(measured)}")
@@ -642,6 +644,7 @@ def run_lift(scn):
         "projection_deviation": deviation,
         "drifts": drifts,
         "states": len(traj.params),
+        "stats": {"lifted": traj.stats, "direct": direct.stats},
         **extra,
     })
     print(f"wrote {csv_path}; projection deviation "

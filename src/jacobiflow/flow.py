@@ -7,12 +7,16 @@ states as columns, with each monitor evaluated once per run over the
 recorded arrays, and by resampling paths to a parameter-free common grid.
 """
 
+import functools
+import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
 
+from . import tableau
 from .errors import (
     DomainViolation,
     EmptyTrajectory,
@@ -23,9 +27,10 @@ from .errors import (
 from .metric import (
     _at,
     _central_differences,
-    _diagonal_inverse_partials,
+    _diagonal_inverse,
     _inverse_partials,
     _kinetic_form,
+    _partials,
     _points,
     _stencil_point,
     coordinate_point,
@@ -69,8 +74,10 @@ class FlowState:
 class Trajectory:
     """A recorded run as columns: strictly increasing params (N,), x and p
     (N, n), monitors mapping names to (N,) arrays, a termination of
-    'completed', 'turning_point', 'domain_violation' or 'step_failure', and
-    the reason: the message of what ended the run early, '' if it completed."""
+    'completed', 'turning_point', 'domain_violation' or 'step_failure', the
+    reason: the message of what ended the run early, '' if it completed, and
+    the stepper's counts as stats: 'accepted_steps', 'rejected_steps' and
+    'nfev', the right-hand side evaluations."""
 
     params: np.ndarray
     x: np.ndarray
@@ -78,6 +85,7 @@ class Trajectory:
     monitors: Dict[str, np.ndarray] = field(default_factory=dict)
     termination: str = "completed"
     reason: str = ""
+    stats: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.params) <= 0):
@@ -94,22 +102,34 @@ def _potential_gradient(sys, x, t=None):
 
 def _kinetic_rhs(ginv, dginv, p, m):
     """Kinetic part of Hamilton's equations: x' = g^ij p_j / m and the force
-    (1/2m) d_k g^ij p_i p_j, which p' subtracts along with any potential gradient.
-
-    ginv and dginv are the matrices g^ij and D[k, i, j] = d g^ij / d x^k, or
-    for a diagonal metric the diagonal a and D[k, i] = d a_i / d x^k; the row
-    scalings of the diagonal layout give the matrix products' bits."""
-    if ginv.ndim == 1:
-        return ginv * p / m, 0.5 / m * ((dginv * p) * p).sum(axis=1)
+    (1/2m) d_k g^ij p_i p_j, which p' subtracts along with any potential
+    gradient, for the matrices g^ij and D[k, i, j] = d g^ij / d x^k."""
     return ginv @ p / m, 0.5 / m * np.einsum("kij,i,j->k", dginv, p, p)
+
+
+def _diagonal_kinetic_rhs(field, x, p, m, t=None):
+    """_kinetic_rhs of a diagonal field at a validated chart point, on
+    Python floats with p a list and no matrix built.  With a = 1/d the
+    inverse's diagonal, d a_i / d x^k = -((a_i dd_i/dx^k) a_i), and force k
+    sums its terms ((d a_i / d x^k) p_i) p_i left to right, the order of
+    numpy's sum over fewer than 8 terms.  On charts of up to 5 dimensions
+    the tests hold these to the matrix route's bits."""
+    a = _diagonal_inverse(field, x, t)
+    half = 0.5 / m
+    return ([ai * pi / m for ai, pi in zip(a, p)],
+            [half * functools.reduce(operator.add, [(-((ai * di) * ai) * pi) * pi
+                                                    for ai, di, pi in zip(a, row, p)])
+             for row in _partials(field, x, t).tolist()])
 
 
 def _hamilton_rhs(sys, x, p, t=None):
     """hamilton_rhs on an already validated chart point."""
     p = np.asarray(p, dtype=float)
-    inverse_partials = _diagonal_inverse_partials if sys.g.diagonal else _inverse_partials
-    dx, force = _kinetic_rhs(*inverse_partials(sys.g, x, t), p, sys.m)
-    return dx, -(force + _potential_gradient(sys, x, t))
+    if not sys.g.diagonal:
+        dx, force = _kinetic_rhs(*_inverse_partials(sys.g, x, t), p, sys.m)
+        return dx, -(force + _potential_gradient(sys, x, t))
+    dx, force = _diagonal_kinetic_rhs(sys.g, x, p.tolist(), sys.m, t)
+    return np.array(dx), -(np.array(force) + _potential_gradient(sys, x, t))
 
 
 def hamilton_rhs(sys, x, p, t=None):
@@ -208,48 +228,37 @@ def _rms(v):
     return np.linalg.norm(v) / v.size ** 0.5
 
 
-class RK45:
-    """Adaptive explicit Runge-Kutta pair of order 5(4) for y' = fun(t, y),
+class DOP853:
+    """Adaptive explicit Runge-Kutta pair of order 8 for y' = fun(t, y),
     stepping forward from t0 to t_bound.
 
-    The Dormand-Prince tableau (Dormand & Prince 1980) advances the
-    fifth-order solution and controls the step with the fourth-order error
-    estimate in the RMS norm scaled by atol + rtol |y|; the quartic dense
-    output is Shampine's (1986); the step-size rule and the initial step are
-    those of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4.  Every
-    operation follows scipy.integrate.RK45 in the same order, so both take
-    the same steps and return the same bits; the tests hold it to that.
+    The Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I,
+    Sec. II.10; coefficients in tableau.py) advances the eighth-order
+    solution.  It controls the step with the fifth-order error estimate,
+    damped by the third-order one as e5^2 / sqrt(e5^2 + 0.01 e3^2), in the
+    RMS norm scaled by atol + rtol |y|.  The dense output is the
+    seventh-order interpolant, which evaluates three more stages.  The
+    step-size rule and the initial step are those of Sec. II.4, for an
+    error of order 8.  Every operation follows scipy.integrate.DOP853 in the
+    same order, so both take the same steps and return the same bits; the
+    tests hold it to that.
 
     step() advances by one accepted step and sets status to 'finished' at
     t_bound, or to 'failed' when the step size falls below 10 ulp of t.
-    nfev counts calls of fun: n_stages per attempted step, plus two at
-    construction.
+    nfev counts calls of fun: n_stages per attempted step, three per
+    dense_output() call, plus two at construction; accepted and rejected
+    count the steps.
     """
 
-    n_stages = 6
-    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-    A = np.array([
-        [0, 0, 0, 0, 0],
-        [1/5, 0, 0, 0, 0],
-        [3/40, 9/40, 0, 0, 0],
-        [44/45, -56/15, 32/9, 0, 0],
-        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-    ])
-    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-    # Shampine's dense-output coefficients for his optimal c_6
-    P = np.array([
-        [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-        [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-        [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-    ])
-    # the step scales as error^(-1/5) for an error estimate of order 4
-    ERROR_EXPONENT = -1 / 5
+    n_stages = tableau.N_STAGES
+    # (s, A[s, :s], C[s]) of the step's stages after the first, and of the
+    # dense output's extra stages
+    STAGES = [(s, tableau.A[s, :s], tableau.C[s]) for s in range(1, n_stages)]
+    EXTRA_STAGES = [(s, tableau.A[s, :s], tableau.C[s])
+                    for s in range(n_stages + 1, tableau.N_STAGES_EXTENDED)]
+    B, E3, E5, D = tableau.B, tableau.E3, tableau.E5, tableau.D
+    # the step scales as error^(-1/8) for an error estimate of order 7
+    ERROR_EXPONENT = -1 / 8
 
     def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
         y0 = np.asarray(y0, dtype=float)
@@ -260,10 +269,13 @@ class RK45:
         self.rtol, self.atol = rtol, atol
         self.t_old = self.y_old = None
         self.status = "running"
-        self.nfev = 0
+        self.nfev = self.accepted = self.rejected = 0
         self.f = self._rhs(t0, y0)
         self.h_abs = self._initial_step()
-        self.K = np.empty((self.n_stages + 1, y0.size))
+        # the step's stages and the derivative at its end, then the dense
+        # output's three extra stages
+        self.K_extended = np.empty((tableau.N_STAGES_EXTENDED, y0.size))
+        self.K = self.K_extended[:self.n_stages + 1]
 
     def _rhs(self, t, y):
         self.nfev += 1
@@ -283,21 +295,38 @@ class RK45:
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+            h1 = (0.01 / max(d1, d2)) ** -self.ERROR_EXPONENT
         return min(100 * h0, h1, interval)
 
+    def _stages(self, stages, t, y, h):
+        """Evaluate the given (s, A[s, :s], C[s]) stages of the step of size h
+        from (t, y) into K_extended, each from the rows before it."""
+        K = self.K_extended
+        for s, a, c in stages:
+            dy = np.dot(K[:s].T, a) * h
+            K[s] = self._rhs(t + c * h, y + dy)
+
     def _rk_step(self, t, y, h):
-        """The stages of one step of size h into K; returns the fifth-order
+        """The stages of one step of size h into K; returns the eighth-order
         y at t + h and its derivative, which is also the next step's first stage."""
         K = self.K
         K[0] = self.f
-        for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = self._rhs(t + c * h, y + dy)
+        self._stages(self.STAGES, t, y, h)
         y_new = y + h * np.dot(K[:-1].T, self.B)
         f_new = self._rhs(t + h, y_new)
         K[-1] = f_new
         return y_new, f_new
+
+    def _error_norm(self, h, scale):
+        """The scaled RMS error of the step of size h whose stages K holds.
+        The squared norms are squares of square roots, as scipy's
+        np.linalg.norm(e) ** 2, on Python floats, which are faster here."""
+        e5 = np.dot(self.K.T, self.E5) / scale
+        e3 = np.dot(self.K.T, self.E3) / scale
+        e5_sq, e3_sq = math.sqrt(e5.dot(e5)) ** 2, math.sqrt(e3.dot(e3)) ** 2
+        if e5_sq == 0 and e3_sq == 0:
+            return 0.0
+        return abs(h) * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * len(scale))
 
     def step(self):
         """Take one accepted step, shrinking and retrying a rejected one.
@@ -315,15 +344,17 @@ class RK45:
             h_abs = np.abs(h)
             y_new, f_new = self._rk_step(t, y, h)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = _rms(np.dot(self.K.T, self.E) * h / scale)
+            error_norm = self._error_norm(h, scale)
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.ERROR_EXPONENT)
             rejected = True
+            self.rejected += 1
         factor = (MAX_FACTOR if error_norm == 0
                   else min(MAX_FACTOR, SAFETY * error_norm ** self.ERROR_EXPONENT))
         if rejected:
             factor = min(1, factor)
+        self.accepted += 1
         self.t_old, self.y_old = t, y
         self.t, self.y, self.f = t_new, y_new, f_new
         self.h_abs = h_abs * factor
@@ -332,20 +363,33 @@ class RK45:
         return None
 
     def dense_output(self):
-        """The quartic interpolant of the last accepted step, as a callable of
-        t: a scalar t gives the state, a 1-D array of m values an (m, n) array
-        with one state per row.  Each row is one matrix-vector product, the
-        same bits as the scalar call; a single matrix-matrix product over all
-        rows would round differently."""
-        Q = self.K.T.dot(self.P)
-        t_old, y_old, h = self.t_old, self.y_old, self.t - self.t_old
+        """The seventh-order interpolant of the last accepted step, as a
+        callable of t: a scalar t gives the state, a 1-D array of m values
+        an (m, n) array with one state per row.  Building it evaluates fun
+        at the three extra stages.  The interpolant is evaluated elementwise,
+        so each row has the bits of its scalar call."""
+        K, t_old, y_old = self.K_extended, self.t_old, self.y_old
+        h = self.t - t_old
+        self._stages(self.EXTRA_STAGES, t_old, y_old, h)
+        F = np.empty((len(self.D) + 3, y_old.size))
+        f_old, delta_y = K[0], self.y - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * np.dot(self.D, K)
 
         def sol(t):
-            x = (np.asarray(t) - t_old) / h
-            powers = np.cumprod(np.repeat(x[..., None], 4, axis=-1), axis=-1)
-            return h * np.matmul(Q, powers[..., None])[..., 0] + y_old
+            x = ((np.asarray(t) - t_old) / h)[..., None]
+            y = np.zeros(x.shape[:-1] + y_old.shape)
+            for i, f in enumerate(F[::-1]):
+                y += f
+                y *= x if i % 2 == 0 else 1 - x
+            return y + y_old
 
         return sol
+
+
+RK45 = DOP853  # the name integrate steps with, patched by perfbench's tracer (ROADMAP item 11)
 
 
 # ======================================================================
@@ -370,7 +414,7 @@ def _stalled_at_turn(system, x):
     return gap if gap <= STALL_GAP * max(1.0, abs(system.E)) else None
 
 
-def _trajectory(rows, n, monitor_fns, termination, reason):
+def _trajectory(rows, n, monitor_fns, termination, reason, stats):
     """The recorded blocks of rows as a Trajectory, each monitor evaluated
     once over the recorded arrays, and a pacing column (when y carries one)
     under 'pacing'.  A monitor whose result is not one value per row raises
@@ -389,7 +433,7 @@ def _trajectory(rows, n, monitor_fns, termination, reason):
         monitors[name] = column
     if table.shape[1] > 2 * n + 1:
         monitors["pacing"] = table[:, -1]
-    return Trajectory(params, x, p, monitors, termination, reason)
+    return Trajectory(params, x, p, monitors, termination, reason, stats)
 
 
 def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
@@ -399,8 +443,10 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
 
     rhs(param, x, p) -> (dx, dp) defines the flow and may raise TurningPoint
     or DomainViolation (or SingularMatrix, a numerically degenerate metric)
-    to end the run.  The stepper is RK45, an adaptive embedded Runge-Kutta
-    pair of order 5(4), by default at rtol=1e-9, atol=1e-12.
+    to end the run.  The stepper is DOP853, the adaptive Dormand-Prince
+    pair of order 8(5,3), by default at rtol=1e-9, atol=1e-12.  The
+    trajectory's stats count its accepted and rejected steps and its rhs
+    evaluations, nfev.
 
     monitor_fns maps names to fn(params, X, P) -> (N,), evaluated once after
     the run over the recorded arrays: params (N,), X and P (N, n), one row per
@@ -414,12 +460,13 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
 
     record_grid, when given, is a whole number N >= 1, not a bool: states
     are then recorded at the N uniform grid points span/N, 2 span/N, ..,
-    span instead of at accepted steps, through the stepper's dense
-    interpolant, evaluated once per step for all of that step's points,
-    which are recorded as one block.  Path
-    comparisons need sample spacing well below the adaptive step size to
-    keep piecewise-linear resampling error out of the measurement; this keeps
-    the step sequence (and cost) of the adaptive run.  A span that is not
+    span instead of at accepted steps, through the stepper's seventh-order
+    dense interpolant, built once per step that reaches grid points (three
+    more rhs evaluations) and evaluated once for all of that step's points,
+    which are recorded as one block.  Path comparisons need sample spacing
+    well below the adaptive step size to keep piecewise-linear resampling
+    error out of the measurement; this keeps the step sequence of the
+    adaptive run.  A span that is not
     positive and finite, an rtol below RTOL_MIN, an atol below 0 or not
     finite, a launch state that is not finite or a record_grid that is not
     such a count raises ValueError before any step.
@@ -462,9 +509,11 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     def fun(s, y):
         x, p = y[:n], y[n:2 * n]
         dx, dp = rhs(s, x, p)
+        dy = np.empty(y.size)
+        dy[:n], dy[n:2 * n] = dx, dp
         if augmented:
-            return np.concatenate([dx, dp, [pacing(s, x, p)]])
-        return np.concatenate([dx, dp])
+            dy[-1] = pacing(s, x, p)
+        return dy
 
     next_grid = 0
 
@@ -474,18 +523,30 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     _record(rows, [0.0], y0)
     termination, reason = "completed", ""
     while stepper.status == "running":
+        start = stepper.t
         try:
             failure = stepper.step()
+            if stepper.status == "running" and stepper.h_abs < STEP_UNDERFLOW * span:
+                failure = (f"step size {stepper.h_abs:.3e} underflowed below "
+                           f"{STEP_UNDERFLOW * span:.3e}")
+            if failure is None and grid is None:
+                _record(rows, [stepper.t], stepper.y)
+            elif failure is None:
+                # the grid points this step reached, through one interpolant
+                # call, recorded as one block; the rhs may refuse the
+                # interpolant's extra stages as it may refuse a step's
+                end = np.searchsorted(grid, stepper.t, side="right")
+                if end > next_grid:
+                    points = grid[next_grid:end]
+                    _record(rows, points, stepper.dense_output()(points))
+                    next_grid = end
         except (TurningPoint, DomainViolation, SingularMatrix) as exc:
             # a numerically degenerate metric means the chart has effectively
             # ended, same as an explicit guard refusal
             termination = ("turning_point" if isinstance(exc, TurningPoint)
                            else "domain_violation")
-            reason = f"{exc}, in the step from s = {float(stepper.t)!r}"
+            reason = f"{exc}, in the step from s = {float(start)!r}"
             break
-        if stepper.status == "running" and stepper.h_abs < STEP_UNDERFLOW * span:
-            failure = (f"step size {stepper.h_abs:.3e} underflowed below "
-                       f"{STEP_UNDERFLOW * span:.3e}")
         if failure is not None:
             failure += f" at s = {float(stepper.t)!r}, x = {stepper.y[:n].tolist()}"
             gap = None if system is None else _stalled_at_turn(system, stepper.y[:n])
@@ -496,18 +557,10 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
                 reason = (f"the stepper stalled at E - U = {gap:.6g}, within "
                           f"{STALL_GAP:g} of the turning surface: {failure}")
             break
-        if grid is None:
-            _record(rows, [stepper.t], stepper.y)
-            continue
-        # the grid points this step reached, through one interpolant call,
-        # recorded as one block
-        end = np.searchsorted(grid, stepper.t, side="right")
-        if end > next_grid:
-            points = grid[next_grid:end]
-            _record(rows, points, stepper.dense_output()(points))
-            next_grid = end
 
-    return _trajectory(rows, n, monitor_fns, termination, reason)
+    stats = {"accepted_steps": stepper.accepted, "rejected_steps": stepper.rejected,
+             "nfev": stepper.nfev}
+    return _trajectory(rows, n, monitor_fns, termination, reason, stats)
 
 
 # ======================================================================

@@ -294,7 +294,8 @@ def project(traj, lifted):
     parameter already is mechanical time).  Time-dependent lift: the
     physical time coordinate becomes the parameter and the spatial momenta
     are mapped back through p_mech = -(m/q) p, with q read off the conserved
-    dummy momentum.
+    dummy momentum.  The monitors, the ending and the stepper's stats are
+    the lifted run's.
     """
     n = lifted.sys.g.dim
     if lifted.kind == STATIC_KIND:
@@ -303,4 +304,4 @@ def project(traj, lifted):
         q = traj.p[:, n + 1] / lifted.c
         params, p = traj.x[:, n], -(lifted.sys.m / q)[:, None] * traj.p[:, :n]
     return Trajectory(params, traj.x[:, :n], p, dict(traj.monitors), traj.termination,
-                      traj.reason)
+                      traj.reason, dict(traj.stats))

@@ -6,6 +6,7 @@ the types and operations defined here.  Metrics are dense small matrices
 closures return only the diagonal, and its inverse is 1/d.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,7 +31,8 @@ def coordinate_point(coords):
     x = np.asarray(coords, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("a chart point must be a non-empty 1-d sequence")
-    if not np.isfinite(x).all():
+    # on a point's few coordinates Python's test costs less than numpy's
+    if not all(map(math.isfinite, x.tolist())):
         raise ValueError("chart coordinates must be finite")
     return x
 
@@ -256,16 +258,19 @@ def _invert_at(field, x, g):
 
 def _diagonal_inverse(field, x, t=None):
     """The diagonal a = 1/d of a diagonal field's inverse at a validated chart
-    point, accepted where invert_metric would accept diag(d): finite entries
-    (max|d| is nan or inf otherwise), max|d| != 0 and rcond = min|d| / max|d|
-    >= RCOND_MIN.  Anything else is left to invert_metric, which words the
-    refusal."""
-    d = _components(field, x, t)
-    size = np.abs(d)
-    top = size.max()
-    if 0.0 < top < np.inf and size.min() / top >= RCOND_MIN:
-        return 1.0 / d
-    return _invert_at(field, x, np.diag(d)).diagonal()
+    point, as a list of floats, accepted where invert_metric would accept
+    diag(d): finite entries, max|d| != 0 and rcond = min|d| / max|d| >=
+    RCOND_MIN.  Anything else is left to invert_metric, which words the
+    refusal.  The rule runs on Python floats, which on a few entries cost
+    less than numpy's reductions; finiteness is tested first because max and
+    min of floats depend on their order around a nan."""
+    d = _components(field, x, t).tolist()
+    if all(map(math.isfinite, d)):
+        size = list(map(abs, d))
+        top = max(size)
+        if top != 0.0 and min(size) / top >= RCOND_MIN:
+            return [1.0 / v for v in d]
+    return _invert_at(field, x, np.diag(d)).diagonal().tolist()
 
 
 def _quadratic_form(a, p):
@@ -351,13 +356,6 @@ def _inverse_partials(field, x, t=None):
         a = ginv.diagonal()
         return ginv, _on_diagonals(-((a * dg) * a))
     return ginv, np.array([-(ginv @ dg[k] @ ginv) for k in range(field.dim)])
-
-
-def _diagonal_inverse_partials(field, x, t=None):
-    """_inverse_partials of a diagonal field in its own layout, with no
-    matrix built: the diagonal a = 1/d and D[k, i] = d a_i / d x^k."""
-    a = _diagonal_inverse(field, x, t)
-    return a, -((a * _partials(field, x, t)) * a)
 
 
 # ======================================================================

@@ -120,7 +120,7 @@ def test_both_flows_follow_the_eccentric_anomaly_forms():
     # t = (u - e sin u)/n and s = (mk/(an))(u + e sin u) (ds = 2m(E + k/r) dt,
     # dt = r du/(an)).  Each recorded state of each flow is held to these
     # forms at its own parameter, and each flow's cumulative pacing to the
-    # other parameter.  The largest error measured at rtol 1e-9 is 4.9e-9
+    # other parameter.  The largest error measured at rtol 1e-9 is 5.0e-9
     # (phi, time flow); the bound 1e-8 leaves a margin of 2.
     e, a, m, k = 0.5, 1.0, 1.0, 1.0
     n = np.sqrt(k / (m * a ** 3))
@@ -143,6 +143,57 @@ def test_both_flows_follow_the_eccentric_anomaly_forms():
         paced = np.array([float(forms[other](v)) for v in u])
         assert np.max(np.abs(traj.x[:, 0] - r)) < 1e-8, own
         assert np.max(np.abs(traj.x[:, 1] - phi)) < 1e-8, own
+        assert np.max(np.abs(traj.monitors["pacing"] - paced)) < 1e-8 * period[other], own
+
+
+def oscillator_forms(lam, m, A, B):
+    """x(t), y(t), s(t) and the inverse t(s) of the oscillator U = lam |x|^2 / 2
+    on the flat plane launched at (A, 0) with p = (0, m B w), w = sqrt(lam/m):
+    x = A cos wt, y = B sin wt, and ds = 2m(E - U) dt = m^2 |x'|^2 dt gives
+    s = m^2 w^2 [(A^2 + B^2) t/2 - (A^2 - B^2) sin(2wt)/(4w)].  t(s) is
+    Newton's method from the mean rate; s' >= m^2 w^2 min(A, B)^2 > 0."""
+    w = np.sqrt(lam / m)
+    rate = m * m * w * w
+
+    def s_of(t):
+        return rate * ((A * A + B * B) * t / 2 - (A * A - B * B) * np.sin(2 * w * t) / (4 * w))
+
+    def t_of(s):
+        t = s / (rate * (A * A + B * B) / 2)
+        for _ in range(50):
+            t = t - (s_of(t) - s) / (rate * (A * A * np.sin(w * t) ** 2
+                                             + B * B * np.cos(w * t) ** 2))
+        assert np.max(np.abs(s_of(t) - s)) < 1e-13 * max(1.0, np.max(s))
+        return t
+
+    return (lambda t: A * np.cos(w * t)), (lambda t: B * np.sin(w * t)), s_of, t_of
+
+
+def test_both_flows_follow_the_oscillator_forms():
+    # lam = 2, m = 1.5, A = 1.2, B = 0.7, one period of each parameter: each
+    # recorded state of each flow is held to the forms of oscillator_forms
+    # at its own parameter (a rescaled state's t from inverting s(t)), and
+    # each flow's cumulative pacing to the other parameter.  The largest
+    # error measured at rtol 1e-9 is 2.1e-9 (x, rescaled flow); the bound
+    # 1e-8 leaves a margin of 4.
+    lam, m, A, B = 2.0, 1.5, 1.2, 0.7
+    w = np.sqrt(lam / m)
+    x_of, y_of, s_of, t_of = oscillator_forms(lam, m, A, B)
+    sys = MechanicalSystem(g=flat_metric(2), U=lambda x: 0.5 * lam * (x * x).sum(axis=0), m=m,
+                           E=0.5 * m * w * w * (A * A + B * B), grad_U=lambda x: lam * x,
+                           name="oscillator")
+    launch = FlowState(np.array([A, 0.0]), np.array([0.0, m * B * w]))
+    gap = lambda x: 2.0 * m * (sys.E - sys.potential(x))
+    period = {"t": 2.0 * np.pi / w, "s": s_of(2.0 * np.pi / w)}
+    runs = [(hamilton_flow(sys), "t", "s", lambda t, x, p: gap(x)),
+            (jacobi_flow(sys), "s", "t", lambda s, x, p: 1.0 / gap(x))]
+    for rhs, own, other, pacing in runs:
+        traj = integrate(rhs, launch, period[own], pacing=pacing, record_grid=2000)
+        assert traj.termination == "completed" and len(traj.params) == 2001
+        t = traj.params if own == "t" else t_of(traj.params)
+        paced = s_of(t) if own == "t" else t
+        assert np.max(np.abs(traj.x[:, 0] - x_of(t))) < 1e-8, own
+        assert np.max(np.abs(traj.x[:, 1] - y_of(t))) < 1e-8, own
         assert np.max(np.abs(traj.monitors["pacing"] - paced)) < 1e-8 * period[other], own
 
 

@@ -169,6 +169,16 @@ def test_bertrand_chart_refuses_zero_or_nonfinite_h(h_value):
         evaluate_metric(entry.spatial, [1.0, np.pi / 2, 0.0])
 
 
+def test_bertrand_guard_reads_h_only_at_positive_r():
+    # the suite turns RuntimeWarnings into errors: h = r^(-1/2) warns at r < 0
+    entry = bertrand(Gamma=lambda r: 1.0 + 0 * r, h=lambda r: 1 / np.sqrt(r), m=1.0)
+    spatial = entry.spatial
+    assert not spatial.valid([-1.0, 1.0, 0.0]) and not spatial.valid([0.0, 1.0, 0.0])
+    assert spatial.valid([1.0, 1.0, 0.0])
+    rows = np.array([[-1.0, 1.0, 0.0], [4.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(spatial.valid(rows), [False, True, False])
+
+
 # ---------------------------------------------------------------------------
 # printed-form contract
 

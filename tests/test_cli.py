@@ -56,6 +56,7 @@ def test_orbit_writes_trajectory_and_summary(tmp_path, capsys):
     assert summary["termination"] == "completed"
     assert summary["drifts"]["energy"] < 1e-7
     assert summary["drifts"]["angular_momentum"] == 0.0
+    assert summary["stats"]["nfev"] > 12 * summary["stats"]["accepted_steps"] > 0
     assert summary["tool"] == "jacobi-flow"
     assert "numpy" in summary and "version" in summary and "scipy" not in summary
 
@@ -172,6 +173,11 @@ def test_compare_prints_small_deviation(tmp_path, capsys):
     assert deviation < 1e-6
     summary = json.loads((tmp_path / "compare_summary.json").read_text())
     assert summary["deviation"] == deviation
+    # each flow's steps and right-hand-side evaluations
+    assert sorted(summary["stats"]) == ["rescaled", "time"]
+    for stats in summary["stats"].values():
+        assert sorted(stats) == ["accepted_steps", "nfev", "rejected_steps"]
+        assert stats["nfev"] > 12 * stats["accepted_steps"] > 0
 
 
 def test_compare_reports_how_its_flows_ended(tmp_path, capsys):
@@ -249,6 +255,7 @@ def test_lift_static_runs_and_projects(tmp_path, capsys):
     assert code == 0
     summary = json.loads((tmp_path / "lift_summary.json").read_text())
     assert summary["kind"] == "static"
+    assert sorted(summary["stats"]) == ["direct", "lifted"]
     assert summary["drifts"]["dummy_momentum"] == 0.0
     assert summary["projection_deviation"] < 1e-5
 

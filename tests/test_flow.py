@@ -305,6 +305,29 @@ def test_step_failure_reason_is_the_steppers_own_message():
     assert len(partial.params) == 1
 
 
+def test_stats_count_the_steps_and_rhs_evaluations():
+    # the launch costs two evaluations (its derivative and the initial-step
+    # probe), every attempted step twelve, and every step that reaches grid
+    # points three more for its interpolant; a grid leaves the steps alone
+    steps = integrate(hamilton_flow(kepler()), perihelion_state(), T_ORBIT)
+    grid = integrate(hamilton_flow(kepler()), perihelion_state(), T_ORBIT, record_grid=200)
+    accepted, rejected = steps.stats["accepted_steps"], steps.stats["rejected_steps"]
+    assert accepted == len(steps.params) - 1 and rejected > 0
+    assert steps.stats["nfev"] == 2 + 12 * (accepted + rejected)
+    ends = np.searchsorted(grid.params[1:], steps.params, side="right")
+    interpolated = np.count_nonzero(np.diff(ends))
+    assert 0 < interpolated <= accepted
+    assert grid.stats == {"accepted_steps": accepted, "rejected_steps": rejected,
+                          "nfev": steps.stats["nfev"] + 3 * interpolated}
+
+    def nan_after_launch(t, x, p):
+        return np.array([np.nan if t > 0 else 1.0]), np.array([0.0])
+
+    failed = integrate(nan_after_launch, FlowState(np.zeros(1), np.zeros(1)), 1.0).stats
+    assert failed["accepted_steps"] == 0
+    assert failed["nfev"] == 2 + 12 * failed["rejected_steps"]
+
+
 def test_step_failure_partial_trajectory_carries_every_monitor_column():
     def blowup(t, x, p):
         return np.array([x[0] ** 2]), np.array([0.0])

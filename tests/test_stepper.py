@@ -1,6 +1,6 @@
-"""The owned Dormand-Prince stepper against scipy's RK45, its dense output
-over arrays of parameters and the record grid built on it, and the import
-path it keeps free of scipy."""
+"""The owned Dormand-Prince 8(5,3) stepper against scipy's DOP853, its dense
+output over arrays of parameters and the record grid built on it, and the
+import path it keeps free of scipy."""
 
 import subprocess
 import sys
@@ -18,7 +18,7 @@ scipy_integrate = pytest.importorskip("scipy.integrate")
 # bertrand_kepler at k = m = 1, launched at r = 3 on the equator with
 # p_r = 0.1 and the circular p_phi = sqrt(3)
 BERTRAND_E = 0.5 * 0.1 ** 2 + 3.0 / 18.0 - 1.0 / 3.0
-OWN_RK45 = flow.RK45
+OWN_STEPPER = flow.DOP853
 
 
 def spy_on_steppers(monkeypatch):
@@ -26,7 +26,7 @@ def spy_on_steppers(monkeypatch):
     stepper constructed from now on."""
     seen = []
 
-    class Spy(OWN_RK45):
+    class Spy(OWN_STEPPER):
         def __init__(self, fun, t0, y0, t_bound, **tol):
             seen.append((fun, t0, np.array(y0), t_bound, tol))
             super().__init__(fun, t0, y0, t_bound, **tol)
@@ -48,7 +48,7 @@ RUNS = pytest.mark.parametrize("argv, runs", [
     (["lift", "--kind", "timedep", "--amp", "0.3", "--span", "3", "--record", "1000"], 2),
     (["orbit", "--system", "bertrand_kepler", "--k", "1", "--m", "1", "--flow", "jacobi",
       "--E", repr(BERTRAND_E), "--initial", "3,1.5707963267948966,0,0.1,0,1.7320508075688772",
-      "--span", "4"], 1),
+      "--span", "8"], 1),
 ], ids=["kepler-orbit", "timedep-lift", "catalog-jacobi-orbit"])
 
 
@@ -57,8 +57,8 @@ def test_stepper_matches_scipy_bit_for_bit(tmp_path, monkeypatch, capsys, argv, 
     inputs = stepper_inputs(monkeypatch, argv, tmp_path)
     assert len(inputs) == runs
     for fun, t0, y0, t_bound, tol in inputs:
-        ours = OWN_RK45(fun, t0, y0, t_bound, **tol)
-        ref = scipy_integrate.RK45(fun, t0, y0, t_bound, **tol)
+        ours = OWN_STEPPER(fun, t0, y0, t_bound, **tol)
+        ref = scipy_integrate.DOP853(fun, t0, y0, t_bound, **tol)
         assert ours.h_abs == ref.h_abs and ours.nfev == ref.nfev
         steps = 0
         while ref.status == "running":
@@ -78,8 +78,8 @@ def test_stepper_matches_scipy_bit_for_bit(tmp_path, monkeypatch, capsys, argv, 
 @RUNS
 def test_dense_output_of_an_array_is_the_scalar_calls_stacked(tmp_path, monkeypatch, argv, runs):
     for fun, t0, y0, t_bound, tol in stepper_inputs(monkeypatch, argv, tmp_path):
-        ours = OWN_RK45(fun, t0, y0, t_bound, **tol)
-        ref = scipy_integrate.RK45(fun, t0, y0, t_bound, **tol)
+        ours = OWN_STEPPER(fun, t0, y0, t_bound, **tol)
+        ref = scipy_integrate.DOP853(fun, t0, y0, t_bound, **tol)
         steps = 0
         while ours.status == "running":
             ours.step()
@@ -131,11 +131,12 @@ RADIAL = flow.FlowState(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
 
 
 # (flow, launch, span, record_grid, termination): the ellipse over one period
-# on a grid, the radial launch ending mid-grid, the ellipse at accepted steps
+# on a grid, the radial launch ending mid-grid, the ellipse over four periods
+# at accepted steps
 RECORD_RUNS = [
     (flow.hamilton_flow, ELLIPSE, 2.0 * np.pi, 200, "completed"),
     (flow.jacobi_flow, RADIAL, 1.0, 200, "turning_point"),
-    (flow.hamilton_flow, ELLIPSE, 2.0 * np.pi, None, "completed"),
+    (flow.hamilton_flow, ELLIPSE, 8.0 * np.pi, None, "completed"),
 ]
 
 
@@ -146,7 +147,7 @@ def test_record_grid_rows_equal_a_per_point_loop(monkeypatch):
 
         (fun, t0, y0, t_bound, tol), = seen
         seen.clear()
-        stepper = OWN_RK45(fun, t0, y0, t_bound, **tol)
+        stepper = OWN_STEPPER(fun, t0, y0, t_bound, **tol)
         grid = None if count is None else np.linspace(0.0, span, count + 1)[1:]
         rows, per_step = per_state_rows(stepper, grid)
         assert traj.termination == termination
@@ -160,6 +161,35 @@ def test_record_grid_rows_equal_a_per_point_loop(monkeypatch):
             assert np.array_equal(traj.params, np.concatenate([[0.0], grid]))
         else:
             assert 0.5 < traj.params[-1] < 0.6 and len(rows) == 115
+
+
+def test_an_interpolant_stage_the_rhs_refuses_ends_the_run(monkeypatch):
+    # the interpolant evaluates three more stages, which the rhs may refuse
+    # as it may refuse a step's: the run ends in that step, with the grid
+    # points of the steps before it
+    refusing, starts = [], []
+    time_flow = flow.hamilton_flow(KEPLER)
+
+    def rhs(s, x, p):
+        if refusing:
+            raise jacobiflow.DomainViolation("refused")
+        return time_flow(s, x, p)
+
+    class RefusesTheThirdInterpolant(OWN_STEPPER):
+        def dense_output(self):
+            starts.append(self.t_old)
+            if len(starts) == 3:
+                refusing.append(True)
+            return super().dense_output()
+
+    full = flow.integrate(time_flow, ELLIPSE, 2.0 * np.pi, record_grid=200)
+    monkeypatch.setattr(flow, "RK45", RefusesTheThirdInterpolant)
+    traj = flow.integrate(rhs, ELLIPSE, 2.0 * np.pi, record_grid=200)
+    assert traj.termination == "domain_violation"
+    assert traj.reason == f"refused, in the step from s = {float(starts[-1])!r}"
+    rows = len(traj.params)
+    assert 1 < rows < len(full.params) and traj.params[-1] <= starts[-1] < full.params[rows]
+    assert np.array_equal(traj.x, full.x[:rows]) and np.array_equal(traj.p, full.p[:rows])
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -8,10 +8,13 @@ Kepler on the polar chart (k = m = 1, E = -0.5) and Schwarzschild's
 mechanical view (M = m = 1, E = 0), both with analytic partials, and the
 static and time-dependent lifts of the 1-d oscillator of `lift`.  Recording
 is per state, in blocks of 8 states and their final concatenation, and the
-stepper is per accepted step of RK45 on the harmonic oscillator y'' = -y.
+stepper is per accepted step of DOP853 on the harmonic oscillator y'' = -y.
 The monitors are per row of one call over 1000 recorded states: Kepler's
-energy and the static lift's flow Hamiltonian.
-Compare numbers only when taken on the same machine in one session.
+energy and the static lift's flow Hamiltonian.  One entry is a count, not a
+time: kepler.nfev_per_step, the right-hand-side evaluations per accepted
+step of Kepler's time flow over one period of the e = 0.5 ellipse on a
+1000-point record grid, read from the run's Trajectory.stats.
+Compare times only when taken on the same machine in one session.
 """
 
 import json
@@ -23,7 +26,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from jacobiflow import flow, lift  # noqa: E402
+from jacobiflow import FlowState, flow, lift  # noqa: E402
 from jacobiflow.catalog import catalog_entry, mechanical_system_from_entry  # noqa: E402
 from jacobiflow.metric import _inverse, flat_metric, invert_metric, polar_metric  # noqa: E402
 from jacobiflow.transforms import MechanicalSystem, energy_from_state  # noqa: E402
@@ -34,7 +37,8 @@ ROWS = 1000
 
 
 def layer_timings(number=2000):
-    """{layer: µs per call}, each the best of REPEATS runs of number calls."""
+    """{layer: µs per call}, each the best of REPEATS runs of number calls,
+    and Kepler's rhs evaluations per accepted step."""
     kepler = MechanicalSystem(g=polar_metric(), U=lambda x: -1.0 / x[0], m=1.0, E=-0.5,
                               grad_U=lambda x: np.array([1.0 / x[0] ** 2, 0.0]))
     schwarzschild = mechanical_system_from_entry(catalog_entry("schwarzschild", M=1.0, m=1.0),
@@ -63,8 +67,8 @@ def layer_timings(number=2000):
             flow._record(rows, params, states)
         np.concatenate(rows)
 
-    stepper = flow.RK45(lambda t, y: np.array([y[1], -y[0]]), 0.0, np.array([1.0, 0.0]),
-                        np.inf, rtol=1e-9, atol=1e-12)
+    stepper = flow.DOP853(lambda t, y: np.array([y[1], -y[0]]), 0.0, np.array([1.0, 0.0]),
+                          np.inf, rtol=1e-9, atol=1e-12)
     calls = {
         "kepler.hamilton_rhs": lambda: flow.hamilton_rhs(kepler, xk, pk),
         "kepler.jacobi_rhs": lambda: flow.jacobi_rhs(kepler, xk, pk),
@@ -87,6 +91,10 @@ def layer_timings(number=2000):
     calls = max(1, number // 200)
     for name, fn in monitors.items():
         us[name] = min(timeit.repeat(fn, number=calls, repeat=REPEATS)) / (calls * ROWS) * 1e6
+    ellipse = FlowState(np.array([0.5, 0.0]), np.array([0.0, np.sqrt(0.75)]))
+    stats = flow.integrate(flow.hamilton_flow(kepler), ellipse, 2.0 * np.pi,
+                           record_grid=1000).stats
+    us["kepler.nfev_per_step"] = stats["nfev"] / stats["accepted_steps"]
     return {name: round(value, 3) for name, value in us.items()}
 
 
