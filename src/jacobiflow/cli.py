@@ -24,6 +24,7 @@ endings, so a rerun of the same scenario is byte-identical.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -120,9 +121,11 @@ def _initial(text):
     return {"x": x.tolist(), "p": p.tolist()}
 
 
+@functools.cache
 def build_parser():
     """The whole command-line contract: each subcommand takes the flags its
-    run reads, and each flag's dest names the scenario entry it sets."""
+    run reads, and each flag's dest names the scenario entry it sets.  Built
+    once per process, on first use; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="jacobi-flow",
         description="transform mechanical systems to rescaled geodesic form, "
@@ -577,6 +580,8 @@ def run_compare(scn):
 
 def run_curvature(scn):
     k = _param(scn, "k")
+    if not k > 0:
+        raise ValueError(f"curvature needs k > 0, got {k!r}")
     E = require(scn, "E")
     radii = radial_grid(scn, "r_min", "r_max")
     profile = kepler_profile(k, E)

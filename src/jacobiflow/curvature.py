@@ -8,15 +8,19 @@ with f^2 = E - U(r).  Its Gaussian curvature
 decides the orbit geometry; for the inverse-distance potential the closed
 form is K = -kE / (2 (rE + k)^3), positive for bound motion, zero for the
 marginal case, negative for escape orbits.  A radial profile is the
-conformal scale itself, a callable f(r).
+conformal scale itself, a callable f(r).  The numeric curvature is one
+scheme: nested central differences at steps h and h/2, extrapolated to
+cancel their h^2 truncation term.  Its stencil spans r - 2h .. r + 2h with
+h = CURVATURE_STEP * max(1, |r|), so radii within 2h (0.12% of max(1, r))
+of a turning radius are refused.
 """
 
-import numpy as np
+import math
 
 from .errors import DomainViolation, PoleAtZeroDenominator, TurningPoint
 
-# Step scale for the nested central differences (outer and inner alike).
-CURVATURE_STEP = 1e-5
+# Step scale h / max(1, |r|) of the coarse nested difference; the fine one takes h/2.
+CURVATURE_STEP = 6e-4
 
 
 def profile_from_potential(U, E):
@@ -26,7 +30,7 @@ def profile_from_potential(U, E):
         gap = E - U(r)
         if gap <= 0.0:
             raise TurningPoint(f"E - U = {gap:.6g} at r = {r:.6g}")
-        return np.sqrt(gap)
+        return math.sqrt(gap)
 
     return f
 
@@ -36,51 +40,33 @@ def kepler_profile(k, E):
     return profile_from_potential(lambda r: -k / r, E)
 
 
-def _curvature_at_step(profile, r, h):
-    if r - 2.0 * h <= 0.0:
-        raise TurningPoint(f"stencil around r = {r:.6g} leaves the chart")
-    try:
-        fm2 = profile(r - 2.0 * h)
-        fm1 = profile(r - h)
-        f0 = profile(r)
-        fp1 = profile(r + h)
-        fp2 = profile(r + 2.0 * h)
-    except (TurningPoint, DomainViolation) as exc:
-        raise TurningPoint(f"stencil around r = {r:.6g} exits validity: {exc}")
-    for v in (fm2, fm1, f0, fp1, fp2):
-        if not np.isfinite(v) or v <= 0.0:
-            raise TurningPoint(f"stencil around r = {r:.6g} exits validity")
+def _curvature_at_step(r, h, fm2, fm1, f0, fp1, fp2):
+    """The nested difference at step h from f at r - 2h, r - h, r, r + h, r + 2h."""
     # w(r) = (1/f) d(rf)/dr, sampled at r +- h with the inner difference.
     w_plus = ((r + 2.0 * h) * fp2 - r * f0) / (2.0 * h) / fp1
     w_minus = (r * f0 - (r - 2.0 * h) * fm2) / (2.0 * h) / fm1
-    return float(-(w_plus - w_minus) / (2.0 * h) / (r * f0 * f0))
+    return -(w_plus - w_minus) / (2.0 * h) / (r * f0 * f0)
 
 
-def gaussian_curvature_numeric(profile, r, h_scale=None, richardson=False):
-    """Evaluate the curvature formula with nested central differences.
-
-    Both the inner derivative d(rf)/dr and the outer derivative use step
-    h = h_scale * max(1, r) (default scale 1e-5), so the value draws on the
-    five stencil points r - 2h .. r + 2h.  Raises TurningPoint when the
-    stencil leaves the region where f is real and positive.
-
-    The plain scheme carries two error terms: truncation O(h^2) and a
-    roundoff floor O(eps / h^2) from differencing nearly equal products.
-    No single step beats ~1e-8 absolute on both counts at radii of order
-    one.  With richardson=True the value is extrapolated from steps h and
-    h/2, cancelling the deterministic h^2 term; pair it with a larger
-    truncation-dominated scale such as 1e-3 to resolve curvatures near
-    zero down to ~1e-10.
-    """
+def gaussian_curvature_numeric(profile, r):
+    """The curvature formula by nested central differences, each sharing its
+    step between d(rf)/dr and the outer derivative, as (4 K(h/2) - K(h)) / 3.
+    Raises TurningPoint when the seven-point stencil leaves r > 0 or the
+    region where f is finite and positive."""
     r = float(r)
-    if h_scale is None:
-        h_scale = CURVATURE_STEP
-    h = h_scale * max(1.0, abs(r))
-    coarse = _curvature_at_step(profile, r, h)
-    if not richardson:
-        return coarse
-    fine = _curvature_at_step(profile, r, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    h = CURVATURE_STEP * max(1.0, abs(r))
+    if r - 2.0 * h <= 0.0:
+        raise TurningPoint(f"stencil around r = {r:.6g} leaves the chart")
+    try:
+        f = [profile(r + 0.5 * j * h) for j in (-4, -2, -1, 0, 1, 2, 4)]
+    except (TurningPoint, DomainViolation) as exc:
+        raise TurningPoint(f"stencil around r = {r:.6g} exits validity: {exc}")
+    if not all(math.isfinite(v) and v > 0.0 for v in f):
+        raise TurningPoint(f"stencil around r = {r:.6g} exits validity")
+    fm4, fm2, fm1, f0, fp1, fp2, fp4 = f
+    coarse = _curvature_at_step(r, h, fm4, fm2, f0, fp2, fp4)
+    fine = _curvature_at_step(r, 0.5 * h, fm2, fm1, f0, fp1, fp2)
+    return float((4.0 * fine - coarse) / 3.0)
 
 
 def kepler_curvature(k, E, r):
@@ -107,7 +93,7 @@ def kepler_eccentricity(E, L, m=1.0, k=1.0):
     radicand = 1.0 + 2.0 * E * L * L / (m * k * k)
     if radicand < 0.0:
         raise ValueError(f"eccentricity undefined: radicand = {radicand:.6g}")
-    return float(np.sqrt(radicand))
+    return math.sqrt(radicand)
 
 
 def classify_eccentricity(e):

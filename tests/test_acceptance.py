@@ -271,13 +271,12 @@ def test_curvature_closed_form_matches_finite_differences():
         assert valid >= 30
         assert worst < 1e-6, f"E={E}: {worst}"
 
-    # marginal energy: the rescaled plane is exactly flat; resolving a zero
-    # needs the extrapolated evaluation at a truncation-dominated step,
-    # since no single-step difference beats its own roundoff floor here
+    # marginal energy: the rescaled plane is exactly flat, and the
+    # extrapolated difference resolves that zero
     prof = kepler_profile(1.0, 0.0)
     for r in rs:
         assert kepler_curvature(1.0, 0.0, r) == 0.0
-        numeric = gaussian_curvature_numeric(prof, r, h_scale=1e-3, richardson=True)
+        numeric = gaussian_curvature_numeric(prof, r)
         assert abs(numeric) < 1e-8
 
 

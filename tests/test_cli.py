@@ -423,6 +423,8 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     ["curvature", "--E", "-0.5", "--m", "5"],
     ["transform", "--form", "relativistic", "--system", "kepler", "--E", "-0.5", "--E-rel", "1"],
     ["curvature", "--E", "-0.5", "--prefix", ""],
+    ["curvature", "--k", "-1", "--E", "-0.5"],
+    ["curvature", "--k", "0", "--E", "-0.5"],
 ], ids=["free-mass", "lift-mass", "lift-kappa", "lift-c", "lift-q", "lift-span",
         "initial-3d", "record-negative", "atol-negative", "initial-text", "initial-off-chart",
         "jacobi-at-turning-point", "lift-span-zero", "lift-record-zero",
@@ -431,7 +433,8 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
         "schwarzschild-unread-k", "classical-transform-unread-E-rel",
         "timedep-lift-unread-kappa", "static-lift-unread-amp", "text-number", "flow-choice",
         "unknown-flag", "no-system", "curvature-span", "catalog-E", "curvature-m",
-        "relativistic-transform-unread-E", "empty-prefix"])
+        "relativistic-transform-unread-E", "empty-prefix",
+        "curvature-k-negative", "curvature-k-zero"])
 def test_refused_input_exits_two_without_output(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2

@@ -57,19 +57,25 @@ def test_numeric_matches_closed_form_on_grid():
         assert worst < 1e-6
 
 
-def test_richardson_extrapolation_resolves_flat_case():
-    # the single-step scheme bottoms out near 1e-8 when the true value is 0;
-    # extrapolating from a truncation-dominated step goes well below that
+def test_extrapolated_difference_resolves_flat_case():
+    # extrapolating from a truncation-dominated step resolves a zero curvature
     prof = kepler_profile(1.0, 0.0)
     for r in (0.5, 1.3, 5.0):
-        plain = gaussian_curvature_numeric(prof, r)
-        refined = gaussian_curvature_numeric(prof, r, h_scale=1e-3, richardson=True)
-        assert abs(refined) < 1e-9
-        assert abs(refined) < abs(plain)
+        assert abs(gaussian_curvature_numeric(prof, r)) < 1e-9
     # and it stays consistent with the closed form away from zero
     bound = kepler_profile(1.0, -0.5)
-    refined = gaussian_curvature_numeric(bound, 1.0, h_scale=1e-3, richardson=True)
-    assert abs(refined - 2.0) < 1e-9
+    assert abs(gaussian_curvature_numeric(bound, 1.0) - 2.0) < 1e-9
+
+
+def test_oscillator_profile_matches_ong_closed_form():
+    # U = lam r^2 / 2 has Laplacian 2 lam and |grad U|^2 = lam^2 r^2, so
+    # K = [2 lam (E - U) + lam^2 r^2] / (2 (E - U)^3) = lam E / (E - U)^3
+    for lam, E in ((1.0, 0.5), (2.0, 1.5), (0.5, 2.0)):
+        prof = profile_from_potential(lambda r: 0.5 * lam * r * r, E)
+        for r in np.linspace(0.05, 0.9 * np.sqrt(2.0 * E / lam), 200):
+            kc = lam * E / (E - 0.5 * lam * r * r) ** 3
+            kn = gaussian_curvature_numeric(prof, r)
+            assert abs(kn - kc) / max(1.0, abs(kc)) < 1e-7, (lam, E, r)
 
 
 def test_numeric_sign_tracks_energy():
@@ -106,7 +112,7 @@ def test_numeric_raises_on_stencil_exit():
         gaussian_curvature_numeric(prof, 2.0)
     with pytest.raises(TurningPoint):
         gaussian_curvature_numeric(prof, 1.99999)
-    # the five-point stencil must also stay right of the origin
+    # the stencil must also stay right of the origin
     with pytest.raises(TurningPoint):
         gaussian_curvature_numeric(prof, 1e-6)
 

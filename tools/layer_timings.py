@@ -10,15 +10,19 @@ static and time-dependent lifts of the 1-d oscillator of `lift`.  Recording
 is per state, in blocks of 8 states and their final concatenation, and the
 stepper is per accepted step of DOP853 on the harmonic oscillator y'' = -y.
 The monitors are per row of one call over 1000 recorded states: Kepler's
-energy and the static lift's flow Hamiltonian.  One entry is a count, not a
-time: kepler.nfev_per_step, the right-hand-side evaluations per accepted
-step of Kepler's time flow over one period of the e = 0.5 ellipse on a
-1000-point record grid, read from the run's Trajectory.stats.
+energy and the static lift's flow Hamiltonian.  The curvature is per point
+of the CLI's scan (Kepler profile, k = 1, E = -0.5, at r = 1.2), and CSV
+writing is per row of one write_csv call of 1000 rows of 7 values.  One
+entry is a count, not a time: kepler.nfev_per_step, the right-hand-side
+evaluations per accepted step of Kepler's time flow over one period of the
+e = 0.5 ellipse on a 1000-point record grid, read from the run's
+Trajectory.stats.
 Compare times only when taken on the same machine in one session.
 """
 
 import json
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -28,6 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from jacobiflow import FlowState, flow, lift  # noqa: E402
 from jacobiflow.catalog import catalog_entry, mechanical_system_from_entry  # noqa: E402
+from jacobiflow.cli import write_csv  # noqa: E402
+from jacobiflow.curvature import gaussian_curvature_numeric, kepler_profile  # noqa: E402
 from jacobiflow.metric import _inverse, flat_metric, invert_metric, polar_metric  # noqa: E402
 from jacobiflow.transforms import MechanicalSystem, energy_from_state  # noqa: E402
 
@@ -57,6 +63,8 @@ def layer_timings(number=2000):
     XK = np.column_stack([rng.uniform(0.5, 1.5, ROWS), rng.uniform(0.0, 6.0, ROWS)])
     XL = np.column_stack([rng.uniform(-1.0, 1.0, ROWS), np.zeros(ROWS)])
     PK, PL = rng.normal(size=(ROWS, 2)), rng.normal(size=(ROWS, 2))
+    table = rng.normal(size=(ROWS, 7)).tolist()
+    bound = kepler_profile(1.0, -0.5)
     g = np.array([[2.0, 0.3], [0.3, 1.0]])
     states = np.random.default_rng(0).normal(size=(BLOCK, 5))
     params = np.arange(1.0, BLOCK + 1.0)
@@ -79,6 +87,7 @@ def layer_timings(number=2000):
         "metric._inverse.polar": lambda: _inverse(kepler.g, xk),
         "metric.invert_metric.2x2": lambda: invert_metric(g),
         "flow.stepper.per_step": stepper.step,
+        "curvature.per_point": lambda: gaussian_curvature_numeric(bound, 1.2),
     }
     us = {name: min(timeit.repeat(fn, number=number, repeat=REPEATS)) / number * 1e6
           for name, fn in calls.items()}
@@ -89,8 +98,11 @@ def layer_timings(number=2000):
         "monitors.lifted_hamiltonian.per_row": lambda: lift.lifted_hamiltonian(static_lift, XL, PL),
     }
     calls = max(1, number // 200)
-    for name, fn in monitors.items():
-        us[name] = min(timeit.repeat(fn, number=calls, repeat=REPEATS)) / (calls * ROWS) * 1e6
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        monitors["cli.write_csv.per_row"] = lambda: write_csv(path, ["c"] * 7, table)
+        for name, fn in monitors.items():
+            us[name] = min(timeit.repeat(fn, number=calls, repeat=REPEATS)) / (calls * ROWS) * 1e6
     ellipse = FlowState(np.array([0.5, 0.0]), np.array([0.0, np.sqrt(0.75)]))
     stats = flow.integrate(flow.hamilton_flow(kepler), ellipse, 2.0 * np.pi,
                            record_grid=1000).stats
