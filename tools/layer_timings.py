@@ -93,15 +93,16 @@ def layer_timings(number=2000):
           for name, fn in calls.items()}
     us["flow.record.per_state"] = (min(timeit.repeat(record, number=1, repeat=REPEATS))
                                    / (number * BLOCK) * 1e6)
-    monitors = {
-        "monitors.energy_from_state.per_row": lambda: energy_from_state(kepler, XK, PK),
-        "monitors.lifted_hamiltonian.per_row": lambda: lift.lifted_hamiltonian(static_lift, XL, PL),
-    }
     calls = max(1, number // 200)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "rows.csv"
-        monitors["cli.write_csv.per_row"] = lambda: write_csv(path, ["c"] * 7, table)
-        for name, fn in monitors.items():
+        csv_path = Path(tmp) / "rows.csv"
+        per_row = {
+            "monitors.energy_from_state.per_row": lambda: energy_from_state(kepler, XK, PK),
+            "monitors.lifted_hamiltonian.per_row":
+                lambda: lift.lifted_hamiltonian(static_lift, XL, PL),
+            "cli.write_csv.per_row": lambda: write_csv(csv_path, ["c"] * 7, table),
+        }
+        for name, fn in per_row.items():
             us[name] = min(timeit.repeat(fn, number=calls, repeat=REPEATS)) / (calls * ROWS) * 1e6
     ellipse = FlowState(np.array([0.5, 0.0]), np.array([0.0, np.sqrt(0.75)]))
     stats = flow.integrate(flow.hamilton_flow(kepler), ellipse, 2.0 * np.pi,
