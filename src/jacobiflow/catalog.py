@@ -86,14 +86,14 @@ def _spherical_chart(name, radial_ok, diagonal, gradient=None):
     |sin theta| > POLE_MARGIN, each taking numbers or one array entry per
     point.  gradient(r, theta), when given, returns the r and theta
     derivatives of the diagonal, which become the chart's analytic partials
-    (phi is cyclic); without it the partials are central differences."""
+    (phi is cyclic); without it they are complex steps of diagonal."""
     partials = None
     if gradient is not None:
         def partials(x):
             return [*gradient(x[0], x[1]), [0.0, 0.0, 0.0]]
 
     def components(x):
-        d = np.empty(x.shape)
+        d = np.empty_like(x)
         d[0], d[1], d[2] = diagonal(x[0], x[1])
         return d
     return MetricField(dim=3, components=components, partials=partials,
@@ -227,7 +227,7 @@ def bertrand(Gamma, h, m, c=1.0, r_range=(0.5, 5.0), name="bertrand", dGamma=Non
 
     dh, the derivative of h, gives the chart analytic partials, and dGamma,
     the derivative of Gamma, gives the entry an analytic grad_U; without
-    them the partials and the potential gradient are central differences.
+    them these are complex steps, and h and Gamma must take complex r.
     """
     if not m > 0:
         raise ValueError("m must be positive")

@@ -14,11 +14,12 @@ values then run one by one in list order, through the same code as a single
 run, and output files gain a zero-padded index suffix.
 
 Exit codes: 0 success, 2 refused input (a parser refusal, a parameter the
-system or lift does not read, any other ValueError, or a launch outside the
-chart or at a turning point; one 'error:' line on stderr), 3 clean
-numerical termination (turning point or chart violation), 4 step failure;
-on 3 and 4 the run writes its partial results, with the termination and its
-reason in the summary; a sweep exits with its largest leg code.
+system or lift does not read, any other ValueError, a launch off the chart
+or at a turning point, or a scan with no radius on the chart; one 'error:'
+line on stderr), 3 clean numerical termination (turning point or chart
+violation), 4 step failure; on 3 and 4 the run writes its partial results,
+with the termination and its reason in the summary; a sweep exits with its
+largest leg code.
 All numeric output is written with 17 significant digits and LF line
 endings, so a rerun of the same scenario is byte-identical.
 """
@@ -469,13 +470,15 @@ def radial_point(dim, r):
 
 
 def _radial_scan(radii, row_at):
-    """Rows row_at(r) over the radii, and how many row_at refused as off the chart."""
+    """Rows row_at(r) over the radii and how many it refused off the chart; ValueError if all."""
     rows = []
     for r in radii:
         try:
             rows.append(row_at(r))
         except JacobiFlowError:
             pass
+    if not rows:
+        raise ValueError(f"no radius from {radii[0]:g} to {radii[-1]:g} lies inside the chart")
     return rows, len(radii) - len(rows)
 
 

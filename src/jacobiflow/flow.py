@@ -26,13 +26,12 @@ from .errors import (
 )
 from .metric import (
     _at,
-    _central_differences,
+    _complex_step,
     _diagonal_inverse,
     _inverse_partials,
     _kinetic_form,
     _partials,
     _points,
-    _stencil_point,
     coordinate_point,
 )
 
@@ -93,11 +92,12 @@ class Trajectory:
 
 
 def _potential_gradient(sys, x, t=None):
-    """dU/dx^k at a validated chart point: the system's grad_U, or central
-    differences whose stencil points must lie on the chart of sys.g."""
+    """dU/dx^k at a validated chart point: the system's grad_U, or complex
+    steps of U itself, as sys.potential would drop their imaginary parts."""
     if sys.grad_U is not None:
         return np.asarray(_at(sys.grad_U, x, t, sys.time_dependent), dtype=float)
-    return _central_differences(lambda y: sys.potential(_stencil_point(sys.g, y), t), x)
+    return _complex_step(lambda z: _at(sys.U, z, t, sys.time_dependent), x,
+                         "potential of system", sys.name)
 
 
 def _kinetic_rhs(ginv, dginv, p, m):

@@ -14,9 +14,9 @@ The geodesic equations are driven by the closed-form inverse components, so
 the static lift stays integrable across V = 0 where the forward metric
 entry 1/(kappa V) blows up (the flow itself only ever needs kappa V).  Their
 partials are closed-form too: the base block follows d(g^-1) = -g^-1 (dg)
-g^-1, the potential entry takes the flows' potential gradient (grad_U, or
-central differences), and t derivatives are central differences in t; each
-rhs evaluation inverts the base metric once.
+g^-1, the potential entry takes the flows' potential gradient, and the t
+derivatives of U and g are complex steps in t; each rhs call inverts the
+base metric once.
 """
 
 from dataclasses import dataclass
@@ -27,12 +27,14 @@ import numpy as np
 from .flow import FlowState, Trajectory, _kinetic_rhs, _potential_gradient, integrate
 from .metric import (
     MetricField,
-    _central_differences,
+    _at,
     _check_point,
+    _complex_step,
     _components,
     _evaluate,
     _inverse,
     _inverse_partials,
+    _matrix,
     _points,
     _quadratic_form,
     coordinate_point,
@@ -154,12 +156,13 @@ def lift_time_dependent(sys, *, c=1.0):
         D = np.zeros((n + 2, n + 2, n + 2))
         D[:n, :n, :n] = -dginv
         if g.time_dependent:
-            dgdt = _central_differences(
-                lambda s: _evaluate(g, x, s[0]), xe[n:n + 1])[0]
-            D[n, :n, :n] = ginv @ dgdt @ ginv
+            dgdt = _complex_step(lambda s: _at(g.components, x, s[0], True), xe[n:n + 1],
+                                 "components of metric", g.name)[0]
+            D[n, :n, :n] = ginv @ _matrix(g, dgdt) @ ginv
         D[:n, n + 1, n + 1] = -2.0 * _potential_gradient(sys, x, t) / (m * c * c)
         if sys.time_dependent:
-            dUdt = _central_differences(lambda s: sys.potential(x, s[0]), xe[n:n + 1])[0]
+            dUdt = _complex_step(lambda s: _at(sys.U, x, s[0], True), xe[n:n + 1],
+                                 "potential of system", sys.name)[0]
             D[n, n + 1, n + 1] = -2.0 * dUdt / (m * c * c)
         return ginv, D
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import DomainViolation, SingularMatrix
 
-# Finite-difference step rule used everywhere derivatives of fields are taken:
-# central differences with h scaled to the coordinate magnitude.
-FD_SCALE = 1e-6
+# Step h of the one derivative rule, Im f(x + i h e_k) / h: it subtracts
+# nothing, and its truncation h^2 f''' / 6 is far below rounding at any x.
+CS_STEP = 1e-20
 
 # Conditioning threshold for metric inversion: reciprocal condition numbers
 # below this are treated as singular.
@@ -56,9 +56,10 @@ class MetricField:
 
     components(x) (or components(x, t) when time_dependent) returns the
     dim x dim matrix of components.  partials, when provided, returns the
-    array D with D[k, i, j] = d g_ij / d x^k; otherwise central differences
-    are used.  guard(x) identifies valid chart points; None means the whole
-    chart is valid.
+    array D with D[k, i, j] = d g_ij / d x^k; otherwise complex steps take
+    them, and components must return complex values at complex points (a
+    constant reads 0.0 * x[0] + c).  guard(x) identifies valid real chart
+    points; None means the whole chart is valid.
 
     components and guard take one point x, (dim,), or the coordinates-first
     columns (dim, N) of N points, with t a scalar or (N,), and then put the
@@ -94,13 +95,13 @@ class MetricField:
 
 def _at(fn, x, t, time_dependent):
     """fn(x), or fn(x, t) for a time-dependent callable, with t=None read as 0
-    and an array t, one time per point, passed through.
+    and an array t, one time per point, or a complex t passed through.
 
     The one place that knows both call signatures: callers hand over the time
     they hold whether or not fn depends on it, and convert the result.
     """
     if time_dependent:
-        return fn(x, 0.0 if t is None else t if isinstance(t, np.ndarray) else float(t))
+        return fn(x, 0.0 if t is None else t if isinstance(t, (np.ndarray, complex)) else float(t))
     return fn(x)
 
 
@@ -154,17 +155,20 @@ def _components(field, x, t=None):
                             "components of metric", field.name), dtype=float)
 
 
-def _evaluate(field, x, t=None):
-    """evaluate_metric on an already validated chart point, or on the rows of
-    an (N, n) array of them with t one time for every row or one per row:
-    the dimension check and the domain guard still apply.  The components
-    are symmetrized, halved before the sum so that entries near the float
-    limit do not overflow; a diagonal field's d is placed on the diagonal,
-    which needs no symmetrizing."""
-    g = _components(field, x, t)
+def _matrix(field, g):
+    """Components g, or their derivatives, as matrices: a diagonal field's d
+    on the diagonal, other g symmetrized, halved before the sum so that
+    entries near the float limit do not overflow."""
     if field.diagonal:
         return _on_diagonals(g)
     return 0.5 * g + 0.5 * g.swapaxes(-1, -2)
+
+
+def _evaluate(field, x, t=None):
+    """evaluate_metric on an already validated chart point, or on the rows of
+    an (N, n) array of them with t one time for every row or one per row:
+    the dimension check and the domain guard still apply."""
+    return _matrix(field, _components(field, x, t))
 
 
 def evaluate_metric(field, x, t=None):
@@ -291,53 +295,43 @@ def _kinetic_form(field, x, p, t=None):
     return _quadratic_form(_inverse(field, _points(x), t), p)
 
 
-def _fd_steps(x):
-    return FD_SCALE * np.maximum(1.0, np.abs(x))
-
-
-def _central_differences(f, x):
-    """D[k] = (f(x + h_k e_k) - f(x - h_k e_k)) / (2 h_k), h = 1e-6 * max(1, |x|).
-
-    Shared by metric, potential and lift partials; f may be scalar- or
-    array-valued and is responsible for refusing stencil points off its chart.
-    """
-    h = _fd_steps(x)
+def _complex_step(f, x, role, name):
+    """D[k] = Im f(x + i h e_k) / h, h = CS_STEP: the derivatives of f at the
+    real point x, from one call per coordinate, at one complex point.  A call
+    that refuses it (TypeError; ComplexWarning as an error) or returns no
+    complex value raises ValueError naming the role and the owner's name."""
     rows = []
     for k in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h[k]
-        xm[k] -= h[k]
-        rows.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h[k]))
-    return np.array(rows, dtype=float)
-
-
-def _stencil_point(field, y):
-    """y itself, once the field's guard accepts it as a stencil point."""
-    if not field.valid(y):
-        raise DomainViolation(
-            f"finite-difference stencil point {y.tolist()} exits the "
-            f"chart of metric '{field.name}'"
-        )
-    return y
+        z = x.astype(complex)
+        z[k] += 1j * CS_STEP
+        try:
+            value = np.asarray(f(z))
+            if value.dtype.kind != "c":
+                raise TypeError(f"it returned {value.dtype} values")
+        except (TypeError, np.exceptions.ComplexWarning) as exc:
+            raise ValueError(f"{role} '{name}' is not complex-analytic at {z.tolist()} ({exc}); "
+                             "derivatives without an analytic form are complex steps, and "
+                             "a constant reads 0.0 * x[0] + c") from exc
+        rows.append(value.imag)
+    return np.array(rows) / CS_STEP
 
 
 def _partials(field, x, t=None):
     """D[k] = d/dx^k of the field's components at a validated chart point:
     of the matrix, or of d for a diagonal field, D[k, i] = d d_i / d x^k.
-    The field's analytic partials when given, otherwise central differences."""
+    The field's analytic partials when given, otherwise complex steps."""
     if field.partials is not None:
         return np.asarray(_at(field.partials, x, t, field.time_dependent), dtype=float)
-    evaluate = _components if field.diagonal else _evaluate
-    return _central_differences(lambda y: evaluate(field, _stencil_point(field, y), t), x)
+    D = _complex_step(lambda z: _at(field.components, z, t, field.time_dependent), x,
+                      "components of metric", field.name)
+    return D if field.diagonal else _matrix(field, D)
 
 
 def metric_partials(field, x, t=None):
     """Partial derivatives of the metric: D[k, i, j] = d g_ij / d x^k.
 
-    Uses the field's analytic partials when available, otherwise central
-    differences with per-coordinate steps h_k = 1e-6 * max(1, |x^k|).
-    The point and every stencil point must satisfy the domain guard.
+    Uses the field's analytic partials when available, otherwise complex
+    steps, exact to rounding; the domain guard applies at the point.
     """
     x = coordinate_point(x)
     _check_point(field, x)
@@ -367,7 +361,7 @@ def flat_metric(dim):
     zeros = np.zeros((dim, dim))
 
     def components(x):
-        d = np.empty(x.shape)
+        d = np.empty_like(x)
         d.fill(1.0)
         return d
 
@@ -386,7 +380,7 @@ def polar_metric():
     field."""
 
     def components(x):
-        d = np.empty(x.shape)
+        d = np.empty_like(x)
         d[0], d[1] = 1.0, x[0] * x[0]
         return d
 

@@ -21,9 +21,8 @@ class MechanicalSystem:
 
     U has signature U(x), or U(x, t) when time_dependent is set.  grad_U is an
     optional analytic gradient with the same signature, read by the flows and
-    by both lifts; central differences, whose stencil points must lie on the
-    chart of g, are used when it is absent.  E labels the energy hypersurface
-    a scenario works on.
+    by both lifts; without it complex steps take the gradient, and U must be
+    complex-analytic.  E labels the energy hypersurface a scenario works on.
 
     U takes one point or the columns of N points as MetricField.components
     does and gives (N,) values for the columns, so a constant reads 0.0 *

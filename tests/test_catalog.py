@@ -1,5 +1,7 @@
 """Catalog entries: printed scaled metrics against the generic transforms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from jacobiflow import (
     catalog_entry,
     evaluate_metric,
     flat_metric,
+    hamilton_rhs,
     invert_metric,
     jacobi_nonrelativistic,
     jacobi_relativistic_stationary,
@@ -362,15 +365,46 @@ def sympy_gradient(exprs, variables):
     return lambda x: np.array(exact(x[0], x[1]) + [[0.0] * len(exprs)], dtype=float)
 
 
-def assert_within_term_scale(got, exact, name):
+def assert_within_term_scale(got, exact, name, tol=1e-12):
     scale = max(1.0, float(np.max(np.abs(exact))))
-    assert np.max(np.abs(got - exact)) <= 1e-12 * scale, name
+    assert np.max(np.abs(got - exact)) <= tol * scale, name
 
 
-def test_generic_bertrand_without_derivatives_keeps_central_differences():
+def test_complex_step_partials_and_gradients_match_sympy():
+    # without the analytic forms every entry's chart partials and potential
+    # gradient come from complex steps, which subtract nothing: within 1e-13
+    # of the largest term at each point (the worst is 1.6e-15; central
+    # differences at h = 1e-6 max(1, |x|) read up to 6.2e-10)
+    forms, (r, th) = symbolic_forms()
+    rng = np.random.default_rng(19)
+    for entry, diagonal, U in forms:
+        chart = dataclasses.replace(entry.spatial, partials=None)
+        d_exact = sympy_gradient(diagonal, (r, th))
+        u_exact = None if U is None else sympy_gradient([U], (r, th))
+        if U is not None:
+            sys = MechanicalSystem(g=chart, U=entry.U, m=entry.params["m"], name=entry.name)
+        for x in sample_points(entry, 100, rng):
+            dd = np.array([np.diagonal(block) for block in metric_partials(chart, x)])
+            assert_within_term_scale(dd, d_exact(x), entry.name, tol=1e-13)
+            if U is not None:
+                # with p = 0 the momentum equation is p' = -grad U
+                _, dp = hamilton_rhs(sys, x, np.zeros(3))
+                assert_within_term_scale(-dp, u_exact(x)[:, 0], entry.name, tol=1e-13)
+
+
+def test_generic_bertrand_without_derivatives_takes_complex_steps():
     entry = bertrand(Gamma=lambda r: 1.0 / (1.0 + r), h=lambda r: 1.0, m=1.0)
     assert entry.spatial.partials is None and entry.grad_U is None
-    assert mechanical_system_from_entry(entry, E=0.5).grad_U is None
+    sys = mechanical_system_from_entry(entry, E=0.5)
+    assert sys.grad_U is None
+    # diag(1, r^2, r^2 sin^2 theta) and U = r / 2
+    x = np.array([1.5, 0.7, 0.2])
+    want = np.zeros((3, 3, 3))
+    want[0, 1, 1], want[0, 2, 2] = 3.0, 3.0 * np.sin(0.7) ** 2
+    want[1, 2, 2] = 2.25 * np.sin(1.4)
+    np.testing.assert_allclose(metric_partials(entry.spatial, x), want, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(hamilton_rhs(sys, x, np.zeros(3))[1], [-0.5, 0.0, 0.0],
+                               rtol=1e-15, atol=0)
 
 
 NAN = float("nan")

@@ -425,6 +425,9 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     ["curvature", "--E", "-0.5", "--prefix", ""],
     ["curvature", "--k", "-1", "--E", "-0.5"],
     ["curvature", "--k", "0", "--E", "-0.5"],
+    ["curvature", "--k", "1", "--E", "-0.5", "--r-min", "2.5", "--r-max", "5", "--samples", "20"],
+    ["transform", "--form", "relativistic", "--system", "schwarzschild", "--M", "3", "--m", "1",
+     "--E-rel", "0.9", "--grid-min", "0.5", "--grid-max", "5", "--samples", "20"],
 ], ids=["free-mass", "lift-mass", "lift-kappa", "lift-c", "lift-q", "lift-span",
         "initial-3d", "record-negative", "atol-negative", "initial-text", "initial-off-chart",
         "jacobi-at-turning-point", "lift-span-zero", "lift-record-zero",
@@ -434,7 +437,8 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
         "timedep-lift-unread-kappa", "static-lift-unread-amp", "text-number", "flow-choice",
         "unknown-flag", "no-system", "curvature-span", "catalog-E", "curvature-m",
         "relativistic-transform-unread-E", "empty-prefix",
-        "curvature-k-negative", "curvature-k-zero"])
+        "curvature-k-negative", "curvature-k-zero", "curvature-no-radius-on-chart",
+        "transform-no-radius-on-chart"])
 def test_refused_input_exits_two_without_output(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2

@@ -255,7 +255,8 @@ def test_hamilton_flow_crosses_turning_radius():
 
 
 def test_domain_violation_terminates_cleanly():
-    gfield = MetricField(dim=1, components=lambda x: np.eye(1), guard=lambda x: x[0] < 2.0)
+    gfield = MetricField(dim=1, components=lambda x: np.eye(1) + 0.0 * x[0],
+                         guard=lambda x: x[0] < 2.0)
     sys = MechanicalSystem(g=gfield, U=lambda x: 0.0, m=1.0, grad_U=lambda x: np.zeros(1))
     traj = integrate(hamilton_flow(sys), FlowState(np.zeros(1), np.ones(1)), 5.0)
     assert traj.termination == "domain_violation"

@@ -321,7 +321,7 @@ def test_lifted_rhs_sigma_equation_is_exactly_zero():
 
 
 def breathing_metric():
-    """A non-diagonal, time-dependent 2-d base with finite-difference partials."""
+    """A non-diagonal, time-dependent 2-d base with complex-step partials."""
 
     def components(x, t):
         off = 0.1 * np.sin(x[1] + t)
@@ -333,12 +333,15 @@ def breathing_metric():
 
 
 def inverse_partials_against_fd(lift, point):
-    # the same inverse components without the partials hook take the
-    # finite-difference route of metric_partials
-    fd_field = MetricField(dim=lift.inverse.dim, components=lift.inverse.components,
-                           guard=lift.inverse.guard)
+    # central differences of the inverse components, h = 1e-6 max(1, |x|),
+    # taken here: the components run through the real-valued inversion of
+    # the base metric, so the package's complex-step fallback cannot
+    # differentiate them
     closed = metric_partials(lift.inverse, point)
-    numeric = metric_partials(fd_field, point)
+    h = 1e-6 * np.maximum(1.0, np.abs(point))
+    numeric = np.array([(evaluate_metric(lift.inverse, point + step)
+                         - evaluate_metric(lift.inverse, point - step)) / (2.0 * step[k])
+                        for k, step in enumerate(np.diag(h))])
     assert closed.shape == (lift.inverse.dim,) * 3
     assert np.max(np.abs(closed)) > 0.1
     np.testing.assert_allclose(closed, numeric, rtol=1e-6, atol=1e-12)
@@ -349,7 +352,7 @@ def inverse_partials_against_fd(lift, point):
 
 
 def static_V(y):
-    return 0.5 * float(y @ y) + 0.3 * y[0] + 1.0
+    return 0.5 * (y * y).sum(axis=0) + 0.3 * y[0] + 1.0
 
 
 def static_grad_V(y):
@@ -376,7 +379,7 @@ def test_static_inverse_partials_match_fd(base, x, grad_U, kappa):
 
 
 def timedep_U(y, t):
-    return 0.5 * (1.0 + 0.3 * np.sin(2.0 * t)) * float(y @ y) + 0.2 * y[0] * t
+    return 0.5 * (1.0 + 0.3 * np.sin(2.0 * t)) * (y * y).sum(axis=0) + 0.2 * y[0] * t
 
 
 def timedep_grad_U(y, t):
@@ -401,20 +404,21 @@ def test_timedep_inverse_partials_match_fd(base, x, grad_U):
         assert (D[:n, n + 1, n + 1] == -2.0 * grad_U(point[:n], point[n]) / (1.3 * 1.7 * 1.7)).all()
 
 
-def test_lift_inverse_partials_refuse_stencil_off_chart():
-    # analytic half-line chart: x = 1e-7 is on it, the potential's stencil
-    # point x - 1e-6 is not
-    half_line = MetricField(dim=1, components=lambda x: np.eye(1),
-                            partials=lambda x: np.zeros((1, 1, 1)),
-                            guard=lambda x: x[0] > 0.0, name="half_line")
-    static = lift_static(MechanicalSystem(g=half_line, U=lambda y: 1.0 + y[0], m=1.0))
-    timedep = lift_time_dependent(MechanicalSystem(g=half_line, U=lambda y, t: 1.0 + y[0] * t,
-                                                   m=1.0, time_dependent=True))
-    for lift in (static, timedep):
-        n = lift.inverse.dim
-        x = np.array([1e-7] + [0.5] * (n - 1))
-        with pytest.raises(DomainViolation, match="stencil"):
-            lifted_rhs(lift)(0.0, x, np.ones(n))
+def test_forced_oscillator_time_partial_is_exact():
+    # the command line's forced oscillator U = (1 + amp sin t) lam |x|^2 / 2:
+    # the lift's potential entry takes dU/dt = amp cos t lam |x|^2 / 2 from a
+    # complex step in t, to rounding
+    amp, lam, m, c = 0.2, 1.3, 1.1, 1.4
+    sys = MechanicalSystem(
+        g=flat_metric(2),
+        U=lambda x, t: 0.5 * (1.0 + amp * np.sin(t)) * lam * (x * x).sum(axis=0), m=m,
+        time_dependent=True, grad_U=lambda x, t: (1.0 + amp * np.sin(t)) * lam * x)
+    lift = lift_time_dependent(sys, c=c)
+    for t in (0.0, 0.9, 2.5, -40.0):
+        xe = np.array([0.8, -1.3, t, 0.4])
+        dUdt = 0.5 * amp * np.cos(t) * lam * (0.8 * 0.8 + 1.3 * 1.3)
+        D = metric_partials(lift.inverse, xe)
+        assert D[2, 3, 3] == pytest.approx(-2.0 * dUdt / (m * c * c), rel=1e-14, abs=0.0), t
 
 
 def test_each_lifted_rhs_call_inverts_the_base_metric_once(monkeypatch):

@@ -18,6 +18,8 @@ from jacobiflow import (
     hamilton_rhs,
     invert_metric,
     jacobi_rhs,
+    lift_time_dependent,
+    lifted_rhs,
     metric_partials,
     polar_metric,
 )
@@ -328,8 +330,8 @@ class TestDiagonalRoute(unittest.TestCase):
             ([1.0, above, -1.0], None),
         ]
         for d, refusal in cases:
-            field = MetricField(dim=3, components=lambda x, d=d: np.array(d), name="fixed",
-                                guard=lambda x: x[0] > 0.0, diagonal=True)
+            field = MetricField(dim=3, components=lambda x, d=d: np.array(d) + 0.0 * x[0],
+                                name="fixed", guard=lambda x: x[0] > 0.0, diagonal=True)
             twin = generic_twin(field)
             for route in (_inverse, through_the_rhs):
                 outcome = self.assert_same_outcome(field, twin, np.array([1.0, 2.0, 3.0]), route)
@@ -347,8 +349,8 @@ class TestDiagonalRoute(unittest.TestCase):
 
     def test_entries_near_the_float_limit_invert_on_both_routes(self):
         # g + g^T overflows for these entries; the symmetrization halves first
-        field = MetricField(dim=2, components=lambda x: np.array([1e308, 1e300]), name="huge",
-                            diagonal=True)
+        field = MetricField(dim=2, components=lambda x: np.array([1e308, 1e300]) + 0.0 * x[0],
+                            name="huge", diagonal=True)
         outcome = self.assert_same_outcome(field, generic_twin(field), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(outcome, np.diag(1.0 / np.array([1e308, 1e300])))
         self.assert_same_outcome(field, generic_twin(field), np.array([1.0, 2.0]), through_the_rhs)
@@ -373,9 +375,9 @@ class TestPartials(unittest.TestCase):
         self.assertLess(worst, 1e-6)
 
     def test_fd_partials_match_sympy(self):
-        # central differences on a chart without analytic partials, against
-        # the symbolic derivative of the same components (the worst
-        # difference over these points is 8.5e-9)
+        # complex steps on a chart without analytic partials, against the
+        # symbolic derivative of the same components (the worst difference
+        # over these points is 1.4e-14; central differences read 8.5e-9)
         import sympy
 
         r, th, ph = sympy.symbols("r theta phi")
@@ -395,14 +397,33 @@ class TestPartials(unittest.TestCase):
 
     def test_stencil_exit_raises(self):
         field = schwarzschild_spatial(1.0)
-        # valid point, but the finite-difference stencil pokes past the horizon
+        # the guard's own margin, 1e-9 M past the horizon, is refused before
+        # any derivative is taken
         with self.assertRaises(DomainViolation):
             metric_partials(field, coordinate_point([2.0 + 1e-9, np.pi / 2, 0.0]))
 
+    def test_fallbacks_refuse_callables_that_are_not_complex_analytic(self):
+        # complex steps need complex values back: a float() potential and a
+        # real constant component are refused by name, not differentiated
+        # as zero
+        polar = polar_metric()
+        floated = MechanicalSystem(g=polar, U=lambda x: float(-1.0 / x[0]), m=1.0,
+                                   name="floated")
+        with self.assertRaisesRegex(ValueError, "potential of system 'floated'"):
+            hamilton_rhs(floated, [1.5, 0.3], [0.0, 1.0])
+        constant = MetricField(dim=2, components=lambda x: np.array([1.0, 2.0]),
+                               name="constant", diagonal=True)
+        with self.assertRaisesRegex(ValueError, "components of metric 'constant'"):
+            metric_partials(constant, [1.5, 0.3])
+        # written as 0.0 * x[0] + c the same constant is accepted
+        accepted = MetricField(dim=2, components=lambda x: np.array([1.0, 2.0]) + 0.0 * x[0],
+                               name="constant", diagonal=True)
+        np.testing.assert_array_equal(metric_partials(accepted, [1.5, 0.3]), 0.0)
+
 
 class TestDomainGuardAtEveryPoint(unittest.TestCase):
-    """Points are validated once per public call; the guard still runs at
-    the point and at every finite-difference stencil point."""
+    """Points are validated once per public call, the guard running at the
+    point; derivatives without an analytic form read no other real point."""
 
     def system(self):
         return MechanicalSystem(g=schwarzschild_spatial(1.0), U=lambda x: -1.0 / x[0],
@@ -412,21 +433,55 @@ class TestDomainGuardAtEveryPoint(unittest.TestCase):
         with self.assertRaises(DomainViolation):
             hamilton_rhs(self.system(), [1.5, np.pi / 2, 0.0], [0.0, 1.0, 0.0])
 
-    def test_hamilton_rhs_stencil_exit(self):
-        x = [2.0 + 1e-8, np.pi / 2, 0.0]
-        self.assertTrue(self.system().g.valid(np.array(x)))
-        with self.assertRaisesRegex(DomainViolation, "stencil"):
-            hamilton_rhs(self.system(), x, [0.0, 1.0, 0.0])
+    def test_derivatives_at_a_chart_edge_read_only_the_point(self):
+        # 1e-9 inside the edge r > 1 of a chart without analytic partials, a
+        # system over it without grad_U and its time-dependent lift: the
+        # derivatives match sympy, and every callable is handed the point
+        # (and the time) or the point plus an imaginary step, no other real
+        # point; the guard sees only the real point
+        import sympy
 
-    def test_hamilton_rhs_potential_stencil_exit(self):
-        # no grad_U: the potential's central differences at x = 1e-7 would
-        # read U at x - 1e-6, off the half-line chart
-        half_line = MetricField(dim=1, components=lambda x: np.ones(1),
-                                partials=lambda x: np.zeros((1, 1)), guard=lambda x: x[0] > 0.0,
-                                name="half_line", diagonal=True)
-        sys = MechanicalSystem(g=half_line, U=lambda x: 1.0 + x[0], m=1.0)
-        with self.assertRaisesRegex(DomainViolation, "stencil"):
-            hamilton_rhs(sys, [1e-7], [1.0])
+        r, ph, tau = sympy.symbols("r phi tau")
+        g = sympy.Matrix([[1 + r ** 2, r * sympy.sin(ph) / 10],
+                          [r * sympy.sin(ph) / 10, r ** 2]])
+        U = (1 + sympy.sin(tau) / 5) / r + r * sympy.cos(ph) / 3
+        exact = sympy.lambdify((r, ph, tau), [g.diff(r), g.diff(ph), U.diff(r), U.diff(ph),
+                                              U.diff(tau)], "numpy")
+        calls, guarded = [], []
+
+        def components(x):
+            calls.append((np.array(x), None))
+            off = 0.1 * (x[0] * np.sin(x[1]))
+            return np.array([[1.0 + x[0] * x[0], off], [off, x[0] * x[0]]])
+
+        def potential(x, t):
+            calls.append((np.array(x), t))
+            return (1.0 + np.sin(t) / 5.0) / x[0] + x[0] * np.cos(x[1]) / 3.0
+
+        def guard(x):
+            guarded.append(np.array(x))
+            return x[0] > 1.0
+
+        field = MetricField(dim=2, components=components, guard=guard, name="edge")
+        sys = MechanicalSystem(g=field, U=potential, m=1.3, time_dependent=True, name="edge")
+        x, t = np.array([1.0 + 1e-9, 0.4]), 0.7
+        dg_r, dg_ph, dU_r, dU_ph, dU_t = exact(*x, t)
+        scale = 1e-13 * max(1.0, np.max(np.abs(dg_r)), np.max(np.abs(dg_ph)))
+        self.assertLess(np.max(np.abs(metric_partials(field, x) - [dg_r, dg_ph])), scale)
+        _, dp = hamilton_rhs(sys, x, np.zeros(2), t)
+        self.assertLess(np.max(np.abs(dp + [dU_r, dU_ph])), 1e-13 * max(1.0, abs(dU_r)))
+        lift = lift_time_dependent(sys, c=1.7)
+        xe = np.array([*x, t, -0.2])
+        lifted_rhs(lift)(0.0, xe, np.ones(4))
+        D = metric_partials(lift.inverse, xe)
+        np.testing.assert_allclose(D[:, 3, 3], -2.0 * np.array([dU_r, dU_ph, dU_t, 0.0])
+                                   / (1.3 * 1.7 * 1.7), rtol=1e-13, atol=1e-16)
+        self.assertTrue(calls and guarded)
+        for point, time in calls:
+            self.assertTrue((point.real == x).all(), point)
+            self.assertTrue(time is None or time.real == t, time)
+        for point in guarded:
+            self.assertTrue(np.isrealobj(point) and (point == x).all(), point)
 
     def test_analytic_chart_outside_guard(self):
         sys = MechanicalSystem(g=polar_metric(), U=lambda x: 0.0, m=1.0)

@@ -12,14 +12,17 @@ stepper is per accepted step of DOP853 on the harmonic oscillator y'' = -y.
 The monitors are per row of one call over 1000 recorded states: Kepler's
 energy and the static lift's flow Hamiltonian.  The curvature is per point
 of the CLI's scan (Kepler profile, k = 1, E = -0.5, at r = 1.2), and CSV
-writing is per row of one write_csv call of 1000 rows of 7 values.  One
-entry is a count, not a time: kepler.nfev_per_step, the right-hand-side
+writing is per row of one write_csv call of 1000 rows of 7 values.
+metric.partials.fallback is one complex-step _partials call on Kerr's
+spatial chart (M = 1, a = 0.6) without its analytic partials, at r = 10,
+theta = 1.  One entry is a count, not a time: kepler.nfev_per_step, the right-hand-side
 evaluations per accepted step of Kepler's time flow over one period of the
 e = 0.5 ellipse on a 1000-point record grid, read from the run's
 Trajectory.stats.
 Compare times only when taken on the same machine in one session.
 """
 
+import dataclasses
 import json
 import sys
 import tempfile
@@ -34,7 +37,8 @@ from jacobiflow import FlowState, flow, lift  # noqa: E402
 from jacobiflow.catalog import catalog_entry, mechanical_system_from_entry  # noqa: E402
 from jacobiflow.cli import write_csv  # noqa: E402
 from jacobiflow.curvature import gaussian_curvature_numeric, kepler_profile  # noqa: E402
-from jacobiflow.metric import _inverse, flat_metric, invert_metric, polar_metric  # noqa: E402
+from jacobiflow.metric import (  # noqa: E402
+    _inverse, _partials, flat_metric, invert_metric, polar_metric)
 from jacobiflow.transforms import MechanicalSystem, energy_from_state  # noqa: E402
 
 REPEATS = 7
@@ -57,6 +61,9 @@ def layer_timings(number=2000):
         m=1.0, time_dependent=True, grad_U=lambda x, t: (1.0 + 0.3 * np.sin(t)) * x)))
     xk, pk = np.array([1.2, 0.4]), np.array([0.3, 0.9])
     xs, ps = np.array([10.0, np.pi / 2, 0.0]), np.array([0.1, 0.0, 3.5])
+    kerr_chart = dataclasses.replace(catalog_entry("kerr", M=1.0, a=0.6, m=1.0).spatial,
+                                     partials=None)
+    xr = np.array([10.0, 1.0, 0.0])
     xl, pl = np.array([0.5, 0.0]), np.array([0.2, 1.0])
     xt, pt = np.array([0.5, 0.7, 0.0]), np.array([-0.2, 1.1, 1.0])
     rng = np.random.default_rng(0)
@@ -86,6 +93,7 @@ def layer_timings(number=2000):
         "timedep.lifted_rhs": lambda: timedep(0.0, xt, pt),
         "metric._inverse.polar": lambda: _inverse(kepler.g, xk),
         "metric.invert_metric.2x2": lambda: invert_metric(g),
+        "metric.partials.fallback": lambda: _partials(kerr_chart, xr),
         "flow.stepper.per_step": stepper.step,
         "curvature.per_point": lambda: gaussian_curvature_numeric(bound, 1.2),
     }
