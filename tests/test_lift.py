@@ -421,6 +421,29 @@ def test_forced_oscillator_time_partial_is_exact():
         assert D[2, 3, 3] == pytest.approx(-2.0 * dUdt / (m * c * c), rel=1e-14, abs=0.0), t
 
 
+def test_lift_inverse_partials_refuse_stencil_off_chart():
+    # analytic half-line chart: at x = 1e-7 a central-difference stencil
+    # would read the potential at x - 1e-6, off the chart; the complex steps
+    # in x and t stay on it and give the closed-form geodesic equations
+    half_line = MetricField(dim=1, components=lambda x: np.eye(1),
+                            partials=lambda x: np.zeros((1, 1, 1)),
+                            guard=lambda x: x[0] > 0.0, name="half_line")
+    static = lift_static(MechanicalSystem(g=half_line, U=lambda y: 1.0 + y[0], m=1.0))
+    timedep = lift_time_dependent(MechanicalSystem(g=half_line, U=lambda y, t: 1.0 + y[0] * t,
+                                                   m=1.0, time_dependent=True))
+    y, t = 1e-7, 0.5
+    # static, kappa = 2: G^AB = diag(1, 2U) and d_y G^zz = 2
+    expected_static = ([1.0, 2.0 * (1.0 + y)], [-1.0, 0.0])
+    # G^AB over (y, t, sigma) at c = 1: d_y G^ss = -2t and d_t G^ss = -2y
+    expected_timedep = ([-1.0, 1.0, 1.0 - 2.0 * (1.0 + y * t)], [t, y, 0.0])
+    for lift, (dx_exact, dp_exact) in ((static, expected_static), (timedep, expected_timedep)):
+        n = lift.inverse.dim
+        x = np.array([y] + [t] * (n - 1))
+        dx, dp = lifted_rhs(lift)(0.0, x, np.ones(n))
+        np.testing.assert_allclose(dx, dx_exact, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(dp, dp_exact, rtol=1e-14, atol=1e-16)
+
+
 def test_each_lifted_rhs_call_inverts_the_base_metric_once(monkeypatch):
     # G^AB and its partials come from one inversion of the base metric,
     # counted at every binding of metric._inverse

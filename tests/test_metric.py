@@ -433,6 +433,38 @@ class TestDomainGuardAtEveryPoint(unittest.TestCase):
         with self.assertRaises(DomainViolation):
             hamilton_rhs(self.system(), [1.5, np.pi / 2, 0.0], [0.0, 1.0, 0.0])
 
+    def test_hamilton_rhs_stencil_exit(self):
+        # 1e-8 outside the horizon, where a central-difference stencil would
+        # leave the chart, the complex step in r gives the closed forms
+        # dx = (0, 1/r^2, 0) and dp = (1/r^3 - 1/r^2, 0, 0)
+        x = [2.0 + 1e-8, np.pi / 2, 0.0]
+        self.assertTrue(self.system().g.valid(np.array(x)))
+        dx, dp = hamilton_rhs(self.system(), x, [0.0, 1.0, 0.0])
+        r = x[0]
+        np.testing.assert_allclose(dx, [0.0, r ** -2, 0.0], rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(dp, [r ** -3 - r ** -2, 0.0, 0.0], rtol=1e-14, atol=1e-16)
+
+    def test_hamilton_rhs_potential_stencil_exit(self):
+        # no grad_U: at x = 1e-7, where central differences would read U at
+        # x - 1e-6 off the half-line chart, the complex step gives dU/dx = 1
+        # exactly and U is handed no real point but x
+        seen = []
+
+        def potential(x):
+            seen.append(np.array(x))
+            return 1.0 + x[0]
+
+        half_line = MetricField(dim=1, components=lambda x: np.ones(1),
+                                partials=lambda x: np.zeros((1, 1)), guard=lambda x: x[0] > 0.0,
+                                name="half_line", diagonal=True)
+        sys = MechanicalSystem(g=half_line, U=potential, m=1.0)
+        dx, dp = hamilton_rhs(sys, [1e-7], [1.0])
+        np.testing.assert_array_equal(dx, [1.0])
+        np.testing.assert_array_equal(dp, [-1.0])
+        self.assertTrue(seen)
+        for point in seen:
+            self.assertEqual(point.real[0], 1e-7)
+
     def test_derivatives_at_a_chart_edge_read_only_the_point(self):
         # 1e-9 inside the edge r > 1 of a chart without analytic partials, a
         # system over it without grad_U and its time-dependent lift: the
