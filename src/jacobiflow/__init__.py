@@ -47,7 +47,6 @@ from .flow import (
     integrate,
     compare_paths,
     max_relative_drift,
-    turning_eps,
 )
 from .curvature import (
     profile_from_potential,

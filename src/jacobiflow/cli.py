@@ -516,19 +516,18 @@ def run_orbit(scn):
     integration = scn["integration"]
     record = integration.get("record")
     grid = int(record) if record else None
-    monitors = {"energy": lambda t, X, P: energy_from_state(sys, X, P)}
     if flow_kind == "jacobi":
         _require_on_shell(sys, start)
-        monitors["unit_momentum"] = lambda s, X, P: unit_momentum_hamiltonian(sys, X, P)
         rhs = jacobi_flow(sys)
     else:
         rhs = hamilton_flow(sys)
     traj = integrate(rhs, start, span, rtol=integration["rtol"],
-                     atol=integration["atol"], monitor_fns=monitors, record_grid=grid)
-    energy = traj.monitors["energy"]
+                     atol=integration["atol"], record_grid=grid)
+    energy = traj.monitors["energy"] = energy_from_state(sys, traj.x, traj.p)
     drifts = {"energy": float(np.max(np.abs(energy - energy[0])))}
     if flow_kind == "jacobi":
-        drifts["unit_momentum"] = float(np.max(np.abs(traj.monitors["unit_momentum"] - 1.0)))
+        unit = traj.monitors["unit_momentum"] = unit_momentum_hamiltonian(sys, traj.x, traj.p)
+        drifts["unit_momentum"] = float(np.max(np.abs(unit - 1.0)))
     if sys.g.dim == 2:
         p_phi = traj.p[:, 1]
         drifts["angular_momentum"] = float(np.max(np.abs(p_phi - p_phi[0])))

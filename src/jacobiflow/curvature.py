@@ -81,6 +81,8 @@ def kepler_curvature(k, E, r):
 
 def classify_orbit(E):
     """Orbit regime from the energy sign: bound, marginal, or escape."""
+    if not math.isfinite(E):
+        raise ValueError(f"the energy must be finite, got {E!r}")
     if E < 0.0:
         return "ellipse"
     if E == 0.0:
@@ -90,6 +92,8 @@ def classify_orbit(E):
 
 def kepler_eccentricity(E, L, m=1.0, k=1.0):
     """Two-body eccentricity e = sqrt(1 + 2 E L^2 / (m k^2))."""
+    if not all(map(math.isfinite, (E, L, m, k))):
+        raise ValueError(f"E, L, m and k must be finite, got {E!r}, {L!r}, {m!r}, {k!r}")
     radicand = 1.0 + 2.0 * E * L * L / (m * k * k)
     if radicand < 0.0:
         raise ValueError(f"eccentricity undefined: radicand = {radicand:.6g}")
@@ -98,6 +102,8 @@ def kepler_eccentricity(E, L, m=1.0, k=1.0):
 
 def classify_eccentricity(e):
     """Regime of an eccentricity value, with a tolerance band of 1e-6 at e = 1."""
+    if not 0.0 <= e < math.inf:
+        raise ValueError(f"an eccentricity must be finite and nonnegative, got {e!r}")
     if abs(e - 1.0) <= 1e-6:
         return "parabola"
     return "ellipse" if e < 1.0 else "hyperbola"

@@ -1,10 +1,10 @@
 """Phase-space flows: canonical equations, rescaled geodesic equations,
-adaptive integration, invariant monitoring, path comparison.
+adaptive integration, invariants, path comparison.
 
 The time flow and the rescaled flow describe the same configuration paths at
 different pacing; the integrator here makes that testable by recording
-states as columns, with each monitor evaluated once per run over the
-recorded arrays, and by resampling paths to a parameter-free common grid.
+states as columns, over which each invariant is evaluated once per run, and
+by resampling paths to a parameter-free common grid.
 """
 
 import functools
@@ -72,7 +72,8 @@ class FlowState:
 @dataclass
 class Trajectory:
     """A recorded run as columns: strictly increasing params (N,), x and p
-    (N, n), monitors mapping names to (N,) arrays, a termination of
+    (N, n), monitors mapping names to (N,) arrays (integrate records only
+    'pacing'; integrate_lifted adds its invariants), a termination of
     'completed', 'turning_point', 'domain_violation' or 'step_failure', the
     reason: the message of what ended the run early, '' if it completed, and
     the stepper's counts as stats: 'accepted_steps', 'rejected_steps' and
@@ -196,10 +197,10 @@ def unit_momentum_hamiltonian(sys, x, p):
 def clairaut_constant(sys, x, p, parameter_kind="time_t"):
     """Angular invariant of planar motion in a spherically symmetric chart.
 
-    In the time parametrization this is m r^2 dphi/dt; in the rescaled
-    parametrization it is 2m r^2 (E - U) dphi/ds.  Both are evaluated from
-    the momenta p at x through the corresponding flow equations, and agree
-    at corresponding points.
+    "time_t" returns m r^2 dphi/dt and "jacobi_s" returns 2m r^2 (E - U)
+    dphi/ds, each from the momenta p at x through its flow's equations.  On
+    a chart with g_phiphi = r^2 the first is p_phi and the second p_phi / m:
+    the two agree only at m = 1.
     """
     x = coordinate_point(x)
     r = float(x[0])
@@ -414,30 +415,7 @@ def _stalled_at_turn(system, x):
     return gap if gap <= STALL_GAP * max(1.0, abs(system.E)) else None
 
 
-def _trajectory(rows, n, monitor_fns, termination, reason, stats):
-    """The recorded blocks of rows as a Trajectory, each monitor evaluated
-    once over the recorded arrays, and a pacing column (when y carries one)
-    under 'pacing'.  A monitor whose result is not one value per row raises
-    ValueError: a per-state monitor fn(param, x, p) handed the arrays
-    returns some other shape instead of a wrong column."""
-    table = np.concatenate(rows)
-    params, x, p = table[:, 0], table[:, 1:n + 1], table[:, n + 1:2 * n + 1]
-    monitors = {}
-    for name, fn in (monitor_fns or {}).items():
-        column = np.array(fn(params, x, p), dtype=float)
-        if column.shape != params.shape:
-            raise ValueError(
-                f"monitor '{name}' returned shape {column.shape} for {params.size} "
-                f"recorded states: a monitor maps the arrays (params, X, P) to "
-                f"one value per state, shape ({params.size},)")
-        monitors[name] = column
-    if table.shape[1] > 2 * n + 1:
-        monitors["pacing"] = table[:, -1]
-    return Trajectory(params, x, p, monitors, termination, reason, stats)
-
-
-def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
-              pacing=None, record_grid=None):
+def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_grid=None):
     """Integrate a flow from its launch at parameter 0 over (0, span] and
     return its trajectory, up to where the run ended.
 
@@ -448,13 +426,9 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
     trajectory's stats count its accepted and rejected steps and its rhs
     evaluations, nfev.
 
-    monitor_fns maps names to fn(params, X, P) -> (N,), evaluated once after
-    the run over the recorded arrays: params (N,), X and P (N, n), one row per
-    recorded state (the launch, then each accepted step or grid point).  The
-    package's invariants take such rows directly, so a monitor such as
-    lambda s, X, P: energy_from_state(sys, X, P) costs one stacked
-    inversion per run.  A result of any other shape raises ValueError.
-    pacing, when given, is an auxiliary rate integrated alongside the state
+    The package's invariants take the recorded rows directly, so a caller
+    reads one off the returned arrays, energy_from_state(sys, traj.x,
+    traj.p), from one stacked inversion per run.  pacing, when given, is an auxiliary rate integrated alongside the state
     at full accuracy and recorded cumulatively as the monitor 'pacing' (used
     to map between parametrizations without quadrature loss).
 
@@ -558,9 +532,11 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, monitor_fns=None,
                           f"{STALL_GAP:g} of the turning surface: {failure}")
             break
 
+    table = np.concatenate(rows)
     stats = {"accepted_steps": stepper.accepted, "rejected_steps": stepper.rejected,
              "nfev": stepper.nfev}
-    return _trajectory(rows, n, monitor_fns, termination, reason, stats)
+    return Trajectory(table[:, 0], table[:, 1:n + 1], table[:, n + 1:2 * n + 1],
+                      {"pacing": table[:, -1]} if augmented else {}, termination, reason, stats)
 
 
 # ======================================================================

@@ -37,6 +37,7 @@ from .metric import (
     _matrix,
     _points,
     _quadratic_form,
+    _valid,
     coordinate_point,
 )
 from .transforms import MechanicalSystem, energy_from_state
@@ -87,7 +88,7 @@ def lift_static(sys, kappa=2.0):
     g, n, kappa = sys.g, sys.g.dim, float(kappa)
 
     def inv_guard(xe):
-        return g.valid(xe[:n].T)
+        return _valid(g, xe[:n].T)
 
     def ext_guard(xe):
         return inv_guard(xe) & (sys.potential(xe[:n].T) > 0.0)
@@ -133,7 +134,7 @@ def lift_time_dependent(sys, *, c=1.0):
     g, n, m, c = sys.g, sys.g.dim, sys.m, float(c)
 
     def ext_guard(xe):
-        return g.valid(xe[:n].T)
+        return _valid(g, xe[:n].T)
 
     def ext_components(xe):
         x, t = xe[:n].T, xe[n]
@@ -277,17 +278,16 @@ def sigma_momentum_identity(H_mech, p_t, q, m, c):
 
 def integrate_lifted(lifted, initial, span, *, rtol=1e-9, atol=1e-12,
                      record_grid=None):
-    """Integrate the lifted geodesic flow, always monitoring the flow
-    Hamiltonian and the dummy momentum (plus the energy-relation residual on
-    the time-dependent lift), each over the recorded arrays."""
-    fns = {
-        "extended_energy": lambda s, X, P: lifted_hamiltonian(lifted, X, P),
-        "p_dummy": lambda s, X, P: P[:, -1],
-    }
+    """Integrate the lifted geodesic flow; the flow Hamiltonian, the dummy
+    momentum and, on the time-dependent lift, the energy-relation residual
+    are then evaluated over the recorded arrays as the run's monitors."""
+    traj = integrate(lifted_rhs(lifted), initial, span, rtol=rtol, atol=atol,
+                     record_grid=record_grid)
+    traj.monitors["extended_energy"] = lifted_hamiltonian(lifted, traj.x, traj.p)
+    traj.monitors["p_dummy"] = traj.p[:, -1].copy()
     if lifted.kind == TIMEDEP_KIND:
-        fns["shell_residual"] = lambda s, X, P: lifted_energy_relation(lifted, X, P)
-    return integrate(lifted_rhs(lifted), initial, span, rtol=rtol, atol=atol,
-                     monitor_fns=fns, record_grid=record_grid)
+        traj.monitors["shell_residual"] = lifted_energy_relation(lifted, traj.x, traj.p)
+    return traj
 
 
 def project(traj, lifted):

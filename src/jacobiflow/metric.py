@@ -26,9 +26,9 @@ RCOND_MIN = 1e-12
 def coordinate_point(coords):
     """Validate and return a chart point as a 1-d float array.
 
-    Rejects empty, non-1-d, and non-finite input.
+    Rejects empty, non-1-d, complex and non-finite input.
     """
-    x = np.asarray(coords, dtype=float)
+    x = _real(coords)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("a chart point must be a non-empty 1-d sequence")
     # on a point's few coordinates Python's test costs less than numpy's
@@ -37,10 +37,18 @@ def coordinate_point(coords):
     return x
 
 
+def _real(coords):
+    """coords as a float array, refusing complex ones, which a cast would make real."""
+    x = np.asarray(coords)
+    if x.dtype.kind == "c":
+        raise ValueError(f"chart coordinates must be real, got {x.dtype} values")
+    return x if x.dtype == float else x.astype(float)
+
+
 def _points(x):
     """coordinate_point for one chart point, or for each row of an (N, n)
     array of chart points."""
-    x = np.asarray(x, dtype=float)
+    x = _real(x)
     if x.ndim != 2:
         return coordinate_point(x)
     if x.size == 0:
@@ -86,11 +94,15 @@ class MetricField:
 
     def valid(self, x):
         """Whether the guard accepts the point x, or (N,) flags over (N, dim) rows."""
-        x = np.asarray(x, dtype=float)
-        if self.guard is None:
-            return True if x.ndim == 1 else np.ones(len(x), dtype=bool)
-        ok = _call(self.guard, x, None, False, (), "guard of metric", self.name)
-        return bool(ok) if x.ndim == 1 else ok
+        return _valid(self, _points(x))
+
+
+def _valid(field, x):
+    """MetricField.valid on an already validated chart point or rows."""
+    if field.guard is None:
+        return True if x.ndim == 1 else np.ones(len(x), dtype=bool)
+    ok = _call(field.guard, x, None, False, (), "guard of metric", field.name)
+    return bool(ok) if x.ndim == 1 else ok
 
 
 def _at(fn, x, t, time_dependent):
@@ -128,7 +140,7 @@ def _check_point(field, x):
         raise ValueError(
             f"point has {x.shape[-1]} coordinates, metric '{field.name}' expects {field.dim}"
         )
-    ok = field.valid(x)
+    ok = _valid(field, x)
     if x.ndim == 2:
         x, ok = x[np.argmin(ok)], ok.all()
     if not ok:

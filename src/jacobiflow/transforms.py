@@ -6,6 +6,7 @@ time-dependent rescaling fed by lifted momenta, and its non-relativistic
 approximation.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,6 +41,8 @@ class MechanicalSystem:
     def __post_init__(self):
         if not self.m > 0:
             raise ValueError("mass must be positive")
+        if not all(map(math.isfinite, (self.m, 0.0 if self.E is None else self.E))):
+            raise ValueError(f"mass and energy must be finite, got m = {self.m!r}, E = {self.E!r}")
 
     def potential(self, x, t=None):
         """U at a validated chart point, or its (N,) values over (N, n) rows."""
@@ -65,6 +68,8 @@ class StationarySpacetime:
             raise ValueError("m must be positive")
         if not self.c > 0:
             raise ValueError("c must be positive")
+        if not all(map(math.isfinite, (self.m, self.c))):
+            raise ValueError(f"m and c must be finite, got m = {self.m!r}, c = {self.c!r}")
 
 
 @dataclass

@@ -11,6 +11,8 @@ from jacobiflow import (
     MechanicalSystem,
     StationarySpacetime,
     catalog_entry,
+    classify_eccentricity,
+    classify_orbit,
     evaluate_metric,
     flat_metric,
     hamilton_rhs,
@@ -18,6 +20,7 @@ from jacobiflow import (
     jacobi_nonrelativistic,
     jacobi_relativistic_stationary,
     jacobi_time_dependent,
+    kepler_eccentricity,
     kerr,
     lift_static,
     lift_time_dependent,
@@ -444,5 +447,32 @@ def unit_spacetime():
         "timedep-q", "timedep-q-inf", "spacetime-m", "spacetime-m-negative"])
 def test_mass_parameters_refuse_nan(build, refusal):
     # a comparison such as m <= 0 is false for NaN, which would let it through
+    with pytest.raises(ValueError, match=refusal):
+        build()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("build, refusal", [
+    (lambda: MechanicalSystem(g=flat_metric(1), U=lambda x: 0.0, m=INF),
+     "must be finite, got m = inf, E = None"),
+    (lambda: MechanicalSystem(g=flat_metric(1), U=lambda x: 0.0, m=1.0, E=NAN),
+     "must be finite, got m = 1.0, E = nan"),
+    (lambda: MechanicalSystem(g=flat_metric(1), U=lambda x: 0.0, m=1.0, E=-INF),
+     "must be finite, got m = 1.0, E = -inf"),
+    (lambda: StationarySpacetime(g=flat_metric(1), Vsq=lambda x: 1.0 + 0.0 * x[0], m=INF),
+     "must be finite, got m = inf, c = 1.0"),
+    (lambda: StationarySpacetime(g=flat_metric(1), Vsq=lambda x: 1.0 + 0.0 * x[0], c=INF),
+     "must be finite, got m = 1.0, c = inf"),
+    (lambda: classify_orbit(NAN), "energy must be finite, got nan"),
+    (lambda: classify_eccentricity(NAN), "finite and nonnegative, got nan"),
+    (lambda: classify_eccentricity(-5.0), "finite and nonnegative, got -5.0"),
+    (lambda: kepler_eccentricity(NAN, 1.0), "must be finite, got nan, 1.0, 1.0, 1.0"),
+], ids=["system-m-inf", "system-E-nan", "system-E-inf", "spacetime-m-inf", "spacetime-c-inf",
+        "orbit-E-nan", "eccentricity-nan", "eccentricity-negative", "kepler-E-nan"])
+def test_physics_inputs_off_contract_are_refused(build, refusal):
+    # each of these once returned a plausible value: U alone for an infinite
+    # mass, "hyperbola" for a NaN energy, "ellipse" for e = -5
     with pytest.raises(ValueError, match=refusal):
         build()

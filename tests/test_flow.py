@@ -165,28 +165,17 @@ def test_energy_drift_ten_periods():
     # the tight figure.
     sys = kepler()
     st = perihelion_state()
-    mon = {"energy": lambda t, X, P: energy_from_state(sys, X, P)}
-    e_tight = integrate(
-        hamilton_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon, rtol=1e-11, atol=1e-13
-    ).monitors["energy"]
-    assert max_relative_drift(e_tight) < 1e-9
-    e_default = integrate(hamilton_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon).monitors["energy"]
-    assert max_relative_drift(e_default) < 5e-8
+    tight = integrate(hamilton_flow(sys), st, 10 * T_ORBIT, rtol=1e-11, atol=1e-13)
+    assert max_relative_drift(energy_from_state(sys, tight.x, tight.p)) < 1e-9
+    default = integrate(hamilton_flow(sys), st, 10 * T_ORBIT)
+    assert max_relative_drift(energy_from_state(sys, default.x, default.p)) < 5e-8
 
 
 def test_unit_momentum_stays_one():
     sys = kepler()
     st = perihelion_state()
-    mon = {"htilde": lambda s, X, P: unit_momentum_hamiltonian(sys, X, P)}
-    traj = integrate(
-        jacobi_flow(sys),
-        st,
-        10 * T_ORBIT,
-        monitor_fns=mon,
-        rtol=1e-11,
-        atol=1e-13,
-    )
-    h = traj.monitors["htilde"]
+    traj = integrate(jacobi_flow(sys), st, 10 * T_ORBIT, rtol=1e-11, atol=1e-13)
+    h = unit_momentum_hamiltonian(sys, traj.x, traj.p)
     assert abs(h[0] - 1.0) < 1e-14
     assert np.max(np.abs(h - 1.0)) < 1e-8
 
@@ -197,16 +186,13 @@ def test_clairaut_constant_matches_momentum_and_never_drifts():
     R0 = clairaut_constant(sys, st.x, st.p, "time_t")
     assert R0 == st.p[1]
 
-    mon_t = {"R": lambda t, X, P: [clairaut_constant(sys, x, p, "time_t")
-                                   for x, p in zip(X, P)]}
-    Rt = integrate(hamilton_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon_t).monitors["R"]
+    timed = integrate(hamilton_flow(sys), st, 10 * T_ORBIT)
+    Rt = np.array([clairaut_constant(sys, x, p, "time_t") for x, p in zip(timed.x, timed.p)])
     assert np.max(np.abs(Rt - Rt[0])) < 1e-12
 
-    mon_s = {"R": lambda s, X, P: [clairaut_constant(sys, x, p, "jacobi_s")
-                                   for x, p in zip(X, P)]}
-    Rs = integrate(
-        jacobi_flow(sys), st, 10 * T_ORBIT, monitor_fns=mon_s
-    ).monitors["R"]
+    rescaled = integrate(jacobi_flow(sys), st, 10 * T_ORBIT)
+    Rs = np.array([clairaut_constant(sys, x, p, "jacobi_s")
+                   for x, p in zip(rescaled.x, rescaled.p)])
     assert np.max(np.abs(Rs - Rs[0])) < 1e-12
 
     # with m=1 both parametrizations report the same invariant value
@@ -333,14 +319,12 @@ def test_step_failure_partial_trajectory_carries_every_monitor_column():
     def blowup(t, x, p):
         return np.array([x[0] ** 2]), np.array([0.0])
 
-    monitors = {"x": lambda t, X, P: X[:, 0], "p": lambda t, X, P: P[:, 0]}
     partial = integrate(blowup, FlowState(np.ones(1), np.zeros(1)), 2.0,
-                        monitor_fns=monitors, pacing=lambda t, x, p: 1.0)
+                        pacing=lambda t, x, p: 1.0)
     assert partial.termination == "step_failure"
-    assert list(partial.monitors) == ["x", "p", "pacing"]
-    for column in partial.monitors.values():
-        assert column.shape == partial.params.shape
-    np.testing.assert_array_equal(partial.monitors["x"], partial.x[:, 0])
+    assert list(partial.monitors) == ["pacing"]
+    assert partial.monitors["pacing"].shape == partial.params.shape
+    np.testing.assert_allclose(partial.monitors["pacing"], partial.params, rtol=1e-12)
 
 
 def test_integrate_rejects_bad_arguments():
@@ -386,57 +370,6 @@ def test_integrate_refuses_off_contract_input_before_stepping(kwargs, message):
 
 # ---------------------------------------------------------------------------
 # recording, monitors, pacing
-
-
-def test_monitor_values_recorded_per_state():
-    sys = kepler()
-    st = perihelion_state()
-    traj = integrate(
-        hamilton_flow(sys),
-        st,
-        1.0,
-        monitor_fns={"r": lambda t, X, P: X[:, 0]},
-    )
-    r = traj.monitors["r"]
-    assert r.shape == traj.params.shape
-    np.testing.assert_array_equal(r, traj.x[:, 0])
-
-
-@pytest.mark.parametrize("record_grid", [None, 16], ids=["accepted-steps", "record-grid"])
-def test_each_monitor_runs_once_per_run_over_the_recorded_arrays(record_grid):
-    calls = []
-
-    def monitor(name, column):
-        def fn(params, X, P):
-            calls.append((name, params.copy(), X.copy(), P.copy()))
-            return column(X, P)
-        return fn
-
-    monitors = {"r": monitor("r", lambda X, P: X[:, 0]),
-                "p_r": monitor("p_r", lambda X, P: P[:, 0])}
-    traj = integrate(hamilton_flow(kepler()), perihelion_state(), 1.0,
-                     monitor_fns=monitors, record_grid=record_grid)
-    assert len(traj.params) > 2
-    assert [name for name, *_ in calls] == ["r", "p_r"]
-    for _, params, X, P in calls:
-        np.testing.assert_array_equal(params, traj.params)
-        np.testing.assert_array_equal(X, traj.x)
-        np.testing.assert_array_equal(P, traj.p)
-    np.testing.assert_array_equal(traj.monitors["p_r"], traj.p[:, 0])
-
-
-@pytest.mark.parametrize("monitor, shape", [
-    (lambda t, x, p: x[0], "(2,)"),  # a per-state monitor handed the arrays
-    (lambda t, x, p: 1.0, "()"),
-    (lambda t, x, p: x, "({n}, 2)"),
-], ids=["per-state", "scalar", "rows"])
-def test_a_monitor_off_the_array_contract_is_refused(monitor, shape):
-    n = len(integrate(hamilton_flow(kepler()), perihelion_state(), 1.0).params)
-    assert n > 2
-    message = f"monitor 'stale' returned shape {shape.format(n=n)} for {n} recorded states"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        integrate(hamilton_flow(kepler()), perihelion_state(), 1.0,
-                  monitor_fns={"r": lambda t, X, P: X[:, 0], "stale": monitor})
 
 
 def test_batched_invariants_equal_their_per_state_values():

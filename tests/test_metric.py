@@ -13,6 +13,7 @@ from jacobiflow import (
     MetricField,
     SingularMatrix,
     coordinate_point,
+    energy_from_state,
     evaluate_metric,
     flat_metric,
     hamilton_rhs,
@@ -84,6 +85,15 @@ class TestCoordinatePoint(unittest.TestCase):
             coordinate_point([])
         with self.assertRaises(ValueError):
             coordinate_point([[1.0, 0.0], [0.0, 1.0]])
+
+    def test_rejects_complex(self):
+        # a cast to float would drop the imaginary part: diag(1, 4) at 2 + 3i
+        for call in (lambda: coordinate_point([2 + 3j, 0.0]),
+                     lambda: coordinate_point(np.array([2.0, 0.0], dtype=complex)),
+                     lambda: evaluate_metric(polar_metric(), np.array([2 + 3j, 0.0])),
+                     lambda: polar_metric().valid(np.array([2 + 3j, 0.0]))):
+            with self.assertRaisesRegex(ValueError, "must be real, got complex128"):
+                call()
 
 
 class TestEvaluateMetric(unittest.TestCase):
@@ -521,12 +531,20 @@ class TestDomainGuardAtEveryPoint(unittest.TestCase):
             hamilton_rhs(sys, [-1.0, 0.0], [0.0, 1.0])
 
     def test_public_calls_still_validate_points(self):
-        for call in (
-            lambda: evaluate_metric(polar_metric(), [np.nan, 0.0]),
-            lambda: evaluate_metric(polar_metric(), [1.0]),
-            lambda: hamilton_rhs(self.system(), [3.0, np.inf, 0.0], [0.0, 1.0, 0.0]),
+        sys, P = self.system(), np.ones((2, 3))
+        for call, message in (
+            (lambda: evaluate_metric(polar_metric(), [np.nan, 0.0]), "finite"),
+            (lambda: evaluate_metric(polar_metric(), [1.0]), "expects 2"),
+            (lambda: hamilton_rhs(sys, [3.0, np.inf, 0.0], [0.0, 1.0, 0.0]), "finite"),
+            (lambda: energy_from_state(sys, np.empty((0, 3)), np.empty((0, 3))),
+             "non-empty"),
+            (lambda: energy_from_state(sys, [[3.0, 1.0, 0.0], [4.0, np.nan, 0.0]], P),
+             "must be finite"),
+            (lambda: energy_from_state(sys, [[3.0 + 1j, 1.0, 0.0], [4.0, 1.0, 0.0]], P),
+             "must be real"),
+            (lambda: sys.g.valid([[3.0, 1.0, 0.0], [np.inf, 1.0, 0.0]]), "must be finite"),
         ):
-            with self.assertRaises(ValueError):
+            with self.assertRaisesRegex(ValueError, message):
                 call()
 
     def test_public_partials_check_dimension_and_guard(self):
