@@ -40,9 +40,11 @@ def coordinate_point(coords):
 def _real(coords):
     """coords as a float array, refusing complex ones, which a cast would make real."""
     x = np.asarray(coords)
+    if x.dtype == float:
+        return x
     if x.dtype.kind == "c":
         raise ValueError(f"chart coordinates must be real, got {x.dtype} values")
-    return x if x.dtype == float else x.astype(float)
+    return x.astype(float)
 
 
 def _points(x):
