@@ -72,11 +72,11 @@ class FlowState:
 @dataclass
 class Trajectory:
     """A recorded run as columns: strictly increasing params (N,), x and p
-    (N, n), monitors mapping names to (N,) arrays (integrate records only
-    'pacing'; integrate_lifted adds its invariants), a termination of
-    'completed', 'turning_point', 'domain_violation' or 'step_failure', the
-    reason: the message of what ended the run early, '' if it completed, and
-    the stepper's counts as stats: 'accepted_steps', 'rejected_steps' and
+    (N, n), monitors mapping names to (N,) arrays ('pacing' from integrate,
+    invariants that callers add), a termination of 'completed',
+    'turning_point', 'domain_violation' or 'step_failure', the reason: the
+    message of what ended the run early, '' if it completed, and the
+    stepper's counts as stats: 'accepted_steps', 'rejected_steps' and
     'nfev', the right-hand side evaluations."""
 
     params: np.ndarray
@@ -426,11 +426,11 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_
     trajectory's stats count its accepted and rejected steps and its rhs
     evaluations, nfev.
 
-    The package's invariants take the recorded rows directly, so a caller
-    reads one off the returned arrays, energy_from_state(sys, traj.x,
-    traj.p), from one stacked inversion per run.  pacing, when given, is an auxiliary rate integrated alongside the state
-    at full accuracy and recorded cumulatively as the monitor 'pacing' (used
-    to map between parametrizations without quadrature loss).
+    The invariants take the recorded rows directly: energy_from_state(sys,
+    traj.x, traj.p) costs one stacked inversion per run.  pacing, when
+    given, is an auxiliary rate integrated alongside the state at full
+    accuracy and recorded cumulatively as the monitor 'pacing' (used to map
+    between parametrizations without quadrature loss).
 
     record_grid, when given, is a whole number N >= 1, not a bool: states
     are then recorded at the N uniform grid points span/N, 2 span/N, ..,
