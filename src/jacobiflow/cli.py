@@ -81,9 +81,10 @@ CHOICES = {"flow": ("hamilton", "jacobi"), "form": ("classical", "relativistic")
 _SYSTEMS = {p for _, req, opt, _ in CATALOG.values() for p in req + opt}.union(
     *INLINE_SYSTEMS.values())
 # the parameter flags of each subcommand: those its systems or lifts read, and its
-# own (E; for transform also E_rel and the c of the relativistic weak field)
-TASK_PARAMS = {"transform": _SYSTEMS | {"E", "E_rel", "c"}, "orbit": _SYSTEMS | {"E"},
-               "compare": _SYSTEMS | {"E"}, "curvature": {"k", "E"},
+# own (E; for transform also E_rel and the c of the relativistic weak field).  The
+# mechanical view of orbit and compare reads no c: no entry builds its chart or U from c
+TASK_PARAMS = {"transform": _SYSTEMS | {"E", "E_rel", "c"}, "orbit": _SYSTEMS - {"c"} | {"E"},
+               "compare": _SYSTEMS - {"c"} | {"E"}, "curvature": {"k", "E"},
                "lift": set().union(*LIFT_KINDS.values()), "catalog": set()}
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -44,13 +44,12 @@ STEP_UNDERFLOW = 1e-14
 RTOL_MIN = 100 * np.finfo(float).eps
 
 
-def turning_eps(E):
-    """Degeneracy tolerance for the conformal factor: 1e-10 * max(1, |E|)."""
-    return 1e-10 * max(1.0, abs(E))
-
+# Relative energy gap E - U, scaled by max(1, |E|), at or below which the
+# rescaled rhs refuses to evaluate: the conformal factor has degenerated.
+TURNING_GAP = 1e-10
 
 # Relative energy gap below which a stalled stepper counts as having reached
-# the turning surface.  Looser than turning_eps on purpose: turning_eps makes
+# the turning surface.  Looser than TURNING_GAP on purpose: TURNING_GAP makes
 # an rhs refuse to evaluate, while this classifies a run whose step size has
 # already collapsed, which happens while the gap is still far above 1e-10
 # because the rescaled rhs grows like 1/sqrt(E - U).
@@ -155,7 +154,7 @@ def jacobi_rhs(sys, x, p):
         raise ValueError("the system needs an energy label E for the rescaled flow")
     x = coordinate_point(x)
     gap = sys.E - sys.potential(x)
-    if gap <= turning_eps(sys.E):
+    if gap <= TURNING_GAP * max(1.0, abs(sys.E)):
         raise TurningPoint(
             f"energy gap E - U = {gap:.6g} at {x.tolist()} is inside the "
             f"turning-point tolerance"

@@ -55,9 +55,9 @@ class LiftedSystem:
     time-dependent: x1..xn, t, sigma).  inverse holds its closed-form,
     exactly symmetric inverse components, also over the columns of N points
     from one stacked inversion of sys.g, and their partials.  For the flow,
-    _partials_at(xe) gives sys.g's inverse and the partials at one point from
-    one inversion, and _inverse_from(xe, ginv) lays out the components around
-    a given inverse of sys.g, points last: the one layout every route reads.
+    _inverse_partials(xe) gives G^AB and its partials D[C, A, B] = d G^AB /
+    d xe^C at one validated point from one inversion of sys.g, the contract
+    of metric._inverse_partials; the inverse field's partials read it too.
     """
 
     sys: MechanicalSystem
@@ -65,8 +65,7 @@ class LiftedSystem:
     c: float
     extended: MetricField
     inverse: MetricField
-    _partials_at: Callable
-    _inverse_from: Callable
+    _inverse_partials: Callable
     kappa: float = 2.0
 
 
@@ -105,21 +104,21 @@ def lift_static(sys, kappa=2.0):
         Gi[:n, :n], Gi[n, n] = ginv.T, kappa * sys.potential(xe[:n].T)
         return Gi
 
-    def partials_at(xe):
+    def inverse_partials(xe):
         x = xe[:n]
         ginv, dginv = _inverse_partials(g, x)
         D = np.zeros((n + 1, n + 1, n + 1))
         D[:n, :n, :n] = dginv
         D[:n, n, n] = kappa * _potential_gradient(sys, x)
-        return ginv, D
+        return inverse_from(xe, ginv), D
 
     extended = MetricField(dim=n + 1, components=ext_components,
                            guard=ext_guard, name="static_lift")
-    inverse = MetricField(dim=n + 1, partials=lambda xe: partials_at(xe)[1],
+    inverse = MetricField(dim=n + 1, partials=lambda xe: inverse_partials(xe)[1],
                           components=lambda xe: inverse_from(xe, _inverse(g, xe[:n].T)),
                           guard=inv_guard, name="static_lift_inverse")
     return LiftedSystem(sys=sys, kind=STATIC_KIND, c=1.0, extended=extended, inverse=inverse,
-                        _partials_at=partials_at, _inverse_from=inverse_from, kappa=kappa)
+                        _inverse_partials=inverse_partials, kappa=kappa)
 
 
 def lift_time_dependent(sys, *, c=1.0):
@@ -151,7 +150,7 @@ def lift_time_dependent(sys, *, c=1.0):
         Gi[n + 1, n + 1] = -2.0 * sys.potential(xe[:n].T, xe[n]) / (m * c * c)
         return Gi
 
-    def partials_at(xe):
+    def inverse_partials(xe):
         x, t = xe[:n], xe[n]
         ginv, dginv = _inverse_partials(g, x, t)
         D = np.zeros((n + 2, n + 2, n + 2))
@@ -165,15 +164,15 @@ def lift_time_dependent(sys, *, c=1.0):
             dUdt = _complex_step(lambda s: _at(sys.U, x, s[0], True), xe[n:n + 1],
                                  "potential of system", sys.name)[0]
             D[n, n + 1, n + 1] = -2.0 * dUdt / (m * c * c)
-        return ginv, D
+        return inverse_from(xe, ginv), D
 
     extended = MetricField(dim=n + 2, components=ext_components,
                            guard=ext_guard, name="timedep_lift")
-    inverse = MetricField(dim=n + 2, partials=lambda xe: partials_at(xe)[1],
+    inverse = MetricField(dim=n + 2, partials=lambda xe: inverse_partials(xe)[1],
                           components=lambda xe: inverse_from(xe, _inverse(g, xe[:n].T, xe[n])),
                           guard=ext_guard, name="timedep_lift_inverse")
     return LiftedSystem(sys=sys, kind=TIMEDEP_KIND, c=c, extended=extended, inverse=inverse,
-                        _partials_at=partials_at, _inverse_from=inverse_from)
+                        _inverse_partials=inverse_partials)
 
 
 def lifted_rhs(lifted):
@@ -184,8 +183,7 @@ def lifted_rhs(lifted):
     def rhs(param, x, p):
         x = coordinate_point(x)
         _check_point(lifted.inverse, x)
-        ginv, D = lifted._partials_at(x)
-        dx, force = _kinetic_rhs(lifted._inverse_from(x, ginv), D, np.asarray(p, dtype=float),
+        dx, force = _kinetic_rhs(*lifted._inverse_partials(x), np.asarray(p, dtype=float),
                                  lifted.sys.m)
         return dx, -force
 
