@@ -25,6 +25,9 @@ from .transforms import MechanicalSystem, StationarySpacetime
 
 POLE_MARGIN = 1e-9  # sin(theta) floor shared by all spherical-type charts
 
+# Draws per requested point after which sample_points gives up on a sample box
+SAMPLE_DRAWS = 1000
+
 
 def _square(v):
     """v * v: numpy's array ** 2 rounds unlike its scalar one, a product does not."""
@@ -448,11 +451,16 @@ def catalog_entry(name, **params):
 
 def sample_points(entry, count, rng):
     """Draw `count` chart points uniformly from the entry's sample box,
-    rejecting any the chart guard refuses."""
+    rejecting any the chart guard refuses; ValueError naming the entry once
+    SAMPLE_DRAWS * count draws gave fewer points."""
     lows = np.array([lo for lo, _ in entry.sample_ranges])
     highs = np.array([hi for _, hi in entry.sample_ranges])
-    points = []
+    points, draws = [], 0
     while len(points) < count:
+        if draws == SAMPLE_DRAWS * count:
+            raise ValueError(f"the chart guard of entry '{entry.name}' accepted {len(points)} "
+                             f"of {draws} draws from its sample box, short of {count}")
+        draws += 1
         x = lows + (highs - lows) * rng.random(len(lows))
         if entry.spatial.guard is None or entry.spatial.guard(x):
             points.append(x)

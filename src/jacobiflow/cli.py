@@ -463,19 +463,23 @@ def radial_grid(scn, lo_key, hi_key):
     return np.linspace(lo, hi, samples)
 
 
-def radial_point(dim, r):
-    """Chart point at radius r (equator and zero azimuth on 3-d charts)."""
-    if dim == 2:
-        return np.array([r, 0.0])
-    return np.array([r, np.pi / 2, 0.0])
+def radial_points(dim, radii):
+    """(N, dim) chart points at the radii (equator and zero azimuth on 3-d charts)."""
+    points = np.zeros((len(radii), dim))
+    points[:, 0] = radii
+    if dim == 3:
+        points[:, 1] = np.pi / 2
+    return points
 
 
-def _radial_scan(radii, row_at):
-    """Rows row_at(r) over the radii and how many it refused off the chart; ValueError if all."""
+def _radial_scan(radii, row_at, on_chart=None):
+    """Rows row_at(i) for the indices i of the radii that on_chart flags (every
+    one when None) and how many radii gave no row, off the flags or refused
+    off the chart by row_at raising JacobiFlowError; ValueError if none did."""
     rows = []
-    for r in radii:
+    for i in range(len(radii)) if on_chart is None else np.flatnonzero(on_chart):
         try:
-            rows.append(row_at(r))
+            rows.append(row_at(i))
         except JacobiFlowError:
             pass
     if not rows:
@@ -497,8 +501,10 @@ def run_transform(scn):
             sys = build_mechanical(scn, own=("E_rel", "c"))
             st = weak_field_spacetime(sys.g, sys.U, m=sys.m, c=_param(scn, "c"))
         conf = jacobi_relativistic_stationary(st, E_rel)
-    rows, skipped = _radial_scan(
-        radii, lambda r: [r, conf.factor_at(radial_point(conf.base.dim, r))])
+    # the base chart's guard, which factor_at does not read, asked once over every point
+    points = radial_points(conf.base.dim, radii)
+    rows, skipped = _radial_scan(radii, lambda i: [radii[i], conf.factor_at(points[i])],
+                                 conf.base.valid(points))
     csv_path = _write_outputs(scn, ["r", "factor"], rows, {
         "form": form,
         "rows": len(rows),
@@ -589,7 +595,8 @@ def run_curvature(scn):
     radii = radial_grid(scn, "r_min", "r_max")
     profile = kepler_profile(k, E)
 
-    def row(r):
+    def row(i):
+        r = radii[i]
         kn = gaussian_curvature_numeric(profile, r)
         kc = kepler_curvature(k, E, r)
         return [r, kn, kc, abs(kn - kc) / max(1.0, abs(kc))]

@@ -91,9 +91,11 @@ def classify_orbit(E):
 
 
 def kepler_eccentricity(E, L, m=1.0, k=1.0):
-    """Two-body eccentricity e = sqrt(1 + 2 E L^2 / (m k^2))."""
+    """Two-body eccentricity e = sqrt(1 + 2 E L^2 / (m k^2)), for m > 0 and k != 0."""
     if not all(map(math.isfinite, (E, L, m, k))):
         raise ValueError(f"E, L, m and k must be finite, got {E!r}, {L!r}, {m!r}, {k!r}")
+    if not m > 0 or k == 0:
+        raise ValueError(f"the eccentricity needs m > 0 and k != 0, got m = {m!r}, k = {k!r}")
     radicand = 1.0 + 2.0 * E * L * L / (m * k * k)
     if radicand < 0.0:
         raise ValueError(f"eccentricity undefined: radicand = {radicand:.6g}")

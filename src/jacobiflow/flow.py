@@ -122,6 +122,12 @@ def _diagonal_kinetic_rhs(field, x, p, m, t=None):
              for row in _partials(field, x, t).tolist()])
 
 
+def _check_momentum(x, p):
+    """Refuse a momentum whose length is not the chart point's."""
+    if len(p) != x.size:
+        raise ValueError(f"momentum has {len(p)} components, the chart point {x.size}")
+
+
 def _hamilton_rhs(sys, x, p, t=None):
     """hamilton_rhs on an already validated chart point."""
     p = np.asarray(p, dtype=float)
@@ -137,8 +143,12 @@ def hamilton_rhs(sys, x, p, t=None):
 
     dx^i/dt = g^ij p_j / m
     dp_i/dt = -[ (1/2m) (d g^jk / d x^i) p_j p_k + dU/dx^i ]
+
+    A momentum of another length than x raises ValueError.
     """
-    return _hamilton_rhs(sys, coordinate_point(x), p, t)
+    x = coordinate_point(x)
+    _check_momentum(x, p)
+    return _hamilton_rhs(sys, x, p, t)
 
 
 def jacobi_rhs(sys, x, p):
@@ -146,13 +156,15 @@ def jacobi_rhs(sys, x, p):
 
     Conserves the unit-momentum Hamiltonian g^ij p_i p_j / (2m(E - U)) along
     flows launched on the energy-E surface.  Raises TurningPoint where the
-    pacing factor degenerates.
+    pacing factor degenerates, and ValueError for a momentum of another
+    length than x.
     """
     if sys.time_dependent or sys.g.time_dependent:
         raise ValueError("the rescaled flow is defined for autonomous systems only")
     if sys.E is None:
         raise ValueError("the system needs an energy label E for the rescaled flow")
     x = coordinate_point(x)
+    _check_momentum(x, p)
     gap = sys.E - sys.potential(x)
     if gap <= TURNING_GAP * max(1.0, abs(sys.E)):
         raise TurningPoint(
@@ -404,6 +416,11 @@ def _record(rows, params, Y):
     rows.append(block)
 
 
+class _StateNotFinite(Exception):
+    """An rhs refused a stage state that had left the floats: the run ends as
+    a step failure."""
+
+
 def _stalled_at_turn(system, x):
     """The energy gap E - U at x when a rescaled flow whose stepper stalled
     there sits within STALL_GAP of the turning surface, otherwise None."""
@@ -441,8 +458,9 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_
     error out of the measurement; this keeps the step sequence of the
     adaptive run.  A span that is not
     positive and finite, an rtol below RTOL_MIN, an atol below 0 or not
-    finite, a launch state that is not finite or a record_grid that is not
-    such a count raises ValueError before any step.
+    finite, a launch state that is not finite, a launch momentum of another
+    length than its position or a record_grid that is not such a count
+    raises ValueError before any step.
 
     A run that started returns how it ended as its termination and the
     message of what ended it early as its reason: 'turning_point' or
@@ -451,7 +469,11 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_
     interrupted appended; 'step_failure' from a step size below 1e-14 * span
     or a stepper that cannot take a valid step, whose own message is then
     the reason, with the s and the chart point x where the step size
-    collapsed appended.  One exception:
+    collapsed appended.  A ValueError that the rhs (or pacing) raises at a
+    stage state that is not finite, one that overflowed, also ends the run
+    as 'step_failure', its reason naming the stage's s; this includes the
+    stepper's initial-step probe.  At a finite state the ValueError
+    propagates.  One exception:
     the rescaled flow of jacobi_flow approaching its turning radius stalls
     the stepper while the energy gap is still positive (the right-hand side
     grows like 1/sqrt(E - U), so the gap itself never reaches the analytic
@@ -475,27 +497,38 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_
     grid = None if record_grid is None else np.linspace(0.0, span, int(record_grid) + 1)[1:]
 
     n = initial.x.size
+    _check_momentum(initial.x, initial.p)
     augmented = pacing is not None
     y0 = np.concatenate([initial.x, initial.p, [0.0]] if augmented
                         else [initial.x, initial.p])
 
     def fun(s, y):
         x, p = y[:n], y[n:2 * n]
-        dx, dp = rhs(s, x, p)
-        dy = np.empty(y.size)
-        dy[:n], dy[n:2 * n] = dx, dp
-        if augmented:
-            dy[-1] = pacing(s, x, p)
+        try:
+            dx, dp = rhs(s, x, p)
+            dy = np.empty(y.size)
+            dy[:n], dy[n:2 * n] = dx, dp
+            if augmented:
+                dy[-1] = pacing(s, x, p)
+        except ValueError as exc:
+            # classified once raised, so that no call pays for a check
+            if np.isfinite(y).all():
+                raise
+            raise _StateNotFinite(f"the stage state at s = {float(s)!r} is not finite "
+                                  f"({exc})") from exc
         return dy
 
     next_grid = 0
-
-    stepper = RK45(fun, 0.0, y0, span, rtol=rtol, atol=atol)
-
     rows = []
     _record(rows, [0.0], y0)
     termination, reason = "completed", ""
-    while stepper.status == "running":
+    try:
+        stepper = RK45(fun, 0.0, y0, span, rtol=rtol, atol=atol)
+    except _StateNotFinite as exc:
+        # the launch passed the rhs, so its initial-step probe, the second call, failed
+        stepper = None
+        termination, reason = "step_failure", f"{exc}, in the initial-step probe"
+    while stepper is not None and stepper.status == "running":
         start = stepper.t
         try:
             failure = stepper.step()
@@ -513,10 +546,11 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_
                     points = grid[next_grid:end]
                     _record(rows, points, stepper.dense_output()(points))
                     next_grid = end
-        except (TurningPoint, DomainViolation, SingularMatrix) as exc:
+        except (TurningPoint, DomainViolation, SingularMatrix, _StateNotFinite) as exc:
             # a numerically degenerate metric means the chart has effectively
             # ended, same as an explicit guard refusal
             termination = ("turning_point" if isinstance(exc, TurningPoint)
+                           else "step_failure" if isinstance(exc, _StateNotFinite)
                            else "domain_violation")
             reason = f"{exc}, in the step from s = {float(start)!r}"
             break
@@ -532,8 +566,9 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_
             break
 
     table = np.concatenate(rows)
-    stats = {"accepted_steps": stepper.accepted, "rejected_steps": stepper.rejected,
-             "nfev": stepper.nfev}
+    stats = ({"accepted_steps": 0, "rejected_steps": 0, "nfev": 2} if stepper is None else
+             {"accepted_steps": stepper.accepted, "rejected_steps": stepper.rejected,
+              "nfev": stepper.nfev})
     return Trajectory(table[:, 0], table[:, 1:n + 1], table[:, n + 1:2 * n + 1],
                       {"pacing": table[:, -1]} if augmented else {}, termination, reason, stats)
 

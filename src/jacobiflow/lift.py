@@ -15,8 +15,9 @@ the static lift stays integrable across V = 0 where the forward metric
 entry 1/(kappa V) blows up (the flow itself only ever needs kappa V).  Their
 partials are closed-form too: the base block follows d(g^-1) = -g^-1 (dg)
 g^-1, the potential entry takes the flows' potential gradient, and the t
-derivatives of U and g are complex steps in t; each rhs call inverts the
-base metric once.
+derivatives of U and g are complex steps in t.  One hook gives the inverse
+components and their partials together, so each rhs call inverts the base
+metric once.
 """
 
 from dataclasses import dataclass

@@ -22,6 +22,8 @@ CS_STEP = 1e-20
 # below this are treated as singular.
 RCOND_MIN = 1e-12
 
+_FLOAT = np.dtype(float)
+
 
 def coordinate_point(coords):
     """Validate and return a chart point as a 1-d float array.
@@ -40,7 +42,7 @@ def coordinate_point(coords):
 def _real(coords):
     """coords as a float array, refusing complex ones, which a cast would make real."""
     x = np.asarray(coords)
-    if x.dtype == float:
+    if x.dtype is _FLOAT:  # an identity test costs half of dtype == float
         return x
     if x.dtype.kind == "c":
         raise ValueError(f"chart coordinates must be real, got {x.dtype} values")
@@ -95,8 +97,12 @@ class MetricField:
     diagonal: bool = False
 
     def valid(self, x):
-        """Whether the guard accepts the point x, or (N,) flags over (N, dim) rows."""
-        return _valid(self, _points(x))
+        """Whether the guard accepts the point x, or (N,) flags over (N, dim)
+        rows.  A point of another dimension raises the ValueError that
+        evaluate_metric raises."""
+        x = _points(x)
+        _check_dim(self, x)
+        return _valid(self, x)
 
 
 def _valid(field, x):
@@ -136,12 +142,18 @@ def _call(fn, x, t, time_dependent, shape, role, name):
     return np.moveaxis(value, -1, 0)
 
 
+def _check_dim(field, x):
+    """Refuse a chart point, or rows of them, of another dimension than the field's."""
+    if not x.ndim or x.shape[-1] != field.dim:
+        raise ValueError(
+            f"point has {x.shape[-1] if x.ndim else 0} coordinates, metric "
+            f"'{field.name}' expects {field.dim}"
+        )
+
+
 def _check_point(field, x):
     """The dimension check and the domain guard on a validated chart point or rows."""
-    if x.shape[-1] != field.dim:
-        raise ValueError(
-            f"point has {x.shape[-1]} coordinates, metric '{field.name}' expects {field.dim}"
-        )
+    _check_dim(field, x)
     ok = _valid(field, x)
     if x.ndim == 2:
         x, ok = x[np.argmin(ok)], ok.all()

@@ -13,7 +13,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolation
-from .metric import MetricField, _at, _call, _kinetic_form, _points, evaluate_metric
+from .metric import (
+    MetricField,
+    _at,
+    _call,
+    _check_dim,
+    _kinetic_form,
+    _points,
+    _real,
+    coordinate_point,
+    evaluate_metric,
+)
 
 
 @dataclass
@@ -76,8 +86,10 @@ class StationarySpacetime:
 class ConformalMetric:
     """A metric of the form factor(x[, t]) * g_ij(x[, t]).
 
-    It is valid exactly where the factor is positive; a factor that raises
-    DomainViolation reads as invalid there.
+    It is valid exactly where the base chart's guard accepts the point and
+    the factor is positive; a factor that raises DomainViolation reads as
+    invalid there.  factor_at and valid take one real point of the base's
+    dimension and refuse others with ValueError.
     """
 
     base: MetricField
@@ -85,9 +97,16 @@ class ConformalMetric:
     time_dependent: bool = False
 
     def factor_at(self, x, t=None):
-        return float(_at(self.factor, np.asarray(x, dtype=float), t, self.time_dependent))
+        """The factor at the point x, which the base chart's guard does not read."""
+        x = _real(x)
+        _check_dim(self.base, x)
+        return float(_at(self.factor, x, t, self.time_dependent))
 
     def valid(self, x, t=None):
+        """Whether the base chart's guard accepts x and the factor is positive there."""
+        x = coordinate_point(x)
+        if not self.base.valid(x):
+            return False
         try:
             return self.factor_at(x, t) > 0.0
         except DomainViolation:

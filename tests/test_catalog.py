@@ -301,6 +301,14 @@ def test_sample_points_respect_guard_and_seed():
         assert entry.spatial.guard(x)
 
 
+def test_sample_points_refuses_a_box_its_guard_refuses_whole():
+    # h = 0 everywhere: the chart guard h^2 > 0 accepts no point, and the
+    # draws once went on forever
+    entry = bertrand(lambda r: 1.0 + 0.0 * r, lambda r: 0.0 * r, m=1.0)
+    with pytest.raises(ValueError, match="entry 'bertrand' accepted 0 of 3000 draws"):
+        sample_points(entry, 3, np.random.default_rng(0))
+
+
 def test_spacetime_view_carries_parameters():
     entry = schwarzschild(M=1.0, m=2.0, c=3.0)
     st = spacetime_from_entry(entry)
@@ -469,10 +477,15 @@ INF = float("inf")
     (lambda: classify_eccentricity(NAN), "finite and nonnegative, got nan"),
     (lambda: classify_eccentricity(-5.0), "finite and nonnegative, got -5.0"),
     (lambda: kepler_eccentricity(NAN, 1.0), "must be finite, got nan, 1.0, 1.0, 1.0"),
+    (lambda: kepler_eccentricity(-0.5, 1.0, m=-1.0), "needs m > 0 and k != 0, got m = -1.0, k = 1.0"),
+    (lambda: kepler_eccentricity(-0.5, 1.0, m=0.0), "needs m > 0 and k != 0, got m = 0.0, k = 1.0"),
+    (lambda: kepler_eccentricity(-0.5, 1.0, k=0.0), "needs m > 0 and k != 0, got m = 1.0, k = 0.0"),
 ], ids=["system-m-inf", "system-E-nan", "system-E-inf", "spacetime-m-inf", "spacetime-c-inf",
-        "orbit-E-nan", "eccentricity-nan", "eccentricity-negative", "kepler-E-nan"])
+        "orbit-E-nan", "eccentricity-nan", "eccentricity-negative", "kepler-E-nan",
+        "kepler-m-negative", "kepler-m-zero", "kepler-k-zero"])
 def test_physics_inputs_off_contract_are_refused(build, refusal):
-    # each of these once returned a plausible value: U alone for an infinite
-    # mass, "hyperbola" for a NaN energy, "ellipse" for e = -5
+    # each of these once returned a plausible value or a ZeroDivisionError: U
+    # alone for an infinite mass, "hyperbola" for a NaN energy or for a bound
+    # orbit of negative mass, "ellipse" for e = -5
     with pytest.raises(ValueError, match=refusal):
         build()

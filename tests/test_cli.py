@@ -247,6 +247,32 @@ def test_transform_grid_values(tmp_path, capsys):
     assert f0 == pytest.approx(2.0 * (-0.5 + 2.0), rel=1e-15)
 
 
+def test_transform_skips_radii_the_chart_guard_refuses(tmp_path, capsys):
+    # the classical factor 2m(E + mM/r) is positive at r <= 2M too, where the
+    # chart ends; those rows were once written and counted as on the chart
+    code, _, _ = run(
+        capsys, "transform", "--system", "schwarzschild", "--M", "1", "--m", "1", "--E", "-0.1",
+        "--grid-min", "0.5", "--grid-max", "3", "--samples", "6", "--out", str(tmp_path),
+    )
+    assert code == 0
+    lines = (tmp_path / "transform.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [2.5, 3.0]
+    summary = json.loads((tmp_path / "transform_summary.json").read_text())
+    assert summary["rows"] == 2 and summary["skipped_out_of_domain"] == 4
+
+
+# the state 1e307 + h * 1e307 overflows, which numpy reports as a RuntimeWarning
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_orbit_whose_state_leaves_the_floats_exits_four(tmp_path, capsys):
+    code, _, _ = run(capsys, "orbit", "--system", "free", "--E", "0", "--initial", "0,0,1e307,0",
+                     "--span", "1e300", "--out", str(tmp_path))
+    assert code == 4
+    summary = json.loads((tmp_path / "orbit_summary.json").read_text())
+    assert summary["termination"] == "step_failure" and summary["states"] == 1
+    assert "is not finite" in summary["reason"] and "in the step from s = 0.0" in summary["reason"]
+    assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 2
+
+
 def test_lift_static_runs_and_projects(tmp_path, capsys):
     code, out, _ = run(
         capsys, "lift", "--kind", "static", "--span", "10", "--record", "2000",
@@ -428,6 +454,12 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     ["curvature", "--k", "1", "--E", "-0.5", "--r-min", "2.5", "--r-max", "5", "--samples", "20"],
     ["transform", "--form", "relativistic", "--system", "schwarzschild", "--M", "3", "--m", "1",
      "--E-rel", "0.9", "--grid-min", "0.5", "--grid-max", "5", "--samples", "20"],
+    ["orbit", "--system", "kepler", "--k", "-1", "--E", "-0.5", "--span", "1"],
+    ["orbit", "--system", "oscillator", "--lam", "-1", "--E", "0.5", "--span", "1"],
+    ["orbit", "--system", "free", "--E", "0.5", "--span", "1"],
+    ["orbit", "--system", "free", "--E", "0.5", "--initial", "0,0,1,0"],
+    ["curvature", "--E", "-0.5", "--r-min", "2", "--r-max", "1"],
+    ["catalog", "--system", "nosuch"],
 ], ids=["free-mass", "lift-mass", "lift-kappa", "lift-c", "lift-q", "lift-span",
         "initial-3d", "record-negative", "atol-negative", "initial-text", "initial-off-chart",
         "jacobi-at-turning-point", "lift-span-zero", "lift-record-zero",
@@ -438,9 +470,13 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
         "unknown-flag", "no-system", "curvature-span", "catalog-E", "curvature-m",
         "relativistic-transform-unread-E", "empty-prefix",
         "curvature-k-negative", "curvature-k-zero", "curvature-no-radius-on-chart",
-        "transform-no-radius-on-chart"])
+        "transform-no-radius-on-chart", "kepler-k-negative", "oscillator-lam-negative",
+        "free-no-default-launch", "free-no-default-span", "curvature-r-max-below-r-min",
+        "catalog-unknown-system"])
 def test_refused_input_exits_two_without_output(tmp_path, capsys, argv):
-    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    # catalog writes nothing and takes no --out
+    out = [] if argv[0] == "catalog" else ["--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv, *out)
     assert code == 2
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err

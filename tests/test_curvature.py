@@ -115,6 +115,10 @@ def test_numeric_raises_on_stencil_exit():
     # the stencil must also stay right of the origin
     with pytest.raises(TurningPoint):
         gaussian_curvature_numeric(prof, 1e-6)
+    # and every profile value it reads must be finite
+    for value in (np.inf, np.nan):
+        with pytest.raises(TurningPoint, match="exits validity$"):
+            gaussian_curvature_numeric(lambda r: value if r > 1.0 else 1.0, 1.0)
 
 
 def test_profile_from_potential_matches_kepler_profile():

@@ -89,6 +89,24 @@ def test_jacobi_rhs_free_particle_form():
     np.testing.assert_array_equal(dp, np.zeros(2))
 
 
+# the Euclidean plane as a field that is not declared diagonal: the rhs's matrix route
+MATRIX_PLANE = MechanicalSystem(
+    g=MetricField(dim=2, components=lambda x: np.eye(2), partials=lambda x: np.zeros((2, 2, 2))),
+    U=lambda x: 0.0 * x[0], m=1.0, grad_U=lambda x: np.zeros(2))
+
+
+@pytest.mark.parametrize("p", [[0.5], [0.5, 0.0, 3.0]], ids=["short", "long"])
+@pytest.mark.parametrize("rhs", [
+    lambda x, p: hamilton_rhs(kepler(), x, p),
+    lambda x, p: jacobi_rhs(kepler(), x, p),
+    lambda x, p: hamilton_rhs(MATRIX_PLANE, x, p),
+], ids=["hamilton-diagonal", "jacobi-diagonal", "hamilton-matrix"])
+def test_rhs_refuses_a_momentum_of_another_length(rhs, p):
+    # a diagonal chart once zipped the two and truncated to the shorter
+    with pytest.raises(ValueError, match=f"momentum has {len(p)} components, the chart point 2"):
+        rhs(np.array([1.0, 0.0]), p)
+
+
 def test_jacobi_rhs_requires_energy_label():
     sys = MechanicalSystem(g=flat_metric(2), U=lambda x: 0.0, m=1.0)
     with pytest.raises(ValueError):
@@ -315,6 +333,42 @@ def test_stats_count_the_steps_and_rhs_evaluations():
     assert failed["nfev"] == 2 + 12 * failed["rejected_steps"]
 
 
+def test_kepler_launch_with_a_long_momentum_is_refused_before_stepping():
+    launch = FlowState(np.array([0.5, 0.0]), np.array([0.0, np.sqrt(0.75), 3.0]))
+    with pytest.raises(ValueError, match="momentum has 3 components, the chart point 2"):
+        integrate(hamilton_flow(kepler()), launch, 0.5)
+
+
+# a stage state of 1e307 + h * 1e307 overflows, which numpy reports as a RuntimeWarning
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_stage_state_that_leaves_the_floats_ends_the_run_as_a_step_failure():
+    partial = integrate(hamilton_flow(free_particle()),
+                        FlowState(np.zeros(2), np.array([1e307, 0.0])), 1e300)
+    assert partial.termination == "step_failure"
+    assert re.fullmatch(r"the stage state at s = \S+ is not finite \(chart coordinates must "
+                        r"be finite\), in the step from s = 0\.0", partial.reason)
+    assert partial.params.tolist() == [0.0] and partial.p.tolist() == [[1e307, 0.0]]
+    # the launch derivative 1e10 / 1e-300 is already infinite, so the state
+    # of the stepper's initial-step probe is not finite either
+    probe = integrate(hamilton_flow(free_particle(m=1e-300)),
+                      FlowState(np.zeros(2), np.array([1e10, 0.0])), 1.0)
+    assert probe.termination == "step_failure"
+    assert probe.reason.endswith("is not finite (chart coordinates must be finite), "
+                                 "in the initial-step probe")
+    assert probe.stats == {"accepted_steps": 0, "rejected_steps": 0, "nfev": 2}
+    assert probe.params.tolist() == [0.0]
+
+
+def test_a_value_error_at_a_finite_stage_state_propagates():
+    def refuses_later(t, x, p):
+        if t > 0.1:
+            raise ValueError("refused at a finite state")
+        return p, np.zeros_like(p)
+
+    with pytest.raises(ValueError, match="refused at a finite state"):
+        integrate(refuses_later, FlowState(np.zeros(1), np.ones(1)), 1.0)
+
+
 def test_step_failure_partial_trajectory_carries_every_monitor_column():
     def blowup(t, x, p):
         return np.array([x[0] ** 2]), np.array([0.0])
@@ -352,9 +406,13 @@ def test_integrate_rejects_bad_arguments():
     ({"span": np.nan}, "span"),  # never reached as a stepper bound
     ({"span": np.inf}, "span"),
     ({"span": 0.0}, "span"),
+    # one slot of the stepper's derivative stayed uninitialized: at the
+    # Kepler launch below such a run did not end in 10 s
+    ({"initial": FlowState(np.zeros(2), np.ones(3))}, "momentum has 3 components, the chart point 2"),
+    ({"initial": FlowState(np.zeros(2), np.ones(1))}, "momentum has 1 components, the chart point 2"),
 ], ids=["rtol-small", "rtol-zero", "rtol-negative", "atol-negative", "atol-nan", "atol-inf",
         "x-nan", "p-inf", "count-zero", "count-negative", "grid-array", "count-fraction",
-        "count-bool", "count-inf", "span-nan", "span-inf", "span-zero"])
+        "count-bool", "count-inf", "span-nan", "span-inf", "span-zero", "p-long", "p-short"])
 def test_integrate_refuses_off_contract_input_before_stepping(kwargs, message):
     calls = []
 
@@ -427,6 +485,11 @@ def test_compare_paths_identical_zero():
     sys = kepler()
     traj = integrate(hamilton_flow(sys), perihelion_state(), T_ORBIT)
     assert compare_paths(traj, traj) == 0.0
+    # a path that never moves resamples to its one point
+    still = Trajectory(np.arange(3.0), np.tile([1.0, 0.5], (3, 1)), np.zeros((3, 2)))
+    line = Trajectory(np.arange(2.0), np.array([[1.0, 0.5], [4.0, 4.5]]), np.zeros((2, 2)))
+    assert compare_paths(still, still) == 0.0
+    assert compare_paths(still, line) == 5.0
 
 
 def test_compare_paths_detects_perturbed_energy():

@@ -543,6 +543,10 @@ class TestDomainGuardAtEveryPoint(unittest.TestCase):
             (lambda: energy_from_state(sys, [[3.0 + 1j, 1.0, 0.0], [4.0, 1.0, 0.0]], P),
              "must be real"),
             (lambda: sys.g.valid([[3.0, 1.0, 0.0], [np.inf, 1.0, 0.0]]), "must be finite"),
+            # valid once answered True where evaluate_metric refuses the dimension
+            (lambda: polar_metric().valid([2.0]), "has 1 coordinates, metric 'polar' expects 2"),
+            (lambda: polar_metric().valid([2.0, 0.0, 5.0]), "has 3 coordinates"),
+            (lambda: sys.g.valid([[3.0, 1.0], [4.0, 1.0]]), "has 2 coordinates"),
         ):
             with self.assertRaisesRegex(ValueError, message):
                 call()

@@ -20,8 +20,10 @@ from jacobiflow import (
     jacobi_time_dependent_approx,
     lift_static,
     mechanical_pz,
+    mechanical_system_from_entry,
     nonrelativistic_limit_factor,
     polar_metric,
+    schwarzschild,
     weak_field_spacetime,
 )
 
@@ -96,6 +98,32 @@ def test_relativistic_flat_energy_relation_random_momenta():
         factor = jacobi_relativistic_stationary(st_, Erel).factor_at(x)
         assert abs(factor - psq) < 1e-10
         assert abs(c * c * factor + m * m * c**4 - Erel * Erel) < 1e-10
+
+
+def test_conformal_validity_needs_the_base_chart():
+    # 2m(E - U) > 0 at r = 1, inside the chart's r > 2M: valid once said True
+    # where the metric raises
+    sch = mechanical_system_from_entry(schwarzschild(M=1.0, m=1.0), E=-0.1)
+    conf = jacobi_nonrelativistic(sch)
+    inside, outside = [1.0, np.pi / 2, 0.0], [3.0, np.pi / 2, 0.0]
+    assert conf.factor_at(inside) > 0.0
+    assert not conf.valid(inside)
+    with pytest.raises(DomainViolation):
+        conf.metric(inside)
+    assert conf.valid(outside)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda conf: conf.factor_at([2 + 3j, 0.0]), "must be real, got complex128"),
+    (lambda conf: conf.factor_at([2.0]), "has 1 coordinates, metric 'polar' expects 2"),
+    (lambda conf: conf.factor_at([2.0, 0.0, 5.0]), "has 3 coordinates"),
+    (lambda conf: conf.valid([2.0]), "has 1 coordinates"),
+    (lambda conf: conf.valid([2 + 3j, 0.0]), "must be real"),
+], ids=["factor-complex", "factor-short", "factor-long", "valid-short", "valid-complex"])
+def test_conformal_metric_refuses_points_off_its_chart_contract(call, message):
+    # the factor once took the real part of 2 + 3i and read any dimension
+    with pytest.raises(ValueError, match=message):
+        call(jacobi_nonrelativistic(kepler_system()))
 
 
 def test_relativistic_rejects_nonpositive_energy():

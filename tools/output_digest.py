@@ -14,7 +14,8 @@ the ROADMAP tracks.
 The plans only hold runs that complete, so the tool also runs a fixed
 handful of launches that end early (EARLY_ENDINGS: a turning point, the
 chart's r = 0 edge, a time flow that ends before its first grid point, a
-Kerr plunge that ends at the horizon) and prints their hashes and exit codes after the plans', outside the plans'
+Kerr plunge that ends at the horizon, a free particle whose state overflows)
+and prints their hashes and exit codes after the plans', outside the plans'
 file count and total sha256.
 
 Run it on two checkouts, each with its own ``--src``: equal output means the
@@ -54,6 +55,9 @@ EARLY_ENDINGS = [
     early_task("kerr_plunge_orbit", "orbit", "--system", "kerr", "--M", "1", "--a", "0.6",
                "--m", "1", "--E", "-0.2475",
                "--initial", "6,1.5707963267948966,0,0,0.1,2.5", "--span", "30"),
+    # a stage state past 1e307 leaves the floats in the first step
+    early_task("overflow_orbit", "orbit", "--system", "free", "--E", "0",
+               "--initial", "0,0,1e307,0", "--span", "1e300"),
 ]
 
 
