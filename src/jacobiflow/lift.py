@@ -246,21 +246,20 @@ def lifted_energy_relation(lifted, x, p):
         2c p_t p_sigma - (c^2 g^ij p_i p_j + c^2 V^2 p_sigma^2 + m^2 c^4).
 
     Zero along massive-shell flows; this is the hypersurface on which the
-    exact time-dependent conformal factor projects.  Over (N, n + 2) rows of
-    states it returns the (N,) residuals, from one stacked inversion.
+    exact time-dependent conformal factor projects.  It equals c^2 G^AB p_A
+    p_B - m^2 c^4 = 2mc^2 H - m^2 c^4, the mass shell of the flow Hamiltonian
+    H, and is evaluated so.  Over (N, n + 2) rows of states it returns the
+    (N,) residuals, from one stacked inversion.
     """
     if lifted.kind != TIMEDEP_KIND:
         raise ValueError("the energy relation lives on the time-dependent lift")
+    return _mass_shell(lifted, lifted_hamiltonian(lifted, x, p))
+
+
+def _mass_shell(lifted, H):
+    """2mc^2 H - m^2 c^4: the energy-relation residual at flow Hamiltonian H."""
     m, c = lifted.sys.m, lifted.c
-    n = lifted.sys.g.dim
-    x, p = _points(x), np.asarray(p, dtype=float)
-    Gi = _components(lifted.inverse, x)
-    p_t, p_sigma = p.T[n], p.T[n + 1]
-    kinetic = _quadratic_form(-Gi[..., :n, :n], p[..., :n])
-    Vsq = -Gi[..., n + 1, n + 1]
-    lhs = 2.0 * c * p_t * p_sigma
-    rhs = c * c * kinetic + c * c * Vsq * p_sigma ** 2 + m ** 2 * c ** 4
-    return lhs - rhs if x.ndim == 2 else float(lhs - rhs)
+    return 2.0 * m * c * c * H - m * m * c ** 4
 
 
 def sigma_momentum_identity(H_mech, p_t, q, m, c):
@@ -282,10 +281,10 @@ def integrate_lifted(lifted, initial, span, *, rtol=1e-9, atol=1e-12,
     are then evaluated over the recorded arrays as the run's monitors."""
     traj = integrate(lifted_rhs(lifted), initial, span, rtol=rtol, atol=atol,
                      record_grid=record_grid)
-    traj.monitors["extended_energy"] = lifted_hamiltonian(lifted, traj.x, traj.p)
+    H = traj.monitors["extended_energy"] = lifted_hamiltonian(lifted, traj.x, traj.p)
     traj.monitors["p_dummy"] = traj.p[:, -1].copy()
     if lifted.kind == TIMEDEP_KIND:
-        traj.monitors["shell_residual"] = lifted_energy_relation(lifted, traj.x, traj.p)
+        traj.monitors["shell_residual"] = _mass_shell(lifted, H)
     return traj
 
 

@@ -466,6 +466,31 @@ def test_each_lifted_rhs_call_inverts_the_base_metric_once(monkeypatch):
         assert calls == [lift.sys.g.name], lift.kind
 
 
+def test_timedep_lift_run_inverts_its_rows_once_and_reads_the_shell_off_h(monkeypatch):
+    # the energy relation is the mass shell 2mc^2 H - m^2 c^4 of the flow
+    # Hamiltonian, so the run's monitors need one stacked inversion of its rows
+    stacked = []
+    invert = metric_module.invert_metric
+
+    def counted(g):
+        if np.ndim(g) == 3:
+            stacked.append(len(g))
+        return invert(g)
+
+    monkeypatch.setattr(metric_module, "invert_metric", counted)
+    m, c = 1.7, 1.9
+    lift = lift_time_dependent(MechanicalSystem(g=flat_metric(1), U=DRIVEN_U, m=m,
+                                                time_dependent=True), c=c)
+    start = embed_time_dependent(lift, np.array([1.0]), np.array([0.3]), q=1.2)
+    traj = integrate_lifted(lift, start, 3.0, record_grid=400)
+    assert stacked == [401]
+    residual = traj.monitors["shell_residual"]
+    assert residual.tolist() == lifted_energy_relation(lift, traj.x, traj.p).tolist()
+    ee = traj.monitors["extended_energy"]
+    assert residual.tolist() == (2.0 * m * c * c * ee - m * m * c ** 4).tolist()
+    assert np.max(np.abs(residual)) < 1e-6
+
+
 def test_timedep_lift_takes_no_gauge_one_form():
     gauge = lambda x, t: np.array([0.1])
     with pytest.raises(TypeError):
