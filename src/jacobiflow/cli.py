@@ -412,7 +412,9 @@ def write_summary(path, scn, extra):
     if "integration" in scn:  # the tolerances of a task that integrates
         summary.update(rtol=scn["integration"]["rtol"], atol=scn["integration"]["atol"])
     summary.update(extra)
-    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
+    # strict JSON: a number that is not finite, such as an overflowed drift, reads null
+    summary = json.loads(json.dumps(summary), parse_constant=lambda constant: None)
+    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n",
                           newline="\n")
 
 
@@ -633,6 +635,8 @@ def run_lift(scn):
         start = embed_static(lifted, x0, p0)
     else:
         amp = _param(scn, "amp")
+        if not abs(amp) < 1:  # the drive 1 + amp sin t must stay positive, as lam must
+            raise ValueError(f"amp must lie strictly between -1 and 1, got {amp!r}")
         sys = MechanicalSystem(
             g=flat_metric(dim),
             U=lambda x, t: 0.5 * (1.0 + amp * np.sin(t)) * lam * (x * x).sum(axis=0), m=m,

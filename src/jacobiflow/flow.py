@@ -17,13 +17,7 @@ from typing import Dict
 import numpy as np
 
 from . import tableau
-from .errors import (
-    DomainViolation,
-    EmptyTrajectory,
-    JacobiFlowError,
-    SingularMatrix,
-    TurningPoint,
-)
+from .errors import DomainViolation, EmptyTrajectory, SingularMatrix, TurningPoint
 from .metric import (
     _at,
     _complex_step,
@@ -423,11 +417,9 @@ class _StateNotFinite(Exception):
 
 def _stalled_at_turn(system, x):
     """The energy gap E - U at x when a rescaled flow whose stepper stalled
-    there sits within STALL_GAP of the turning surface, otherwise None."""
-    try:
-        gap = system.E - system.potential(x)
-    except JacobiFlowError:
-        return None
+    there sits within STALL_GAP of the turning surface, otherwise None.  x is
+    the last accepted state, where the rhs has just evaluated U."""
+    gap = system.E - system.potential(x)
     return gap if gap <= STALL_GAP * max(1.0, abs(system.E)) else None
 
 

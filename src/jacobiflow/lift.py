@@ -17,7 +17,9 @@ partials are closed-form too: the base block follows d(g^-1) = -g^-1 (dg)
 g^-1, the potential entry takes the flows' potential gradient, and the t
 derivatives of U and g are complex steps in t.  One hook gives the inverse
 components and their partials together, so each rhs call inverts the base
-metric once.
+metric once.  The printed energy relation of the time-dependent lift is the
+mass shell 2mc^2 H - m^2 c^4 of the flow Hamiltonian H, so a lifted run reads
+its residual off H, from the one stacked inversion of its recorded rows.
 """
 
 from dataclasses import dataclass
@@ -55,7 +57,8 @@ class LiftedSystem:
     directions appended after the coordinates of sys.g (static: x1..xn, z;
     time-dependent: x1..xn, t, sigma).  inverse holds its closed-form,
     exactly symmetric inverse components, also over the columns of N points
-    from one stacked inversion of sys.g, and their partials.  For the flow,
+    from one stacked inversion of sys.g, and their partials; its layout of
+    G^AB is the only one, which the invariants contract whole.  For the flow,
     _inverse_partials(xe) gives G^AB and its partials D[C, A, B] = d G^AB /
     d xe^C at one validated point from one inversion of sys.g, the contract
     of metric._inverse_partials; the inverse field's partials read it too.

@@ -293,12 +293,14 @@ def test_catalog_entry_dispatch():
 
 
 def test_sample_points_respect_guard_and_seed():
-    entry = kerr(M=1.0, a=0.7, m=1.0)
-    pts_a = sample_points(entry, 50, np.random.default_rng(42))
-    pts_b = sample_points(entry, 50, np.random.default_rng(42))
-    np.testing.assert_array_equal(np.asarray(pts_a), np.asarray(pts_b))
-    for x in pts_a:
-        assert entry.spatial.guard(x)
+    # at M = a = 0 the horizon bound is 0, and the box starts at r = 0.5
+    for entry in (kerr(M=1.0, a=0.7, m=1.0), kerr(M=0.0, a=0.0, m=1.0)):
+        pts_a = sample_points(entry, 50, np.random.default_rng(42))
+        pts_b = sample_points(entry, 50, np.random.default_rng(42))
+        np.testing.assert_array_equal(np.asarray(pts_a), np.asarray(pts_b))
+        for x in pts_a:
+            assert entry.spatial.guard(x) and x[0] >= entry.sample_ranges[0][0] > 0.0
+    assert kerr(M=0.0, a=0.0, m=1.0).sample_ranges[0] == (0.5, 10.5)
 
 
 def test_sample_points_refuses_a_box_its_guard_refuses_whole():

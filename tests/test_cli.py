@@ -267,7 +267,13 @@ def test_orbit_whose_state_leaves_the_floats_exits_four(tmp_path, capsys):
     code, _, _ = run(capsys, "orbit", "--system", "free", "--E", "0", "--initial", "0,0,1e307,0",
                      "--span", "1e300", "--out", str(tmp_path))
     assert code == 4
-    summary = json.loads((tmp_path / "orbit_summary.json").read_text())
+
+    def refuse(constant):
+        raise ValueError(f"the summary holds {constant}, which strict JSON refuses")
+
+    # the drift of an energy that overflowed to inf is unmeasured: null, not NaN
+    summary = json.loads((tmp_path / "orbit_summary.json").read_text(), parse_constant=refuse)
+    assert summary["drifts"]["energy"] is None
     assert summary["termination"] == "step_failure" and summary["states"] == 1
     assert "is not finite" in summary["reason"] and "in the step from s = 0.0" in summary["reason"]
     assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 2
@@ -416,6 +422,8 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     ["lift", "--kind", "static", "--kappa", "-1"],
     ["lift", "--kind", "timedep", "--c", "-1"],
     ["lift", "--kind", "timedep", "--q", "-1"],
+    ["lift", "--kind", "timedep", "--amp", "1"],
+    ["lift", "--kind", "timedep", "--amp", "-1.5"],
     ["lift", "--span", "-1"],
     KEPLER + ["--initial", "1,0,0,0,1,0"],
     KEPLER + ["--record", "-3"],
@@ -460,7 +468,8 @@ KEPLER = ["orbit", "--system", "kepler", "--E", "-0.5", "--span", "1"]
     ["orbit", "--system", "free", "--E", "0.5", "--initial", "0,0,1,0"],
     ["curvature", "--E", "-0.5", "--r-min", "2", "--r-max", "1"],
     ["catalog", "--system", "nosuch"],
-], ids=["free-mass", "lift-mass", "lift-kappa", "lift-c", "lift-q", "lift-span",
+], ids=["free-mass", "lift-mass", "lift-kappa", "lift-c", "lift-q", "timedep-lift-amp-one",
+        "timedep-lift-amp-below-minus-one", "lift-span",
         "initial-3d", "record-negative", "atol-negative", "initial-text", "initial-off-chart",
         "jacobi-at-turning-point", "lift-span-zero", "lift-record-zero",
         "compare-record-zero", "schwarzschild-orbit-unread-c", "curvature-unread-system",

@@ -223,6 +223,8 @@ def test_clairaut_mass_scaling():
     st = FlowState(np.array([1.0, 0.0]), np.array([0.0, 1.2]))
     assert clairaut_constant(sys, st.x, st.p, "time_t") == pytest.approx(1.2, abs=1e-15)
     assert clairaut_constant(sys, st.x, st.p, "jacobi_s") == pytest.approx(0.6, abs=1e-15)
+    with pytest.raises(ValueError, match="unsupported parameter kind 'proper_tau'"):
+        clairaut_constant(sys, st.x, st.p, "proper_tau")
 
 
 # ---------------------------------------------------------------------------

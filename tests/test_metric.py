@@ -70,9 +70,11 @@ def schwarzschild_spatial(M):
 
 class TestCoordinatePoint(unittest.TestCase):
     def test_basic(self):
-        p = coordinate_point([1.0, 2.0])
-        self.assertEqual(p.shape, (2,))
-        self.assertEqual(p.dtype, np.float64)
+        for coords in ([1.0, 2.0], [1, 2]):  # integers are cast to floats
+            p = coordinate_point(coords)
+            self.assertEqual(p.shape, (2,))
+            self.assertEqual(p.dtype, np.float64)
+            self.assertEqual(p.tolist(), [1.0, 2.0])
 
     def test_rejects_nonfinite(self):
         with self.assertRaises(ValueError):

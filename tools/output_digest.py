@@ -4,7 +4,10 @@
 
 For each seed and each workload of ``perfbench/plan.py``, every task of the
 plan runs once through ``jacobiflow.cli.main``, imported from DIR (the
-directory that holds the ``jacobiflow`` package), in a temporary directory.
+directory that holds the ``jacobiflow`` package), in a temporary directory,
+by the benchmark's own helpers: ``write_plan`` of ``perfbench/run.py`` writes
+the scenario files beside the outputs, and ``import_cli`` and ``run_round``
+of ``perfbench/worker.py`` import the CLI and run the tasks.
 The tool prints one ``sha256  relative/path`` line per file written, in
 sorted path order, then the number of files, one sha256 over all of them
 (relative paths and bytes, in the same order) and the exit codes, then the
@@ -28,12 +31,15 @@ import argparse
 import contextlib
 import hashlib
 import io
-import json
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from plan import WORKLOADS, make_plan  # noqa: E402
+from run import write_plan  # noqa: E402
+from worker import import_cli, run_round  # noqa: E402
 
 
 def early_task(name, *argv):
@@ -61,33 +67,12 @@ EARLY_ENDINGS = [
 ]
 
 
-def import_cli(src):
-    """jacobiflow.cli from src, refusing a copy found anywhere else."""
-    sys.path.insert(0, str(src))
-    import jacobiflow.cli
-    package = Path(jacobiflow.cli.__file__).resolve().parent
-    if package.parent != Path(src).resolve():
-        raise SystemExit(f"imported jacobiflow from {package}, not from {src}")
-    return jacobiflow.cli
-
-
-def run_plan(main, tasks, out, scratch):
-    """Run every task once with its outputs under out; the exit codes."""
-    out.mkdir(parents=True)
-    codes = []
-    for task in tasks:
-        argv = list(task["argv"])
-        if task["scenario"] is not None:
-            path = scratch / f"{out.name}_{task['id']}_scenario.json"
-            path.write_text(json.dumps(task["scenario"]))
-            argv = argv[:1] + ["--scenario", str(path)] + argv[1:]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            try:
-                codes.append(main(argv + ["--out", str(out)]))
-            except Exception as exc:  # a crash is part of the digest, not the end of it
-                codes.append(f"{type(exc).__name__}: {exc}")
-    return codes
+def run_tasks(main, tasks, out, plans):
+    """Run every task once with its outputs under out and its plan files
+    under plans, which must not exist yet; the exit codes."""
+    write_plan(tasks, plans)
+    with contextlib.redirect_stderr(io.StringIO()):
+        return run_round(main, tasks, out)[1]
 
 
 def digest(directory):
@@ -112,21 +97,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
 
-    cli = import_cli(args.src)
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from plan import WORKLOADS, make_plan
+    cli, _ = import_cli(args.src)
 
     with tempfile.TemporaryDirectory() as tmp:
-        outputs, scratch = Path(tmp) / "out", Path(tmp) / "scenarios"
-        scratch.mkdir()
+        outputs, plans = Path(tmp) / "out", Path(tmp) / "plans"
         codes = {}
         for seed in seeds:
             for workload in WORKLOADS:
-                key = f"{workload}:{seed}"
-                codes[key] = run_plan(cli.main, make_plan(workload, seed),
-                                      outputs / f"{workload}_{seed}", scratch)
+                name = f"{workload}_{seed}"
+                codes[f"{workload}:{seed}"] = run_tasks(cli.main, make_plan(workload, seed),
+                                                        outputs / name, plans / name)
         early = Path(tmp) / "early_endings"
-        early_codes = run_plan(cli.main, EARLY_ENDINGS, early, scratch)
+        early_codes = run_tasks(cli.main, EARLY_ENDINGS, early, plans / "early_endings")
         each, sha = digest(outputs)
         early_each, _ = digest(early)
     for name, file_sha in each.items():
