@@ -6,8 +6,9 @@ For each seed and each workload of ``perfbench/plan.py``, every task of the
 plan runs once through ``jacobiflow.cli.main``, imported from DIR (the
 directory that holds the ``jacobiflow`` package), in a temporary directory,
 by the benchmark's own helpers: ``write_plan`` of ``perfbench/run.py`` writes
-the scenario files beside the outputs, and ``import_cli`` and ``run_round``
-of ``perfbench/worker.py`` import the CLI and run the tasks.
+the scenario files into a plan directory outside the hashed tree, and
+``import_cli`` and ``run_round`` of ``perfbench/worker.py`` import the CLI
+and run the tasks.
 The tool prints one ``sha256  relative/path`` line per file written, in
 sorted path order, then the number of files, one sha256 over all of them
 (relative paths and bytes, in the same order) and the exit codes, then the
