@@ -22,11 +22,11 @@ from .metric import (
     _at,
     _complex_step,
     _diagonal_inverse,
+    _inverse,
     _inverse_partials,
-    _kinetic_form,
     _partials,
-    _points,
-    coordinate_point,
+    _quadratic_form,
+    _state,
 )
 
 # Step-underflow threshold for the adaptive integrator, as a fraction of the
@@ -116,15 +116,8 @@ def _diagonal_kinetic_rhs(field, x, p, m, t=None):
              for row in _partials(field, x, t).tolist()])
 
 
-def _check_momentum(x, p):
-    """Refuse a momentum whose length is not the chart point's."""
-    if len(p) != x.size:
-        raise ValueError(f"momentum has {len(p)} components, the chart point {x.size}")
-
-
 def _hamilton_rhs(sys, x, p, t=None):
-    """hamilton_rhs on an already validated chart point."""
-    p = np.asarray(p, dtype=float)
+    """hamilton_rhs on an already validated state."""
     if not sys.g.diagonal:
         dx, force = _kinetic_rhs(*_inverse_partials(sys.g, x, t), p, sys.m)
         return dx, -(force + _potential_gradient(sys, x, t))
@@ -138,11 +131,9 @@ def hamilton_rhs(sys, x, p, t=None):
     dx^i/dt = g^ij p_j / m
     dp_i/dt = -[ (1/2m) (d g^jk / d x^i) p_j p_k + dU/dx^i ]
 
-    A momentum of another length than x raises ValueError.
+    A momentum of another length than x, or a complex one, raises ValueError.
     """
-    x = coordinate_point(x)
-    _check_momentum(x, p)
-    return _hamilton_rhs(sys, x, p, t)
+    return _hamilton_rhs(sys, *_state(x, p), t)
 
 
 def jacobi_rhs(sys, x, p):
@@ -151,14 +142,13 @@ def jacobi_rhs(sys, x, p):
     Conserves the unit-momentum Hamiltonian g^ij p_i p_j / (2m(E - U)) along
     flows launched on the energy-E surface.  Raises TurningPoint where the
     pacing factor degenerates, and ValueError for a momentum of another
-    length than x.
+    length than the chart point x, or a complex one.
     """
     if sys.time_dependent or sys.g.time_dependent:
         raise ValueError("the rescaled flow is defined for autonomous systems only")
     if sys.E is None:
         raise ValueError("the system needs an energy label E for the rescaled flow")
-    x = coordinate_point(x)
-    _check_momentum(x, p)
+    x, p = _state(x, p)
     gap = sys.E - sys.potential(x)
     if gap <= TURNING_GAP * max(1.0, abs(sys.E)):
         raise TurningPoint(
@@ -192,9 +182,10 @@ def jacobi_flow(sys):
 
 def unit_momentum_hamiltonian(sys, x, p):
     """The rescaled-flow invariant g^ij p_i p_j / (2m(E - U)); 1 on the
-    energy surface.  Over (N, n) rows of states it returns the (N,) values."""
-    x = _points(x)
-    kinetic = _kinetic_form(sys.g, x, p)
+    energy surface.  Over (N, n) rows of states, one momentum row per point
+    row, it returns the (N,) values; a complex momentum raises ValueError."""
+    x, p = _state(x, p, rows=True)
+    kinetic = _quadratic_form(_inverse(sys.g, x), p)
     gap = sys.E - sys.potential(x)
     return kinetic / (2.0 * sys.m * gap)
 
@@ -207,7 +198,7 @@ def clairaut_constant(sys, x, p, parameter_kind="time_t"):
     a chart with g_phiphi = r^2 the first is p_phi and the second p_phi / m:
     the two agree only at m = 1.
     """
-    x = coordinate_point(x)
+    x, p = _state(x, p)
     r = float(x[0])
     if parameter_kind == "time_t":
         dx, _ = hamilton_rhs(sys, x, p)
@@ -450,9 +441,9 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_
     error out of the measurement; this keeps the step sequence of the
     adaptive run.  A span that is not
     positive and finite, an rtol below RTOL_MIN, an atol below 0 or not
-    finite, a launch state that is not finite, a launch momentum of another
-    length than its position or a record_grid that is not such a count
-    raises ValueError before any step.
+    finite, a launch that is not finite, a launch refused as hamilton_rhs
+    refuses a state (a list reads as an array) or a record_grid that is not
+    such a count raises ValueError before any step.
 
     A run that started returns how it ended as its termination and the
     message of what ended it early as its reason: 'turning_point' or
@@ -488,11 +479,10 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_
         raise ValueError(f"record_grid must be a count >= 1, got {record_grid!r}")
     grid = None if record_grid is None else np.linspace(0.0, span, int(record_grid) + 1)[1:]
 
-    n = initial.x.size
-    _check_momentum(initial.x, initial.p)
+    x0, p0 = _state(initial.x, initial.p)
+    n = x0.size
     augmented = pacing is not None
-    y0 = np.concatenate([initial.x, initial.p, [0.0]] if augmented
-                        else [initial.x, initial.p])
+    y0 = np.concatenate([x0, p0, [0.0]] if augmented else [x0, p0])
 
     def fun(s, y):
         x, p = y[:n], y[n:2 * n]

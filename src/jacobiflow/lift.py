@@ -38,10 +38,9 @@ from .metric import (
     _inverse,
     _inverse_partials,
     _matrix,
-    _points,
     _quadratic_form,
+    _state,
     _valid,
-    coordinate_point,
 )
 from .transforms import MechanicalSystem, energy_from_state
 
@@ -182,22 +181,22 @@ def lift_time_dependent(sys, *, c=1.0):
 def lifted_rhs(lifted):
     """Geodesic equations of the extended metric in Hamiltonian form,
     evaluated through the closed-form inverse components and their partials
-    at one inversion of the base metric per call."""
+    at one inversion of the base metric per call, on states hamilton_rhs takes."""
 
     def rhs(param, x, p):
-        x = coordinate_point(x)
+        x, p = _state(x, p)
         _check_point(lifted.inverse, x)
-        dx, force = _kinetic_rhs(*lifted._inverse_partials(x), np.asarray(p, dtype=float),
-                                 lifted.sys.m)
+        dx, force = _kinetic_rhs(*lifted._inverse_partials(x), p, lifted.sys.m)
         return dx, -force
 
     return rhs
 
 
 def lifted_hamiltonian(lifted, x, p):
-    """Flow Hamiltonian (1/2m) G^AB p_A p_B of the extended metric, or its
-    (N,) values over (N, dim) rows of states, from one stacked inversion."""
-    return _quadratic_form(_components(lifted.inverse, _points(x)), p) / (2.0 * lifted.sys.m)
+    """Flow Hamiltonian (1/2m) G^AB p_A p_B of the extended metric, or its (N,)
+    values over rows of states as energy_from_state takes, from one stacked inversion."""
+    x, p = _state(x, p, rows=True)
+    return _quadratic_form(_components(lifted.inverse, x), p) / (2.0 * lifted.sys.m)
 
 
 def mechanical_pz(lifted):
@@ -210,9 +209,10 @@ def mechanical_pz(lifted):
 
 def embed_static(lifted, x0, p0):
     """Initial lifted state over a mechanical phase point at time 0 and z = 0,
-    with p_z pinned to the mechanical normalization."""
-    xe = np.concatenate([coordinate_point(x0), [0.0]])
-    pe = np.concatenate([np.asarray(p0, dtype=float), [mechanical_pz(lifted)]])
+    with p_z pinned to the mechanical normalization; hamilton_rhs's refusals apply."""
+    x0, p0 = _state(x0, p0)
+    xe = np.concatenate([x0, [0.0]])
+    pe = np.concatenate([p0, [mechanical_pz(lifted)]])
     return FlowState(x=xe, p=pe)
 
 
@@ -224,7 +224,7 @@ def embed_time_dependent(lifted, x0, p0, q, shell="massive"):
     that the printed signature induces.  p_t is placed on the massive shell
     G^AB p_A p_B = m^2 c^2 (shell='massive', the surface of the printed
     energy relation) or the null shell (shell='null', where the flow
-    Hamiltonian vanishes).
+    Hamiltonian vanishes).  The phase point is refused as in embed_static.
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q!r}")
@@ -232,8 +232,7 @@ def embed_time_dependent(lifted, x0, p0, q, shell="massive"):
         raise ValueError("shell must be 'massive' or 'null'")
     if lifted.kind != TIMEDEP_KIND:
         raise ValueError("embedding over (t, sigma) needs the time-dependent lift")
-    x0 = coordinate_point(x0)
-    p0 = np.asarray(p0, dtype=float)
+    x0, p0 = _state(x0, p0)
     m, c = lifted.sys.m, lifted.c
     p_t = (q / m) * energy_from_state(lifted.sys, x0, p0)
     if shell == "massive":

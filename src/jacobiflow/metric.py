@@ -30,7 +30,9 @@ def coordinate_point(coords):
 
     Rejects empty, non-1-d, complex and non-finite input.
     """
-    x = _real(coords)
+    x = np.asarray(coords)
+    if x.dtype is not _FLOAT:  # _real's test, inline on the rhs's hot path
+        x = _real(x)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("a chart point must be a non-empty 1-d sequence")
     # on a point's few coordinates Python's test costs less than numpy's
@@ -39,13 +41,13 @@ def coordinate_point(coords):
     return x
 
 
-def _real(coords):
-    """coords as a float array, refusing complex ones, which a cast would make real."""
-    x = np.asarray(coords)
+def _real(values, what="chart coordinates"):
+    """values as a float array, refusing complex ones, which a cast would make real."""
+    x = np.asarray(values)
     if x.dtype is _FLOAT:  # an identity test costs half of dtype == float
         return x
     if x.dtype.kind == "c":
-        raise ValueError(f"chart coordinates must be real, got {x.dtype} values")
+        raise ValueError(f"{what} must be real, got {x.dtype} values")
     return x.astype(float)
 
 
@@ -60,6 +62,20 @@ def _points(x):
     if not np.isfinite(x).all():
         raise ValueError("chart coordinates must be finite")
     return x
+
+
+def _state(x, p, rows=False):
+    """The one check of a phase-space state (x, p): x a chart point, or with
+    rows also (N, n) rows of them, and p a real float array of x's shape,
+    returned as (x, p).  A complex p, or one of another shape, raises ValueError."""
+    x = _points(x) if rows else coordinate_point(x)
+    if type(p) is not np.ndarray or p.dtype is not _FLOAT:  # _real's test, inline
+        p = _real(p, "momentum")
+    if p.shape != x.shape:
+        raise ValueError(f"momentum has {p.size} components, the chart point {x.size}"
+                         if p.ndim == x.ndim == 1 else f"momentum of shape {p.shape} "
+                         f"given with chart points of shape {x.shape}")
+    return x, p
 
 
 @dataclass(frozen=True)
@@ -307,18 +323,9 @@ def _quadratic_form(a, p):
     """p_i a^ij p_j for one matrix, or for each matrix of a stack with the
     matching rows of p, associated as (p @ a) @ p: the stacked products over
     a contiguous stack give each row the bits of its single-matrix call."""
-    p = np.asarray(p, dtype=float)
     if a.ndim == 2:
         return float(p @ a @ p)
     return np.matmul(np.matmul(p[:, None, :], np.ascontiguousarray(a)), p[:, :, None])[:, 0, 0]
-
-
-def _kinetic_form(field, x, p, t=None):
-    """g^ij p_i p_j: the inverse metric at a chart point contracted twice
-    with the momentum p, the one kinetic-form rule of the package.  Over
-    (N, n) rows of points and momenta it returns the (N,) values, from one
-    stacked inversion."""
-    return _quadratic_form(_inverse(field, _points(x), t), p)
 
 
 def _complex_step(f, x, role, name):

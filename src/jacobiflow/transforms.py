@@ -18,9 +18,10 @@ from .metric import (
     _at,
     _call,
     _check_dim,
-    _kinetic_form,
-    _points,
+    _inverse,
+    _quadratic_form,
     _real,
+    _state,
     coordinate_point,
     evaluate_metric,
 )
@@ -119,9 +120,10 @@ class ConformalMetric:
 
 def energy_from_state(sys, x, p):
     """Energy of a phase point under the natural Hamiltonian T + U, or the
-    (N,) energies of (N, n) rows of states, from one stacked inversion."""
-    x = _points(x)
-    return _kinetic_form(sys.g, x, p) / (2.0 * sys.m) + sys.potential(x)
+    (N,) energies of (N, n) rows of states, one momentum row per point row,
+    from one stacked inversion.  A complex momentum raises ValueError."""
+    x, p = _state(x, p, rows=True)
+    return _quadratic_form(_inverse(sys.g, x), p) / (2.0 * sys.m) + sys.potential(x)
 
 
 def jacobi_nonrelativistic(sys):

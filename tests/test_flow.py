@@ -16,6 +16,8 @@ from jacobiflow import (
     TurningPoint,
     clairaut_constant,
     compare_paths,
+    embed_static,
+    embed_time_dependent,
     energy_from_state,
     flat_metric,
     hamilton_flow,
@@ -24,6 +26,10 @@ from jacobiflow import (
     jacobi_flow,
     jacobi_rhs,
     kerr,
+    lift_static,
+    lift_time_dependent,
+    lifted_hamiltonian,
+    lifted_rhs,
     max_relative_drift,
     mechanical_system_from_entry,
     polar_metric,
@@ -105,6 +111,58 @@ def test_rhs_refuses_a_momentum_of_another_length(rhs, p):
     # a diagonal chart once zipped the two and truncated to the shorter
     with pytest.raises(ValueError, match=f"momentum has {len(p)} components, the chart point 2"):
         rhs(np.array([1.0, 0.0]), p)
+
+
+def state_entries():
+    """(name, the entry as a call of (x, p), its chart dimension n, whether it
+    also takes (N, n) rows of states) for every entry that takes a state."""
+    oscillator = MechanicalSystem(g=flat_metric(2), U=lambda x: 0.5 * (x[0] * x[0] + x[1] * x[1]),
+                                  m=1.0, grad_U=lambda x: x.copy(), name="oscillator")
+    static, timedep = lift_static(oscillator), lift_time_dependent(oscillator)
+    yield "hamilton_rhs", lambda x, p: hamilton_rhs(kepler(), x, p), 2, False
+    yield "jacobi_rhs", lambda x, p: jacobi_rhs(kepler(), x, p), 2, False
+    yield ("unit_momentum_hamiltonian", lambda x, p: unit_momentum_hamiltonian(kepler(), x, p),
+           2, True)
+    yield "clairaut_constant", lambda x, p: clairaut_constant(kepler(), x, p), 2, False
+    yield ("integrate", lambda x, p: integrate(hamilton_flow(kepler()), FlowState(x, p), 0.1),
+           2, False)
+    yield "energy_from_state", lambda x, p: energy_from_state(kepler(), x, p), 2, True
+    yield "lifted_rhs", lambda x, p: lifted_rhs(static)(0.0, x, p), 3, False
+    yield "lifted_hamiltonian", lambda x, p: lifted_hamiltonian(static, x, p), 3, True
+    yield "embed_static", lambda x, p: embed_static(static, x, p), 2, False
+    yield ("embed_time_dependent", lambda x, p: embed_time_dependent(timedep, x, p, 1.0),
+           2, False)
+
+
+def off_contract_states(n, rows):
+    """(case, x, p, the refusal) for an entry of chart dimension n."""
+    x, p = np.linspace(0.6, 0.9, n), np.linspace(0.2, 0.5, n)
+    X, P = np.tile(x, (3, 1)), np.tile(p, (3, 1))
+    yield "complex", x, p + 0.5j, "momentum must be real, got complex128 values"
+    yield "long", x, np.append(p, 1.0), f"momentum has {n + 1} components, the chart point {n}"
+    yield "row", x, p[None], re.escape(f"momentum of shape (1, {n}) given with chart points "
+                                       f"of shape ({n},)")
+    if not rows:
+        yield "rows", X, P, "a chart point must be a non-empty 1-d sequence"
+        return
+    yield "complex-rows", X, P.astype(complex), "momentum must be real"
+    yield "one-row", X, p[None], re.escape(f"momentum of shape (1, {n}) given with chart "
+                                           f"points of shape (3, {n})")
+    yield "no-rows", X, p, re.escape(f"momentum of shape ({n},) given with chart points "
+                                     f"of shape (3, {n})")
+
+
+@pytest.mark.parametrize("call, x, p, refusal", [
+    pytest.param(call, x, p, refusal, id=f"{name}-{case}")
+    for name, call, n, rows in state_entries()
+    for case, x, p, refusal in off_contract_states(n, rows)])
+def test_every_state_entry_refuses_an_off_contract_momentum(call, x, p, refusal):
+    # a complex momentum was once cut to its real part, and one momentum row
+    # was broadcast over every point row
+    n = x.shape[-1]
+    call(np.linspace(0.6, 0.9, n), np.linspace(0.2, 0.5, n))  # the state in contract runs
+    with pytest.raises(ValueError, match=refusal):
+        call(x, p)
 
 
 def test_jacobi_rhs_requires_energy_label():
@@ -412,9 +470,16 @@ def test_integrate_rejects_bad_arguments():
     # Kepler launch below such a run did not end in 10 s
     ({"initial": FlowState(np.zeros(2), np.ones(3))}, "momentum has 3 components, the chart point 2"),
     ({"initial": FlowState(np.zeros(2), np.ones(1))}, "momentum has 1 components, the chart point 2"),
+    # a complex launch once ran from its real part
+    ({"initial": FlowState(np.array([0.5 + 0.3j, 0.0]), np.ones(2))},
+     "chart coordinates must be real"),
+    ({"initial": FlowState(np.zeros(2), np.array([1.0, 1.0 + 0.5j]))}, "momentum must be real"),
+    ({"initial": FlowState(np.zeros((1, 2)), np.ones((1, 2)))},
+     "a chart point must be a non-empty 1-d sequence"),
 ], ids=["rtol-small", "rtol-zero", "rtol-negative", "atol-negative", "atol-nan", "atol-inf",
         "x-nan", "p-inf", "count-zero", "count-negative", "grid-array", "count-fraction",
-        "count-bool", "count-inf", "span-nan", "span-inf", "span-zero", "p-long", "p-short"])
+        "count-bool", "count-inf", "span-nan", "span-inf", "span-zero", "p-long", "p-short",
+        "x-complex", "p-complex", "launch-row"])
 def test_integrate_refuses_off_contract_input_before_stepping(kwargs, message):
     calls = []
 
@@ -426,6 +491,16 @@ def test_integrate_refuses_off_contract_input_before_stepping(kwargs, message):
     with pytest.raises(ValueError, match=message):
         integrate(rhs, **args)
     assert calls == []
+
+
+def test_integrate_runs_a_launch_given_as_lists():
+    # a launch of lists once raised AttributeError on its missing .size
+    start = perihelion_state()
+    listed = integrate(hamilton_flow(kepler()), FlowState(start.x.tolist(), start.p.tolist()), 1.0)
+    arrays = integrate(hamilton_flow(kepler()), start, 1.0)
+    assert listed.termination == "completed"
+    np.testing.assert_array_equal(listed.x, arrays.x)
+    np.testing.assert_array_equal(listed.p, arrays.p)
 
 
 # ---------------------------------------------------------------------------
