@@ -537,7 +537,7 @@ def run_orbit(scn):
     if flow_kind == "jacobi":
         unit = traj.monitors["unit_momentum"] = unit_momentum_hamiltonian(sys, traj.x, traj.p)
         drifts["unit_momentum"] = float(np.max(np.abs(unit - 1.0)))
-    if sys.g.dim == 2:
+    if sys.g.name == "polar":  # x2 is the cyclic angle phi only on the polar chart
         p_phi = traj.p[:, 1]
         drifts["angular_momentum"] = float(np.max(np.abs(p_phi - p_phi[0])))
     extra = {

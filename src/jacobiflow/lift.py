@@ -85,8 +85,8 @@ def lift_static(sys, kappa=2.0):
     """
     if sys.time_dependent or sys.g.time_dependent:
         raise ValueError("the static lift is defined for autonomous systems only")
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     g, n, kappa = sys.g, sys.g.dim, float(kappa)
 
     def inv_guard(xe):
@@ -131,8 +131,8 @@ def lift_time_dependent(sys, *, c=1.0):
     U is the system's (possibly non-autonomous) potential; its metric g may
     itself be time-dependent.  The lift carries no gauge one-form.
     """
-    if not c > 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < np.inf:
+        raise ValueError(f"c must be positive and finite, got {c!r}")
     g, n, m, c = sys.g, sys.g.dim, sys.m, float(c)
 
     def ext_guard(xe):

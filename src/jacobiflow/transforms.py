@@ -198,10 +198,12 @@ def jacobi_time_dependent(g, U, q, p_t, m, c=1.0):
     p_t = (q/m) H + m^2 c^2 / (2q) that embed_time_dependent places, it
     equals g^ij p_i p_j of the lifted spatial momenta.  p_t may be a constant
     or a function of time (it varies along lifted flows when U depends on
-    time).
+    time).  m and c must be positive and finite.
     """
     if q == 0 or not np.isfinite(q):
         raise ValueError("the dummy momentum parameter q must be nonzero and finite")
+    if not (0 < m < math.inf and 0 < c < math.inf):
+        raise ValueError(f"m and c must be positive and finite, got m = {m!r}, c = {c!r}")
     pt_fn = _as_time_function(p_t)
 
     def factor(x, t):
@@ -214,8 +216,11 @@ def jacobi_time_dependent_approx(g, U, energy, q, m):
     """Non-relativistic time-dependent conformal factor 2m[E(t) - q^2 U(x, t)].
 
     energy is the instantaneous mechanical energy as a function of time (a
-    constant is accepted and treated as a constant function).
+    constant is accepted and treated as a constant function).  m must be
+    positive and finite, q finite.
     """
+    if not (0 < m < math.inf and math.isfinite(q)):
+        raise ValueError(f"m must be positive and finite and q finite, got m = {m!r}, q = {q!r}")
     e_fn = _as_time_function(energy)
 
     def factor(x, t):

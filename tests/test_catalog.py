@@ -20,6 +20,7 @@ from jacobiflow import (
     jacobi_nonrelativistic,
     jacobi_relativistic_stationary,
     jacobi_time_dependent,
+    jacobi_time_dependent_approx,
     kepler_eccentricity,
     kerr,
     lift_static,
@@ -464,6 +465,11 @@ def test_mass_parameters_refuse_nan(build, refusal):
 INF = float("inf")
 
 
+def zero_t(x, t):
+    return 0.0 * x[0]
+
+
+
 @pytest.mark.parametrize("build, refusal", [
     (lambda: MechanicalSystem(g=flat_metric(1), U=lambda x: 0.0, m=INF),
      "must be finite, got m = inf, E = None"),
@@ -482,12 +488,28 @@ INF = float("inf")
     (lambda: kepler_eccentricity(-0.5, 1.0, m=-1.0), "needs m > 0 and k != 0, got m = -1.0, k = 1.0"),
     (lambda: kepler_eccentricity(-0.5, 1.0, m=0.0), "needs m > 0 and k != 0, got m = 0.0, k = 1.0"),
     (lambda: kepler_eccentricity(-0.5, 1.0, k=0.0), "needs m > 0 and k != 0, got m = 1.0, k = 0.0"),
+    (lambda: lift_static(oscillator(), kappa=INF), "kappa must be positive and finite, got inf"),
+    (lambda: lift_time_dependent(oscillator(), c=INF), "c must be positive and finite, got inf"),
+    (lambda: jacobi_time_dependent(flat_metric(1), zero_t, q=1.0, p_t=1.0, m=0.0),
+     "m and c must be positive and finite, got m = 0.0, c = 1.0"),
+    (lambda: jacobi_time_dependent(flat_metric(1), zero_t, q=1.0, p_t=1.0, m=-1.0),
+     "m and c must be positive and finite, got m = -1.0, c = 1.0"),
+    (lambda: jacobi_time_dependent(flat_metric(1), zero_t, q=1.0, p_t=1.0, m=1.0, c=NAN),
+     "m and c must be positive and finite, got m = 1.0, c = nan"),
+    (lambda: jacobi_time_dependent_approx(flat_metric(1), zero_t, energy=1.0, q=1.0, m=-1.0),
+     "m must be positive and finite and q finite, got m = -1.0, q = 1.0"),
+    (lambda: jacobi_time_dependent_approx(flat_metric(1), zero_t, energy=1.0, q=NAN, m=1.0),
+     "m must be positive and finite and q finite, got m = 1.0, q = nan"),
 ], ids=["system-m-inf", "system-E-nan", "system-E-inf", "spacetime-m-inf", "spacetime-c-inf",
         "orbit-E-nan", "eccentricity-nan", "eccentricity-negative", "kepler-E-nan",
-        "kepler-m-negative", "kepler-m-zero", "kepler-k-zero"])
+        "kepler-m-negative", "kepler-m-zero", "kepler-k-zero", "lift-kappa-inf", "lift-c-inf",
+        "timedep-m-zero", "timedep-m-negative", "timedep-c-nan", "approx-m-negative",
+        "approx-q-nan"])
 def test_physics_inputs_off_contract_are_refused(build, refusal):
     # each of these once returned a plausible value or a ZeroDivisionError: U
     # alone for an infinite mass, "hyperbola" for a NaN energy or for a bound
-    # orbit of negative mass, "ellipse" for e = -5
+    # orbit of negative mass, "ellipse" for e = -5; or failed only later: an
+    # infinite kappa or c as an unrelated step failure or launch refusal, a
+    # time-dependent factor at m <= 0 as -inf or 2.0
     with pytest.raises(ValueError, match=refusal):
         build()

@@ -274,6 +274,8 @@ def test_orbit_whose_state_leaves_the_floats_exits_four(tmp_path, capsys):
     # the drift of an energy that overflowed to inf is unmeasured: null, not NaN
     summary = json.loads((tmp_path / "orbit_summary.json").read_text(), parse_constant=refuse)
     assert summary["drifts"]["energy"] is None
+    # the free particle's Cartesian p_y is no angular momentum, so none is reported
+    assert sorted(summary["drifts"]) == ["energy"]
     assert summary["termination"] == "step_failure" and summary["states"] == 1
     assert "is not finite" in summary["reason"] and "in the step from s = 0.0" in summary["reason"]
     assert len((tmp_path / "orbit.csv").read_text().splitlines()) == 2

@@ -17,5 +17,6 @@ def test_layer_timings_reports_a_time_for_every_layer():
         "metric._inverse.polar", "metric.invert_metric.2x2", "flow.stepper.per_step",
         "flow.record.per_state", "monitors.energy_from_state.per_row",
         "monitors.lifted_hamiltonian.per_row", "kepler.nfev_per_step",
-        "curvature.per_point", "cli.write_csv.per_row", "metric.partials.fallback"])
+        "curvature.per_point", "cli.write_csv.per_row", "metric.partials.fallback",
+        "metric._state.point", "metric._state.per_row"])
     assert all(value > 0 for value in us.values())

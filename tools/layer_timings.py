@@ -10,7 +10,10 @@ static and time-dependent lifts of the 1-d oscillator of `lift`.  Recording
 is per state, in blocks of 8 states and their final concatenation, and the
 stepper is per accepted step of DOP853 on the harmonic oscillator y'' = -y.
 The monitors are per row of one call over 1000 recorded states: Kepler's
-energy and the static lift's flow Hamiltonian.  The curvature is per point
+energy and the static lift's flow Hamiltonian.  metric._state.point is the
+state check of every entry that takes (x, p), on Kepler's point, and
+metric._state.per_row the same check per row of one call over Kepler's 1000
+rows.  The curvature is per point
 of the CLI's scan (Kepler profile, k = 1, E = -0.5, at r = 1.2), and CSV
 writing is per row of one write_csv call of 1000 rows of 7 values.
 metric.partials.fallback is one complex-step _partials call on Kerr's
@@ -38,7 +41,7 @@ from jacobiflow.catalog import catalog_entry, mechanical_system_from_entry  # no
 from jacobiflow.cli import write_csv  # noqa: E402
 from jacobiflow.curvature import gaussian_curvature_numeric, kepler_profile  # noqa: E402
 from jacobiflow.metric import (  # noqa: E402
-    _inverse, _partials, flat_metric, invert_metric, polar_metric)
+    _inverse, _partials, _state, flat_metric, invert_metric, polar_metric)
 from jacobiflow.transforms import MechanicalSystem, energy_from_state  # noqa: E402
 
 REPEATS = 7
@@ -92,6 +95,7 @@ def layer_timings(number=2000):
         "static.lifted_rhs": lambda: static(0.0, xl, pl),
         "timedep.lifted_rhs": lambda: timedep(0.0, xt, pt),
         "metric._inverse.polar": lambda: _inverse(kepler.g, xk),
+        "metric._state.point": lambda: _state(xk, pk),
         "metric.invert_metric.2x2": lambda: invert_metric(g),
         "metric.partials.fallback": lambda: _partials(kerr_chart, xr),
         "flow.stepper.per_step": stepper.step,
@@ -106,6 +110,7 @@ def layer_timings(number=2000):
         csv_path = Path(tmp) / "rows.csv"
         per_row = {
             "monitors.energy_from_state.per_row": lambda: energy_from_state(kepler, XK, PK),
+            "metric._state.per_row": lambda: _state(XK, PK, rows=True),
             "monitors.lifted_hamiltonian.per_row":
                 lambda: lift.lifted_hamiltonian(static_lift, XL, PL),
             "cli.write_csv.per_row": lambda: write_csv(csv_path, ["c"] * 7, table),
