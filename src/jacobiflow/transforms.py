@@ -149,8 +149,8 @@ def jacobi_relativistic_stationary(st, Erel):
     factor = (Erel^2 - m^2 c^4 V^2) / (c^2 V^2); the spacetime's spatial
     metric is the base.
     """
-    if not Erel > 0:
-        raise ValueError("the relativistic energy must be positive")
+    if not 0 < Erel < math.inf:
+        raise ValueError(f"the relativistic energy must be positive and finite, got {Erel!r}")
     m, c, Vsq = st.m, st.c, st.Vsq
 
     def factor(x):
@@ -183,9 +183,11 @@ def nonrelativistic_limit_factor(st, E_nr):
     return jacobi_relativistic_stationary(st, st.m * st.c * st.c + E_nr)
 
 
-def _as_time_function(value):
+def _as_time_function(value, name):
     if callable(value):
         return value
+    if not math.isfinite(value):
+        raise ValueError(f"a constant {name} must be finite, got {value!r}")
     return lambda t, _v=float(value): _v
 
 
@@ -204,7 +206,7 @@ def jacobi_time_dependent(g, U, q, p_t, m, c=1.0):
         raise ValueError("the dummy momentum parameter q must be nonzero and finite")
     if not (0 < m < math.inf and 0 < c < math.inf):
         raise ValueError(f"m and c must be positive and finite, got m = {m!r}, c = {c!r}")
-    pt_fn = _as_time_function(p_t)
+    pt_fn = _as_time_function(p_t, "p_t")
 
     def factor(x, t):
         return 2.0 * (q * pt_fn(t) - q * q * U(x, t) / m) - m * m * c * c
@@ -221,7 +223,7 @@ def jacobi_time_dependent_approx(g, U, energy, q, m):
     """
     if not (0 < m < math.inf and math.isfinite(q)):
         raise ValueError(f"m must be positive and finite and q finite, got m = {m!r}, q = {q!r}")
-    e_fn = _as_time_function(energy)
+    e_fn = _as_time_function(energy, "energy")
 
     def factor(x, t):
         return 2.0 * m * (e_fn(t) - q * q * U(x, t))

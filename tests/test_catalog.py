@@ -500,16 +500,23 @@ def zero_t(x, t):
      "m must be positive and finite and q finite, got m = -1.0, q = 1.0"),
     (lambda: jacobi_time_dependent_approx(flat_metric(1), zero_t, energy=1.0, q=NAN, m=1.0),
      "m must be positive and finite and q finite, got m = 1.0, q = nan"),
+    (lambda: jacobi_time_dependent(flat_metric(1), zero_t, q=1.0, p_t=INF, m=1.0),
+     "a constant p_t must be finite, got inf"),
+    (lambda: jacobi_time_dependent_approx(flat_metric(1), zero_t, energy=NAN, q=1.0, m=1.0),
+     "a constant energy must be finite, got nan"),
+    (lambda: jacobi_relativistic_stationary(unit_spacetime(), Erel=INF),
+     "relativistic energy must be positive and finite, got inf"),
 ], ids=["system-m-inf", "system-E-nan", "system-E-inf", "spacetime-m-inf", "spacetime-c-inf",
         "orbit-E-nan", "eccentricity-nan", "eccentricity-negative", "kepler-E-nan",
         "kepler-m-negative", "kepler-m-zero", "kepler-k-zero", "lift-kappa-inf", "lift-c-inf",
         "timedep-m-zero", "timedep-m-negative", "timedep-c-nan", "approx-m-negative",
-        "approx-q-nan"])
+        "approx-q-nan", "timedep-p_t-inf", "approx-energy-nan", "stationary-Erel-inf"])
 def test_physics_inputs_off_contract_are_refused(build, refusal):
     # each of these once returned a plausible value or a ZeroDivisionError: U
     # alone for an infinite mass, "hyperbola" for a NaN energy or for a bound
     # orbit of negative mass, "ellipse" for e = -5; or failed only later: an
     # infinite kappa or c as an unrelated step failure or launch refusal, a
-    # time-dependent factor at m <= 0 as -inf or 2.0
+    # time-dependent factor at m <= 0 as -inf or 2.0, and an infinite energy
+    # constant as an infinite factor
     with pytest.raises(ValueError, match=refusal):
         build()
