@@ -469,7 +469,6 @@ def zero_t(x, t):
     return 0.0 * x[0]
 
 
-
 @pytest.mark.parametrize("build, refusal", [
     (lambda: MechanicalSystem(g=flat_metric(1), U=lambda x: 0.0, m=INF),
      "must be finite, got m = inf, E = None"),
