@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .metric import MetricField
+from .metric import MetricField, _valid
 from .transforms import MechanicalSystem, StationarySpacetime
 
 POLE_MARGIN = 1e-9  # sin(theta) floor shared by all spherical-type charts
@@ -462,6 +462,6 @@ def sample_points(entry, count, rng):
                              f"of {draws} draws from its sample box, short of {count}")
         draws += 1
         x = lows + (highs - lows) * rng.random(len(lows))
-        if entry.spatial.guard is None or entry.spatial.guard(x):
+        if _valid(entry.spatial, x):
             points.append(x)
     return points

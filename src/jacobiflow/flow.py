@@ -19,7 +19,7 @@ import numpy as np
 from . import tableau
 from .errors import DomainViolation, EmptyTrajectory, SingularMatrix, TurningPoint
 from .metric import (
-    _at,
+    _call,
     _complex_step,
     _diagonal_inverse,
     _inverse,
@@ -89,9 +89,9 @@ def _potential_gradient(sys, x, t=None):
     """dU/dx^k at a validated chart point: the system's grad_U, or complex
     steps of U itself, as sys.potential would drop their imaginary parts."""
     if sys.grad_U is not None:
-        return np.asarray(_at(sys.grad_U, x, t, sys.time_dependent), dtype=float)
-    return _complex_step(lambda z: _at(sys.U, z, t, sys.time_dependent), x,
-                         "potential of system", sys.name)
+        return _call(sys.grad_U, x, t, sys.time_dependent, x.shape,
+                     "potential gradient of system", sys.name)
+    return _complex_step(sys.U, x, t, sys.time_dependent, (), "potential of system", sys.name)
 
 
 def _kinetic_rhs(ginv, dginv, p, m):

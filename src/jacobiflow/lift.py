@@ -30,7 +30,6 @@ import numpy as np
 from .flow import FlowState, Trajectory, _kinetic_rhs, _potential_gradient, integrate
 from .metric import (
     MetricField,
-    _at,
     _check_point,
     _complex_step,
     _components,
@@ -39,6 +38,7 @@ from .metric import (
     _inverse_partials,
     _matrix,
     _quadratic_form,
+    _shape,
     _state,
     _valid,
 )
@@ -159,13 +159,13 @@ def lift_time_dependent(sys, *, c=1.0):
         D = np.zeros((n + 2, n + 2, n + 2))
         D[:n, :n, :n] = -dginv
         if g.time_dependent:
-            dgdt = _complex_step(lambda s: _at(g.components, x, s[0], True), xe[n:n + 1],
-                                 "components of metric", g.name)[0]
+            dgdt = _complex_step(g.components, x, t, True, _shape(g),
+                                 "components of metric", g.name, in_t=True)
             D[n, :n, :n] = ginv @ _matrix(g, dgdt) @ ginv
         D[:n, n + 1, n + 1] = -2.0 * _potential_gradient(sys, x, t) / (m * c * c)
         if sys.time_dependent:
-            dUdt = _complex_step(lambda s: _at(sys.U, x, s[0], True), xe[n:n + 1],
-                                 "potential of system", sys.name)[0]
+            dUdt = _complex_step(sys.U, x, t, True, (), "potential of system", sys.name,
+                                 in_t=True)
             D[n, n + 1, n + 1] = -2.0 * dUdt / (m * c * c)
         return inverse_from(xe, ginv), D
 

@@ -23,6 +23,7 @@ CS_STEP = 1e-20
 RCOND_MIN = 1e-12
 
 _FLOAT = np.dtype(float)
+_REAL_SCALARS = frozenset({float, int, bool, np.float64, np.bool_})
 
 
 def coordinate_point(coords):
@@ -93,9 +94,9 @@ class MetricField:
     columns (dim, N) of N points, with t a scalar or (N,), and then put the
     points on the last axis: (dim, dim, N) or (dim, N) components, (N,)
     flags.  Code indexing coordinates, x[0] * x[0], works as written; write
-    powers as products (numpy's array ** rounds unlike its scalar one).  A
-    row result of another shape raises ValueError, which a contraction over
-    the last axis (x @ w) escapes when N == dim.  partials takes one point.
+    powers as products (numpy's array ** rounds unlike its scalar one).
+    Results not of shape (dim, dim), (dim, dim, dim) or (), N last over rows,
+    raise ValueError; x @ w escapes that when N == dim.  partials takes one point.
 
     A diagonal field (diagonal=True) is one whose matrix is diag(d):
     components returns the (dim,) vector d and partials the (dim, dim) array
@@ -125,30 +126,28 @@ def _valid(field, x):
     """MetricField.valid on an already validated chart point or rows."""
     if field.guard is None:
         return True if x.ndim == 1 else np.ones(len(x), dtype=bool)
-    ok = _call(field.guard, x, None, False, (), "guard of metric", field.name)
-    return bool(ok) if x.ndim == 1 else ok
+    return _call(field.guard, x, None, False, (), "guard of metric", field.name, bool)
 
 
-def _at(fn, x, t, time_dependent):
-    """fn(x), or fn(x, t) for a time-dependent callable, with t=None read as 0
-    and an array t, one time per point, or a complex t passed through.
-
-    The one place that knows both call signatures: callers hand over the time
-    they hold whether or not fn depends on it, and convert the result.
-    """
+def _call(fn, x, t, time_dependent, shape, role, name, dtype=float):
+    """The one call of a user callable: fn(x), or fn(x, t) if time_dependent
+    (t=None read as 0), at a validated real or complex chart point x, or over
+    (N, n) rows in one call on x.T, the point axis then moved first.  A result
+    not of shape, or shape + (N,), raises ValueError naming the role, the
+    owner's name and both shapes.  It is cast once to dtype, a one-point scalar
+    to a Python float or bool; None keeps its dtype, which complex steps read."""
     if time_dependent:
-        return fn(x, 0.0 if t is None else t if isinstance(t, (np.ndarray, complex)) else float(t))
-    return fn(x)
-
-
-def _call(fn, x, t, time_dependent, shape, role, name):
-    """fn at the validated chart point x, or over (N, n) rows of x in one
-    call on their columns x.T, the result's point axis moved first: the one
-    evaluation path of components, guards and potentials.  A row result not
-    of shape + (N,) raises ValueError naming the role and the owner's name."""
+        t = 0.0 if t is None else t if isinstance(t, (np.ndarray, complex)) else float(t)
     if x.ndim == 1:
-        return _at(fn, x, t, time_dependent)
-    value = np.asarray(_at(fn, x.T, t, time_dependent))
+        value = fn(x, t) if time_dependent else fn(x)
+        if not shape and dtype and type(value) in _REAL_SCALARS:
+            return dtype(value)  # no array built for a Python or numpy real scalar
+        value = np.asarray(value, dtype)
+        if value.shape != shape:
+            raise ValueError(f"{role} '{name}' returned shape {value.shape} at one point, "
+                             f"expected {shape}")
+        return value if shape or not dtype else dtype(value)
+    value = np.asarray(fn(x.T, t) if time_dependent else fn(x.T), dtype)
     expected = shape + (len(x),)
     if value.shape != expected:
         raise ValueError(
@@ -192,9 +191,13 @@ def _components(field, x, t=None):
     rows of them from one call, once the dimension check and the domain
     guard accept them: the matrix, or d of a diagonal field."""
     _check_point(field, x)
-    shape = (field.dim,) if field.diagonal else (field.dim, field.dim)
-    return np.asarray(_call(field.components, x, t, field.time_dependent, shape,
-                            "components of metric", field.name), dtype=float)
+    return _call(field.components, x, t, field.time_dependent, _shape(field),
+                 "components of metric", field.name)
+
+
+def _shape(field):
+    """The one-point shape of the field's components: (n,) or (n, n)."""
+    return (field.dim,) if field.diagonal else (field.dim, field.dim)
 
 
 def _matrix(field, g):
@@ -328,25 +331,30 @@ def _quadratic_form(a, p):
     return np.matmul(np.matmul(p[:, None, :], np.ascontiguousarray(a)), p[:, :, None])[:, 0, 0]
 
 
-def _complex_step(f, x, role, name):
-    """D[k] = Im f(x + i h e_k) / h, h = CS_STEP: the derivatives of f at the
-    real point x, from one call per coordinate, at one complex point.  A call
-    that refuses it (TypeError; ComplexWarning as an error) or returns no
-    complex value raises ValueError naming the role and the owner's name."""
+def _complex_step(fn, x, t, time_dependent, shape, role, name, in_t=False):
+    """D[k] = Im fn(x + i h e_k) / h, h = CS_STEP, for each coordinate k, or
+    with in_t the one Im fn(x, t + i h) / h: derivatives at the real point x
+    and time t of the user callable fn of one-point shape, one _call a step.
+    A call that refuses it (TypeError; ComplexWarning as an error) or returns
+    no complex value raises ValueError naming the role and the owner's name."""
+    steps = [(x, complex(0.0 if t is None else t, CS_STEP))] if in_t else [
+        (x.astype(complex), t) for _ in range(x.size)]
     rows = []
-    for k in range(x.size):
-        z = x.astype(complex)
-        z[k] += 1j * CS_STEP
+    for k, (z, s) in enumerate(steps):
+        if not in_t:
+            z[k] += 1j * CS_STEP
         try:
-            value = np.asarray(f(z))
+            value = _call(fn, z, s, time_dependent, shape, role, name, None)
             if value.dtype.kind != "c":
                 raise TypeError(f"it returned {value.dtype} values")
         except (TypeError, np.exceptions.ComplexWarning) as exc:
-            raise ValueError(f"{role} '{name}' is not complex-analytic at {z.tolist()} ({exc}); "
+            raise ValueError(f"{role} '{name}' is not complex-analytic at "
+                             f"{f't = {s}' if in_t else z.tolist()} ({exc}); "
                              "derivatives without an analytic form are complex steps, and "
                              "a constant reads 0.0 * x[0] + c") from exc
         rows.append(value.imag)
-    return np.array(rows) / CS_STEP
+    D = np.array(rows) / CS_STEP
+    return D[0] if in_t else D
 
 
 def _partials(field, x, t=None):
@@ -354,8 +362,9 @@ def _partials(field, x, t=None):
     of the matrix, or of d for a diagonal field, D[k, i] = d d_i / d x^k.
     The field's analytic partials when given, otherwise complex steps."""
     if field.partials is not None:
-        return np.asarray(_at(field.partials, x, t, field.time_dependent), dtype=float)
-    D = _complex_step(lambda z: _at(field.components, z, t, field.time_dependent), x,
+        return _call(field.partials, x, t, field.time_dependent, (field.dim,) + _shape(field),
+                     "partials of metric", field.name)
+    D = _complex_step(field.components, x, t, field.time_dependent, _shape(field),
                       "components of metric", field.name)
     return D if field.diagonal else _matrix(field, D)
 

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DomainViolation
 from .metric import (
     MetricField,
-    _at,
     _call,
     _check_dim,
     _inverse,
@@ -38,7 +37,9 @@ class MechanicalSystem:
 
     U takes one point or the columns of N points as MetricField.components
     does and gives (N,) values for the columns, so a constant reads 0.0 *
-    x[0]; grad_U takes one point.
+    x[0]; grad_U takes one point.  At one point U returns a scalar and
+    grad_U an (n,) array; a result of another shape raises ValueError naming
+    the callable, the system's name and both shapes.
     """
 
     g: MetricField
@@ -57,8 +58,7 @@ class MechanicalSystem:
 
     def potential(self, x, t=None):
         """U at a validated chart point, or its (N,) values over (N, n) rows."""
-        u = _call(self.U, x, t, self.time_dependent, (), "potential of system", self.name)
-        return float(u) if x.ndim == 1 else np.asarray(u, dtype=float)
+        return _call(self.U, x, t, self.time_dependent, (), "potential of system", self.name)
 
 
 @dataclass
@@ -101,7 +101,8 @@ class ConformalMetric:
         """The factor at the point x, which the base chart's guard does not read."""
         x = _real(x)
         _check_dim(self.base, x)
-        return float(_at(self.factor, x, t, self.time_dependent))
+        return _call(self.factor, x, t, self.time_dependent, (), "factor of conformal metric",
+                     self.base.name)
 
     def valid(self, x, t=None):
         """Whether the base chart's guard accepts x and the factor is positive there."""

@@ -1,6 +1,7 @@
 """The callable contract: a metric's components and guard and a system's
 potential take one point or the coordinates-first columns of many, and each
-row of a row call equals its one-point call."""
+row of a row call equals its one-point call; every user callable's result
+at one point has its role's shape."""
 
 import re
 
@@ -9,13 +10,20 @@ import pytest
 
 from jacobiflow import (
     CATALOG,
+    ConformalMetric,
+    FlowState,
     MechanicalSystem,
     MetricField,
     catalog_entry,
     cli,
     energy_from_state,
+    evaluate_metric,
     flat_metric,
+    hamilton_flow,
+    hamilton_rhs,
+    integrate,
     mechanical_system_from_entry,
+    metric_partials,
     polar_metric,
     sample_points,
 )
@@ -136,3 +144,74 @@ def test_per_point_callables_handed_rows_are_refused(count):
         message = f"{role} returned shape {got} for {count} points, expected {expected}"
         with pytest.raises(ValueError, match=re.escape(message)):
             energy_from_state(sys, X, P)
+
+
+X, P = [1.2, 0.4], [0.3, 0.9]
+
+
+def kepler(**fields):
+    """Kepler on the polar chart, with fields replaced."""
+    return MechanicalSystem(**{"g": polar_metric(), "U": lambda x: -1.0 / x[0], "m": 1.0,
+                               "grad_U": lambda x: np.array([1.0 / (x[0] * x[0]), 0.0]),
+                               "name": "kepler", **fields})
+
+
+def plane(name, components, diagonal=True, **fields):
+    """A 2-d metric named name, with the polar chart's partials on a diagonal one."""
+    if diagonal:
+        fields = {"partials": polar_metric().partials, **fields}
+    return MetricField(dim=2, components=components, name=name, diagonal=diagonal, **fields)
+
+
+def polar_d(x):
+    return np.array([1.0, x[0] * x[0]])
+
+
+def scalar_gradient(x):
+    return 1.0 / (x[0] * x[0])
+
+
+LONG_D = plane("long", lambda x: np.array([1.0, x[0] * x[0], 1.0]))
+
+
+@pytest.mark.parametrize("call, role, got, expected", [
+    (lambda: hamilton_rhs(kepler(grad_U=scalar_gradient), X, P),
+     "potential gradient of system 'kepler'", (), (2,)),
+    (lambda: integrate(hamilton_flow(kepler(grad_U=scalar_gradient)), FlowState(X, P), 3.0),
+     "potential gradient of system 'kepler'", (), (2,)),
+    (lambda: hamilton_rhs(kepler(grad_U=lambda x: np.array([1.0, 0.0, 0.0]) / (x[0] * x[0])),
+                          X, P), "potential gradient of system 'kepler'", (3,), (2,)),
+    (lambda: evaluate_metric(LONG_D, X), "components of metric 'long'", (3,), (2,)),
+    (lambda: hamilton_rhs(kepler(g=LONG_D), X, P), "components of metric 'long'", (3,), (2,)),
+    (lambda: hamilton_rhs(kepler(g=plane("wide", polar_d, partials=lambda x: np.zeros((2, 3)))),
+                          X, P), "partials of metric 'wide'", (2, 3), (2, 2)),
+    (lambda: hamilton_rhs(kepler(g=plane("short", polar_d,
+                                         partials=lambda x: np.array([0.0, 2.0 * x[0]]))), X, P),
+     "partials of metric 'short'", (2,), (2, 2)),
+    (lambda: hamilton_rhs(kepler(g=plane("matrix", lambda x: np.diag(polar_d(x)), False,
+                                         partials=lambda x: np.zeros((2, 2)))), X, P),
+     "partials of metric 'matrix'", (2, 2), (2, 2, 2)),
+    (lambda: evaluate_metric(plane("scalar", lambda x: 1.0 + 0.0 * x[0], False), X),
+     "components of metric 'scalar'", (), (2, 2)),
+    (lambda: evaluate_metric(plane("guarded", polar_d, guard=lambda x: x > 0.0), X),
+     "guard of metric 'guarded'", (2,), ()),
+    (lambda: ConformalMetric(polar_metric(), lambda x: np.array([2.0])).factor_at(X),
+     "factor of conformal metric 'polar'", (1,), ()),
+    (lambda: ConformalMetric(polar_metric(), lambda x: 2.0 * x).factor_at(X),
+     "factor of conformal metric 'polar'", (2,), ()),
+    # at the complex points of a complex step
+    (lambda: metric_partials(plane("long", LONG_D.components, partials=None), X),
+     "components of metric 'long'", (3,), (2,)),
+    (lambda: hamilton_rhs(kepler(U=lambda x: -1.0 / x, grad_U=None), X, P),
+     "potential of system 'kepler'", (2,), ()),
+], ids=["grad_U-scalar", "grad_U-scalar-integrate", "grad_U-long", "components-long",
+        "components-long-rhs", "partials-wide", "partials-short", "partials-matrix-short",
+        "components-matrix-scalar", "guard-vector", "factor-one", "factor-vector",
+        "complex-step-components-long", "complex-step-U-vector"])
+def test_callables_returning_another_one_point_shape_are_refused(call, role, got, expected):
+    # each once ran with entries dropped or broadcast (a scalar grad_U ran
+    # Kepler to completion with p_phi drifting by 3.37), or failed with an
+    # error that named no callable
+    message = f"{role} returned shape {got} at one point, expected {expected}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
