@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from .flow import _is_count
 from .metric import MetricField, _valid
 from .transforms import MechanicalSystem, StationarySpacetime
 
@@ -452,7 +453,10 @@ def catalog_entry(name, **params):
 def sample_points(entry, count, rng):
     """Draw `count` chart points uniformly from the entry's sample box,
     rejecting any the chart guard refuses; ValueError naming the entry once
-    SAMPLE_DRAWS * count draws gave fewer points."""
+    SAMPLE_DRAWS * count draws gave fewer points.  A count that is not a
+    whole number >= 1 raises ValueError."""
+    if not _is_count(count):
+        raise ValueError(f"the number of sample points must be a count >= 1, got {count!r}")
     lows = np.array([lo for lo, _ in entry.sample_ranges])
     highs = np.array([hi for _, hi in entry.sample_ranges])
     points, draws = [], 0

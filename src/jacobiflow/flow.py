@@ -81,6 +81,14 @@ class Trajectory:
     stats: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        params, x, p = np.shape(self.params), np.shape(self.x), np.shape(self.p)
+        monitors = {name: np.shape(v) for name, v in self.monitors.items()}
+        N = params[:1]
+        if (len(params) != 1 or len(x) != 2 or x[:1] != N or p != x
+                or any(shape != N for shape in monitors.values())):
+            raise ValueError(f"trajectory columns must be params (N,), x and p (N, n) and "
+                             f"monitors (N,), got params {params}, x {x}, p {p}, "
+                             f"monitors {monitors}")
         if np.any(np.diff(self.params) <= 0):
             raise ValueError("trajectory parameter values must be strictly increasing")
 
@@ -146,8 +154,7 @@ def jacobi_rhs(sys, x, p):
     """
     if sys.time_dependent or sys.g.time_dependent:
         raise ValueError("the rescaled flow is defined for autonomous systems only")
-    if sys.E is None:
-        raise ValueError("the system needs an energy label E for the rescaled flow")
+    _require_energy(sys)
     x, p = _state(x, p)
     gap = sys.E - sys.potential(x)
     if gap <= TURNING_GAP * max(1.0, abs(sys.E)):
@@ -158,6 +165,12 @@ def jacobi_rhs(sys, x, p):
     dx, dp = _hamilton_rhs(sys, x, p)
     f = 2.0 * sys.m * gap
     return dx / f, dp / f
+
+
+def _require_energy(sys):
+    """Refuse a system without the energy label E that the rescaled flow reads."""
+    if sys.E is None:
+        raise ValueError("the system needs an energy label E for the rescaled flow")
 
 
 def hamilton_flow(sys):
@@ -183,7 +196,9 @@ def jacobi_flow(sys):
 def unit_momentum_hamiltonian(sys, x, p):
     """The rescaled-flow invariant g^ij p_i p_j / (2m(E - U)); 1 on the
     energy surface.  Over (N, n) rows of states, one momentum row per point
-    row, it returns the (N,) values; a complex momentum raises ValueError."""
+    row, it returns the (N,) values.  A complex momentum, or a system
+    without E, raises ValueError."""
+    _require_energy(sys)
     x, p = _state(x, p, rows=True)
     kinetic = _quadratic_form(_inverse(sys.g, x), p)
     gap = sys.E - sys.potential(x)
@@ -196,8 +211,12 @@ def clairaut_constant(sys, x, p, parameter_kind="time_t"):
     "time_t" returns m r^2 dphi/dt and "jacobi_s" returns 2m r^2 (E - U)
     dphi/ds, each from the momenta p at x through its flow's equations.  On
     a chart with g_phiphi = r^2 the first is p_phi and the second p_phi / m:
-    the two agree only at m = 1.
+    the two agree only at m = 1.  It reads x[0] as r and x[1] as phi, which
+    holds on the polar chart only: another chart raises ValueError.
     """
+    if sys.g.name != "polar":
+        raise ValueError(f"clairaut_constant reads (r, phi) of the polar chart, "
+                         f"not of chart '{sys.g.name}'")
     x, p = _state(x, p)
     r = float(x[0])
     if parameter_kind == "time_t":
@@ -414,6 +433,12 @@ def _stalled_at_turn(system, x):
     return gap if gap <= STALL_GAP * max(1.0, abs(system.E)) else None
 
 
+def _is_count(value):
+    """Whether value is a whole number >= 1 and not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and value >= 1 and float(value).is_integer())
+
+
 def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_grid=None):
     """Integrate a flow from its launch at parameter 0 over (0, span] and
     return its trajectory, up to where the run ended.
@@ -473,9 +498,7 @@ def integrate(rhs, initial, span, *, rtol=1e-9, atol=1e-12, pacing=None, record_
         raise ValueError(f"rtol must be at least {RTOL_MIN:.3g}, got {rtol!r}")
     if not 0 <= atol < np.inf:
         raise ValueError(f"atol must be finite and at least 0, got {atol!r}")
-    if record_grid is not None and not (
-            isinstance(record_grid, numbers.Real) and not isinstance(record_grid, bool)
-            and record_grid >= 1 and float(record_grid).is_integer()):
+    if record_grid is not None and not _is_count(record_grid):
         raise ValueError(f"record_grid must be a count >= 1, got {record_grid!r}")
     grid = None if record_grid is None else np.linspace(0.0, span, int(record_grid) + 1)[1:]
 
@@ -591,5 +614,7 @@ def max_relative_drift(values):
     """Largest excursion of a monitored series relative to its initial value,
     or the absolute excursion when the series starts at 0."""
     v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise ValueError(f"a monitored series must have a first value, got {values!r}")
     excursion = float(np.max(np.abs(v - v[0])))
     return excursion / abs(v[0]) if v[0] != 0.0 else excursion

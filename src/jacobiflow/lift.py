@@ -219,15 +219,15 @@ def embed_static(lifted, x0, p0):
 def embed_time_dependent(lifted, x0, p0, q, shell="massive"):
     """Initial lifted state over a mechanical phase point at t = sigma = 0.
 
-    The dummy momentum is p_sigma = qc with q > 0 (physical time advances
-    at dt/dlambda = q/m), and the spatial momenta carry the -q/m rescaling
-    that the printed signature induces.  p_t is placed on the massive shell
-    G^AB p_A p_B = m^2 c^2 (shell='massive', the surface of the printed
-    energy relation) or the null shell (shell='null', where the flow
-    Hamiltonian vanishes).  The phase point is refused as in embed_static.
+    The dummy momentum is p_sigma = qc with q positive and finite (physical
+    time advances at dt/dlambda = q/m), and the spatial momenta carry the
+    -q/m rescaling that the printed signature induces.  p_t is placed on the
+    massive shell G^AB p_A p_B = m^2 c^2 (shell='massive', the surface of
+    the printed energy relation) or the null shell (shell='null', where the
+    flow Hamiltonian vanishes).  The phase point is refused as in embed_static.
     """
-    if not q > 0:
-        raise ValueError(f"q must be positive, got {q!r}")
+    if not 0 < q < np.inf:
+        raise ValueError(f"q must be positive and finite, got {q!r}")
     if shell not in ("massive", "null"):
         raise ValueError("shell must be 'massive' or 'null'")
     if lifted.kind != TIMEDEP_KIND:

@@ -15,11 +15,11 @@ import numpy as np
 from .errors import DomainViolation
 from .metric import (
     MetricField,
+    _FLOAT,
     _call,
     _check_dim,
     _inverse,
     _quadratic_form,
-    _real,
     _state,
     coordinate_point,
     evaluate_metric,
@@ -89,8 +89,10 @@ class ConformalMetric:
 
     It is valid exactly where the base chart's guard accepts the point and
     the factor is positive; a factor that raises DomainViolation reads as
-    invalid there.  factor_at and valid take one real point of the base's
-    dimension and refuse others with ValueError.
+    invalid there.  factor_at and valid take one real, finite point of the
+    base's dimension and refuse others, rows among them, with ValueError.
+    factor takes one point and returns a scalar; a result of another shape
+    raises ValueError naming the factor, the base's name and both shapes.
     """
 
     base: MetricField
@@ -99,8 +101,15 @@ class ConformalMetric:
 
     def factor_at(self, x, t=None):
         """The factor at the point x, which the base chart's guard does not read."""
-        x = _real(x)
-        _check_dim(self.base, x)
+        x = np.asarray(x)
+        # the transform scan's float points pass one test: a finite sum has
+        # finite terms.  Anything else takes the full checks, which refuse
+        # complex values, rows, non-finite points and points of another
+        # dimension, and accept finite coordinates whose sum overflowed.
+        dim = self.base.dim
+        if x.dtype is not _FLOAT or x.shape != (dim,) or not math.isfinite(sum(x.tolist())):
+            x = coordinate_point(x)
+            _check_dim(self.base, x)
         return _call(self.factor, x, t, self.time_dependent, (), "factor of conformal metric",
                      self.base.name)
 

@@ -13,6 +13,7 @@ from jacobiflow import (
     catalog_entry,
     classify_eccentricity,
     classify_orbit,
+    embed_time_dependent,
     evaluate_metric,
     flat_metric,
     hamilton_rhs,
@@ -25,12 +26,14 @@ from jacobiflow import (
     kerr,
     lift_static,
     lift_time_dependent,
+    max_relative_drift,
     mechanical_system_from_entry,
     metric_partials,
     sample_points,
     schwarzschild,
     spacetime_from_entry,
     taub_nut,
+    unit_momentum_hamiltonian,
     bertrand,
     bertrand_hooke,
     bertrand_kepler,
@@ -505,17 +508,30 @@ def zero_t(x, t):
      "a constant energy must be finite, got nan"),
     (lambda: jacobi_relativistic_stationary(unit_spacetime(), Erel=INF),
      "relativistic energy must be positive and finite, got inf"),
+    (lambda: unit_momentum_hamiltonian(oscillator(), [0.5], [1.0]),
+     "the system needs an energy label E"),
+    (lambda: embed_time_dependent(lift_time_dependent(oscillator()), [0.5], [1.0], q=INF),
+     "q must be positive and finite, got inf"),
+    (lambda: sample_points(schwarzschild(M=1.0, m=1.0), -3, np.random.default_rng(0)),
+     "must be a count >= 1, got -3"),
+    (lambda: sample_points(schwarzschild(M=1.0, m=1.0), 2.5, np.random.default_rng(0)),
+     "must be a count >= 1, got 2.5"),
+    (lambda: max_relative_drift([]), "must have a first value, got \\[\\]"),
 ], ids=["system-m-inf", "system-E-nan", "system-E-inf", "spacetime-m-inf", "spacetime-c-inf",
         "orbit-E-nan", "eccentricity-nan", "eccentricity-negative", "kepler-E-nan",
         "kepler-m-negative", "kepler-m-zero", "kepler-k-zero", "lift-kappa-inf", "lift-c-inf",
         "timedep-m-zero", "timedep-m-negative", "timedep-c-nan", "approx-m-negative",
-        "approx-q-nan", "timedep-p_t-inf", "approx-energy-nan", "stationary-Erel-inf"])
+        "approx-q-nan", "timedep-p_t-inf", "approx-energy-nan", "stationary-Erel-inf",
+        "unit-momentum-no-E", "embed-q-inf", "sample-count-negative", "sample-count-fraction",
+        "drift-empty"])
 def test_physics_inputs_off_contract_are_refused(build, refusal):
     # each of these once returned a plausible value or a ZeroDivisionError: U
     # alone for an infinite mass, "hyperbola" for a NaN energy or for a bound
     # orbit of negative mass, "ellipse" for e = -5; or failed only later: an
     # infinite kappa or c as an unrelated step failure or launch refusal, a
-    # time-dependent factor at m <= 0 as -inf or 2.0, and an infinite energy
-    # constant as an infinite factor
+    # time-dependent factor at m <= 0 as -inf or 2.0, an infinite energy
+    # constant as an infinite factor, an infinite q as a momentum of nan and
+    # inf, and a count of -3 or 2.5 as 0 or 3 points; or failed with an error
+    # that named nothing: E None as a TypeError, an empty series as IndexError
     with pytest.raises(ValueError, match=refusal):
         build()

@@ -33,6 +33,7 @@ from jacobiflow import (
     max_relative_drift,
     mechanical_system_from_entry,
     polar_metric,
+    schwarzschild,
     unit_momentum_hamiltonian,
 )
 
@@ -285,6 +286,18 @@ def test_clairaut_mass_scaling():
         clairaut_constant(sys, st.x, st.p, "proper_tau")
 
 
+@pytest.mark.parametrize("sys, x, p", [
+    (free_particle(), [0.0, 1.0], [1.0, 0.0]),
+    (mechanical_system_from_entry(schwarzschild(M=1.0, m=1.0), E=-0.1),
+     [10.0, np.pi / 2, 0.0], [0.0, 0.0, 3.0]),
+], ids=["free-cartesian", "schwarzschild-equator"])
+def test_clairaut_constant_refuses_a_chart_that_is_not_polar(sys, x, p):
+    # it read x[0] as r and dx[1] as dphi/dt on any chart, and returned 0.0
+    # for both, where x p_y - y p_x = -1 and p_phi = 3
+    with pytest.raises(ValueError, match=f"not of chart '{sys.g.name}'"):
+        clairaut_constant(sys, x, p)
+
+
 # ---------------------------------------------------------------------------
 # termination semantics
 
@@ -532,6 +545,22 @@ def test_trajectory_refuses_parameters_that_do_not_increase(params):
     n = len(params)
     with pytest.raises(ValueError, match="strictly increasing"):
         Trajectory(np.array(params), np.zeros((n, 2)), np.zeros((n, 2)))
+
+
+@pytest.mark.parametrize("columns, shapes", [
+    ((np.arange(3.0), np.zeros((2, 2)), np.zeros((5, 2)), {"e": np.zeros(7)}),
+     "params (3,), x (2, 2), p (5, 2), monitors {'e': (7,)}"),
+    ((np.arange(3.0), np.zeros((3, 2)), np.zeros((3, 3)), {}),
+     "params (3,), x (3, 2), p (3, 3), monitors {}"),
+    ((np.arange(3.0), np.zeros(3), np.zeros(3), {}), "params (3,), x (3,), p (3,), monitors {}"),
+    ((np.arange(2.0), np.zeros((2, 2)), np.zeros((2, 2)), {"pacing": np.zeros((2, 1))}),
+     "monitors {'pacing': (2, 1)}"),
+], ids=["lengths", "widths", "flat", "monitor-column"])
+def test_trajectory_refuses_columns_of_different_lengths(columns, shapes):
+    # such a trajectory was built and failed later, in the CLI's table, with
+    # numpy's concatenation error
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        Trajectory(*columns)
 
 
 def test_pacing_channel_accumulates():

@@ -119,9 +119,15 @@ def test_conformal_validity_needs_the_base_chart():
     (lambda conf: conf.factor_at([2.0, 0.0, 5.0]), "has 3 coordinates"),
     (lambda conf: conf.valid([2.0]), "has 1 coordinates"),
     (lambda conf: conf.valid([2 + 3j, 0.0]), "must be real"),
-], ids=["factor-complex", "factor-short", "factor-long", "valid-short", "valid-complex"])
+    (lambda conf: conf.factor_at([np.inf, 0.0]), "chart coordinates must be finite"),
+    (lambda conf: conf.factor_at([np.nan, 0.0]), "chart coordinates must be finite"),
+    (lambda conf: conf.factor_at([[1.0, 0.0]]), "a chart point must be a non-empty 1-d sequence"),
+], ids=["factor-complex", "factor-short", "factor-long", "valid-short", "valid-complex",
+        "factor-inf", "factor-nan", "factor-row"])
 def test_conformal_metric_refuses_points_off_its_chart_contract(call, message):
-    # the factor once took the real part of 2 + 3i and read any dimension
+    # the factor once took the real part of 2 + 3i and read any dimension;
+    # it read r = inf as -1.0 and r = nan as nan, and failed on a row with a
+    # TypeError
     with pytest.raises(ValueError, match=message):
         call(jacobi_nonrelativistic(kepler_system()))
 

@@ -18,7 +18,11 @@ of the CLI's scan (Kepler profile, k = 1, E = -0.5, at r = 1.2), and CSV
 writing is per row of one write_csv call of 1000 rows of 7 values.
 metric.partials.fallback is one complex-step _partials call on Kerr's
 spatial chart (M = 1, a = 0.6) without its analytic partials, at r = 10,
-theta = 1.  One entry is a count, not a time: kepler.nfev_per_step, the right-hand-side
+theta = 1.  transforms.factor_at.classical is the Jacobi factor of
+that Kepler system at r = 1.3, and transforms.factor_at.relativistic the
+stationary factor of Schwarzschild's spacetime (M = m = 1) at E_rel = 1.1,
+at r = 10 on the equator: the call the CLI's transform scan makes per
+radius.  One entry is a count, not a time: kepler.nfev_per_step, the right-hand-side
 evaluations per accepted step of Kepler's time flow over one period of the
 e = 0.5 ellipse on a 1000-point record grid, read from the run's
 Trajectory.stats.
@@ -37,12 +41,14 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from jacobiflow import FlowState, flow, lift  # noqa: E402
-from jacobiflow.catalog import catalog_entry, mechanical_system_from_entry  # noqa: E402
+from jacobiflow.catalog import (  # noqa: E402
+    catalog_entry, mechanical_system_from_entry, spacetime_from_entry)
 from jacobiflow.cli import write_csv  # noqa: E402
 from jacobiflow.curvature import gaussian_curvature_numeric, kepler_profile  # noqa: E402
 from jacobiflow.metric import (  # noqa: E402
     _inverse, _partials, _state, flat_metric, invert_metric, polar_metric)
-from jacobiflow.transforms import MechanicalSystem, energy_from_state  # noqa: E402
+from jacobiflow.transforms import (  # noqa: E402
+    MechanicalSystem, energy_from_state, jacobi_nonrelativistic, jacobi_relativistic_stationary)
 
 REPEATS = 7
 BLOCK = 8
@@ -67,6 +73,10 @@ def layer_timings(number=2000):
     kerr_chart = dataclasses.replace(catalog_entry("kerr", M=1.0, a=0.6, m=1.0).spatial,
                                      partials=None)
     xr = np.array([10.0, 1.0, 0.0])
+    classical = jacobi_nonrelativistic(kepler)
+    relativistic = jacobi_relativistic_stationary(
+        spacetime_from_entry(catalog_entry("schwarzschild", M=1.0, m=1.0)), 1.1)
+    xf = np.array([1.3, 0.0])
     xl, pl = np.array([0.5, 0.0]), np.array([0.2, 1.0])
     xt, pt = np.array([0.5, 0.7, 0.0]), np.array([-0.2, 1.1, 1.0])
     rng = np.random.default_rng(0)
@@ -98,6 +108,8 @@ def layer_timings(number=2000):
         "metric._state.point": lambda: _state(xk, pk),
         "metric.invert_metric.2x2": lambda: invert_metric(g),
         "metric.partials.fallback": lambda: _partials(kerr_chart, xr),
+        "transforms.factor_at.classical": lambda: classical.factor_at(xf),
+        "transforms.factor_at.relativistic": lambda: relativistic.factor_at(xs),
         "flow.stepper.per_step": stepper.step,
         "curvature.per_point": lambda: gaussian_curvature_numeric(bound, 1.2),
     }
