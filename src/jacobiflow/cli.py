@@ -474,16 +474,26 @@ def radial_points(dim, radii):
     return points
 
 
-def _radial_scan(radii, row_at, on_chart=None):
+def _radial_scan(radii, row_at, on_chart=None, rows_at=None):
     """Rows row_at(i) for the indices i of the radii that on_chart flags (every
     one when None) and how many radii gave no row, off the flags or refused
-    off the chart by row_at raising JacobiFlowError; ValueError if none did."""
-    rows = []
-    for i in range(len(radii)) if on_chart is None else np.flatnonzero(on_chart):
+    off the chart by row_at raising JacobiFlowError; ValueError if none did.
+    rows_at(indices), when given, makes the rows of all the indices in one
+    call; if it raises JacobiFlowError, row_at replays them one by one."""
+    indices = range(len(radii)) if on_chart is None else np.flatnonzero(on_chart)
+    rows = None
+    if rows_at is not None and len(indices):
         try:
-            rows.append(row_at(i))
+            rows = rows_at(indices)
         except JacobiFlowError:
             pass
+    if rows is None:
+        rows = []
+        for i in indices:
+            try:
+                rows.append(row_at(i))
+            except JacobiFlowError:
+                pass
     if not rows:
         raise ValueError(f"no radius from {radii[0]:g} to {radii[-1]:g} lies inside the chart")
     return rows, len(radii) - len(rows)
@@ -503,10 +513,12 @@ def run_transform(scn):
             sys = build_mechanical(scn, own=("E_rel", "c"))
             st = weak_field_spacetime(sys.g, sys.U, m=sys.m, c=_param(scn, "c"))
         conf = jacobi_relativistic_stationary(st, E_rel)
-    # the base chart's guard, which factor_at does not read, asked once over every point
+    # the base chart's guard, which factor_at does not read, asked once over
+    # every point, then the factor once over the points it accepts
     points = radial_points(conf.base.dim, radii)
-    rows, skipped = _radial_scan(radii, lambda i: [radii[i], conf.factor_at(points[i])],
-                                 conf.base.valid(points))
+    rows, skipped = _radial_scan(
+        radii, lambda i: [radii[i], conf.factor_at(points[i])], conf.base.valid(points),
+        lambda i: np.column_stack([radii[i], conf.factor_at(points[i])]).tolist())
     csv_path = _write_outputs(scn, ["r", "factor"], rows, {
         "form": form,
         "rows": len(rows),

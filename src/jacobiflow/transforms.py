@@ -19,6 +19,7 @@ from .metric import (
     _call,
     _check_dim,
     _inverse,
+    _points,
     _quadratic_form,
     _state,
     coordinate_point,
@@ -66,7 +67,8 @@ class StationarySpacetime:
     """Stationary line-element data: temporal factor and spatial metric.
 
     Vsq is the squared temporal factor V^2(x) (dimensionless), g the spatial
-    metric.
+    metric.  Vsq takes one point or the columns of N points as
+    MechanicalSystem.U does.
     """
 
     g: MetricField
@@ -89,10 +91,13 @@ class ConformalMetric:
 
     It is valid exactly where the base chart's guard accepts the point and
     the factor is positive; a factor that raises DomainViolation reads as
-    invalid there.  factor_at and valid take one real, finite point of the
-    base's dimension and refuse others, rows among them, with ValueError.
-    factor takes one point and returns a scalar; a result of another shape
-    raises ValueError naming the factor, the base's name and both shapes.
+    invalid there.  factor takes one point and returns a scalar, or, as
+    MetricField.components does, the columns (n, N) of N points, with t a
+    scalar or (N,), and returns (N,) values; write powers as products.  A
+    result of another shape raises ValueError naming the factor, the base's
+    name and both shapes.  factor_at takes one real, finite point of the
+    base's dimension or (N, n) rows of them; valid and metric take one point.
+    Other input raises ValueError.
     """
 
     base: MetricField
@@ -100,15 +105,17 @@ class ConformalMetric:
     time_dependent: bool = False
 
     def factor_at(self, x, t=None):
-        """The factor at the point x, which the base chart's guard does not read."""
+        """The factor at the point x, or its (N,) values over (N, n) rows from
+        one call, each with the bits of its own point's call; the base chart's
+        guard is not read."""
         x = np.asarray(x)
-        # the transform scan's float points pass one test: a finite sum has
-        # finite terms.  Anything else takes the full checks, which refuse
-        # complex values, rows, non-finite points and points of another
-        # dimension, and accept finite coordinates whose sum overflowed.
+        # a float point passes one test: a finite sum has finite terms.
+        # Anything else takes the full checks, which refuse complex values,
+        # non-finite points and points of another dimension, and accept
+        # rows and finite coordinates whose sum overflowed.
         dim = self.base.dim
         if x.dtype is not _FLOAT or x.shape != (dim,) or not math.isfinite(sum(x.tolist())):
-            x = coordinate_point(x)
+            x = _points(x)
             _check_dim(self.base, x)
         return _call(self.factor, x, t, self.time_dependent, (), "factor of conformal metric",
                      self.base.name)
@@ -125,6 +132,7 @@ class ConformalMetric:
 
     def metric(self, x, t=None):
         """Full rescaled matrix factor * g at a point."""
+        x = coordinate_point(x)
         return self.factor_at(x, t) * evaluate_metric(self.base, x, t)
 
 
@@ -157,18 +165,20 @@ def jacobi_relativistic_stationary(st, Erel):
     stationary spacetime at energy Erel.
 
     factor = (Erel^2 - m^2 c^4 V^2) / (c^2 V^2); the spacetime's spatial
-    metric is the base.
+    metric is the base.  Where V^2 is not positive (NaN included) the factor
+    raises DomainViolation naming the first such point and its V^2.
     """
     if not 0 < Erel < math.inf:
         raise ValueError(f"the relativistic energy must be positive and finite, got {Erel!r}")
     m, c, Vsq = st.m, st.c, st.Vsq
 
     def factor(x):
-        v2 = float(Vsq(x))
-        if v2 <= 0.0:
-            raise DomainViolation(
-                f"temporal factor V^2 = {v2:.6g} is not positive at {np.asarray(x).tolist()}"
-            )
+        v2 = Vsq(x)
+        positive = v2 > 0.0
+        if not (positive if x.ndim == 1 else np.all(positive)):
+            first = np.argmin(positive)  # 0 at one point
+            raise DomainViolation(f"temporal factor V^2 = {np.ravel(v2)[first]:.6g} is not "
+                                  f"positive at {np.atleast_2d(x.T)[first].tolist()}")
         return (Erel * Erel - m * m * c**4 * v2) / (c * c * v2)
 
     return ConformalMetric(base=st.g, factor=factor)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jacobiflow import Trajectory, cli, integrate
+from jacobiflow import DomainViolation, Trajectory, cli, integrate
 from jacobiflow.cli import main
 
 
@@ -259,6 +259,52 @@ def test_transform_skips_radii_the_chart_guard_refuses(tmp_path, capsys):
     assert [float(line.split(",")[0]) for line in lines[1:]] == [2.5, 3.0]
     summary = json.loads((tmp_path / "transform_summary.json").read_text())
     assert summary["rows"] == 2 and summary["skipped_out_of_domain"] == 4
+
+
+@pytest.mark.parametrize("argv, grid, rows, skipped", [
+    (["--system", "kerr", "--M", "1", "--a", "0.9", "--m", "1", "--E-rel", "1.1"],
+     (1.5, 3.0, 16), 10, 6),
+    (["--system", "kepler", "--c", "3", "--E-rel", "1.0"], (0.05, 1.0, 8), 6, 2),
+], ids=["kerr-ergoregion", "weak-field-kepler"])
+def test_transform_replays_a_refused_grid_point_by_point(tmp_path, capsys, monkeypatch, argv,
+                                                         grid, rows, skipped):
+    # V^2 <= 0 at some radii on the chart: the one factor call over the grid
+    # is refused, and the per-point scan writes every other radius, as the
+    # scan wrote them before the factor took rows
+    built = []
+
+    def record(*args, _build=cli.jacobi_relativistic_stationary):
+        built.append(_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "jacobi_relativistic_stationary", record)
+    lo, hi, samples = grid
+    code, _, _ = run(capsys, "transform", "--form", "relativistic", *argv, "--grid-min", str(lo),
+                     "--grid-max", str(hi), "--samples", str(samples), "--out", str(tmp_path))
+    assert code == 0
+    conf, expected = built[0], ["r,factor"]
+    radii = np.linspace(lo, hi, samples)
+    for r, x in zip(radii, cli.radial_points(conf.base.dim, radii)):
+        try:
+            if conf.base.valid(x):
+                expected.append("%.17g,%.17g" % (r, conf.factor_at(x)))
+        except DomainViolation:
+            pass
+    assert (tmp_path / "transform.csv").read_text().splitlines() == expected
+    assert len(expected) == 1 + rows
+    summary = json.loads((tmp_path / "transform_summary.json").read_text())
+    assert summary["rows"] == rows and summary["skipped_out_of_domain"] == skipped
+
+
+def test_transform_with_no_radius_where_the_factor_is_defined_exits_two(tmp_path, capsys):
+    # Kerr's base chart takes r = 0.5, inside the inner horizon, where V^2 < 0;
+    # every other radius lies between the horizons
+    code, _, err = run(capsys, "transform", "--form", "relativistic", "--system", "kerr",
+                       "--M", "1", "--a", "0.9", "--m", "1", "--E-rel", "1.1", "--grid-min", "0.5",
+                       "--grid-max", "1.4", "--samples", "16", "--out", str(tmp_path))
+    assert code == 2
+    assert "no radius from 0.5 to 1.4 lies inside the chart" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # the state 1e307 + h * 1e307 overflows, which numpy reports as a RuntimeWarning

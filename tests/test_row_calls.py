@@ -1,8 +1,9 @@
-"""The callable contract: a metric's components and guard and a system's
-potential take one point or the coordinates-first columns of many, and each
-row of a row call equals its one-point call; every user callable's result
-at one point has its role's shape."""
+"""The callable contract: a metric's components and guard, a system's
+potential and a conformal factor take one point or the coordinates-first
+columns of many, and each row of a row call equals its one-point call; every
+user callable's result at one point has its role's shape."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from jacobiflow import (
     FlowState,
     MechanicalSystem,
     MetricField,
+    StationarySpacetime,
     catalog_entry,
     cli,
     energy_from_state,
@@ -22,10 +24,17 @@ from jacobiflow import (
     hamilton_flow,
     hamilton_rhs,
     integrate,
+    jacobi_nonrelativistic,
+    jacobi_relativistic_stationary,
+    jacobi_time_dependent,
+    jacobi_time_dependent_approx,
     mechanical_system_from_entry,
     metric_partials,
+    nonrelativistic_limit_factor,
     polar_metric,
     sample_points,
+    spacetime_from_entry,
+    weak_field_spacetime,
 )
 from jacobiflow.metric import _components
 
@@ -125,6 +134,72 @@ def test_the_cli_lifts_take_rows_with_the_bits_of_their_points(kind, tmp_path, m
         for field in (lift.inverse, lift.extended):
             assert_rows_equal_points(field.valid(XE), [field.valid(x) for x in XE])
             assert_rows_equal_points(_components(field, XE), [_components(field, x) for x in XE])
+
+
+def factors():
+    """(id, conformal metric, a sampler of points where its factor is defined)
+    for each factor constructor: the classical factor of every system above,
+    the stationary and limit factors of the weak-field Kepler spacetime and
+    of every catalog entry with a V^2."""
+    for sys, lows, highs in systems():
+        yield (f"classical-{sys.name}", jacobi_nonrelativistic(dataclasses.replace(sys, E=-0.1)),
+               lambda rng, count, lows=lows, highs=highs: box(rng, count, lows, highs))
+    kepler, lows, highs = next(systems())
+    spacetimes = [("weak-field", weak_field_spacetime(kepler.g, kepler.U, m=1.0, c=3.0),
+                   lambda rng, count: box(rng, count, lows, highs))]
+    for entry in catalog_entries():
+        if entry.Vsq is not None:
+            spacetimes.append((entry.name, spacetime_from_entry(entry), lambda rng, count,
+                               entry=entry: np.array(sample_points(entry, count, rng))))
+    for name, st, sample in spacetimes:
+        yield f"relativistic-{name}", jacobi_relativistic_stationary(st, 1.1), sample
+        yield f"limit-{name}", nonrelativistic_limit_factor(st, -0.1), sample
+
+
+@pytest.mark.parametrize("conf, sample", [case[1:] for case in factors()],
+                         ids=[case[0] for case in factors()])
+def test_factors_take_rows_with_the_bits_of_their_points(conf, sample):
+    rng = np.random.default_rng(14)
+    for count in (1, conf.base.dim, 50):
+        X = sample(rng, count)
+        assert_rows_equal_points(conf.factor_at(X), [conf.factor_at(x) for x in X])
+
+
+def driven_U(x, t):
+    return 0.5 * (1.0 + 0.3 * np.sin(t)) * (x * x).sum(axis=0)
+
+
+@pytest.mark.parametrize("conf", [
+    jacobi_time_dependent(flat_metric(2), driven_U, q=1.5, p_t=2.0, m=1.0, c=2.0),
+    jacobi_time_dependent(flat_metric(2), driven_U, q=1.5, p_t=lambda t: 2.0 + 0.1 * np.sin(t),
+                          m=1.0),
+    jacobi_time_dependent_approx(flat_metric(2), driven_U, energy=1.0, q=1.5, m=2.0),
+    jacobi_time_dependent_approx(flat_metric(2), driven_U, energy=lambda t: 1.0 + 0.5 * t,
+                                 q=1.5, m=2.0),
+], ids=["exact", "exact-p_t-of-t", "approx", "approx-energy-of-t"])
+def test_time_dependent_factors_take_rows_with_the_bits_of_their_points(conf):
+    rng = np.random.default_rng(15)
+    for count in (1, 2, 50):
+        X, T = box(rng, count, [-2.0, -2.0], [2.0, 2.0]), rng.uniform(0.0, 5.0, count)
+        assert_rows_equal_points(conf.factor_at(X, 0.7), [conf.factor_at(x, 0.7) for x in X])
+        assert_rows_equal_points(conf.factor_at(X, T),
+                                 [conf.factor_at(x, t) for x, t in zip(X, T)])
+
+
+@pytest.mark.parametrize("count", [1, 2], ids=["N=1", "N=n"])
+def test_per_point_factors_handed_rows_are_refused(count):
+    X = np.linspace(0.5, 1.5, 2 * count).reshape(count, 2)
+    norm = MechanicalSystem(g=polar_metric(), U=lambda x: np.linalg.norm(x), m=1.0, E=1.0)
+    cases = [
+        ConformalMetric(polar_metric(), lambda x: 2.0),
+        jacobi_nonrelativistic(norm),
+        jacobi_relativistic_stationary(StationarySpacetime(polar_metric(), lambda x: 1.0), 1.1),
+    ]
+    message = (f"factor of conformal metric 'polar' returned shape () for {count} points, "
+               f"expected ({count},)")
+    for conf in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            conf.factor_at(X)
 
 
 @pytest.mark.parametrize("count", [1, 2], ids=["N=1", "N=n"])

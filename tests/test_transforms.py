@@ -121,13 +121,20 @@ def test_conformal_validity_needs_the_base_chart():
     (lambda conf: conf.valid([2 + 3j, 0.0]), "must be real"),
     (lambda conf: conf.factor_at([np.inf, 0.0]), "chart coordinates must be finite"),
     (lambda conf: conf.factor_at([np.nan, 0.0]), "chart coordinates must be finite"),
-    (lambda conf: conf.factor_at([[1.0, 0.0]]), "a chart point must be a non-empty 1-d sequence"),
+    (lambda conf: conf.metric([[1.0, 0.0]]), "a chart point must be a non-empty 1-d sequence"),
+    (lambda conf: conf.valid([[1.0, 0.0]]), "a chart point must be a non-empty 1-d sequence"),
+    (lambda conf: conf.factor_at([[2.0], [3.0]]), "has 1 coordinates, metric 'polar' expects 2"),
+    (lambda conf: conf.factor_at([[2.0, 0.0], [np.nan, 0.0]]), "chart coordinates must be finite"),
+    (lambda conf: conf.factor_at([[2.0, 0.0], [2 + 3j, 0.0]]), "must be real, got complex128"),
+    (lambda conf: conf.factor_at(np.empty((0, 2))), "rows of chart points must form a non-empty"),
+    (lambda conf: conf.factor_at([[[2.0, 0.0]]]), "a chart point must be a non-empty 1-d sequence"),
 ], ids=["factor-complex", "factor-short", "factor-long", "valid-short", "valid-complex",
-        "factor-inf", "factor-nan", "factor-row"])
+        "factor-inf", "factor-nan", "metric-row", "valid-row", "factor-rows-short",
+        "factor-rows-nan", "factor-rows-complex", "factor-rows-empty", "factor-3d"])
 def test_conformal_metric_refuses_points_off_its_chart_contract(call, message):
     # the factor once took the real part of 2 + 3i and read any dimension;
-    # it read r = inf as -1.0 and r = nan as nan, and failed on a row with a
-    # TypeError
+    # it read r = inf as -1.0 and r = nan as nan.  factor_at takes rows;
+    # metric and valid take one point
     with pytest.raises(ValueError, match=message):
         call(jacobi_nonrelativistic(kepler_system()))
 
@@ -147,6 +154,22 @@ def test_relativistic_domain_violation_where_vsq_nonpositive():
     assert not conf.valid(np.array([-0.5, 0.0]))
     with pytest.raises(DomainViolation):
         conf.factor_at(np.array([-0.5, 0.0]))
+
+
+def test_relativistic_factor_refuses_a_nan_temporal_factor():
+    # V^2 = log(r - 1) is nan at r = 0.5, and the factor read nan there
+    st_ = StationarySpacetime(g=polar_metric(), Vsq=lambda x: np.log(x[0] - 1.0))
+    conf = jacobi_relativistic_stationary(st_, 1.0)
+    refusal = r"V\^2 = nan is not positive at \[0.5, 0.0\]"
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(DomainViolation, match=refusal):
+            conf.factor_at([0.5, 0.0])
+        with pytest.raises(DomainViolation, match=refusal):
+            conf.factor_at([[3.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        with pytest.raises(DomainViolation, match=r"V\^2 = -inf is not positive at \[1.0, 0.0\]"):
+            conf.factor_at([[3.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
+        assert not conf.valid([0.5, 0.0])
+    assert conf.factor_at([[3.0, 0.0]]).tolist() == [conf.factor_at([3.0, 0.0])]
 
 
 def test_spacetime_refuses_nonpositive_c():

@@ -3,36 +3,39 @@
     python3 tools/layer_timings.py
 
 Prints one JSON line: for each layer, the best of 7 timeit repeats divided
-by the calls per repeat.  The right-hand sides are those the CLI builds:
-Kepler on the polar chart (k = m = 1, E = -0.5) and Schwarzschild's
-mechanical view (M = m = 1, E = 0), both with analytic partials, and the
-static and time-dependent lifts of the 1-d oscillator of `lift`.  Recording
-is per state, in blocks of 8 states and their final concatenation, and the
-stepper is per accepted step of DOP853 on the harmonic oscillator y'' = -y.
-The monitors are per row of one call over 1000 recorded states: Kepler's
-energy and the static lift's flow Hamiltonian.  metric._state.point is the
-state check of every entry that takes (x, p), on Kepler's point, and
-metric._state.per_row the same check per row of one call over Kepler's 1000
-rows.  The curvature is per point
-of the CLI's scan (Kepler profile, k = 1, E = -0.5, at r = 1.2), and CSV
-writing is per row of one write_csv call of 1000 rows of 7 values.
+by the calls per repeat, to four significant digits.  The right-hand sides
+are those the CLI builds: Kepler on the polar chart (k = m = 1, E = -0.5)
+and Schwarzschild's mechanical view (M = m = 1, E = 0), both with analytic
+partials, and the static and time-dependent lifts of the 1-d oscillator of
+`lift`.  Recording is per state, in blocks of 8 states and their final
+concatenation, and the stepper is per accepted step of DOP853 on the
+harmonic oscillator y'' = -y.  The monitors are per row of one call over
+1000 recorded states: Kepler's energy and the static lift's flow
+Hamiltonian.  metric._state.point is the state check of every entry that
+takes (x, p), on Kepler's point, and metric._state.per_row the same check
+per row of one call over Kepler's 1000 rows.  The curvature is per point of
+the CLI's scan (Kepler profile, k = 1, E = -0.5, at r = 1.2), and CSV
+writing is per row of one write_csv call of 1000 rows of 7 values into
+os.devnull, so that no file system's state enters the figure.
 metric.partials.fallback is one complex-step _partials call on Kerr's
 spatial chart (M = 1, a = 0.6) without its analytic partials, at r = 10,
-theta = 1.  transforms.factor_at.classical is the Jacobi factor of
-that Kepler system at r = 1.3, and transforms.factor_at.relativistic the
+theta = 1.  transforms.factor_at.classical is the Jacobi factor of that
+Kepler system at r = 1.3, and transforms.factor_at.relativistic the
 stationary factor of Schwarzschild's spacetime (M = m = 1) at E_rel = 1.1,
-at r = 10 on the equator: the call the CLI's transform scan makes per
-radius.  One entry is a count, not a time: kepler.nfev_per_step, the right-hand-side
-evaluations per accepted step of Kepler's time flow over one period of the
-e = 0.5 ellipse on a 1000-point record grid, read from the run's
-Trajectory.stats.
+at r = 10 on the equator.  transforms.factor_at.per_row.classical and
+.relativistic are the same two factors per row of one call over 30 000
+radii (r from 0.5 to 1.9 and from 3 to 30, on the equator), the call the
+CLI's transform scan makes per grid.  One entry is a count, not a time:
+kepler.nfev_per_step, the right-hand-side evaluations per accepted step of
+Kepler's time flow over one period of the e = 0.5 ellipse on a 1000-point
+record grid, read from the run's Trajectory.stats.
 Compare times only when taken on the same machine in one session.
 """
 
 import dataclasses
 import json
+import os
 import sys
-import tempfile
 import timeit
 from pathlib import Path
 
@@ -43,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from jacobiflow import FlowState, flow, lift  # noqa: E402
 from jacobiflow.catalog import (  # noqa: E402
     catalog_entry, mechanical_system_from_entry, spacetime_from_entry)
-from jacobiflow.cli import write_csv  # noqa: E402
+from jacobiflow.cli import radial_points, write_csv  # noqa: E402
 from jacobiflow.curvature import gaussian_curvature_numeric, kepler_profile  # noqa: E402
 from jacobiflow.metric import (  # noqa: E402
     _inverse, _partials, _state, flat_metric, invert_metric, polar_metric)
@@ -53,6 +56,7 @@ from jacobiflow.transforms import (  # noqa: E402
 REPEATS = 7
 BLOCK = 8
 ROWS = 1000
+RADII = 30000
 
 
 def layer_timings(number=2000):
@@ -118,22 +122,30 @@ def layer_timings(number=2000):
     us["flow.record.per_state"] = (min(timeit.repeat(record, number=1, repeat=REPEATS))
                                    / (number * BLOCK) * 1e6)
     calls = max(1, number // 200)
-    with tempfile.TemporaryDirectory() as tmp:
-        csv_path = Path(tmp) / "rows.csv"
-        per_row = {
-            "monitors.energy_from_state.per_row": lambda: energy_from_state(kepler, XK, PK),
-            "metric._state.per_row": lambda: _state(XK, PK, rows=True),
-            "monitors.lifted_hamiltonian.per_row":
-                lambda: lift.lifted_hamiltonian(static_lift, XL, PL),
-            "cli.write_csv.per_row": lambda: write_csv(csv_path, ["c"] * 7, table),
-        }
-        for name, fn in per_row.items():
-            us[name] = min(timeit.repeat(fn, number=calls, repeat=REPEATS)) / (calls * ROWS) * 1e6
+    per_row = {
+        "monitors.energy_from_state.per_row": lambda: energy_from_state(kepler, XK, PK),
+        "metric._state.per_row": lambda: _state(XK, PK, rows=True),
+        "monitors.lifted_hamiltonian.per_row":
+            lambda: lift.lifted_hamiltonian(static_lift, XL, PL),
+        "cli.write_csv.per_row": lambda: write_csv(os.devnull, ["c"] * 7, table),
+    }
+    for name, fn in per_row.items():
+        us[name] = min(timeit.repeat(fn, number=calls, repeat=REPEATS)) / (calls * ROWS) * 1e6
+    grids = {
+        "transforms.factor_at.per_row.classical":
+            (classical, radial_points(2, np.linspace(0.5, 1.9, RADII))),
+        "transforms.factor_at.per_row.relativistic":
+            (relativistic, radial_points(3, np.linspace(3.0, 30.0, RADII))),
+    }
+    for name, (conf, points) in grids.items():
+        us[name] = min(timeit.repeat(lambda: conf.factor_at(points), number=1,
+                                     repeat=REPEATS)) / RADII * 1e6
     ellipse = FlowState(np.array([0.5, 0.0]), np.array([0.0, np.sqrt(0.75)]))
     stats = flow.integrate(flow.hamilton_flow(kepler), ellipse, 2.0 * np.pi,
                            record_grid=1000).stats
     us["kepler.nfev_per_step"] = stats["nfev"] / stats["accepted_steps"]
-    return {name: round(value, 3) for name, value in us.items()}
+    # four significant digits: a per-row figure can be a nanosecond
+    return {name: float(f"{value:.4g}") for name, value in us.items()}
 
 
 if __name__ == "__main__":
