@@ -495,8 +495,13 @@ def _radial_scan(radii, row_at, on_chart=None, rows_at=None):
             except JacobiFlowError:
                 pass
     if not rows:
-        raise ValueError(f"no radius from {radii[0]:g} to {radii[-1]:g} lies inside the chart")
+        raise _none_on_chart(radii)
     return rows, len(radii) - len(rows)
+
+
+def _none_on_chart(radii):
+    """The refusal of a radial scan that wrote no row."""
+    return ValueError(f"no radius from {radii[0]:g} to {radii[-1]:g} lies inside the chart")
 
 
 def run_transform(scn):
@@ -601,22 +606,34 @@ def run_compare(scn):
     return exit_code_for(extra["termination"])
 
 
+def _curvature_scan(k, E, radii):
+    """The rows [r, K_numeric, K_closed, rel_err] of the radii whose stencil
+    stays on the chart of the Kepler profile, how many radii gave no row (their
+    stencil raised JacobiFlowError), and the largest rel_err; ValueError if
+    none gave one.  One pass calls gaussian_curvature_numeric once per radius
+    into a column; the closed form and the errors are arrays over the kept radii."""
+    profile = kepler_profile(k, E)
+    numeric = np.empty(len(radii))
+    kept = np.ones(len(radii), bool)
+    for i, r in enumerate(radii.tolist()):
+        try:
+            numeric[i] = gaussian_curvature_numeric(profile, r)
+        except JacobiFlowError:
+            kept[i] = False
+    if not kept.any():
+        raise _none_on_chart(radii)
+    r, kn = radii[kept], numeric[kept]
+    kc = kepler_curvature(k, E, r)
+    err = np.abs(kn - kc) / np.maximum(1.0, np.abs(kc))
+    return np.column_stack([r, kn, kc, err]).tolist(), len(radii) - len(r), float(err.max())
+
+
 def run_curvature(scn):
     k = _param(scn, "k")
     if not k > 0:
         raise ValueError(f"curvature needs k > 0, got {k!r}")
     E = require(scn, "E")
-    radii = radial_grid(scn, "r_min", "r_max")
-    profile = kepler_profile(k, E)
-
-    def row(i):
-        r = radii[i]
-        kn = gaussian_curvature_numeric(profile, r)
-        kc = kepler_curvature(k, E, r)
-        return [r, kn, kc, abs(kn - kc) / max(1.0, abs(kc))]
-
-    rows, skipped = _radial_scan(radii, row)
-    worst = max((row[3] for row in rows), default=None)
+    rows, skipped, worst = _curvature_scan(k, E, radial_grid(scn, "r_min", "r_max"))
     csv_path = _write_outputs(scn, ["r", "K_numeric", "K_closed", "rel_err"], rows, {
         "termination": "completed",
         "classification": classify_orbit(E),

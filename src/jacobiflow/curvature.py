@@ -12,10 +12,13 @@ conformal scale itself, a callable f(r).  The numeric curvature is one
 scheme: nested central differences at steps h and h/2, extrapolated to
 cancel their h^2 truncation term.  Its stencil spans r - 2h .. r + 2h with
 h = CURVATURE_STEP * max(1, |r|), so radii within 2h (0.12% of max(1, r))
-of a turning radius are refused.
+of a turning radius are refused.  It takes one radius; a scan calls it once
+per radius, while the closed form takes the scan's radii as one array.
 """
 
 import math
+
+import numpy as np
 
 from .errors import DomainViolation, PoleAtZeroDenominator, TurningPoint
 
@@ -52,31 +55,53 @@ def gaussian_curvature_numeric(profile, r):
     """The curvature formula by nested central differences, each sharing its
     step between d(rf)/dr and the outer derivative, as (4 K(h/2) - K(h)) / 3.
     Raises TurningPoint when the seven-point stencil leaves r > 0 or the
-    region where f is finite and positive."""
+    region where f is finite and positive, and ValueError for a complex or
+    non-finite radius."""
+    if isinstance(r, (complex, np.complexfloating)) or not -math.inf < r < math.inf:
+        raise ValueError(f"the radius must be real and finite, got {r!r}")
     r = float(r)
     h = CURVATURE_STEP * max(1.0, abs(r))
     if r - 2.0 * h <= 0.0:
         raise TurningPoint(f"stencil around r = {r:.6g} leaves the chart")
     try:
-        f = [profile(r + 0.5 * j * h) for j in (-4, -2, -1, 0, 1, 2, 4)]
+        fm4 = profile(r - 2.0 * h)
+        fm2 = profile(r - h)
+        fm1 = profile(r - 0.5 * h)
+        f0 = profile(r)
+        fp1 = profile(r + 0.5 * h)
+        fp2 = profile(r + h)
+        fp4 = profile(r + 2.0 * h)
     except (TurningPoint, DomainViolation) as exc:
         raise TurningPoint(f"stencil around r = {r:.6g} exits validity: {exc}")
-    if not all(math.isfinite(v) and v > 0.0 for v in f):
+    # each test fails on NaN as well
+    if not (0.0 < fm4 < math.inf and 0.0 < fm2 < math.inf and 0.0 < fm1 < math.inf
+            and 0.0 < f0 < math.inf and 0.0 < fp1 < math.inf and 0.0 < fp2 < math.inf
+            and 0.0 < fp4 < math.inf):
         raise TurningPoint(f"stencil around r = {r:.6g} exits validity")
-    fm4, fm2, fm1, f0, fp1, fp2, fp4 = f
     coarse = _curvature_at_step(r, h, fm4, fm2, f0, fp2, fp4)
     fine = _curvature_at_step(r, 0.5 * h, fm2, fm1, f0, fp1, fp2)
     return float((4.0 * fine - coarse) / 3.0)
 
 
 def kepler_curvature(k, E, r):
-    """Closed-form curvature -kE / (2 (rE + k)^3) for U = -k/r."""
+    """Closed-form curvature -kE / (2 (rE + k)^3) for U = -k/r, at one radius
+    (a float) or over an array of radii (an array of their shape), each value
+    with the bits of its one-radius call.  A complex or non-finite radius
+    raises ValueError and a radius at rE + k = 0 PoleAtZeroDenominator, each
+    naming the first such radius."""
+    r = np.asarray(r)
+    bad = ~np.isfinite(r) if r.dtype.kind in "biuf" else np.ones(r.shape, bool)
+    if bad.any():
+        first = r.ravel().tolist()[np.argmax(bad)]
+        raise ValueError(f"the radius must be real and finite, got {first!r}")
     den = r * E + k
-    if den == 0.0:
-        raise PoleAtZeroDenominator(
-            f"rE + k vanishes at r = {r:.6g} (E = {E:.6g}, k = {k:.6g})"
-        )
-    return -k * E / (2.0 * den ** 3)
+    pole = den == 0.0
+    if pole.any():
+        raise PoleAtZeroDenominator(f"rE + k vanishes at r = {r.flat[np.argmax(pole)]:.6g} "
+                                    f"(E = {E:.6g}, k = {k:.6g})")
+    # np.float_power rounds a cube as Python's den ** 3 does; numpy's ** does not
+    K = -k * E / (2.0 * np.float_power(den, 3))
+    return float(K) if K.ndim == 0 else K
 
 
 def classify_orbit(E):

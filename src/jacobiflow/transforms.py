@@ -166,14 +166,18 @@ def jacobi_relativistic_stationary(st, Erel):
 
     factor = (Erel^2 - m^2 c^4 V^2) / (c^2 V^2); the spacetime's spatial
     metric is the base.  Where V^2 is not positive (NaN included) the factor
-    raises DomainViolation naming the first such point and its V^2.
+    raises DomainViolation naming the first such point and its V^2.  A V^2
+    that is not a scalar at one point raises ValueError naming it, the
+    spatial metric and both shapes.
     """
     if not 0 < Erel < math.inf:
         raise ValueError(f"the relativistic energy must be positive and finite, got {Erel!r}")
-    m, c, Vsq = st.m, st.c, st.Vsq
+    m, c, Vsq, name = st.m, st.c, st.Vsq, st.g.name
 
     def factor(x):
-        v2 = Vsq(x)
+        # over columns, the factor's own shape check names a per-point V^2
+        v2 = (_call(Vsq, x, None, False, (), "V^2 of spacetime on metric", name)
+              if x.ndim == 1 else Vsq(x))
         positive = v2 > 0.0
         if not (positive if x.ndim == 1 else np.all(positive)):
             first = np.argmin(positive)  # 0 at one point

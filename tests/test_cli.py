@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jacobiflow import DomainViolation, Trajectory, cli, integrate
+from jacobiflow import (DomainViolation, Trajectory, TurningPoint, cli,
+                        gaussian_curvature_numeric, integrate, kepler_profile)
 from jacobiflow.cli import main
 
 
@@ -231,6 +232,59 @@ def test_curvature_scan_columns_and_values(tmp_path, capsys):
     summary = json.loads((tmp_path / "curvature_summary.json").read_text())
     assert summary["classification"] == "ellipse"
     assert summary["skipped_out_of_domain"] == 67
+
+
+def count_stencils(monkeypatch):
+    """The radii of every gaussian_curvature_numeric call the CLI makes."""
+    radii = []
+
+    def counted(profile, r, _stencil=cli.gaussian_curvature_numeric):
+        radii.append(r)
+        return _stencil(profile, r)
+
+    monkeypatch.setattr(cli, "gaussian_curvature_numeric", counted)
+    return radii
+
+
+@pytest.mark.parametrize("E, grid, rows, skipped", [
+    (-0.5, (0.5, 3.0, 500), 299, 201),
+    (0.0, (0.001, 3.0, 100), 99, 1),
+], ids=["ellipse", "parabola"])
+def test_curvature_scan_rows_equal_their_per_point_rows(tmp_path, capsys, monkeypatch, E, grid,
+                                                        rows, skipped):
+    # one stencil per radius in one pass, and each row, the largest error and
+    # the skip count as the per-point scan wrote them
+    called = count_stencils(monkeypatch)
+    lo, hi, samples = grid
+    code, _, _ = run(capsys, "curvature", "--E", str(E), "--r-min", str(lo), "--r-max", str(hi),
+                     "--samples", str(samples), "--out", str(tmp_path))
+    assert code == 0
+    radii = np.linspace(lo, hi, samples).tolist()
+    assert called == radii
+    profile, expected = kepler_profile(1.0, E), []
+    for r in radii:
+        try:
+            kn = gaussian_curvature_numeric(profile, r)
+        except TurningPoint:
+            continue
+        kc = -1.0 * E / (2.0 * (r * E + 1.0) ** 3)
+        expected.append([r, kn, kc, abs(kn - kc) / max(1.0, abs(kc))])
+    lines = (tmp_path / "curvature.csv").read_text().splitlines()
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == expected
+    assert len(expected) == rows
+    summary = json.loads((tmp_path / "curvature_summary.json").read_text())
+    assert summary["rows"] == rows and summary["skipped_out_of_domain"] == skipped
+    assert summary["max_rel_err"] == max(row[3] for row in expected)
+
+
+def test_curvature_with_no_radius_on_the_chart_exits_two(tmp_path, capsys, monkeypatch):
+    called = count_stencils(monkeypatch)
+    code, _, err = run(capsys, "curvature", "--E", "-0.5", "--r-min", "2.5", "--r-max", "3",
+                       "--samples", "20", "--out", str(tmp_path))
+    assert code == 2
+    assert "no radius from 2.5 to 3 lies inside the chart" in err
+    assert len(called) == 20
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_transform_grid_values(tmp_path, capsys):

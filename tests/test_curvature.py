@@ -1,5 +1,7 @@
 """Gaussian curvature of the rescaled plane and orbit classification."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,32 @@ def test_closed_form_pole():
     # rE + k = 0 at r=2 for E=-0.5, k=1
     with pytest.raises(PoleAtZeroDenominator):
         kepler_curvature(1.0, -0.5, 2.0)
+
+
+def test_closed_form_over_an_array_has_the_bits_of_its_scalar_calls():
+    rng = np.random.default_rng(3)
+    for k, E in ((1.0, -0.5), (1.7, 0.3), (0.6, 0.0), (1.3, -0.01)):
+        radii = rng.uniform(0.001, 5.0, 1000)
+        scalar = [kepler_curvature(k, E, r) for r in radii.tolist()]
+        assert all(type(K) is float for K in scalar)
+        assert (kepler_curvature(k, E, radii) == np.array(scalar)).all()
+    with pytest.raises(PoleAtZeroDenominator, match="vanishes at r = 2 "):
+        kepler_curvature(1.0, -0.5, np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("r, named, first", [
+    (np.nan, "nan", "nan"), (np.inf, "inf", "inf"), (-np.inf, "-inf", "-inf"),
+    (1 + 0j, "(1+0j)", "(2+0j)"), (np.complex128(1.0), "(1+0j)", "(2+0j)"),
+], ids=["nan", "inf", "-inf", "complex", "numpy-complex"])
+def test_curvature_refuses_a_complex_or_nonfinite_radius(r, named, first):
+    # once a TurningPoint for nan and inf, and nan, -0.0 or a complex value
+    # from the closed form; a complex array's first entry is complex
+    with pytest.raises(ValueError, match="the radius must be real and finite"):
+        gaussian_curvature_numeric(kepler_profile(1.0, 0.3), r)
+    with pytest.raises(ValueError, match=re.escape(f"real and finite, got {named}")):
+        kepler_curvature(1, 0.3, r)
+    with pytest.raises(ValueError, match=re.escape(f"real and finite, got {first}")):
+        kepler_curvature(1, 0.3, np.array([2.0, r, np.nan]))
 
 
 def test_constant_profile_is_flat():

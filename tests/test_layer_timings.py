@@ -20,5 +20,5 @@ def test_layer_timings_reports_a_time_for_every_layer():
         "curvature.per_point", "cli.write_csv.per_row", "metric.partials.fallback",
         "metric._state.point", "metric._state.per_row", "transforms.factor_at.classical",
         "transforms.factor_at.relativistic", "transforms.factor_at.per_row.classical",
-        "transforms.factor_at.per_row.relativistic"])
+        "transforms.factor_at.per_row.relativistic", "curvature.scan.per_row"])
     assert all(value > 0 for value in us.values())

@@ -274,6 +274,9 @@ LONG_D = plane("long", lambda x: np.array([1.0, x[0] * x[0], 1.0]))
      "factor of conformal metric 'polar'", (1,), ()),
     (lambda: ConformalMetric(polar_metric(), lambda x: 2.0 * x).factor_at(X),
      "factor of conformal metric 'polar'", (2,), ()),
+    (lambda: jacobi_relativistic_stationary(
+        StationarySpacetime(polar_metric(), lambda x: np.array([1.0, 2.0])), 1.1).factor_at(X),
+     "V^2 of spacetime on metric 'polar'", (2,), ()),
     # at the complex points of a complex step
     (lambda: metric_partials(plane("long", LONG_D.components, partials=None), X),
      "components of metric 'long'", (3,), (2,)),
@@ -281,7 +284,7 @@ LONG_D = plane("long", lambda x: np.array([1.0, x[0] * x[0], 1.0]))
      "potential of system 'kepler'", (2,), ()),
 ], ids=["grad_U-scalar", "grad_U-scalar-integrate", "grad_U-long", "components-long",
         "components-long-rhs", "partials-wide", "partials-short", "partials-matrix-short",
-        "components-matrix-scalar", "guard-vector", "factor-one", "factor-vector",
+        "components-matrix-scalar", "guard-vector", "factor-one", "factor-vector", "Vsq-vector",
         "complex-step-components-long", "complex-step-U-vector"])
 def test_callables_returning_another_one_point_shape_are_refused(call, role, got, expected):
     # each once ran with entries dropped or broadcast (a scalar grad_U ran

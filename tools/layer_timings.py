@@ -25,7 +25,9 @@ stationary factor of Schwarzschild's spacetime (M = m = 1) at E_rel = 1.1,
 at r = 10 on the equator.  transforms.factor_at.per_row.classical and
 .relativistic are the same two factors per row of one call over 30 000
 radii (r from 0.5 to 1.9 and from 3 to 30, on the equator), the call the
-CLI's transform scan makes per grid.  One entry is a count, not a time:
+CLI's transform scan makes per grid.  curvature.scan.per_row is per row of
+the CLI's curvature scan over 30 000 radii of that Kepler profile (r from
+0.5 to 1.9), without writing the CSV.  One entry is a count, not a time:
 kepler.nfev_per_step, the right-hand-side evaluations per accepted step of
 Kepler's time flow over one period of the e = 0.5 ellipse on a 1000-point
 record grid, read from the run's Trajectory.stats.
@@ -46,7 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from jacobiflow import FlowState, flow, lift  # noqa: E402
 from jacobiflow.catalog import (  # noqa: E402
     catalog_entry, mechanical_system_from_entry, spacetime_from_entry)
-from jacobiflow.cli import radial_points, write_csv  # noqa: E402
+from jacobiflow.cli import _curvature_scan, radial_points, write_csv  # noqa: E402
 from jacobiflow.curvature import gaussian_curvature_numeric, kepler_profile  # noqa: E402
 from jacobiflow.metric import (  # noqa: E402
     _inverse, _partials, _state, flat_metric, invert_metric, polar_metric)
@@ -140,6 +142,9 @@ def layer_timings(number=2000):
     for name, (conf, points) in grids.items():
         us[name] = min(timeit.repeat(lambda: conf.factor_at(points), number=1,
                                      repeat=REPEATS)) / RADII * 1e6
+    radii = np.linspace(0.5, 1.9, RADII)
+    us["curvature.scan.per_row"] = min(timeit.repeat(
+        lambda: _curvature_scan(1.0, -0.5, radii), number=1, repeat=REPEATS)) / RADII * 1e6
     ellipse = FlowState(np.array([0.5, 0.0]), np.array([0.0, np.sqrt(0.75)]))
     stats = flow.integrate(flow.hamilton_flow(kepler), ellipse, 2.0 * np.pi,
                            record_grid=1000).stats
